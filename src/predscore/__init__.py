@@ -34,7 +34,6 @@ from .dataset import (
     serialize_predictions_csv,
     serialize_values_csv,
     write_bundle,
-    write_score_tensor,
 )
 from .errors import (
     DegenerateDataError,

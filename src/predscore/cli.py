@@ -16,14 +16,14 @@ from pathlib import Path
 from .actions import SquareId
 from .board import BoardConfig
 from .dataset import (
-    ExperimentBundle,
+    MNK,
     ParticipantModel,
     generate_synthetic_experiment,
     read_bundle,
     write_bundle,
 )
 from .errors import PredscoreError, ValidationError
-from .metrics import DEFAULT_GRADE_SCALE, score_dataset
+from .metrics import score_dataset
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
@@ -103,6 +103,9 @@ def cmd_simulate(args) -> int:
         oracle_kind = args.oracle
         if oracle_kind == "auto":
             oracle_kind = EXHAUSTIVE if config.squares <= EXHAUSTIVE_LIMIT else SAMPLED
+        elif oracle_kind == EXHAUSTIVE and config.squares > EXHAUSTIVE_LIMIT:
+            raise ValidationError(f"--oracle {EXHAUSTIVE} supports at most {EXHAUSTIVE_LIMIT} "
+                                  f"squares (board has {config.squares}); use --oracle {SAMPLED}")
         agents = []
         for i in range(args.agents):
             mutation = None
@@ -140,10 +143,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_bundle(args) -> ExperimentBundle:
-    return read_bundle(args.bundle)
-
-
 def cmd_metrics(args) -> int:
     try:
         formats = _parse_formats(args.format, {"csv", "markdown", "svg"})
@@ -151,9 +150,10 @@ def cmd_metrics(args) -> int:
             raise ValidationError(f"--p must be in (0, 1), got {args.p}")
     except ValidationError as exc:
         return _usage_error(exc)
-    bundle = _load_bundle(args)
+    bundle = read_bundle(args.bundle)
     out = _out_dir(args)
-    table = build_metrics_table(bundle, p=args.p)
+    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+    table = build_metrics_table(bundle, samples, p=args.p)
     written = []
     if "csv" in formats:
         path = out / "metrics.csv"
@@ -165,11 +165,11 @@ def cmd_metrics(args) -> int:
         written.append(path)
     grades_path = out / "grades.csv"
     grades_path.write_text(
-        render_grade_distribution_csv(grade_distribution(bundle)), encoding="utf-8"
+        render_grade_distribution_csv(grade_distribution(bundle, samples)), encoding="utf-8"
     )
     written.append(grades_path)
     for space in (VALUE_SPACE, RANK_SPACE):
-        groups = participant_loss_sums(bundle, space)
+        groups = participant_loss_sums(samples, space)
         path = out / f"boxplot_l{space[0]}.csv"
         path.write_text(render_boxplot_csv(groups), encoding="utf-8")
         written.append(path)
@@ -177,13 +177,9 @@ def cmd_metrics(args) -> int:
             path = out / f"boxplot_l{space[0]}.svg"
             path.write_text(render_boxplot_svg(groups), encoding="utf-8")
             written.append(path)
-    smallest = min(
-        (len({s.participant_id for s in group}) for group in bundle.predictions_by_treatment().values()),
-        default=0,
-    )
     for path in written:
         print(f"wrote {path}")
-    if smallest <= 1:
+    if min(len(g.values) for g in groups) <= 1:
         print("notice: at least one treatment has a single participant; "
               "comparative statistics are omitted for such groups")
     return 0
@@ -192,8 +188,9 @@ def cmd_metrics(args) -> int:
 def cmd_stats(args) -> int:
     if not 0 < args.alpha < 1:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
-    bundle = _load_bundle(args)
-    groups = participant_loss_sums(bundle, args.space)
+    bundle = read_bundle(args.bundle)
+    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+    groups = participant_loss_sums(samples, args.space)
     if len(groups) < 2:
         raise ValidationError("stats needs at least 2 treatments with predictions")
     result = run_pipeline(groups, alpha=args.alpha)
@@ -243,7 +240,9 @@ def cmd_votes(args) -> int:
         formats = _parse_formats(args.format, {"csv", "svg"})
     except ValidationError as exc:
         return _usage_error(exc)
-    bundle = _load_bundle(args)
+    bundle = read_bundle(args.bundle)
+    if bundle.manifest.domain != MNK:
+        raise ValidationError(f"votes need an mnk bundle, not {bundle.manifest.domain!r}")
     values = bundle.values_by_decision().get(args.decision)
     if values is None:
         raise ValidationError(f"unknown decision {args.decision!r}")
@@ -267,13 +266,12 @@ def cmd_votes(args) -> int:
 
 
 def cmd_grade(args) -> int:
-    bundle = _load_bundle(args)
-    predictions = sorted(bundle.predictions, key=lambda r: (r.participant_id, r.decision_id))
-    samples = score_dataset(predictions, bundle.values_by_decision(), DEFAULT_GRADE_SCALE)
+    bundle = read_bundle(args.bundle)
+    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
     lines = ["participant_id,treatment,decision_id,predicted,lv,lr,grade"]
-    for rec, s in zip(predictions, samples):
+    for s in samples:
         lines.append(
-            f"{rec.participant_id},{rec.treatment},{rec.decision_id},{rec.predicted},"
+            f"{s.participant_id},{s.treatment},{s.decision_id},{s.predicted},"
             f"{s.lv!r},{s.lr},{s.grade}"
         )
     out = _out_dir(args)

@@ -428,12 +428,6 @@ def read_bundle(path) -> ExperimentBundle:
     )
 
 
-def write_score_tensor(tensor: dict, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(tensor, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
 @dataclass(frozen=True)
 class ParticipantModel:
     """Rank-indexed categorical model of how a participant predicts.

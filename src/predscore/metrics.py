@@ -82,6 +82,7 @@ class MetricSample:
     participant_id: str
     decision_id: str
     treatment: str
+    predicted: str
     lv: float
     lr: int
     grade: str
@@ -138,23 +139,25 @@ def score_dataset(
     value_tables: dict[str, DecisionValues],
     scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> list[MetricSample]:
-    """Score every prediction, ordered by (participant, decision)."""
+    """Score every prediction, ordered by (participant, decision); each
+    distinct (decision, action) pair is scored once and the result shared."""
+    scores: dict[tuple[str, str], tuple[float, int, str]] = {}
     samples = []
     for rec in sorted(predictions, key=lambda r: (r.participant_id, r.decision_id)):
-        values = value_tables.get(rec.decision_id)
-        if values is None:
-            raise ValidationError(
-                f"no value table for decision {rec.decision_id!r} "
-                f"(prediction by {rec.participant_id!r})"
+        score = scores.get((rec.decision_id, rec.predicted))
+        if score is None:
+            values = value_tables.get(rec.decision_id)
+            if values is None:
+                raise ValidationError(
+                    f"no value table for decision {rec.decision_id!r} "
+                    f"(prediction by {rec.participant_id!r})"
+                )
+            score = scores[(rec.decision_id, rec.predicted)] = (
+                loss_in_value(values, rec.predicted),
+                loss_in_rank(values, rec.predicted),
+                discretized_loss_in_rank(values, rec.predicted, scale),
             )
         samples.append(
-            MetricSample(
-                participant_id=rec.participant_id,
-                decision_id=rec.decision_id,
-                treatment=rec.treatment,
-                lv=loss_in_value(values, rec.predicted),
-                lr=loss_in_rank(values, rec.predicted),
-                grade=discretized_loss_in_rank(values, rec.predicted, scale),
-            )
+            MetricSample(rec.participant_id, rec.decision_id, rec.treatment, rec.predicted, *score)
         )
     return samples

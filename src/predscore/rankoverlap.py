@@ -123,9 +123,11 @@ def mrbo_table(
     """
     table = {}
     for treatment in sorted(groups):
-        records = groups[treatment]
+        by_decision: dict[str, list[PredictionRecord]] = {}
+        for rec in groups[treatment]:
+            by_decision.setdefault(rec.decision_id, []).append(rec)
         for decision_id, values in value_tables.items():
-            group = [rec for rec in records if rec.decision_id == decision_id]
+            group = by_decision.get(decision_id)
             if not group:
                 raise ValidationError(
                     f"treatment {treatment!r} has no predictions for decision {decision_id!r}"

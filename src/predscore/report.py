@@ -1,9 +1,12 @@
 """Report tables and figures built from a bundle.
 
-Everything here is assembly: each cell is a direct library call over the
-bundle (mean loss in value / loss in rank per treatment per decision,
-modified overlap per cell, grade counts, vote matrices), rendered to CSV,
-markdown or SVG deterministically so outputs are golden-file friendly.
+A bundle is scored once, by :func:`predscore.metrics.score_dataset`, and
+every score-based table is a view over that one list of samples: mean loss
+in value / loss in rank per treatment per decision, grade counts, and
+per-participant loss sums for boxplots and the stats pipeline.  Modified
+overlap per cell and vote matrices read the bundle's votes directly.
+Everything renders to CSV, markdown or SVG deterministically so outputs
+are golden-file friendly.
 """
 
 from __future__ import annotations
@@ -11,12 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .actions import SquareId
 from .dataset import ExperimentBundle, MNK
 from .errors import ValidationError
-from .metrics import DEFAULT_GRADE_SCALE, GradeScale, MetricSample, score_dataset
+from .metrics import DEFAULT_GRADE_SCALE, GradeScale, MetricSample
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
@@ -46,25 +47,22 @@ class MetricsTable:
         return tuple(tuple(sorted(s)) for s in best)
 
 
-def _samples_by_treatment(samples: list[MetricSample]) -> dict[str, list[MetricSample]]:
-    groups: dict[str, list[MetricSample]] = {}
-    for s in samples:
-        groups.setdefault(s.treatment, []).append(s)
-    return groups
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)
 
 
 def build_metrics_table(
     bundle: ExperimentBundle,
+    samples: list[MetricSample],
     p: float = DEFAULT_PERSISTENCE,
-    scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> MetricsTable:
     if not bundle.predictions:
         raise ValidationError("bundle has no predictions to summarize")
-    value_tables = bundle.values_by_decision()
     decision_ids = tuple(dv.decision_id for dv in bundle.decisions)
-    samples = score_dataset(list(bundle.predictions), value_tables, scale)
-    by_treatment = _samples_by_treatment(samples)
-    overlap = mrbo_table(bundle.predictions_by_treatment(), value_tables, p)
+    overlap = mrbo_table(bundle.predictions_by_treatment(), bundle.values_by_decision(), p)
+    by_cell: dict[tuple[str, str], list[MetricSample]] = {}
+    for s in samples:
+        by_cell.setdefault((s.treatment, s.decision_id), []).append(s)
 
     columns = (
         ["mean_lv_all"]
@@ -77,21 +75,15 @@ def build_metrics_table(
         [True] * (1 + len(decision_ids)) + [True] * (1 + len(decision_ids)) + [False] * len(decision_ids)
     )
     rows = []
-    for treatment in sorted(by_treatment):
-        group = by_treatment[treatment]
-        cells: list[float] = []
-        cells.append(math.fsum(s.lv for s in group) / len(group))
-        for d in decision_ids:
-            sub = [s.lv for s in group if s.decision_id == d]
-            if not sub:
-                raise ValidationError(f"treatment {treatment!r} has no samples for decision {d!r}")
-            cells.append(math.fsum(sub) / len(sub))
-        cells.append(math.fsum(s.lr for s in group) / len(group))
-        for d in decision_ids:
-            sub = [s.lr for s in group if s.decision_id == d]
-            cells.append(math.fsum(sub) / len(sub))
-        for d in decision_ids:
-            cells.append(overlap[(treatment, d)])
+    # every (treatment, decision) cell is filled: mrbo_table rejects an empty one
+    for treatment in sorted({t for t, _ in by_cell}):
+        lv = [[s.lv for s in by_cell[(treatment, d)]] for d in decision_ids]
+        lr = [[s.lr for s in by_cell[(treatment, d)]] for d in decision_ids]
+        cells = (
+            [_mean([x for sub in lv for x in sub])] + [_mean(sub) for sub in lv]
+            + [_mean([x for sub in lr for x in sub])] + [_mean(sub) for sub in lr]
+            + [overlap[(treatment, d)] for d in decision_ids]
+        )
         rows.append((treatment, tuple(cells)))
     return MetricsTable(
         decision_ids=decision_ids,
@@ -125,10 +117,10 @@ def render_metrics_markdown(table: MetricsTable) -> str:
 
 
 def grade_distribution(
-    bundle: ExperimentBundle, scale: GradeScale = DEFAULT_GRADE_SCALE
+    bundle: ExperimentBundle, samples: list[MetricSample], scale: GradeScale = DEFAULT_GRADE_SCALE
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """decision -> treatment -> grade label -> count."""
-    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision(), scale)
+    """decision -> treatment -> grade label -> count, for samples graded
+    on scale."""
     out: dict[str, dict[str, dict[str, int]]] = {}
     for dv in bundle.decisions:
         out[dv.decision_id] = {
@@ -150,37 +142,42 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
     return "\n".join(lines) + "\n"
 
 
-def participant_loss_sums(bundle: ExperimentBundle, space: str) -> list[SampleGroup]:
+def participant_loss_sums(samples: list[MetricSample], space: str) -> list[SampleGroup]:
     """Per-treatment groups of each participant's summed loss across
-    decisions (value space sums LV, rank space sums LR)."""
+    decisions (value space sums LV, rank space sums LR), added in sample
+    order."""
     if space not in (VALUE_SPACE, RANK_SPACE):
         raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
-    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
     sums: dict[str, dict[str, float]] = {}
     for s in samples:
         per = sums.setdefault(s.treatment, {})
         per[s.participant_id] = per.get(s.participant_id, 0.0) + (
             s.lv if space == VALUE_SPACE else float(s.lr)
         )
-    groups = []
-    for treatment in sorted(sums):
-        per = sums[treatment]
-        groups.append(
-            SampleGroup(
-                label=treatment,
-                values=tuple(per[pid] for pid in sorted(per)),
-            )
-        )
-    return groups
+    return [
+        SampleGroup(label=treatment, values=tuple(per[pid] for pid in sorted(per)))
+        for treatment, per in sorted(sums.items())
+    ]
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
-    """(min, q1, median, q3, max) with linear interpolation quartiles."""
+    """(min, q1, median, q3, max) with linear interpolation quartiles.
+
+    The quartiles repeat numpy.percentile's default method operation for
+    operation, so they match it bit for bit: index (n-1)*q with fraction t,
+    then b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.
+    """
     if not values:
         raise ValidationError("empty sample")
-    arr = np.asarray(sorted(values), dtype=float)
-    q1, med, q3 = (float(np.percentile(arr, q)) for q in (25, 50, 75))
-    return (float(arr[0]), q1, med, q3, float(arr[-1]))
+    ordered = [float(v) for v in sorted(values)]
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):
+        idx = (len(ordered) - 1) * q
+        lo = math.floor(idx)
+        t = idx - lo
+        a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return (ordered[0], *quartiles, ordered[-1])
 
 
 def render_boxplot_csv(groups: list[SampleGroup]) -> str:

@@ -34,11 +34,6 @@ class OutcomeTriple:
         if abs(total - 1.0) > TRIPLE_SUM_TOLERANCE:
             raise ValidationError(f"outcome fractions must sum to 1, got {total!r}")
 
-    @property
-    def advantage(self) -> float:
-        """Scalar value of the triple: win minus loss."""
-        return self.win - self.loss
-
 
 @dataclass(frozen=True)
 class DecisionValues:
@@ -104,13 +99,6 @@ class DecisionValues:
             raise UnknownActionError(
                 f"decision {self.decision_id!r}: unknown action {action!r}"
             ) from None
-
-    def ranks(self) -> dict[str, int]:
-        return dict(self._ranks)
-
-    @property
-    def best_action(self) -> str:
-        return self._ordering[0]
 
 
 def argmax_action(entries: dict[str, float]) -> str:

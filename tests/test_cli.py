@@ -7,6 +7,7 @@ import pytest
 
 from predscore.cli import main
 from predscore.dataset import read_bundle
+from predscore.metrics import score_dataset
 from predscore.report import build_metrics_table, render_metrics_csv
 
 SIM_FLAGS = [
@@ -71,6 +72,17 @@ class TestSimulate:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_exhaustive_oracle_on_large_board_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--m", "6", "--n", "6", "--k", "4", "--participants", "4",
+             "--treatments", "T", "--seed", "1", "--oracle", "exhaustive",
+             "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--oracle exhaustive" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestFlagValidation:
     def test_bad_format_token_exits_2(self, tmp_path, capsys):
@@ -105,7 +117,8 @@ class TestMetricsCmd:
         )
         assert code == 0
         bundle = read_bundle(bundle_dir)
-        expected = render_metrics_csv(build_metrics_table(bundle))
+        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        expected = render_metrics_csv(build_metrics_table(bundle, samples))
         assert (report / "metrics.csv").read_text() == expected
         assert (report / "metrics.md").exists()
         assert (report / "grades.csv").exists()
@@ -187,7 +200,9 @@ class TestStatsCmd:
         from predscore.report import participant_loss_sums
         from predscore.stats import run_pipeline
 
-        direct = run_pipeline(participant_loss_sums(read_bundle(bundle_dir), "rank"))
+        bundle = read_bundle(bundle_dir)
+        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        direct = run_pipeline(participant_loss_sums(samples, "rank"))
         assert doc["test_used"] == direct.test_used
         assert doc["comparison"]["statistic"] == direct.comparison.statistic
         assert doc["comparison"]["p_value"] == direct.comparison.p_value
@@ -233,6 +248,18 @@ class TestVotesCmd:
              "--decision", "P99"]
         )
         assert code == 1
+
+    def test_non_mnk_bundle_exits_1_naming_the_domain(self, tmp_path, capsys):
+        from predscore.dataset import load_four_towers_fixture, write_bundle
+
+        bundle_dir = write_bundle(load_four_towers_fixture(), tmp_path / "towers")
+        code = main(
+            ["votes", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "v"),
+             "--decision", "DP1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'four_towers'" in err and "square" not in err
 
     def test_unanimous_votes_fill_a_single_cell(self, tmp_path):
         bundle_dir = simulate(tmp_path, "best", extra=["--behavior", "best"])

@@ -286,3 +286,68 @@ class TestInvariants:
                 assert discretized_loss_in_rank(dv, action) == discretized_loss_in_rank(
                     transformed, action
                 )
+
+
+class TestScoredViews:
+    """score_dataset shares one score per (decision, action); each sample and
+    each view over the samples must equal the per-prediction reference."""
+
+    SCALE = GradeScale(((1, "top"), (3, "mid"), (None, "low")))
+
+    def bundle(self):
+        from predscore.dataset import ActionManifest, ExperimentBundle
+
+        actions = ("a", "b", "c", "d", "e")
+        tables = (
+            DecisionValues("D1", {"a": 0.5, "b": 0.5, "c": 0.1, "d": 0.1, "e": -0.25}, chosen="b"),
+            DecisionValues("D2", {"a": 2.0, "b": 2.0, "c": 2.0, "d": 1.5, "e": 1.5}, chosen="a"),
+        )
+        rng = random.Random(41)
+        predictions = tuple(
+            PredictionRecord(f"p{i:02d}", "T" + str(i % 3), dv.decision_id, rng.choice(actions))
+            for i in reversed(range(30))
+            for dv in reversed(tables)
+        )
+        return ExperimentBundle(
+            manifest=ActionManifest("ties", "custom", tuple((a, a) for a in actions)),
+            decisions=tables,
+            predictions=predictions,
+            treatments=("T0", "T1", "T2"),
+        )
+
+    def test_samples_and_views_match_reference(self):
+        from predscore.report import grade_distribution, participant_loss_sums
+
+        bundle = self.bundle()
+        tables = bundle.values_by_decision()
+        samples = score_dataset(list(bundle.predictions), tables, self.SCALE)
+        ordered = sorted(bundle.predictions, key=lambda r: (r.participant_id, r.decision_id))
+        assert len(samples) == len(ordered)
+        counts = {}
+        sums = {"value": {}, "rank": {}}
+        for s, rec in zip(samples, ordered):
+            dv = tables[rec.decision_id]
+            lv = loss_in_value(dv, rec.predicted)
+            lr = loss_in_rank(dv, rec.predicted)
+            grade = discretized_loss_in_rank(dv, rec.predicted, self.SCALE)
+            assert (s.participant_id, s.decision_id, s.treatment, s.predicted) == (
+                rec.participant_id, rec.decision_id, rec.treatment, rec.predicted
+            )
+            assert (s.lv, s.lr, s.grade) == (lv, lr, grade)
+            key = (rec.decision_id, rec.treatment, grade)
+            counts[key] = counts.get(key, 0) + 1
+            for space, loss in (("value", lv), ("rank", float(lr))):
+                per = sums[space].setdefault(rec.treatment, {})
+                per[rec.participant_id] = per.get(rec.participant_id, 0.0) + loss
+
+        distribution = grade_distribution(bundle, samples, self.SCALE)
+        for decision_id, per_treatment in distribution.items():
+            for treatment, by_label in per_treatment.items():
+                for label, count in by_label.items():
+                    assert count == counts.get((decision_id, treatment, label), 0)
+        for space, per_treatment in sums.items():
+            groups = participant_loss_sums(samples, space)
+            assert [g.label for g in groups] == sorted(per_treatment)
+            for g in groups:
+                per = per_treatment[g.label]
+                assert g.values == tuple(per[pid] for pid in sorted(per))

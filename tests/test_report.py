@@ -20,6 +20,10 @@ from predscore.report import (
 )
 
 
+def score(bundle):
+    return score_dataset(list(bundle.predictions), bundle.values_by_decision())
+
+
 @pytest.fixture(scope="module")
 def bundle():
     return generate_synthetic_experiment(
@@ -35,7 +39,7 @@ def bundle():
 
 class TestMetricsTable:
     def test_column_layout(self, bundle):
-        table = build_metrics_table(bundle)
+        table = build_metrics_table(bundle, score(bundle))
         assert len(table.rows) == 4
         # 5 LV columns, 5 LR columns, 4 overlap columns
         assert len(table.columns) == 5 + 5 + 4
@@ -43,21 +47,21 @@ class TestMetricsTable:
         assert table.columns[-1] == "mrbo_P4"
 
     def test_cells_recomputable_from_library(self, bundle):
-        table = build_metrics_table(bundle)
         samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        table = build_metrics_table(bundle, samples)
         for treatment, cells in table.rows:
             mine = [s.lv for s in samples if s.treatment == treatment]
             assert cells[0] == pytest.approx(sum(mine) / len(mine), abs=1e-12)
 
     def test_best_markers_cover_every_column(self, bundle):
-        table = build_metrics_table(bundle)
+        table = build_metrics_table(bundle, score(bundle))
         marked = set()
         for best in table.best_in_column():
             marked.update(best)
         assert marked == set(table.columns)
 
     def test_csv_and_markdown_render(self, bundle):
-        table = build_metrics_table(bundle)
+        table = build_metrics_table(bundle, score(bundle))
         csv_text = render_metrics_csv(table)
         assert csv_text.startswith("treatment,mean_lv_all")
         assert len(csv_text.strip().splitlines()) == 1 + len(table.rows)
@@ -77,14 +81,14 @@ class TestEightTreatmentLayout:
             seed=5,
             decisions_per_agent=4,
         )
-        table = build_metrics_table(bundle)
+        table = build_metrics_table(bundle, score(bundle))
         assert len(table.rows) == 8
         assert len(table.columns) == 14
 
 
 class TestGradeDistribution:
     def test_counts_conserve_samples(self, bundle):
-        distribution = grade_distribution(bundle)
+        distribution = grade_distribution(bundle, score(bundle))
         total = sum(
             count
             for per_treatment in distribution.values()
@@ -96,17 +100,17 @@ class TestGradeDistribution:
 
 class TestLossSums:
     def test_group_sizes(self, bundle):
-        groups = participant_loss_sums(bundle, "value")
+        groups = participant_loss_sums(score(bundle), "value")
         assert [g.label for g in groups] == ["BTW", "NONE", "OTB", "STT"]
         assert all(len(g.values) == 6 for g in groups)
 
     def test_rank_space_sums_are_integers(self, bundle):
-        for g in participant_loss_sums(bundle, "rank"):
+        for g in participant_loss_sums(score(bundle), "rank"):
             assert all(v == int(v) for v in g.values)
 
     def test_bad_space_rejected(self, bundle):
         with pytest.raises(ValidationError):
-            participant_loss_sums(bundle, "time")
+            participant_loss_sums(score(bundle), "time")
 
 
 class TestFiveNumber:
@@ -115,6 +119,26 @@ class TestFiveNumber:
 
     def test_single_value(self):
         assert five_number_summary([2.5]) == (2.5, 2.5, 2.5, 2.5, 2.5)
+
+    def test_quartiles_match_numpy_bit_for_bit(self):
+        np = pytest.importorskip("numpy")
+        import random
+
+        rng = random.Random(8)
+        samples = [[1.0], [3.0, -1.0], [0.1, 0.2, 0.7], [2, 2, 2, 5], [4, 1, 4, 4, 1, 9]]
+        for _ in range(300):
+            n = rng.randint(1, 60)
+            kind = rng.choice(("uniform", "ties", "tiny"))
+            if kind == "uniform":
+                samples.append([rng.uniform(-50, 50) for _ in range(n)])
+            elif kind == "ties":
+                samples.append([float(rng.randint(0, 4)) for _ in range(n)])
+            else:
+                samples.append([rng.uniform(0, 1e-12) for _ in range(n)])
+        for values in samples:
+            arr = np.asarray(sorted(values), dtype=float)
+            expected = tuple(float(np.percentile(arr, q)) for q in (25, 50, 75))
+            assert five_number_summary(values)[1:4] == expected, values
 
 
 class TestVotes:
@@ -170,6 +194,6 @@ class TestSvg:
         assert "#d62728" in a  # chosen-square outline
 
     def test_boxplot_svg_renders(self, bundle):
-        svg = render_boxplot_svg(participant_loss_sums(bundle, "value"))
+        svg = render_boxplot_svg(participant_loss_sums(score(bundle), "value"))
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 4
