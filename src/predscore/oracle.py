@@ -5,9 +5,10 @@ probabilities for the mover under uniform-random completion by both sides,
 then flattens each triple to a scalar advantage (win minus loss).  Two
 backends:
 
-  exhaustive  -- enumerates every completion exactly (rational arithmetic,
-                 memoized on board state); capped at EXHAUSTIVE_LIMIT empty
-                 squares.
+  exhaustive  -- enumerates every completion exactly: integer path counts
+                 per state (memoized on board state, for one board shape at
+                 a time) and one exact division per legal move; capped at
+                 EXHAUSTIVE_LIMIT empty squares.
   sampled     -- seeded Monte-Carlo rollouts, optionally depth-limited.
 
 A mutated agent adds seeded uniform noise to the flattened values only,
@@ -17,6 +18,7 @@ to the unmutated agent.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,9 +36,6 @@ SAMPLED = "sampled"
 EXHAUSTIVE_LIMIT = 12
 
 _AGENT_CODE, _OPPONENT_CODE = 1, 2
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -111,36 +110,50 @@ def _wins(packed: int, idx: int, code: int, rays, k: int) -> bool:
     return False
 
 
-# Continuation values memoized per board shape; shared across oracle calls.
-_memo: dict[tuple, dict] = {}
+# (board shape, continuation counts by state) for the last shape evaluated;
+# kept across oracle calls and replaced when the shape changes.
+_memo: tuple[tuple[int, int, int] | None, dict] = (None, {})
+
+
+def _shape_memo(shape: tuple[int, int, int]) -> dict:
+    global _memo
+    if _memo[0] != shape:
+        _memo = (shape, {})
+    return _memo[1]
 
 
 def _continuation(packed: int, mover: int, empties: tuple[int, ...], rays, k: int, memo) -> tuple:
-    """Exact (agent win, opponent win, draw) probabilities under uniform
-    random play from this state, as Fractions."""
+    """Counts of (agent win, opponent win, draw) over the e! orderings of
+    the e empty squares, each played out from this state until a win.
+
+    A game that ends with a win on its first move accounts for (e-1)!
+    orderings, and a draw on the last square for one.  A child state's
+    counts are scaled by (e-1)! already, so they add in unchanged.  Under
+    uniform random play the outcome probabilities are the counts over e!.
+    """
     key = (packed, mover)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    share = Fraction(1, len(empties))
-    p_agent = p_opp = p_draw = _ZERO
+    n_agent = n_opp = n_draw = 0
     last = len(empties) == 1
+    immediate = math.factorial(len(empties) - 1)
     other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
     for i, idx in enumerate(empties):
         child = packed | (mover << (2 * idx))
         if _wins(child, idx, mover, rays, k):
             if mover == _AGENT_CODE:
-                p_agent += share
+                n_agent += immediate
             else:
-                p_opp += share
+                n_opp += immediate
         elif last:
-            p_draw += share
+            n_draw += 1
         else:
             sub = _continuation(child, other, empties[:i] + empties[i + 1 :], rays, k, memo)
-            p_agent += share * sub[0]
-            p_opp += share * sub[1]
-            p_draw += share * sub[2]
-    result = (p_agent, p_opp, p_draw)
+            n_agent += sub[0]
+            n_opp += sub[1]
+            n_draw += sub[2]
+    result = (n_agent, n_opp, n_draw)
     memo[key] = result
     return result
 
@@ -161,26 +174,27 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
         )
     cfg = board.config
     rays = _ray_table(cfg.m, cfg.n, cfg.k)
-    memo = _memo.setdefault((cfg.m, cfg.n, cfg.k), {})
+    memo = _shape_memo((cfg.m, cfg.n, cfg.k))
     mover = _AGENT_CODE if board.to_move == AGENT else _OPPONENT_CODE
     other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
     empty_idx = tuple(cfg.index(sq) for sq in empties)
+    orderings = math.factorial(len(empties) - 1)
     out = {}
     for pos, sq in enumerate(empties):
         idx = empty_idx[pos]
         child = board.packed | (mover << (2 * idx))
         if _wins(child, idx, mover, rays, cfg.k):
-            triple = (_ONE, _ZERO, _ZERO)
+            counts = (orderings, 0, 0)
         elif len(empties) == 1:
-            triple = (_ZERO, _ZERO, _ONE)
+            counts = (0, 0, 1)
         else:
             rest = empty_idx[:pos] + empty_idx[pos + 1 :]
-            p_agent, p_opp, p_draw = _continuation(child, other, rest, rays, cfg.k, memo)
+            n_agent, n_opp, n_draw = _continuation(child, other, rest, rays, cfg.k, memo)
             if board.to_move == AGENT:
-                triple = (p_agent, p_opp, p_draw)
+                counts = (n_agent, n_opp, n_draw)
             else:
-                triple = (p_opp, p_agent, p_draw)
-        out[sq] = triple
+                counts = (n_opp, n_agent, n_draw)
+        out[sq] = tuple(Fraction(c, orderings) for c in counts)
     return out
 
 

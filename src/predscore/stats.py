@@ -10,15 +10,14 @@ but attach an explicit warning rather than refusing to compare.
 The test statistics are computed here directly (the Shapiro-Wilk W uses
 the standard large-sample approximation with its published polynomial
 coefficients, valid to n = 5000); only the distribution tail probabilities
-come from scipy.special.
+come from scipy.special, imported inside the helpers that need it so that
+importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import betainc, gammaincc, ndtr, ndtri
 
 from .errors import DegenerateDataError, ValidationError
 
@@ -64,16 +63,22 @@ class PipelineResult:
 
 
 def _chi2_sf(x: float, df: float) -> float:
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
 def _f_sf(x: float, df1: float, df2: float) -> float:
     if math.isinf(x):
         return 0.0
+    from scipy.special import betainc
+
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
 
 
 def _norm_sf(z: float) -> float:
+    from scipy.special import ndtr
+
     return float(ndtr(-z))
 
 
@@ -108,6 +113,8 @@ def shapiro_wilk(sample) -> TestResult:
         raise ValidationError(f"shapiro_wilk approximation is valid to n = 5000, got {n}")
     if x[0] == x[-1]:
         raise DegenerateDataError("all observations identical; W is undefined")
+
+    from scipy.special import ndtri
 
     n2 = n // 2
     if n == 3:

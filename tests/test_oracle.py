@@ -4,8 +4,18 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import brute_force_triples
+from predscore import oracle
 from predscore.actions import SquareId
-from predscore.board import AGENT, ONGOING, BoardConfig, apply_move, game_status, new_game
+from predscore.board import (
+    AGENT,
+    ONGOING,
+    OPPONENT,
+    Board,
+    BoardConfig,
+    apply_move,
+    game_status,
+    new_game,
+)
 from predscore.errors import ValidationError
 from predscore.oracle import (
     EXHAUSTIVE_LIMIT,
@@ -34,6 +44,33 @@ def board_to_codes(board):
     return tuple(
         0 if cell is None else (1 if cell == AGENT else 2) for cell in board.cells()
     )
+
+
+def play(config, moves):
+    board = new_game(config)
+    for text in moves:
+        board = apply_move(board, SquareId.parse(text))
+    return board
+
+
+def assert_matches_brute_force(board):
+    """Exact triples equal the brute-force enumeration, and the oracle's
+    floats are the correctly rounded Fractions, bit for bit."""
+    cfg = board.config
+    mover = 1 if board.to_move == AGENT else 2
+    expected = brute_force_triples(cfg.m, cfg.n, cfg.k, board_to_codes(board), mover)
+    got = exact_outcome_triples(board)
+    assert {cfg.index(sq) for sq in got} == set(expected)
+    dv = value_oracle(board, AgentSpec(), "x")
+    for sq, triple in got.items():
+        assert triple == expected[cfg.index(sq)]
+        win, loss, draw = (float(f) for f in triple)
+        outcome = dv.outcomes[sq.text]
+        assert [v.hex() for v in (outcome.win, outcome.loss, outcome.draw)] == [
+            v.hex() for v in (win, loss, draw)
+        ]
+        assert dv.entries[sq.text].hex() == (win - loss).hex()
+    return got
 
 
 class TestExhaustiveOracle:
@@ -74,6 +111,49 @@ class TestExhaustiveOracle:
         # Agent has A1, B1; C1 completes the row.
         triples = exact_outcome_triples(board)
         assert triples[SquareId(2, 0)] == (Fraction(1), Fraction(0), Fraction(0))
+
+    def test_opponent_to_move_matches_brute_force(self):
+        board = play(TTT, ["B2", "A1", "C3"])
+        assert board.to_move == OPPONENT
+        assert_matches_brute_force(board)
+
+    def test_4x3_midgame_matches_brute_force(self):
+        # Agent B2, C2 against opponent A1, D2: A2 completes the row at once.
+        board = play(BoardConfig(4, 3, 3), ["B2", "A1", "C2", "D2"])
+        assert len(board.empty_squares()) == 8
+        triples = assert_matches_brute_force(board)
+        assert triples[SquareId.parse("A2")] == (Fraction(1), Fraction(0), Fraction(0))
+        board = apply_move(board, SquareId.parse("B1"))
+        assert board.to_move == OPPONENT and len(board.empty_squares()) == 7
+        assert_matches_brute_force(board)
+
+    def test_single_empty_square_matches_brute_force(self):
+        a, o = AGENT, OPPONENT
+        # The last square of a drawn game: the move can only draw.
+        board = Board.from_cells(TTT, [a, o, a, a, o, o, o, a, None], to_move=AGENT)
+        triples = assert_matches_brute_force(board)
+        assert triples == {SquareId(2, 2): (Fraction(0), Fraction(0), Fraction(1))}
+
+    def test_immediate_win_matches_brute_force(self):
+        for moves in (["A1", "A2", "B1", "B2"], ["A1", "A2", "B1", "B2", "C3"]):
+            board = play(TTT, moves)
+            triples = assert_matches_brute_force(board)
+            winner = SquareId.parse("C1" if board.to_move == AGENT else "C2")
+            assert triples[winner] == (Fraction(1), Fraction(0), Fraction(0))
+
+    def test_memo_holds_one_board_shape(self):
+        exact_outcome_triples(play(TTT, ["B2"]))
+        ttt_table = oracle._memo[1]
+        board = play(BoardConfig(4, 3, 3), ["B2", "A1", "C2", "D2"])
+        exact_outcome_triples(board)
+        shape, table = oracle._memo
+        assert shape == (4, 3, 3)
+        assert table is not ttt_table
+        states = len(table)
+        assert states > 0
+        exact_outcome_triples(board)
+        assert oracle._memo[1] is table
+        assert len(table) == states
 
     def test_too_many_empties_rejected(self):
         board = new_game(BoardConfig(9, 4, 4))

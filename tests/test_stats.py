@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import predscore
 from bruteforce import hand_kruskal_h
 from predscore.errors import DegenerateDataError, ValidationError
 from predscore.stats import (
@@ -223,3 +228,13 @@ class TestPipeline:
         # With alpha = 0 every gate trivially passes, forcing ANOVA.
         result = run_pipeline(GATE_FIXTURES["gate_skew"], alpha=0.0)
         assert result.test_used == ANOVA
+
+
+def test_package_import_leaves_scipy_unloaded():
+    src = str(Path(predscore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, predscore; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
