@@ -3,11 +3,16 @@ pipeline, and export vote heat maps and per-prediction grades.
 
 Exit codes: 0 success, 1 data error (malformed bundle, degenerate groups,
 generation failure), 2 usage error (bad flags).
+
+:func:`main` runs one command with the cycle collector paused and puts the
+collector back as it found it, so in-process callers keep their own GC
+state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -345,11 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    # Commands build hundreds of thousands of acyclic records: full collections would free nothing.
+    gc.disable()
     try:
         return args.func(args)
     except PredscoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -260,19 +260,25 @@ def parse_values_csv(data) -> list[DecisionValues]:
 
 def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[PredictionRecord]:
     """Decode and validate predictions.csv against the manifest and the set
-    of decisions that actually have value tables."""
+    of decisions that actually have value tables.
+
+    Rows are read as they stream from the CSV reader.  Each treatment,
+    decision and action field is validated and interned by one dict lookup,
+    so all records share one string per distinct value.
+    """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
+    header = next(reader, None)
+    if header is None:
         raise ParseError("predictions.csv is empty", row=1)
-    if rows[0] != PREDICTIONS_HEADER:
-        raise ParseError(f"unexpected predictions.csv header {rows[0]!r}", row=1, column="header")
-    known_actions = set(manifest.action_ids)
-    known_decisions = set(decision_ids)
+    if header != PREDICTIONS_HEADER:
+        raise ParseError(f"unexpected predictions.csv header {header!r}", row=1, column="header")
+    known_actions = {a: a for a in manifest.action_ids}
+    known_decisions = {d: d for d in decision_ids}
+    treatments: dict[str, str] = {}
     seen: set[tuple[str, str]] = set()
     records = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 4:
@@ -280,13 +286,16 @@ def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[
         participant_id, treatment, decision_id, predicted = row
         if not participant_id or not treatment:
             raise ParseError("participant_id and treatment must be non-empty", row=lineno)
-        if decision_id not in known_decisions:
+        treatment = treatments.setdefault(treatment, treatment)
+        decision_id = known_decisions.get(decision_id)
+        if decision_id is None:
             raise ParseError(
-                f"unknown decision {decision_id!r}", row=lineno, column="decision_id"
+                f"unknown decision {row[2]!r}", row=lineno, column="decision_id"
             )
-        if predicted not in known_actions:
+        predicted = known_actions.get(predicted)
+        if predicted is None:
             raise ParseError(
-                f"unknown action {predicted!r}", row=lineno, column="predicted_action"
+                f"unknown action {row[3]!r}", row=lineno, column="predicted_action"
             )
         key = (participant_id, decision_id)
         if key in seen:
@@ -296,14 +305,7 @@ def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[
                 column="participant_id",
             )
         seen.add(key)
-        records.append(
-            PredictionRecord(
-                participant_id=participant_id,
-                treatment=treatment,
-                decision_id=decision_id,
-                predicted=predicted,
-            )
-        )
+        records.append(PredictionRecord(participant_id, treatment, decision_id, predicted))
     return records
 
 

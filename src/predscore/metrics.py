@@ -10,12 +10,19 @@ how close the agent judged it to the action it actually took:
 
 plus two group-level weighted averages (by value and by rank) over a set
 of predictions for one decision.
+
+Predictions and their scores are immutable named tuples
+(:class:`PredictionRecord`, :class:`MetricSample`): a bundle holds hundreds
+of thousands of them, and a tuple is one small object built in one call.
+Like any tuple they compare equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .values import DecisionValues
@@ -65,8 +72,7 @@ class GradeScale:
 DEFAULT_GRADE_SCALE = GradeScale(((4, "A"), (8, "B"), (12, "C"), (16, "D"), (None, "F")))
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One participant's predicted action for one decision."""
 
     participant_id: str
@@ -75,8 +81,7 @@ class PredictionRecord:
     predicted: str
 
 
-@dataclass(frozen=True)
-class MetricSample:
+class MetricSample(NamedTuple):
     """Per-prediction scores, ready for grouping and comparison."""
 
     participant_id: str
@@ -140,24 +145,28 @@ def score_dataset(
     scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> list[MetricSample]:
     """Score every prediction, ordered by (participant, decision); each
-    distinct (decision, action) pair is scored once and the result shared."""
-    scores: dict[tuple[str, str], tuple[float, int, str]] = {}
+    distinct (decision, action) pair is scored once and the result shared
+    through a per-decision table of at most |A| entries."""
+    tables: dict[str, dict[str, tuple[float, int, str]]] = {}
     samples = []
-    for rec in sorted(predictions, key=lambda r: (r.participant_id, r.decision_id)):
-        score = scores.get((rec.decision_id, rec.predicted))
-        if score is None:
-            values = value_tables.get(rec.decision_id)
-            if values is None:
+    for participant_id, treatment, decision_id, predicted in sorted(
+        predictions, key=attrgetter("participant_id", "decision_id")
+    ):
+        table = tables.get(decision_id)
+        if table is None:
+            if decision_id not in value_tables:
                 raise ValidationError(
-                    f"no value table for decision {rec.decision_id!r} "
-                    f"(prediction by {rec.participant_id!r})"
+                    f"no value table for decision {decision_id!r} "
+                    f"(prediction by {participant_id!r})"
                 )
-            score = scores[(rec.decision_id, rec.predicted)] = (
-                loss_in_value(values, rec.predicted),
-                loss_in_rank(values, rec.predicted),
-                discretized_loss_in_rank(values, rec.predicted, scale),
+            table = tables[decision_id] = {}
+        score = table.get(predicted)
+        if score is None:
+            values = value_tables[decision_id]
+            score = table[predicted] = (
+                loss_in_value(values, predicted),
+                loss_in_rank(values, predicted),
+                discretized_loss_in_rank(values, predicted, scale),
             )
-        samples.append(
-            MetricSample(rec.participant_id, rec.decision_id, rec.treatment, rec.predicted, *score)
-        )
+        samples.append(MetricSample(participant_id, decision_id, treatment, predicted, *score))
     return samples

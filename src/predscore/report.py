@@ -12,7 +12,10 @@ are golden-file friendly.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .actions import SquareId
 from .dataset import ExperimentBundle, MNK
@@ -145,15 +148,23 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
 def participant_loss_sums(samples: list[MetricSample], space: str) -> list[SampleGroup]:
     """Per-treatment groups of each participant's summed loss across
     decisions (value space sums LV, rank space sums LR), added in sample
-    order."""
+    order.
+
+    Samples from score_dataset come sorted by participant, so each
+    participant's rows form one run; a run's total starts from whatever
+    earlier runs of that participant left, so any input order gives the
+    same sums.
+    """
     if space not in (VALUE_SPACE, RANK_SPACE):
         raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
+    loss = attrgetter("lv" if space == VALUE_SPACE else "lr")
     sums: dict[str, dict[str, float]] = {}
-    for s in samples:
-        per = sums.setdefault(s.treatment, {})
-        per[s.participant_id] = per.get(s.participant_id, 0.0) + (
-            s.lv if space == VALUE_SPACE else float(s.lr)
-        )
+    for (treatment, pid), run in groupby(samples, attrgetter("treatment", "participant_id")):
+        per = sums.setdefault(treatment, {})
+        total = per.get(pid, 0.0)
+        for s in run:
+            total += loss(s)
+        per[pid] = total
     return [
         SampleGroup(label=treatment, values=tuple(per[pid] for pid in sorted(per)))
         for treatment, per in sorted(sums.items())
@@ -202,13 +213,14 @@ def vote_matrix(
         raise ValidationError(f"unknown decision {decision_id!r}")
     cfg = bundle.manifest.board
     grid = [[0] * cfg.m for _ in range(cfg.n)]
-    for rec in bundle.predictions:
-        if rec.decision_id != decision_id:
-            continue
-        if treatment is not None and rec.treatment != treatment:
-            continue
-        sq = SquareId.parse(rec.predicted)
-        grid[sq.row][sq.col] += 1
+    votes = Counter(
+        rec.predicted
+        for rec in bundle.predictions
+        if rec.decision_id == decision_id and (treatment is None or rec.treatment == treatment)
+    )
+    for predicted, count in votes.items():
+        sq = SquareId.parse(predicted)
+        grid[sq.row][sq.col] += count
     return grid
 
 

@@ -1,10 +1,12 @@
 import filecmp
+import gc
 import json
 import subprocess
 import sys
 
 import pytest
 
+from predscore import cli
 from predscore.cli import main
 from predscore.dataset import read_bundle
 from predscore.metrics import score_dataset
@@ -282,6 +284,44 @@ class TestGradeCmd:
         lines = (report / "samples.csv").read_text().strip().splitlines()
         assert lines[0] == "participant_id,treatment,decision_id,predicted,lv,lr,grade"
         assert len(lines) == 1 + 16 * 4
+
+
+class TestGcState:
+    """main pauses the cycle collector while a command runs and leaves it as
+    it found it, whatever the exit."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_collector_is_paused_during_the_command(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_grade", lambda args: seen.append(gc.isenabled()) or 0)
+        gc.enable()
+        assert main(["grade", "--bundle", str(tmp_path)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_enabled_stays_enabled_on_success_and_error(self, tmp_path, capsys):
+        gc.enable()
+        bundle_dir = simulate(tmp_path)
+        assert gc.isenabled()
+        (bundle_dir / "predictions.csv").unlink()
+        assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]) == 1
+        assert gc.isenabled()
+
+    def test_disabled_stays_disabled_on_success_and_error(self, tmp_path, capsys):
+        gc.disable()
+        bundle_dir = simulate(tmp_path)
+        assert not gc.isenabled()
+        (bundle_dir / "predictions.csv").unlink()
+        assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]) == 1
+        assert not gc.isenabled()
 
 
 class TestConsoleScript:

@@ -232,6 +232,35 @@ class TestParsePredictions:
         text = "participant_id,treatment,decision_id,predicted_action\n"
         assert parse_predictions_csv(text, self.manifest(), ["P1"]) == []
 
+    def test_blank_line_counts_toward_row_numbers(self):
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p1,T,P1,A1\n"
+            "\n"
+            "p2,T,P1,Z9\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_predictions_csv(text, self.manifest(), ["P1"])
+        assert err.value.row == 4
+        assert err.value.column == "predicted_action"
+
+    def test_records_share_one_string_per_field_value(self):
+        manifest = self.manifest()
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p01,OTB,P1,A1\n"
+            "p01,OTB,P2,A1\n"
+            "p02,OTB,P1,A1\n"
+            "p02,OTB,P2,A1\n"
+        )
+        first, *rest = parse_predictions_csv(text, manifest, ["P1", "P2"])
+        for rec in rest:
+            assert rec.treatment is first.treatment
+            assert rec.predicted is first.predicted
+        assert rest[1].decision_id is first.decision_id
+        assert rest[0].decision_id is rest[2].decision_id
+        assert first.predicted is manifest.action_ids[0]
+
 
 def generate_small(seed=7, behavior=None, participants=6, mutation=None):
     return generate_synthetic_experiment(

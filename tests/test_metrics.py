@@ -6,6 +6,7 @@ import pytest
 from predscore.errors import UnknownActionError, ValidationError
 from predscore.metrics import (
     GradeScale,
+    MetricSample,
     PredictionRecord,
     ar_score,
     av_score,
@@ -133,6 +134,31 @@ def records(decision_id, *predicted, treatment="T"):
         )
         for i, action in enumerate(predicted)
     ]
+
+
+class TestRecords:
+    def test_keyword_construction_and_field_order(self):
+        rec = PredictionRecord(participant_id="p1", treatment="T", decision_id="P1", predicted="A1")
+        assert PredictionRecord._fields == ("participant_id", "treatment", "decision_id", "predicted")
+        assert rec == PredictionRecord("p1", "T", "P1", "A1") == ("p1", "T", "P1", "A1")
+        sample = MetricSample(
+            participant_id="p1", decision_id="P1", treatment="T", predicted="A1",
+            lv=0.25, lr=2, grade="A",
+        )
+        assert MetricSample._fields == (
+            "participant_id", "decision_id", "treatment", "predicted", "lv", "lr", "grade"
+        )
+        assert tuple(sample) == ("p1", "P1", "T", "A1", 0.25, 2, "A")
+
+    def test_fields_cannot_be_assigned(self):
+        rec = PredictionRecord("p1", "T", "P1", "A1")
+        sample = MetricSample("p1", "P1", "T", "A1", 0.25, 2, "A")
+        with pytest.raises(AttributeError):
+            rec.treatment = "U"
+        with pytest.raises(AttributeError):
+            sample.lv = 0.0
+        with pytest.raises(AttributeError):
+            rec.extra = 1
 
 
 class TestGroupScores:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from predscore.actions import SquareId
@@ -112,6 +114,31 @@ class TestLossSums:
         with pytest.raises(ValidationError):
             participant_loss_sums(score(bundle), "time")
 
+    @staticmethod
+    def per_sample_loss_sums(samples, space):
+        """Reference: one dict update per sample, added in sample order."""
+        sums = {}
+        for s in samples:
+            per = sums.setdefault(s.treatment, {})
+            per[s.participant_id] = per.get(s.participant_id, 0.0) + (
+                s.lv if space == "value" else float(s.lr)
+            )
+        return [
+            (treatment, tuple(per[pid] for pid in sorted(per)))
+            for treatment, per in sorted(sums.items())
+        ]
+
+    @pytest.mark.parametrize("space", ["value", "rank"])
+    def test_sums_equal_per_sample_reference_in_any_order(self, bundle, space):
+        samples = score(bundle)
+        rng = random.Random(5)
+        for _ in range(5):
+            groups = participant_loss_sums(samples, space)
+            assert [(g.label, g.values) for g in groups] == self.per_sample_loss_sums(
+                samples, space
+            )
+            samples = rng.sample(samples, len(samples))
+
 
 class TestFiveNumber:
     def test_known_quartiles(self):
@@ -169,6 +196,15 @@ class TestVotes:
     def test_unknown_decision_rejected(self, bundle):
         with pytest.raises(ValidationError):
             vote_matrix(bundle, "P9")
+
+    def test_counts_match_per_prediction_reference(self, bundle):
+        for treatment in (None, *bundle.treatments):
+            expected = [[0] * 9 for _ in range(4)]
+            for rec in bundle.predictions:
+                if rec.decision_id == "P2" and treatment in (None, rec.treatment):
+                    sq = SquareId.parse(rec.predicted)
+                    expected[sq.row][sq.col] += 1
+            assert vote_matrix(bundle, "P2", treatment) == expected
 
 
 class TestScoreTensorShape:
