@@ -273,15 +273,14 @@ def cmd_votes(args) -> int:
 def cmd_grade(args) -> int:
     bundle = read_bundle(args.bundle)
     samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
-    lines = ["participant_id,treatment,decision_id,predicted,lv,lr,grade"]
-    for s in samples:
-        lines.append(
+    path = _out_dir(args) / "samples.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("participant_id,treatment,decision_id,predicted,lv,lr,grade\n")
+        fh.writelines(
             f"{s.participant_id},{s.treatment},{s.decision_id},{s.predicted},"
-            f"{s.lv!r},{s.lr},{s.grade}"
+            f"{s.lv!r},{s.lr},{s.grade}\n"
+            for s in samples
         )
-    out = _out_dir(args)
-    path = out / "samples.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
 

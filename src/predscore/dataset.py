@@ -20,7 +20,9 @@ import io
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 from .actions import QUADRANTS, SquareId, canonical_key
@@ -162,11 +164,18 @@ def _float_field(text: str, row: int, column: str) -> float:
     return value
 
 
+def _csv_error(name: str, reader, exc: csv.Error) -> ParseError:
+    return ParseError(f"malformed {name}: {exc}", row=reader.line_num)
+
+
 def parse_values_csv(data) -> list[DecisionValues]:
     """Decode and validate values.csv; decisions come back in first-seen order."""
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise _csv_error("values.csv", reader, exc) from None
     if not rows:
         raise ParseError("values.csv is empty", row=1)
     header = rows[0]
@@ -268,44 +277,49 @@ def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        raise ParseError("predictions.csv is empty", row=1)
-    if header != PREDICTIONS_HEADER:
-        raise ParseError(f"unexpected predictions.csv header {header!r}", row=1, column="header")
     known_actions = {a: a for a in manifest.action_ids}
     known_decisions = {d: d for d in decision_ids}
     treatments: dict[str, str] = {}
     seen: set[tuple[str, str]] = set()
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", row=lineno)
-        participant_id, treatment, decision_id, predicted = row
-        if not participant_id or not treatment:
-            raise ParseError("participant_id and treatment must be non-empty", row=lineno)
-        treatment = treatments.setdefault(treatment, treatment)
-        decision_id = known_decisions.get(decision_id)
-        if decision_id is None:
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("predictions.csv is empty", row=1)
+        if header != PREDICTIONS_HEADER:
             raise ParseError(
-                f"unknown decision {row[2]!r}", row=lineno, column="decision_id"
+                f"unexpected predictions.csv header {header!r}", row=1, column="header"
             )
-        predicted = known_actions.get(predicted)
-        if predicted is None:
-            raise ParseError(
-                f"unknown action {row[3]!r}", row=lineno, column="predicted_action"
-            )
-        key = (participant_id, decision_id)
-        if key in seen:
-            raise ParseError(
-                f"duplicate prediction by {participant_id!r} for decision {decision_id!r}",
-                row=lineno,
-                column="participant_id",
-            )
-        seen.add(key)
-        records.append(PredictionRecord(participant_id, treatment, decision_id, predicted))
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(f"expected 4 fields, got {len(row)}", row=lineno)
+            participant_id, treatment, decision_id, predicted = row
+            if not participant_id or not treatment:
+                raise ParseError("participant_id and treatment must be non-empty", row=lineno)
+            treatment = treatments.setdefault(treatment, treatment)
+            decision_id = known_decisions.get(decision_id)
+            if decision_id is None:
+                raise ParseError(
+                    f"unknown decision {row[2]!r}", row=lineno, column="decision_id"
+                )
+            predicted = known_actions.get(predicted)
+            if predicted is None:
+                raise ParseError(
+                    f"unknown action {row[3]!r}", row=lineno, column="predicted_action"
+                )
+            key = (participant_id, decision_id)
+            if key in seen:
+                raise ParseError(
+                    f"duplicate prediction by {participant_id!r} for decision {decision_id!r}",
+                    row=lineno,
+                    column="participant_id",
+                )
+            seen.add(key)
+            records.append(PredictionRecord(participant_id, treatment, decision_id, predicted))
+    except csv.Error as exc:
+        raise _csv_error("predictions.csv", reader, exc) from None
     return records
 
 
@@ -459,22 +473,24 @@ class ParticipantModel:
         return cls(rank_probs=None)
 
     def sample(self, values: DecisionValues, rng: random.Random) -> str:
+        return self._draw(values)(rng)
+
+    def _draw(self, values: DecisionValues):
+        """One decision's sampler, rng -> predicted action.  The pick is the
+        first rank whose cumulative weight exceeds rng.random() * total,
+        falling back to the last rank."""
         order = values.actions
         if self.rank_probs is None:
-            return order[rng.randrange(len(order))]
+            return lambda rng: order[rng.randrange(len(order))]
         probs = self.rank_probs[: len(order)]
         total = sum(probs)
         if total <= 0:
             raise ValidationError(
                 f"participant model has no mass on the {len(order)} available ranks"
             )
-        draw = rng.random() * total
-        cumulative = 0.0
-        for i, p in enumerate(probs):
-            cumulative += p
-            if draw < cumulative:
-                return order[i]
-        return order[len(probs) - 1]
+        cumulative = list(accumulate(probs))
+        last = len(probs) - 1
+        return lambda rng: order[min(bisect_right(cumulative, rng.random() * total), last)]
 
 
 def generate_synthetic_experiment(
@@ -523,19 +539,15 @@ def generate_synthetic_experiment(
             empties = board.empty_squares()
             board = apply_move(board, empties[opponent_rng.randrange(len(empties))])
 
+    draws = [(dv.decision_id, behavior._draw(dv)) for dv in decisions]
     predictions: list[PredictionRecord] = []
     for i in range(participants):
         participant_id = f"p{i + 1:03d}"
         treatment = treatments[i % len(treatments)]
         participant_rng = random.Random(f"{seed}|participant|{participant_id}")
-        for dv in decisions:
+        for decision_id, draw in draws:
             predictions.append(
-                PredictionRecord(
-                    participant_id=participant_id,
-                    treatment=treatment,
-                    decision_id=dv.decision_id,
-                    predicted=behavior.sample(dv, participant_rng),
-                )
+                PredictionRecord(participant_id, treatment, decision_id, draw(participant_rng))
             )
 
     return ExperimentBundle(

@@ -11,6 +11,12 @@ backends:
                  EXHAUSTIVE_LIMIT empty squares.
   sampled     -- seeded Monte-Carlo rollouts, optionally depth-limited.
 
+Both test for a win the same way: a placed piece wins when its player owns
+every square of some k-window through it.  Each window is a pair of masks
+on the packed 2-bit board (the window's cells, and the player's code on
+each of them), so the test is one AND and one compare per window through
+the square, and the window table is built once per board shape.
+
 A mutated agent adds seeded uniform noise to the flattened values only,
 leaving the outcome triples untouched; magnitude 0 is bit-exact identical
 to the unmutated agent.
@@ -71,41 +77,35 @@ class AgentSpec:
 
 
 @lru_cache(maxsize=None)
-def _ray_table(m: int, n: int, k: int):
-    """Per square index, per direction: (forward ray, backward ray) of
-    square indices, truncated to k-1 steps."""
-    rays = []
+def _window_table(m: int, n: int, k: int) -> dict:
+    """Per player code, per square index: one (cells, pattern) mask pair
+    for every k-window through that square, on the packed 2-bit board.
+
+    cells covers the window's squares (3 per square) and pattern is the
+    player's code on each of them, so a window is fully owned exactly when
+    packed & cells == pattern.
+    """
+    through: list[dict[int, None]] = [{} for _ in range(m * n)]
     for r in range(n):
         for c in range(m):
-            pairs = []
             for dc, dr in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                arms = []
-                for sign in (1, -1):
-                    arm = []
-                    cc, rr = c + sign * dc, r + sign * dr
-                    while 0 <= cc < m and 0 <= rr < n and len(arm) < k - 1:
-                        arm.append(rr * m + cc)
-                        cc += sign * dc
-                        rr += sign * dr
-                    arms.append(tuple(arm))
-                pairs.append(tuple(arms))
-            rays.append(tuple(pairs))
-    return tuple(rays)
+                if not (0 <= c + (k - 1) * dc < m and 0 <= r + (k - 1) * dr < n):
+                    continue
+                squares = [(r + i * dr) * m + c + i * dc for i in range(k)]
+                mask = sum(1 << (2 * j) for j in squares)
+                for j in squares:
+                    through[j][mask] = None  # with k=1 all four directions give one window
+    return {
+        code: tuple(tuple((mask * 3, mask * code) for mask in masks) for masks in through)
+        for code in (_AGENT_CODE, _OPPONENT_CODE)
+    }
 
 
-def _wins(packed: int, idx: int, code: int, rays, k: int) -> bool:
-    """True if the piece just placed at idx completes a k-run."""
-    for forward, backward in rays[idx]:
-        count = 1
-        for j in forward:
-            if (packed >> (2 * j)) & 3 != code:
-                break
-            count += 1
-        for j in backward:
-            if (packed >> (2 * j)) & 3 != code:
-                break
-            count += 1
-        if count >= k:
+def _wins(packed: int, windows) -> bool:
+    """True if some (cells, pattern) window is fully owned.  Passed the
+    windows through the square just placed, this is a k-run through it."""
+    for cells, pattern in windows:
+        if packed & cells == pattern:
             return True
     return False
 
@@ -122,7 +122,7 @@ def _shape_memo(shape: tuple[int, int, int]) -> dict:
     return _memo[1]
 
 
-def _continuation(packed: int, mover: int, empties: tuple[int, ...], rays, k: int, memo) -> tuple:
+def _continuation(packed: int, mover: int, empties: tuple[int, ...], windows, memo) -> tuple:
     """Counts of (agent win, opponent win, draw) over the e! orderings of
     the e empty squares, each played out from this state until a win.
 
@@ -141,7 +141,7 @@ def _continuation(packed: int, mover: int, empties: tuple[int, ...], rays, k: in
     other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
     for i, idx in enumerate(empties):
         child = packed | (mover << (2 * idx))
-        if _wins(child, idx, mover, rays, k):
+        if _wins(child, windows[mover][idx]):
             if mover == _AGENT_CODE:
                 n_agent += immediate
             else:
@@ -149,7 +149,7 @@ def _continuation(packed: int, mover: int, empties: tuple[int, ...], rays, k: in
         elif last:
             n_draw += 1
         else:
-            sub = _continuation(child, other, empties[:i] + empties[i + 1 :], rays, k, memo)
+            sub = _continuation(child, other, empties[:i] + empties[i + 1 :], windows, memo)
             n_agent += sub[0]
             n_opp += sub[1]
             n_draw += sub[2]
@@ -173,7 +173,7 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
             f"(board has {len(empties)}); use the sampled oracle"
         )
     cfg = board.config
-    rays = _ray_table(cfg.m, cfg.n, cfg.k)
+    windows = _window_table(cfg.m, cfg.n, cfg.k)
     memo = _shape_memo((cfg.m, cfg.n, cfg.k))
     mover = _AGENT_CODE if board.to_move == AGENT else _OPPONENT_CODE
     other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
@@ -183,13 +183,13 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
     for pos, sq in enumerate(empties):
         idx = empty_idx[pos]
         child = board.packed | (mover << (2 * idx))
-        if _wins(child, idx, mover, rays, cfg.k):
+        if _wins(child, windows[mover][idx]):
             counts = (orderings, 0, 0)
         elif len(empties) == 1:
             counts = (0, 0, 1)
         else:
             rest = empty_idx[:pos] + empty_idx[pos + 1 :]
-            n_agent, n_opp, n_draw = _continuation(child, other, rest, rays, cfg.k, memo)
+            n_agent, n_opp, n_draw = _continuation(child, other, rest, windows, memo)
             if board.to_move == AGENT:
                 counts = (n_agent, n_opp, n_draw)
             else:
@@ -218,7 +218,7 @@ def sampled_outcome_triples(
     if rollouts < 1:
         raise ValidationError("rollouts must be >= 1")
     cfg = board.config
-    rays = _ray_table(cfg.m, cfg.n, cfg.k)
+    windows = _window_table(cfg.m, cfg.n, cfg.k)
     mover = _AGENT_CODE if board.to_move == AGENT else _OPPONENT_CODE
     empties = board.empty_squares()
     empty_idx = [cfg.index(sq) for sq in empties]
@@ -229,7 +229,7 @@ def sampled_outcome_triples(
         first = board.packed | (mover << (2 * idx))
         rng = random.Random(f"{seed}|{base_key}|{sq.text}")
         wins = losses = draws = 0
-        if _wins(first, idx, mover, rays, cfg.k):
+        if _wins(first, windows[mover][idx]):
             wins = rollouts
         else:
             rest_template = empty_idx[:pos] + empty_idx[pos + 1 :]
@@ -247,7 +247,7 @@ def sampled_outcome_triples(
                     remaining[pick] = remaining[-1]
                     remaining.pop()
                     packed |= side << (2 * move)
-                    if _wins(packed, move, side, rays, cfg.k):
+                    if _wins(packed, windows[side][move]):
                         outcome = side
                         break
                     side = _OPPONENT_CODE if side == _AGENT_CODE else _AGENT_CODE

@@ -35,6 +35,22 @@ def winner(cells, windows):
     return 0
 
 
+def longest_run_through(m, n, cells, idx):
+    """Longest straight run of cells[idx]'s value that contains idx, found
+    by stepping out from idx one square at a time in each direction."""
+    c0, r0 = idx % m, idx // m
+    best = 0
+    for dc, dr in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        run = 1
+        for sign in (1, -1):
+            c, r = c0 + sign * dc, r0 + sign * dr
+            while 0 <= c < m and 0 <= r < n and cells[r * m + c] == cells[idx]:
+                run += 1
+                c, r = c + sign * dc, r + sign * dr
+        best = max(best, run)
+    return best
+
+
 def brute_force_triples(m, n, k, cells, mover):
     """Replay every ordering of the empty squares with early stop at a win;
     tally outcomes per first move.

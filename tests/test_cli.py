@@ -285,6 +285,36 @@ class TestGradeCmd:
         assert lines[0] == "participant_id,treatment,decision_id,predicted,lv,lr,grade"
         assert len(lines) == 1 + 16 * 4
 
+    def test_bytes_match_joined_lines(self, tmp_path):
+        bundle_dir = simulate(tmp_path)
+        report = tmp_path / "g"
+        assert main(["grade", "--bundle", str(bundle_dir), "--out-dir", str(report)]) == 0
+        bundle = read_bundle(bundle_dir)
+        lines = ["participant_id,treatment,decision_id,predicted,lv,lr,grade"]
+        for s in score_dataset(list(bundle.predictions), bundle.values_by_decision()):
+            lines.append(
+                f"{s.participant_id},{s.treatment},{s.decision_id},{s.predicted},"
+                f"{s.lv!r},{s.lr},{s.grade}"
+            )
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (report / "samples.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("name", ["predictions.csv", "values.csv"])
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys, name):
+        bundle_dir = simulate(tmp_path)
+        path = bundle_dir / name
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = '"' + "x" * 200_000 + '"'
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["grade", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: malformed {name}: field larger than field limit")
+        assert "(row 3)" in err
+        assert "Traceback" not in err
+
 
 class TestGcState:
     """main pauses the cycle collector while a command runs and leaves it as

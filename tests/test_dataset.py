@@ -174,6 +174,17 @@ class TestParseValues:
         with pytest.raises(ParseError):
             parse_values_csv(text)
 
+    def test_oversized_field_is_a_parse_error(self):
+        text = (
+            "decision_id,action,value,chosen\n"
+            "P1,a,1.0,1\n"
+            "P1,b,0.5,0\n"
+            'P1,"' + "x" * 200_000 + '",0.0,0\n'
+        )
+        with pytest.raises(ParseError, match="malformed values.csv") as err:
+            parse_values_csv(text)
+        assert err.value.row == 4
+
     def test_crlf_and_bom_tolerated(self):
         crlf = VALUES_4T.replace("\n", "\r\n").encode("utf-8-sig")
         decisions = parse_values_csv(crlf)
@@ -243,6 +254,16 @@ class TestParsePredictions:
             parse_predictions_csv(text, self.manifest(), ["P1"])
         assert err.value.row == 4
         assert err.value.column == "predicted_action"
+
+    def test_oversized_field_is_a_parse_error(self):
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p1,T,P1,A1\n"
+            'p2,T,P1,"' + "x" * 200_000 + '"\n'
+        )
+        with pytest.raises(ParseError, match="malformed predictions.csv") as err:
+            parse_predictions_csv(text, self.manifest(), ["P1"])
+        assert err.value.row == 3
 
     def test_records_share_one_string_per_field_value(self):
         manifest = self.manifest()
@@ -358,6 +379,88 @@ class TestParticipantModel:
         rng = random.Random(1)
         picks = {model.sample(dv, rng) for _ in range(50)}
         assert picks == {"x", "y"}
+
+
+def reference_sample(model, values, rng):
+    """Rank draw as a linear scan over the cumulative weights."""
+    order = values.actions
+    if model.rank_probs is None:
+        return order[rng.randrange(len(order))]
+    probs = model.rank_probs[: len(order)]
+    total = sum(probs)
+    if total <= 0:
+        raise ValidationError(
+            f"participant model has no mass on the {len(order)} available ranks"
+        )
+    draw = rng.random() * total
+    cumulative = 0.0
+    for i, p in enumerate(probs):
+        cumulative += p
+        if draw < cumulative:
+            return order[i]
+    return order[len(probs) - 1]
+
+
+class TestSamplingMatchesLinearScan:
+    def random_model(self, rng):
+        weights = [
+            rng.choice((0.0, 0.0, rng.random(), rng.uniform(0, 1e-3), 1.0))
+            for _ in range(rng.randint(1, 12))
+        ]
+        weights[rng.randrange(len(weights))] = rng.random() + 1e-9
+        return ParticipantModel(rank_probs=tuple(weights))
+
+    def test_sample_matches_linear_scan(self):
+        rng = random.Random(5)
+        for trial in range(300):
+            actions = [f"a{i}" for i in range(rng.randint(1, 9))]
+            entries = {a: rng.choice((0.0, 1.0, rng.random())) for a in actions}
+            dv = DecisionValues("d", entries, chosen=max(entries, key=entries.get))
+            model = ParticipantModel.uniform() if trial % 10 == 0 else self.random_model(rng)
+            a, b = random.Random(trial), random.Random(trial)
+            for _ in range(40):
+                try:
+                    expected = reference_sample(model, dv, a)
+                except ValidationError as exc:
+                    with pytest.raises(ValidationError, match=str(exc)):
+                        model.sample(dv, b)
+                    break
+                assert model.sample(dv, b) == expected
+            assert a.random() == b.random()
+
+    def test_draws_on_cumulative_boundaries(self):
+        class FixedRng:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        dv = DecisionValues("d", {"w": 3.0, "x": 2.0, "y": 1.0, "z": 0.0}, chosen="w")
+        model = ParticipantModel(rank_probs=(0.0, 0.25, 0.0, 0.25, 0.5))
+        for value in (0.0, 0.25, 0.5, 0.75, 0.999):
+            expected = reference_sample(model, dv, FixedRng(value))
+            assert model.sample(dv, FixedRng(value)) == expected, value
+
+    def test_no_mass_on_available_ranks(self):
+        dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
+        model = ParticipantModel(rank_probs=(0.0, 0.0, 1.0))
+        with pytest.raises(ValidationError, match="no mass on the 2 available ranks"):
+            model.sample(dv, random.Random(0))
+
+    def test_generated_predictions_match_linear_scan(self):
+        behavior = ParticipantModel(rank_probs=(0.5, 0.0, 0.3, 0.0, 0.2))
+        bundle = generate_small(seed=3, behavior=behavior, participants=9)
+        expected = []
+        for i in range(9):
+            pid = f"p{i + 1:03d}"
+            rng = random.Random(f"3|participant|{pid}")
+            for dv in bundle.decisions:
+                treatment = bundle.treatments[i % len(bundle.treatments)]
+                expected.append(
+                    (pid, treatment, dv.decision_id, reference_sample(behavior, dv, rng))
+                )
+        assert [tuple(rec) for rec in bundle.predictions] == expected
 
 
 class TestFourTowersFixture:

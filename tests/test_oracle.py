@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import brute_force_triples
+from bruteforce import brute_force_triples, k_windows, longest_run_through
 from predscore import oracle
 from predscore.actions import SquareId
 from predscore.board import (
@@ -171,7 +171,83 @@ class TestExhaustiveOracle:
             exact_outcome_triples(board)
 
 
+class TestWindowTable:
+    SHAPES = [(3, 3, 3), (4, 3, 3), (9, 4, 4), (5, 2, 4), (7, 1, 3), (2, 2, 1)]
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_wins_matches_run_scan(self, m, n, k):
+        table = oracle._window_table(m, n, k)
+        rng = random.Random(f"{m}x{n}k{k}")
+        for _ in range(150):
+            cells = [rng.choice((0, 0, 1, 2)) for _ in range(m * n)]
+            packed = sum(v << (2 * i) for i, v in enumerate(cells))
+            for idx in range(m * n):
+                for code in (1, 2):
+                    expected = cells[idx] == code and longest_run_through(m, n, cells, idx) >= k
+                    assert oracle._wins(packed, table[code][idx]) == expected, (cells, idx, code)
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_one_entry_per_distinct_window(self, m, n, k):
+        table = oracle._window_table(m, n, k)
+        windows = {tuple(sorted(w)) for w in k_windows(m, n, k)}
+        for idx in range(m * n):
+            through = {w for w in windows if idx in w}
+            for code in (1, 2):
+                assert len(table[code][idx]) == len(through)
+                for cells, pattern in table[code][idx]:
+                    squares = tuple(j for j in range(m * n) if (cells >> (2 * j)) & 3)
+                    assert squares in through
+                    assert pattern == cells // 3 * code
+
+
+# (wins, losses, draws) per square, recorded from the ray-walking win test
+# that preceded the window masks; a change in the rollouts' RNG draw order
+# or win detection shows up here.
+SAMPLED_GOLDEN = [
+    (
+        (5, 4, 4), ["B2", "C3"], 40, 17, None,
+        {
+            "A1": (13, 18, 9), "A2": (20, 16, 4), "A3": (12, 18, 10), "A4": (16, 18, 6),
+            "B1": (17, 15, 8), "B3": (20, 7, 13), "B4": (18, 12, 10), "C1": (12, 14, 14),
+            "C2": (21, 14, 5), "C4": (11, 18, 11), "D1": (13, 19, 8), "D2": (23, 13, 4),
+            "D3": (16, 14, 10), "D4": (17, 13, 10), "E1": (12, 18, 10), "E2": (16, 19, 5),
+            "E3": (13, 20, 7), "E4": (20, 9, 11),
+        },
+    ),
+    (
+        (4, 4, 3), ["B2", "C3", "B3", "A1"], 40, 23, 3,
+        {
+            "A2": (13, 3, 24), "A3": (8, 3, 29), "A4": (7, 2, 31), "B1": (40, 0, 0),
+            "B4": (40, 0, 0), "C1": (16, 1, 23), "C2": (19, 2, 19), "C4": (10, 1, 29),
+            "D1": (13, 4, 23), "D2": (14, 1, 25), "D3": (10, 3, 27), "D4": (9, 2, 29),
+        },
+    ),
+    (
+        (4, 4, 3), ["A1", "B2", "D4"], 30, 5, None,
+        {
+            "A2": (19, 11, 0), "A3": (22, 8, 0), "A4": (15, 15, 0), "B1": (15, 15, 0),
+            "B3": (24, 6, 0), "B4": (19, 11, 0), "C1": (20, 10, 0), "C2": (26, 4, 0),
+            "C3": (23, 7, 0), "C4": (20, 10, 0), "D1": (12, 18, 0), "D2": (17, 13, 0),
+            "D3": (15, 15, 0),
+        },
+    ),
+]
+
+
 class TestSampledOracle:
+    @pytest.mark.parametrize(
+        "shape,moves,rollouts,seed,depth_limit,counts",
+        SAMPLED_GOLDEN,
+        ids=["5x4k4", "4x4k3-depth3", "4x4k3-opponent"],
+    )
+    def test_golden_values(self, shape, moves, rollouts, seed, depth_limit, counts):
+        board = play(BoardConfig(*shape), moves)
+        assert board.to_move == (OPPONENT if len(moves) % 2 else AGENT)
+        triples = sampled_outcome_triples(board, rollouts, seed, depth_limit)
+        assert {sq.text: t for sq, t in triples.items()} == {
+            sq: tuple(c / rollouts for c in triple) for sq, triple in counts.items()
+        }
+
     def test_deterministic_for_fixed_seed(self):
         board = new_game(BoardConfig(4, 4, 3))
         a = sampled_outcome_triples(board, rollouts=50, seed=11)
