@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -190,6 +191,11 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _json_number(value):
+    """Strict JSON has no token for an infinite F (zero within-group spread)."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def cmd_stats(args) -> int:
     if not 0 < args.alpha < 1:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
@@ -202,17 +208,21 @@ def cmd_stats(args) -> int:
     labels = [g.label for g in groups] + [None]  # per-group gates, then levene
     gates_doc = []
     for label, gate in zip(labels, result.gate_results):
-        gates_doc.append(
-            {
-                "test": gate.test,
-                "group": label,
-                "statistic": gate.statistic,
-                "df": list(gate.df),
-                "p_value": gate.p_value,
-            }
-        )
+        gate_doc = {
+            "test": gate.test,
+            "group": label,
+            "statistic": _json_number(gate.statistic),
+            "df": list(gate.df),
+            "p_value": gate.p_value,
+        }
         target = f"group {label!r}" if label else "groups"
-        print(f"gate {gate.test} on {target}: statistic={gate.statistic:.6g} p={gate.p_value:.4g}")
+        if gate.reason is None:
+            outcome = f"statistic={gate.statistic:.6g} p={gate.p_value:.4g}"
+        else:
+            gate_doc["reason"] = gate.reason
+            outcome = f"not computed ({gate.reason})"
+        print(f"gate {gate.test} on {target}: {outcome}")
+        gates_doc.append(gate_doc)
     for warning in result.warnings:
         print(f"warning: {warning}")
     comp = result.comparison
@@ -227,15 +237,17 @@ def cmd_stats(args) -> int:
         "test_used": result.test_used,
         "comparison": {
             "test": comp.test,
-            "statistic": comp.statistic,
+            "statistic": _json_number(comp.statistic),
             "df": list(comp.df),
             "p_value": comp.p_value,
         },
         "warnings": list(result.warnings),
     }
+    if result.excluded:
+        doc["excluded"] = list(result.excluded)
     out = _out_dir(args)
     path = out / f"stats_{args.space}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -164,21 +165,44 @@ def _float_field(text: str, row: int, column: str) -> float:
     return value
 
 
-def _csv_error(name: str, reader, exc: csv.Error) -> ParseError:
-    return ParseError(f"malformed {name}: {exc}", row=reader.line_num)
+def _csv_error(name: str, row: int, exc: csv.Error) -> ParseError:
+    return ParseError(f"malformed {name}: {exc}", row=row)
+
+
+def _record_line(text: str, index: int | None = None) -> int:
+    """Physical line on which CSV record ``index`` starts (0 is the header),
+    or with ``index=None`` the record the reader fails on.
+
+    A second pass over the text, taken only to report an error, so that the
+    predictions loop can count records with a plain ``enumerate``.
+    """
+    reader = csv.reader(io.StringIO(text))
+    start = 1
+    try:
+        for _ in itertools.islice(reader, index):
+            start = reader.line_num + 1
+    except csv.Error:
+        pass
+    return start
 
 
 def parse_values_csv(data) -> list[DecisionValues]:
     """Decode and validate values.csv; decisions come back in first-seen order."""
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
+    # Row numbers are the physical line on which a record starts, since a
+    # quoted field may span lines.
+    rows = []
+    start = 1
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise _csv_error("values.csv", reader, exc) from None
+        raise _csv_error("values.csv", start, exc) from None
     if not rows:
         raise ParseError("values.csv is empty", row=1)
-    header = rows[0]
+    header = rows[0][1]
     if header == VALUES_HEADER:
         with_outcomes = False
     elif header == VALUES_HEADER + OUTCOME_COLUMNS:
@@ -194,7 +218,7 @@ def parse_values_csv(data) -> list[DecisionValues]:
     outcomes: dict[str, dict[str, OutcomeTriple]] = {}
     chosen: dict[str, str] = {}
     first_row: dict[str, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != width:
@@ -271,7 +295,8 @@ def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[
     """Decode and validate predictions.csv against the manifest and the set
     of decisions that actually have value tables.
 
-    Rows are read as they stream from the CSV reader.  Each treatment,
+    Rows are read as they stream from the CSV reader.  An error names the
+    physical line on which the offending record starts.  Each treatment,
     decision and action field is validated and interned by one dict lookup,
     so all records share one string per distinct value.
     """
@@ -290,36 +315,45 @@ def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[
             raise ParseError(
                 f"unexpected predictions.csv header {header!r}", row=1, column="header"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for index, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", row=lineno)
+                raise ParseError(
+                    f"expected 4 fields, got {len(row)}", row=_record_line(text, index)
+                )
             participant_id, treatment, decision_id, predicted = row
             if not participant_id or not treatment:
-                raise ParseError("participant_id and treatment must be non-empty", row=lineno)
+                raise ParseError(
+                    "participant_id and treatment must be non-empty",
+                    row=_record_line(text, index),
+                )
             treatment = treatments.setdefault(treatment, treatment)
             decision_id = known_decisions.get(decision_id)
             if decision_id is None:
                 raise ParseError(
-                    f"unknown decision {row[2]!r}", row=lineno, column="decision_id"
+                    f"unknown decision {row[2]!r}",
+                    row=_record_line(text, index),
+                    column="decision_id",
                 )
             predicted = known_actions.get(predicted)
             if predicted is None:
                 raise ParseError(
-                    f"unknown action {row[3]!r}", row=lineno, column="predicted_action"
+                    f"unknown action {row[3]!r}",
+                    row=_record_line(text, index),
+                    column="predicted_action",
                 )
             key = (participant_id, decision_id)
             if key in seen:
                 raise ParseError(
                     f"duplicate prediction by {participant_id!r} for decision {decision_id!r}",
-                    row=lineno,
+                    row=_record_line(text, index),
                     column="participant_id",
                 )
             seen.add(key)
             records.append(PredictionRecord(participant_id, treatment, decision_id, predicted))
     except csv.Error as exc:
-        raise _csv_error("predictions.csv", reader, exc) from None
+        raise _csv_error("predictions.csv", _record_line(text), exc) from None
     return records
 
 

@@ -7,17 +7,20 @@ Kruskal-Wallis when variances are equal but normality fails.  When the
 equivariance check itself fails we still fall through to Kruskal-Wallis
 but attach an explicit warning rather than refusing to compare.
 
-The test statistics are computed here directly (the Shapiro-Wilk W uses
-the standard large-sample approximation with its published polynomial
-coefficients, valid to n = 5000); only the distribution tail probabilities
-come from scipy.special, imported inside the helpers that need it so that
-importing the package does not load scipy.
+Everything is computed here with the standard library.  The Shapiro-Wilk W
+uses the standard large-sample approximation with its published polynomial
+coefficients, valid to n = 5000.  Tail probabilities: normal from
+``math.erfc``, normal quantiles from ``statistics.NormalDist``, chi-square
+from the closed forms for integer degrees of freedom (Abramowitz & Stegun
+26.4), and F as the regularized incomplete beta function by Lentz's
+continued fraction (Numerical Recipes 6.4).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .errors import DegenerateDataError, ValidationError
 
@@ -44,10 +47,14 @@ class SampleGroup:
 
 @dataclass(frozen=True)
 class TestResult:
+    """One test's outcome.  A gate that could not be computed has no
+    statistic, p = 0 (failed at every alpha > 0) and a ``reason``."""
+
     test: str
-    statistic: float
+    statistic: float | None
     df: tuple[float, ...]
     p_value: float
+    reason: str | None = None
 
     def __post_init__(self):
         if not -1e-12 <= self.p_value <= 1 + 1e-12:
@@ -60,26 +67,111 @@ class PipelineResult:
     gate_results: tuple[TestResult, ...]
     comparison: TestResult
     warnings: tuple[str, ...]
+    excluded: tuple[str, ...] = ()
 
 
-def _chi2_sf(x: float, df: float) -> float:
-    from scipy.special import gammaincc
-
-    return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def _f_sf(x: float, df1: float, df2: float) -> float:
-    if math.isinf(x):
-        return 0.0
-    from scipy.special import betainc
-
-    return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x)))
+_SQRT2 = math.sqrt(2.0)
+_SQRT_PI = math.sqrt(math.pi)
+_STD_NORMAL = NormalDist()
 
 
 def _norm_sf(z: float) -> float:
-    from scipy.special import ndtr
+    return 0.5 * math.erfc(z / _SQRT2)
 
-    return float(ndtr(-z))
+
+def _chi2_sf(x: float, df: float) -> float:
+    """Upper chi-square tail for integer df, as a sum of positive terms:
+    exp(-h) * sum_{j < df/2} h^j / j! for even df, and erfc(sqrt(h)) plus
+    exp(-h) * sum_{j=1}^{(df-1)/2} h^(j-1/2) / Gamma(j+1/2) for odd df,
+    with h = x/2."""
+    k = int(df)
+    h = 0.5 * x
+    if k % 2:
+        head = math.erfc(math.sqrt(h))
+        term, j = 2.0 * math.sqrt(h) / _SQRT_PI, 1.5  # h^(1/2) / Gamma(3/2)
+    else:
+        head = 0.0
+        term, j = 1.0, 1.0
+    terms = []
+    for _ in range(k // 2):
+        terms.append(term)
+        term *= h / j
+        j += 1.0
+    # exp(-h) split in two halves so it does not underflow before the sum lifts it.
+    half = math.exp(-0.5 * h)
+    return head + half * math.fsum(terms) * half
+
+
+def _log_gamma_ratio_half(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)) without differencing two large lgammas.
+
+    Below a = 50 the lgamma difference errs by under 4e-14; from 50 up, the
+    asymptotic series to 1/a^5 errs by under 2e-14.
+    """
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / a
+    series = r * (-1 / 8 + r * (1 / 128 + r * (5 / 1024 + r * (-21 / 32768 + r * (-399 / 262144)))))
+    return 0.5 * math.log(a) + math.log1p(series)
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for integer or half-integer a and b.
+
+    With s the smaller parameter, lgamma(big + s) - lgamma(big) is a sum of
+    one log per unit of s, plus log(Gamma(big + 1/2) / Gamma(big)) when s is
+    a half-integer, so no two large lgammas are differenced.
+    """
+    s, big = sorted((a, b))
+    whole = int(s)
+    logs = [math.log(big + (s - whole) + j) for j in range(whole)]
+    if s != whole:
+        logs.append(_log_gamma_ratio_half(big))
+    return math.lgamma(s) - math.fsum(logs)
+
+
+def _away_from_zero(v: float) -> float:
+    """Lentz's guard: a vanishing denominator becomes a tiny one."""
+    return v if abs(v) >= 1e-300 else 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function (modified Lentz)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / _away_from_zero(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, 1000):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / _away_from_zero(1.0 + aa * d)
+            c = _away_from_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge: a={a}, b={b}, x={x}")
+
+
+def _f_sf(f: float, df1: float, df2: float) -> float:
+    """Upper F tail I_x(df2/2, df1/2) with x = df2 / (df2 + df1 * f)."""
+    if f <= 0.0:
+        return 1.0
+    a, b = 0.5 * df2, 0.5 * df1
+    # x and 1 - x straight from f: near x = 1 a subtraction would lose digits.
+    den = df2 + df1 * f
+    x, y = df2 / den, df1 * f / den
+    if x == 0.0:  # f is infinite, or df1 * f overflowed
+        return 0.0
+    log_x = math.log1p(-y) if x > 0.5 else math.log(x)
+    log_y = math.log1p(-x) if y > 0.5 else math.log(y)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
 
 
 def _poly(coeffs, x: float) -> float:
@@ -114,13 +206,11 @@ def shapiro_wilk(sample) -> TestResult:
     if x[0] == x[-1]:
         raise DegenerateDataError("all observations identical; W is undefined")
 
-    from scipy.special import ndtri
-
     n2 = n // 2
     if n == 3:
         weights = [math.sqrt(0.5)]
     else:
-        m = [float(ndtri((i - 0.375) / (n + 0.25))) for i in range(1, n2 + 1)]
+        m = [_STD_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)]
         summ2 = 2.0 * math.fsum(v * v for v in m)
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)
@@ -290,33 +380,51 @@ def run_pipeline(groups, alpha: float = DEFAULT_ALPHA) -> PipelineResult:
     Kruskal-Wallis otherwise.  A failed equivariance gate downgrades to
     Kruskal-Wallis as well but is surfaced as a warning, since neither
     comparison strictly applies then.
+
+    A Shapiro-Wilk gate that cannot be computed (fewer than 3 or more than
+    5000 observations, or a constant group) counts as failed, with a
+    warning that names the group.  A group with fewer than 2 observations
+    is left out of Levene's test and the comparison and listed in
+    ``excluded``.  Kruskal-Wallis on a constant pooled sample still raises
+    :class:`DegenerateDataError`.
     """
     gs = _as_groups(groups)
-    if len(gs) < 2:
-        raise ValidationError("pipeline needs at least 2 groups")
+    kept = [g for g in gs if len(g.values) >= 2]
+    if len(kept) < 2:
+        raise ValidationError(
+            f"pipeline needs at least 2 groups of 2 or more observations, got {len(kept)}"
+        )
     gates = []
     warnings = []
-    all_normal = True
     for g in gs:
-        res = shapiro_wilk(g.values)
-        gates.append(res)
-        if res.p_value < alpha:
-            all_normal = False
-    levene = levene_median(gs)
+        try:
+            gates.append(shapiro_wilk(g.values))
+        except (ValidationError, DegenerateDataError) as exc:
+            gates.append(TestResult(SHAPIRO_WILK, None, (), 0.0, reason=str(exc)))
+            warnings.append(
+                f"group {g.label!r}: shapiro_wilk not computed ({exc}); counted as failed"
+            )
+    excluded = tuple(g.label for g in gs if len(g.values) < 2)
+    for label in excluded:
+        warnings.append(
+            f"group {label!r} has fewer than 2 observations; excluded from levene_median "
+            "and the comparison"
+        )
+    levene = levene_median(kept)
     gates.append(levene)
-    equivariant = levene.p_value >= alpha
-    if not equivariant:
+    if levene.p_value < alpha:
         warnings.append(
             f"equivariance check failed (levene_median p = {levene.p_value:.4g} < {alpha:g}); "
             "falling back to kruskal_wallis, interpret with care"
         )
-    if all_normal and equivariant:
-        comparison = anova_oneway(gs)
+    if all(gate.p_value >= alpha for gate in gates):
+        comparison = anova_oneway(kept)
     else:
-        comparison = kruskal_wallis(gs)
+        comparison = kruskal_wallis(kept)
     return PipelineResult(
         test_used=comparison.test,
         gate_results=tuple(gates),
         comparison=comparison,
         warnings=tuple(warnings),
+        excluded=excluded,
     )

@@ -216,12 +216,43 @@ class TestStatsCmd:
              "--treatments", "A,B", "--seed", "2", "--behavior", "best",
              "--out-dir", str(bundle_dir)]
         ) == 0
+        for space in ("value", "rank"):
+            code = main(
+                ["stats", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
+                 "--space", space]
+            )
+            assert code == 1
+            assert "identical" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_small_groups_answer_with_kruskal_wallis(self, tmp_path, capsys):
+        # 7 participants over A-D: three pairs (no normality gate) and a single.
+        bundle_dir = tmp_path / "small"
+        assert main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "7",
+             "--treatments", "A,B,C,D", "--seed", "3", "--behavior", "uniform",
+             "--out-dir", str(bundle_dir)]
+        ) == 0
+        report = tmp_path / "r"
         code = main(
-            ["stats", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
-             "--space", "value"]
+            ["stats", "--bundle", str(bundle_dir), "--out-dir", str(report), "--space", "rank"]
         )
-        assert code == 1
-        assert "identical" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "gate shapiro_wilk on group 'D': not computed (" in out
+        assert "statistic=nan" not in out
+
+        def reject(token):
+            raise AssertionError(f"non-strict JSON token {token}")
+
+        doc = json.loads((report / "stats_rank.json").read_text(), parse_constant=reject)
+        assert doc["excluded"] == ["D"]
+        shapiro = doc["gates"][:4]
+        assert all(g["statistic"] is None and g["p_value"] == 0.0 and g["reason"] for g in shapiro)
+        assert doc["gates"][4]["df"] == [2.0, 3.0]  # levene on A, B and C only
+        assert doc["test_used"] == "kruskal_wallis"
+        gate_ps = [g["p_value"] for g in doc["gates"]]
+        assert (doc["test_used"] == "anova") == all(p >= doc["alpha"] for p in gate_ps)
 
 
 class TestVotesCmd:

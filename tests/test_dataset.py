@@ -185,6 +185,19 @@ class TestParseValues:
             parse_values_csv(text)
         assert err.value.row == 4
 
+    @pytest.mark.parametrize(
+        "bad_record, column",
+        [("P1,b,high,0", "value"), ('P1,"' + "x" * 200_000 + '",0.0,0', None)],
+        ids=["invalid_field", "oversized_field"],
+    )
+    def test_row_is_line_where_record_starts(self, bad_record, column):
+        # Record 2 spans lines 2-3, so the bad record starts on line 4.
+        text = 'decision_id,action,value,chosen\n"P\n1",a,1.0,1\n' + bad_record + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_values_csv(text)
+        assert err.value.row == 4
+        assert err.value.column == column
+
     def test_crlf_and_bom_tolerated(self):
         crlf = VALUES_4T.replace("\n", "\r\n").encode("utf-8-sig")
         decisions = parse_values_csv(crlf)
@@ -264,6 +277,22 @@ class TestParsePredictions:
         with pytest.raises(ParseError, match="malformed predictions.csv") as err:
             parse_predictions_csv(text, self.manifest(), ["P1"])
         assert err.value.row == 3
+
+    @pytest.mark.parametrize(
+        "bad_record, column",
+        [("p2,T,P1,Z9", "predicted_action"), ('p2,T,P1,"' + "x" * 200_000 + '"', None)],
+        ids=["invalid_field", "oversized_field"],
+    )
+    def test_row_is_line_where_record_starts(self, bad_record, column):
+        # Record 2 spans lines 2-3, so the bad record starts on line 4.
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            '"p\n1",T,P1,A1\n' + bad_record + "\n"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_predictions_csv(text, self.manifest(), ["P1"])
+        assert err.value.row == 4
+        assert err.value.column == column
 
     def test_records_share_one_string_per_field_value(self):
         manifest = self.manifest()

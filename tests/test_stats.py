@@ -13,7 +13,12 @@ from predscore.errors import DegenerateDataError, ValidationError
 from predscore.stats import (
     ANOVA,
     KRUSKAL_WALLIS,
+    SHAPIRO_WILK,
     SampleGroup,
+    _chi2_sf,
+    _f_sf,
+    _norm_sf,
+    _STD_NORMAL,
     anova_oneway,
     kruskal_wallis,
     levene_median,
@@ -230,11 +235,140 @@ class TestPipeline:
         assert result.test_used == ANOVA
 
 
-def test_package_import_leaves_scipy_unloaded():
-    src = str(Path(predscore.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, predscore; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+def assert_gate_rule(result, alpha=0.05):
+    """The rule the benchmark's stats check applies to stats_*.json."""
+    all_pass = all(gate.p_value >= alpha for gate in result.gate_results)
+    assert (result.test_used == ANOVA) == all_pass
+
+
+class TestGatesThatCannotBeComputed:
+    """A Shapiro-Wilk gate that cannot be computed counts as failed; the
+    pipeline still answers with Kruskal-Wallis."""
+
+    def groups(self, *extra):
+        normal = GATE_FIXTURES["gate_normal"][:2]
+        return [SampleGroup(f"g{i}", tuple(v)) for i, v in enumerate(normal)] + list(extra)
+
+    @pytest.mark.parametrize(
+        "group, reason",
+        [
+            (SampleGroup("big", tuple(random.Random(6).gauss(0, 1) for _ in range(5001))), "5000"),
+            (SampleGroup("flat", (2.5,) * 10), "identical"),
+            (SampleGroup("pair", (1.0, 2.0)), "at least 3"),
+        ],
+        ids=["over_5000", "constant", "two_values"],
     )
-    assert result.stdout.strip() == "False"
+    def test_gate_fails_and_falls_through(self, group, reason):
+        result = run_pipeline(self.groups(group))
+        gate = result.gate_results[2]
+        assert (gate.test, gate.statistic, gate.p_value) == (SHAPIRO_WILK, None, 0.0)
+        assert reason in gate.reason
+        assert result.test_used == KRUSKAL_WALLIS
+        assert result.excluded == ()
+        assert any(group.label in w and "not computed" in w for w in result.warnings)
+        assert result.comparison == kruskal_wallis(self.groups(group))
+        assert_gate_rule(result)
+
+    def test_one_value_group_is_excluded(self):
+        result = run_pipeline(self.groups(SampleGroup("solo", (1.0,))))
+        assert result.excluded == ("solo",)
+        assert result.gate_results[2].reason is not None
+        assert result.gate_results[-1] == levene_median(self.groups())
+        assert result.comparison == kruskal_wallis(self.groups())
+        assert any("'solo'" in w and "excluded" in w for w in result.warnings)
+        assert_gate_rule(result)
+
+    def test_fewer_than_two_comparable_groups_rejected(self):
+        with pytest.raises(ValidationError):
+            run_pipeline([[1.0], [1.0, 2.0, 3.0]])
+
+    def test_constant_pooled_sample_still_refused(self):
+        with pytest.raises(DegenerateDataError):
+            run_pipeline([[1.0] * 4, [1.0] * 5])
+
+
+def _mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    return mp
+
+
+class TestTailAccuracy:
+    """The standard-library tails against 40-digit references, on seeded
+    grids over the (statistic, df) range the pipeline produces."""
+
+    def test_f_tail_against_mpmath(self):
+        mp = _mpmath()
+        rng = random.Random(11)
+        for _ in range(1000):
+            df1 = rng.randint(1, 15)
+            df2 = int(math.exp(rng.uniform(math.log(2), math.log(3e5))))
+            f = math.exp(rng.uniform(math.log(1e-3), math.log(100)))
+            x = mp.mpf(df2) / (df2 + df1 * mp.mpf(f))
+            ref = mp.betainc(mp.mpf(df2) / 2, mp.mpf(df1) / 2, 0, x, regularized=True)
+            if ref < 1e-300:
+                continue
+            bound = 1e-12 if df2 <= 1000 else 5e-11
+            assert _f_sf(f, df1, df2) == pytest.approx(float(ref), rel=bound), (f, df1, df2)
+
+    def test_chi2_tail_against_mpmath(self):
+        mp = _mpmath()
+        rng = random.Random(12)
+        for _ in range(1000):
+            df = rng.randint(1, 40)
+            x = math.exp(rng.uniform(math.log(1e-6), math.log(1500)))
+            ref = mp.gammainc(mp.mpf(df) / 2, mp.mpf(x) / 2, regularized=True)
+            if ref < 1e-300:
+                continue
+            assert _chi2_sf(x, float(df)) == pytest.approx(float(ref), rel=1e-12), (x, df)
+
+    def test_normal_tail_against_mpmath(self):
+        mp = _mpmath()
+        rng = random.Random(13)
+        for _ in range(1000):
+            z = rng.uniform(-37.0, 37.0)
+            ref = mp.ncdf(-mp.mpf(z))
+            assert _norm_sf(z) == pytest.approx(float(ref), rel=1e-12), z
+
+    def test_tails_match_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = random.Random(14)
+        for _ in range(500):
+            df1 = rng.randint(1, 15)
+            df2 = int(math.exp(rng.uniform(math.log(2), math.log(3e5))))
+            f = math.exp(rng.uniform(math.log(1e-3), math.log(100)))
+            # scipy gets the smaller of x and 1 - x, so that near x = 1 the
+            # comparison is not swamped by the rounding of x itself.
+            den = df2 + df1 * f
+            x, y = df2 / den, df1 * f / den
+            if x <= 0.5:
+                ref = special.betainc(df2 / 2, df1 / 2, x)
+            else:
+                ref = special.betaincc(df1 / 2, df2 / 2, y)
+            if ref >= 1e-300:
+                assert _f_sf(f, df1, df2) == pytest.approx(ref, rel=1e-10), (f, df1, df2)
+            df, chi2 = rng.randint(1, 40), rng.uniform(0.0, 200.0)
+            ref = special.gammaincc(df / 2, chi2 / 2)
+            assert _chi2_sf(chi2, float(df)) == pytest.approx(ref, rel=1e-10), (chi2, df)
+            z = rng.uniform(-37.0, 37.0)
+            assert _norm_sf(z) == pytest.approx(special.ndtr(-z), rel=1e-10), z
+            q = rng.random()
+            assert _STD_NORMAL.inv_cdf(q) == pytest.approx(special.ndtri(q), rel=1e-10), q
+
+
+def test_package_import_leaves_scipy_unloaded():
+    here = Path(__file__).resolve().parent
+    src = str(Path(predscore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])}
+    code = (
+        "import sys, predscore\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+        "from stats_fixtures import GATE_FIXTURES\n"
+        "for groups in GATE_FIXTURES.values():\n"
+        "    predscore.run_pipeline(groups)\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split("\n")[:2] == ["[]", "[]"]
