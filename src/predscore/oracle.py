@@ -17,6 +17,15 @@ on the packed 2-bit board (the window's cells, and the player's code on
 each of them), so the test is one AND and one compare per window through
 the square, and the window table is built once per board shape.
 
+The exhaustive memo maps (packed board, mover) to that board's own counts
+and nothing else, so every root of a shape can share it.  A board and its
+mirror images have the same counts, and the states reachable from a root
+are closed under the symmetries that map the root onto itself (its
+stabilizer).  So each computed state is stored under all of its images by
+that stabilizer, and a state whose image was computed earlier is a plain
+memo hit: the empty 4x3 board's 79,562 states cost 20,087 evaluations.
+An asymmetric root has only the identity and runs the same code.
+
 A mutated agent adds seeded uniform noise to the flattened values only,
 leaving the outcome triples untouched; magnitude 0 is bit-exact identical
 to the unmutated agent.
@@ -110,6 +119,53 @@ def _wins(packed: int, windows) -> bool:
     return False
 
 
+@lru_cache(maxsize=None)
+def _symmetries(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct square permutations of the board's symmetry group,
+    identity first; perm[i] is the index square i is mapped to.
+
+    A rectangle has the identity, the column flip, the row flip and the
+    half turn; a square board adds the four maps through the transpose.
+    Each maps k-windows onto k-windows, so it preserves every outcome.
+    """
+    perms: dict[tuple[int, ...], None] = {}
+    for transpose in (False, True) if m == n else (False,):
+        for flip_rows in (False, True):
+            for flip_cols in (False, True):
+                perm = []
+                for i in range(m * n):
+                    c, r = i % m, i // m
+                    if transpose:
+                        c, r = r, c
+                    if flip_cols:
+                        c = m - 1 - c
+                    if flip_rows:
+                        r = n - 1 - r
+                    perm.append(r * m + c)
+                perms[tuple(perm)] = None  # a 1-wide board repeats the identity
+    return tuple(perms)
+
+
+def _image(packed: int, perm: tuple[int, ...]) -> int:
+    """The packed board with the piece on square i moved to perm[i]."""
+    return sum(((packed >> (2 * i)) & 3) << (2 * j) for i, j in enumerate(perm))
+
+
+@lru_cache(maxsize=None)
+def _placements(perms: tuple[tuple[int, ...], ...]) -> dict:
+    """Per player code, per square index: the bits that place the code on
+    that square's image in every slot of a multi-board (slot s holds the
+    board's image under perms[s], 2 bits per square, slot 0 lowest)."""
+    size = 2 * len(perms[0])
+    return {
+        code: tuple(
+            sum(code << (slot * size + 2 * perm[i]) for slot, perm in enumerate(perms))
+            for i in range(len(perms[0]))
+        )
+        for code in (_AGENT_CODE, _OPPONENT_CODE)
+    }
+
+
 # (board shape, continuation counts by state) for the last shape evaluated;
 # kept across oracle calls and replaced when the shape changes.
 _memo: tuple[tuple[int, int, int] | None, dict] = (None, {})
@@ -122,7 +178,9 @@ def _shape_memo(shape: tuple[int, int, int]) -> dict:
     return _memo[1]
 
 
-def _continuation(packed: int, mover: int, empties: tuple[int, ...], windows, memo) -> tuple:
+def _continuation(
+    multi: int, mover: int, empties: tuple[int, ...], place, windows, shifts, slot_mask, memo
+) -> tuple:
     """Counts of (agent win, opponent win, draw) over the e! orderings of
     the e empty squares, each played out from this state until a win.
 
@@ -130,17 +188,25 @@ def _continuation(packed: int, mover: int, empties: tuple[int, ...], windows, me
     orderings, and a draw on the last square for one.  A child state's
     counts are scaled by (e-1)! already, so they add in unchanged.  Under
     uniform random play the outcome probabilities are the counts over e!.
+
+    multi holds the state's image under each symmetry of the root in one
+    slot of slot_mask's width, starting at the bit offsets in shifts; slot 0
+    is the state itself.  A move ORs in place[mover][square], which sets
+    the piece in every slot, and the window masks lie inside slot 0, so the
+    win test sees the state itself.  The memo is looked up by the state
+    and the result is stored under every image, since each has the same
+    counts.
     """
-    key = (packed, mover)
-    hit = memo.get(key)
+    hit = memo.get((multi & slot_mask, mover))
     if hit is not None:
         return hit
     n_agent = n_opp = n_draw = 0
     last = len(empties) == 1
     immediate = math.factorial(len(empties) - 1)
     other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
+    placing = place[mover]
     for i, idx in enumerate(empties):
-        child = packed | (mover << (2 * idx))
+        child = multi | placing[idx]
         if _wins(child, windows[mover][idx]):
             if mover == _AGENT_CODE:
                 n_agent += immediate
@@ -149,12 +215,15 @@ def _continuation(packed: int, mover: int, empties: tuple[int, ...], windows, me
         elif last:
             n_draw += 1
         else:
-            sub = _continuation(child, other, empties[:i] + empties[i + 1 :], windows, memo)
+            sub = _continuation(
+                child, other, empties[:i] + empties[i + 1 :], place, windows, shifts, slot_mask, memo
+            )
             n_agent += sub[0]
             n_opp += sub[1]
             n_draw += sub[2]
     result = (n_agent, n_opp, n_draw)
-    memo[key] = result
+    for shift in shifts:
+        memo[(multi >> shift) & slot_mask, mover] = result
     return result
 
 
@@ -175,6 +244,13 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
     cfg = board.config
     windows = _window_table(cfg.m, cfg.n, cfg.k)
     memo = _shape_memo((cfg.m, cfg.n, cfg.k))
+    # The root's stabilizer; the root is its own image in every slot.
+    perms = tuple(p for p in _symmetries(cfg.m, cfg.n) if _image(board.packed, p) == board.packed)
+    place = _placements(perms)
+    size = 2 * cfg.squares
+    shifts = tuple(range(0, size * len(perms), size))
+    slot_mask = (1 << size) - 1
+    multi = sum(board.packed << shift for shift in shifts)
     mover = _AGENT_CODE if board.to_move == AGENT else _OPPONENT_CODE
     other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
     empty_idx = tuple(cfg.index(sq) for sq in empties)
@@ -182,14 +258,16 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
     out = {}
     for pos, sq in enumerate(empties):
         idx = empty_idx[pos]
-        child = board.packed | (mover << (2 * idx))
+        child = multi | place[mover][idx]
         if _wins(child, windows[mover][idx]):
             counts = (orderings, 0, 0)
         elif len(empties) == 1:
             counts = (0, 0, 1)
         else:
             rest = empty_idx[:pos] + empty_idx[pos + 1 :]
-            n_agent, n_opp, n_draw = _continuation(child, other, rest, windows, memo)
+            n_agent, n_opp, n_draw = _continuation(
+                child, other, rest, place, windows, shifts, slot_mask, memo
+            )
             if board.to_move == AGENT:
                 counts = (n_agent, n_opp, n_draw)
             else:

@@ -278,13 +278,17 @@ def _f_oneway(samples: list[list[float]], test_name: str) -> TestResult:
     ssb = math.fsum(n * (m - grand) ** 2 for n, m in zip(sizes, means))
     ssw = math.fsum(math.fsum((v - m) ** 2 for v in s) for s, m in zip(samples, means))
     df = (float(g - 1), float(total_n - g))
-    if ssb <= 0.0 and ssw <= 0.0:
+    # A sum of squares within its own rounding error counts as zero: values
+    # equal in exact arithmetic can leave ~eps * |v| behind once a mean is
+    # taken off, so the bound scales with the data rather than being fixed.
+    rounding = (4 * math.ulp(1.0)) ** 2 * math.fsum(v * v for s in samples for v in s)
+    if ssb <= rounding and ssw <= rounding:
         raise DegenerateDataError(
             f"{test_name}: zero within- and between-group variance; F is undefined"
         )
-    if ssb <= 0.0:
+    if ssb <= rounding:
         return TestResult(test_name, 0.0, df, 1.0)
-    if ssw <= 0.0:
+    if ssw <= rounding:
         return TestResult(test_name, math.inf, df, 0.0)
     f_stat = (ssb / df[0]) / (ssw / df[1])
     return TestResult(test_name, f_stat, df, _f_sf(f_stat, df[0], df[1]))

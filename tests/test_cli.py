@@ -255,6 +255,30 @@ class TestStatsCmd:
         assert (doc["test_used"] == "anova") == all(p >= doc["alpha"] for p in gate_ps)
 
 
+    def test_levene_on_rounding_level_spread_is_infinite_in_both_spaces(self, tmp_path, capsys):
+        # Groups A-C hold two participants each, so every absolute deviation
+        # from a group median is the same in exact arithmetic.
+        bundle_dir = tmp_path / "pairs"
+        assert main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "7",
+             "--treatments", "A,B,C,D", "--seed", "3", "--behavior", "uniform",
+             "--out-dir", str(bundle_dir)]
+        ) == 0
+        capsys.readouterr()
+        for space in ("value", "rank"):
+            report = tmp_path / space
+            code = main(
+                ["stats", "--bundle", str(bundle_dir), "--out-dir", str(report),
+                 "--space", space]
+            )
+            assert code == 0
+            assert "gate levene_median on groups: statistic=inf p=0\n" in capsys.readouterr().out
+            doc = json.loads((report / f"stats_{space}.json").read_text())
+            levene = doc["gates"][4]
+            assert levene["test"] == "levene_median"
+            assert (levene["statistic"], levene["p_value"]) == (None, 0.0)
+
+
 class TestVotesCmd:
     def test_matrix_and_svg(self, tmp_path):
         bundle_dir = simulate(tmp_path)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -169,6 +170,108 @@ class TestExhaustiveOracle:
                 board = apply_move(board, SquareId(col, 2))
         with pytest.raises(ValidationError):
             exact_outcome_triples(board)
+
+
+def stabilizer_size(board):
+    cfg = board.config
+    codes = board_to_codes(board)
+    return sum(
+        all(codes[perm[i]] == codes[i] for i in range(cfg.squares))
+        for perm in oracle._symmetries(cfg.m, cfg.n)
+    )
+
+
+def brute_force_counts(m, n, k, packed, mover):
+    """(agent win, opponent win, draw) counts over every ordering of the
+    empty squares, from the brute-force per-first-move fractions."""
+    cells = tuple((packed >> (2 * i)) & 3 for i in range(m * n))
+    triples = brute_force_triples(m, n, k, cells, mover)
+    per_first = math.factorial(len(triples) - 1)
+    mine, theirs, draw = (sum(t[j] for t in triples.values()) * per_first for j in range(3))
+    counts = (mine, theirs, draw) if mover == 1 else (theirs, mine, draw)
+    assert all(c.denominator == 1 for c in counts)
+    return tuple(int(c) for c in counts)
+
+
+class CountingMemo(dict):
+    """A memo that counts lookups that miss, i.e. states evaluated."""
+
+    misses = 0
+
+    def get(self, key, default=None):
+        hit = super().get(key, default)
+        if hit is None:
+            self.misses += 1
+        return hit
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(oracle, "_memo", (None, {}))
+
+
+class TestSymmetricMemo:
+    @pytest.mark.parametrize(
+        "m,n,k,count",
+        [(3, 3, 3, 8), (4, 3, 3, 4), (4, 4, 4, 8), (9, 4, 4, 4), (7, 1, 3, 2), (2, 2, 1, 8)],
+    )
+    def test_symmetries_map_windows_onto_windows(self, m, n, k, count):
+        perms = oracle._symmetries(m, n)
+        assert perms[0] == tuple(range(m * n))
+        assert len(perms) == len(set(perms)) == count
+        windows = {frozenset(w) for w in k_windows(m, n, k)}
+        for perm in perms:
+            assert sorted(perm) == list(range(m * n))
+            assert {frozenset(perm[i] for i in w) for w in windows} == windows
+
+    @pytest.mark.parametrize(
+        "shape,moves,size",
+        [
+            ((3, 3, 3), ["B2"], 8),
+            ((3, 3, 3), ["B2", "A1"], 2),  # the main diagonal only
+            ((4, 3, 3), ["B2", "A2", "C2", "D2"], 4),
+            ((4, 3, 3), ["B2", "C2", "A2", "D2"], 2),  # the row flip only
+            ((4, 3, 3), ["B2", "A1", "C2", "D2"], 1),
+        ],
+    )
+    def test_matches_brute_force_for_each_stabilizer(self, fresh_memo, shape, moves, size):
+        board = play(BoardConfig(*shape), moves)
+        assert stabilizer_size(board) == size
+        assert_matches_brute_force(board)
+
+    def test_entries_hold_their_own_boards_counts(self, fresh_memo):
+        exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
+        entries = [
+            (key, counts)
+            for key, counts in oracle._memo[1].items()
+            if sum(not (key[0] >> (2 * i)) & 3 for i in range(12)) <= 8
+        ]
+        entries.sort()
+        for (packed, mover), counts in random.Random(7).sample(entries, 200):
+            assert counts == brute_force_counts(4, 3, 3, packed, mover), (packed, mover)
+
+    def test_memo_sizes_are_unchanged(self, fresh_memo):
+        exact_outcome_triples(new_game(TTT))
+        assert len(oracle._memo[1]) == 4519
+        exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
+        assert len(oracle._memo[1]) == 79562
+
+    def test_empty_4x3_evaluates_each_symmetry_class_once(self, monkeypatch):
+        memo = CountingMemo()
+        monkeypatch.setattr(oracle, "_memo", ((4, 3, 3), memo))
+        exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
+        assert len(memo) == 79562
+        assert memo.misses == 20087
+
+    def test_later_position_reuses_the_empty_boards_entries(self, monkeypatch, fresh_memo):
+        exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
+        states = len(oracle._memo[1])
+        board = play(BoardConfig(4, 3, 3), ["A1", "C2"])
+        assert stabilizer_size(board) == 1
+        warm = exact_outcome_triples(board)
+        assert len(oracle._memo[1]) == states
+        monkeypatch.setattr(oracle, "_memo", (None, {}))
+        assert exact_outcome_triples(board) == warm
 
 
 class TestWindowTable:

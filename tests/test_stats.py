@@ -32,6 +32,13 @@ from stats_fixtures import (
     SHAPIRO_TINY3,
 )
 
+# (see TestLeveneMedian.test_deviations_equal_up_to_rounding_give_infinity)
+TWO_VALUE_LOSS_GROUPS = [
+    ("0x1.4d34d34d34d36p-3", "0x1.47ec7ec7ec7ecp-1"),
+    ("0x1.47ec7ec7ec7eep-1", "0x1.471c71c71c71cp-1"),
+    ("0x1.f49f49f49f49fp-1", "0x1.23f63f63f63f6p+0"),
+]
+
 W_TOL = 1e-4
 P_TOL = 1e-3
 STAT_REL_TOL = 1e-6
@@ -99,6 +106,17 @@ class TestLeveneMedian:
         with pytest.raises(ValidationError):
             levene_median([[1.0, 2.0]])
 
+    def test_deviations_equal_up_to_rounding_give_infinity(self):
+        # Value-space loss sums of groups A-C of a 3x3 k=3 bundle (seven
+        # participants over A,B,C,D, seed 3, uniform behaviour).  Each group
+        # has two values, so both deviations from its median are equal in
+        # exact arithmetic but not in floating point.
+        groups = [[float.fromhex(h) for h in pair] for pair in TWO_VALUE_LOSS_GROUPS]
+        deviations = [[abs(v - (a + b) / 2.0) for v in (a, b)] for a, b in groups]
+        assert any(x != y for x, y in deviations)
+        result = levene_median(groups)
+        assert (result.statistic, result.df, result.p_value) == (math.inf, (2.0, 3.0), 0.0)
+
 
 class TestAnova:
     @pytest.mark.parametrize("name", sorted(GROUP_FIXTURES))
@@ -112,6 +130,12 @@ class TestAnova:
     def test_identical_constant_groups_rejected(self):
         with pytest.raises(DegenerateDataError):
             anova_oneway([[3.0, 3.0, 3.0], [3.0, 3.0, 3.0]])
+
+    def test_means_equal_up_to_rounding_give_zero(self):
+        # 0.1 + 0.2 is one ulp above 0.3, so the group means differ only in
+        # the last bit; that is no between-group spread.
+        result = anova_oneway([[0.1 + 0.2, 0.0], [0.3, 0.0]])
+        assert (result.statistic, result.p_value) == (0.0, 1.0)
 
     def test_df_for_eight_groups_of_86(self):
         rng = random.Random(1)
