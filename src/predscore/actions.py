@@ -14,7 +14,7 @@ orderings deterministic and reproducible across implementations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -42,16 +42,15 @@ def parse_column_label(text: str) -> int:
     return col - 1
 
 
-@dataclass(frozen=True)
-class SquareId:
+class SquareId(NamedTuple("SquareId", [("col", int), ("row", int)])):
     """A board square addressed by 0-based (col, row)."""
 
-    col: int
-    row: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.col < 0 or self.row < 0:
-            raise ValidationError(f"square indices must be >= 0, got ({self.col}, {self.row})")
+    def __new__(cls, col: int, row: int):
+        if col < 0 or row < 0:
+            raise ValidationError(f"square indices must be >= 0, got ({col}, {row})")
+        return super().__new__(cls, col, row)
 
     @property
     def text(self) -> str:

@@ -7,7 +7,6 @@ cheap to memoize; the packed form round-trips losslessly to the cell list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .actions import SquareId
@@ -27,23 +26,19 @@ WIN = "win"
 DRAW = "draw"
 
 
-@dataclass(frozen=True)
-class BoardConfig:
+class BoardConfig(NamedTuple("BoardConfig", [("m", int), ("n", int), ("k", int)])):
     """Board shape: m columns, n rows, k consecutive pieces to win."""
 
-    m: int
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.k < 1:
-            raise ValidationError(f"board dimensions must be >= 1, got {self.m}x{self.n} k={self.k}")
-        if self.k > max(self.m, self.n):
-            raise ValidationError(
-                f"winning run k={self.k} exceeds both board dimensions {self.m}x{self.n}"
-            )
-        if self.m * self.n > MAX_SQUARES:
-            raise ValidationError(f"board of {self.m * self.n} squares exceeds the {MAX_SQUARES} guard")
+    def __new__(cls, m: int, n: int, k: int):
+        if m < 1 or n < 1 or k < 1:
+            raise ValidationError(f"board dimensions must be >= 1, got {m}x{n} k={k}")
+        if k > max(m, n):
+            raise ValidationError(f"winning run k={k} exceeds both board dimensions {m}x{n}")
+        if m * n > MAX_SQUARES:
+            raise ValidationError(f"board of {m * n} squares exceeds the {MAX_SQUARES} guard")
+        return super().__new__(cls, m, n, k)
 
     @property
     def squares(self) -> int:
@@ -65,8 +60,7 @@ class GameStatus(NamedTuple):
     winner: str | None = None
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(NamedTuple):
     config: BoardConfig
     packed: int = 0
     to_move: str = AGENT

@@ -129,6 +129,7 @@ def cmd_simulate(args) -> int:
     except ValidationError as exc:
         return _usage_error(exc)
 
+    out = _out_dir(args)  # an unusable out-dir fails here, before the games are played
     bundle = generate_synthetic_experiment(
         config=config,
         agents=agents,
@@ -138,7 +139,6 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         decisions_per_agent=args.decisions,
     )
-    out = _out_dir(args)
     write_bundle(bundle, out)
     print(f"bundle written to {out}")
     print(
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except PredscoreError as exc:
+    except (PredscoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -22,9 +22,9 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
@@ -44,34 +44,47 @@ PREDICTIONS_HEADER = ["participant_id", "treatment", "decision_id", "predicted_a
 TRIPLE_CSV_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class ActionManifest:
+class ActionManifest(
+    NamedTuple(
+        "ActionManifest",
+        [
+            ("experiment_id", str),
+            ("domain", str),
+            ("actions", tuple[tuple[str, str], ...]),  # (action id, display name)
+            ("board", BoardConfig | None),
+        ],
+    )
+):
     """Names the actions of one experiment and tags its domain."""
 
-    experiment_id: str
-    domain: str
-    actions: tuple[tuple[str, str], ...]  # (action id, display name)
-    board: BoardConfig | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.domain not in (MNK, FOUR_TOWERS, CUSTOM):
-            raise ValidationError(f"unknown domain tag {self.domain!r}")
-        if not self.actions:
+    def __new__(
+        cls,
+        experiment_id: str,
+        domain: str,
+        actions: tuple[tuple[str, str], ...],
+        board: BoardConfig | None = None,
+    ):
+        if domain not in (MNK, FOUR_TOWERS, CUSTOM):
+            raise ValidationError(f"unknown domain tag {domain!r}")
+        if not actions:
             raise ValidationError("manifest needs at least one action")
-        ids = [a for a, _ in self.actions]
-        names = [n for _, n in self.actions]
+        ids = [a for a, _ in actions]
+        names = [n for _, n in actions]
         if len(set(ids)) != len(ids):
             raise ValidationError("manifest action ids must be unique")
         if len(set(names)) != len(names):
             raise ValidationError("manifest action names must be unique")
-        if self.domain == MNK:
-            if self.board is None:
+        if domain == MNK:
+            if board is None:
                 raise ValidationError("mnk manifest requires its board config")
-            expected = [sq.text for sq in self.board.all_squares()]
+            expected = [sq.text for sq in board.all_squares()]
             if ids != expected:
                 raise ValidationError(
                     "mnk manifest must list every board square in canonical order"
                 )
+        return super().__new__(cls, experiment_id, domain, actions, board)
 
     @property
     def action_ids(self) -> tuple[str, ...]:
@@ -88,25 +101,38 @@ def make_mnk_manifest(config: BoardConfig, experiment_id: str) -> ActionManifest
     )
 
 
-@dataclass(frozen=True)
-class ExperimentBundle:
+class ExperimentBundle(
+    NamedTuple(
+        "ExperimentBundle",
+        [
+            ("manifest", ActionManifest),
+            ("decisions", tuple[DecisionValues, ...]),
+            ("predictions", tuple[PredictionRecord, ...]),
+            ("treatments", tuple[str, ...]),
+            # Decisions that exist in the design but whose value tables are
+            # not yet supplied: (decision_id, action ids).
+            ("pending_decisions", tuple[tuple[str, tuple[str, ...]], ...]),
+        ],
+    )
+):
     """Everything one analysis needs: values, predictions, and naming."""
 
-    manifest: ActionManifest
-    decisions: tuple[DecisionValues, ...]
-    predictions: tuple[PredictionRecord, ...]
-    treatments: tuple[str, ...]
-    # Decisions that exist in the design but whose value tables are not yet
-    # supplied: (decision_id, action ids).
-    pending_decisions: tuple[tuple[str, tuple[str, ...]], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        known_actions = set(self.manifest.action_ids)
-        decision_ids = [dv.decision_id for dv in self.decisions]
-        all_ids = decision_ids + [did for did, _ in self.pending_decisions]
+    def __new__(
+        cls,
+        manifest: ActionManifest,
+        decisions: tuple[DecisionValues, ...],
+        predictions: tuple[PredictionRecord, ...],
+        treatments: tuple[str, ...],
+        pending_decisions: tuple[tuple[str, tuple[str, ...]], ...] = (),
+    ):
+        known_actions = set(manifest.action_ids)
+        decision_ids = [dv.decision_id for dv in decisions]
+        all_ids = decision_ids + [did for did, _ in pending_decisions]
         if len(set(all_ids)) != len(all_ids):
             raise ValidationError("duplicate decision ids in bundle")
-        for dv in self.decisions:
+        for dv in decisions:
             stray = set(dv.entries) - known_actions
             if stray:
                 raise ValidationError(
@@ -114,8 +140,8 @@ class ExperimentBundle:
                     f"{sorted(stray)}"
                 )
         valued = set(decision_ids)
-        treatment_set = set(self.treatments)
-        for rec in self.predictions:
+        treatment_set = set(treatments)
+        for rec in predictions:
             if rec.decision_id not in valued:
                 raise ValidationError(
                     f"prediction by {rec.participant_id!r} references unknown decision "
@@ -131,6 +157,7 @@ class ExperimentBundle:
                     f"prediction by {rec.participant_id!r} has unlisted treatment "
                     f"{rec.treatment!r}"
                 )
+        return super().__new__(cls, manifest, decisions, predictions, treatments, pending_decisions)
 
     def values_by_decision(self) -> dict[str, DecisionValues]:
         return {dv.decision_id: dv for dv in self.decisions}
@@ -478,8 +505,7 @@ def read_bundle(path) -> ExperimentBundle:
     )
 
 
-@dataclass(frozen=True)
-class ParticipantModel:
+class ParticipantModel(NamedTuple("ParticipantModel", [("rank_probs", tuple[float, ...] | None)])):
     """Rank-indexed categorical model of how a participant predicts.
 
     rank_probs[i] is the probability of predicting the agent's rank-(i+1)
@@ -487,16 +513,16 @@ class ParticipantModel:
     None means uniform over all available actions.
     """
 
-    rank_probs: tuple[float, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank_probs is not None:
-            probs = tuple(float(p) for p in self.rank_probs)
-            if not probs or any(p < 0 or not math.isfinite(p) for p in probs):
+    def __new__(cls, rank_probs: tuple[float, ...] | None = None):
+        if rank_probs is not None:
+            rank_probs = tuple(float(p) for p in rank_probs)
+            if not rank_probs or any(p < 0 or not math.isfinite(p) for p in rank_probs):
                 raise ValidationError("rank_probs must be non-negative finite numbers")
-            if sum(probs) <= 0:
+            if sum(rank_probs) <= 0:
                 raise ValidationError("rank_probs must have positive mass")
-            object.__setattr__(self, "rank_probs", probs)
+        return super().__new__(cls, rank_probs)
 
     @classmethod
     def always_best(cls) -> "ParticipantModel":

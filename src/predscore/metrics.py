@@ -20,7 +20,6 @@ Like any tuple they compare equal to a plain tuple of the same fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -28,8 +27,7 @@ from .errors import ValidationError
 from .values import DecisionValues
 
 
-@dataclass(frozen=True)
-class GradeScale:
+class GradeScale(NamedTuple("GradeScale", [("bins", tuple[tuple[int | None, str], ...])])):
     """Ordered rank bins mapping a rank to a letter grade.
 
     bins are (max rank inclusive, label) with strictly increasing
@@ -37,12 +35,12 @@ class GradeScale:
     worse.
     """
 
-    bins: tuple[tuple[int | None, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.bins) < 1:
+    def __new__(cls, bins: tuple[tuple[int | None, str], ...]):
+        if len(bins) < 1:
             raise ValidationError("grade scale needs at least one bin")
-        *bounded, (last, _) = self.bins
+        *bounded, (last, _) = bins
         if last is not None:
             raise ValidationError("final grade bin must be unbounded (threshold None)")
         thresholds = [t for t, _ in bounded]
@@ -50,9 +48,10 @@ class GradeScale:
             raise ValidationError("only the final bin may be unbounded")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValidationError(f"grade thresholds must be strictly increasing: {thresholds}")
-        labels = [label for _, label in self.bins]
+        labels = [label for _, label in bins]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"grade labels must be unique: {labels}")
+        return super().__new__(cls, bins)
 
     def grade(self, rank: int) -> str:
         if rank < 1:

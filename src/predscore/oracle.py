@@ -35,14 +35,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .actions import SquareId, canonical_key
 from .board import AGENT, ONGOING, Board, BoardConfig, game_status
 from .errors import ValidationError
 from .values import DecisionValues, OutcomeTriple, argmax_action
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -53,36 +55,49 @@ EXHAUSTIVE_LIMIT = 12
 _AGENT_CODE, _OPPONENT_CODE = 1, 2
 
 
-@dataclass(frozen=True)
-class Mutation:
+class Mutation(NamedTuple("Mutation", [("seed", int), ("magnitude", float)])):
     """Seeded value-noise perturbation applied to flattened values."""
 
-    seed: int
-    magnitude: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValidationError(f"mutation magnitude must be >= 0, got {self.magnitude}")
+    def __new__(cls, seed: int, magnitude: float):
+        if magnitude < 0:
+            raise ValidationError(f"mutation magnitude must be >= 0, got {magnitude}")
+        return super().__new__(cls, seed, magnitude)
 
 
-@dataclass(frozen=True)
-class AgentSpec:
-    oracle: str = EXHAUSTIVE
-    rollouts: int | None = None
-    seed: int | None = None
-    depth_limit: int | None = None
-    mutation: Mutation | None = None
+class AgentSpec(
+    NamedTuple(
+        "AgentSpec",
+        [
+            ("oracle", str),
+            ("rollouts", int | None),
+            ("seed", int | None),
+            ("depth_limit", int | None),
+            ("mutation", Mutation | None),
+        ],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.oracle not in (EXHAUSTIVE, SAMPLED):
-            raise ValidationError(f"unknown oracle kind {self.oracle!r}")
-        if self.oracle == SAMPLED:
-            if not self.rollouts or self.rollouts < 1:
+    def __new__(
+        cls,
+        oracle: str = EXHAUSTIVE,
+        rollouts: int | None = None,
+        seed: int | None = None,
+        depth_limit: int | None = None,
+        mutation: Mutation | None = None,
+    ):
+        if oracle not in (EXHAUSTIVE, SAMPLED):
+            raise ValidationError(f"unknown oracle kind {oracle!r}")
+        if oracle == SAMPLED:
+            if not rollouts or rollouts < 1:
                 raise ValidationError("sampled oracle requires rollouts >= 1")
-            if self.seed is None:
+            if seed is None:
                 raise ValidationError("sampled oracle requires an explicit seed")
-        if self.depth_limit is not None and self.depth_limit < 1:
-            raise ValidationError(f"depth_limit must be >= 1, got {self.depth_limit}")
+        if depth_limit is not None and depth_limit < 1:
+            raise ValidationError(f"depth_limit must be >= 1, got {depth_limit}")
+        return super().__new__(cls, oracle, rollouts, seed, depth_limit, mutation)
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +247,8 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
 
     The three fractions of each triple sum to exactly 1.
     """
+    from fractions import Fraction  # loads decimal: import it only here
+
     status = game_status(board)
     if status.state != ONGOING:
         raise ValidationError(f"game is not ongoing ({status.state}); nothing to evaluate")
@@ -311,25 +328,29 @@ def sampled_outcome_triples(
             wins = rollouts
         else:
             rest_template = empty_idx[:pos] + empty_idx[pos + 1 :]
+            plies = len(rest_template) if depth_limit is None else min(depth_limit, len(rest_template))
+            # _randbelow(n) draws exactly the bits randrange(n) would, without
+            # randrange's argument checks.
+            randbelow = rng._randbelow
+            opponent = mover ^ 3  # player codes are 1 and 2
             for _ in range(rollouts):
                 packed = first
-                side = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
+                side = opponent
                 remaining = list(rest_template)
-                depth = 0
                 outcome = 0  # 0 draw/limit, else winning code
-                while remaining:
-                    if depth_limit is not None and depth >= depth_limit:
-                        break
-                    pick = rng.randrange(len(remaining))
+                for _ in range(plies):
+                    pick = randbelow(len(remaining))
                     move = remaining[pick]
                     remaining[pick] = remaining[-1]
                     remaining.pop()
                     packed |= side << (2 * move)
-                    if _wins(packed, windows[side][move]):
-                        outcome = side
+                    for cells, pattern in windows[side][move]:
+                        if packed & cells == pattern:
+                            outcome = side
+                            break
+                    if outcome:
                         break
-                    side = _OPPONENT_CODE if side == _AGENT_CODE else _AGENT_CODE
-                    depth += 1
+                    side ^= 3
                 if outcome == mover:
                     wins += 1
                 elif outcome:

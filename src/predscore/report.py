@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 from .actions import SquareId
 from .dataset import ExperimentBundle, MNK
@@ -28,8 +28,7 @@ VALUE_SPACE = "value"
 RANK_SPACE = "rank"
 
 
-@dataclass(frozen=True)
-class MetricsTable:
+class MetricsTable(NamedTuple):
     """Per-treatment summary: mean LV and LR (pooled and per decision) and
     the modified overlap per decision."""
 

@@ -10,17 +10,16 @@ but attach an explicit warning rather than refusing to compare.
 Everything is computed here with the standard library.  The Shapiro-Wilk W
 uses the standard large-sample approximation with its published polynomial
 coefficients, valid to n = 5000.  Tail probabilities: normal from
-``math.erfc``, normal quantiles from ``statistics.NormalDist``, chi-square
-from the closed forms for integer degrees of freedom (Abramowitz & Stegun
-26.4), and F as the regularized incomplete beta function by Lentz's
+``math.erfc``, normal quantiles from ``statistics.NormalDist`` (imported
+inside ``shapiro_wilk``, its only user), chi-square from the closed forms
+for integer degrees of freedom (Abramowitz & Stegun 26.4), and F as the regularized incomplete beta function by Lentz's
 continued fraction (Numerical Recipes 6.4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from statistics import NormalDist
+from typing import NamedTuple
 
 from .errors import DegenerateDataError, ValidationError
 
@@ -32,37 +31,48 @@ KRUSKAL_WALLIS = "kruskal_wallis"
 DEFAULT_ALPHA = 0.05
 
 
-@dataclass(frozen=True)
-class SampleGroup:
+class SampleGroup(NamedTuple("SampleGroup", [("label", str), ("values", tuple[float, ...])])):
     """One treatment's per-participant aggregated losses."""
 
-    label: str
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not math.isfinite(v) for v in self.values):
-            raise ValidationError(f"group {self.label!r} contains non-finite values")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+    def __new__(cls, label: str, values: tuple[float, ...]):
+        if any(not math.isfinite(v) for v in values):
+            raise ValidationError(f"group {label!r} contains non-finite values")
+        return super().__new__(cls, label, tuple(float(v) for v in values))
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(
+    NamedTuple(
+        "TestResult",
+        [
+            ("test", str),
+            ("statistic", float | None),
+            ("df", tuple[float, ...]),
+            ("p_value", float),
+            ("reason", str | None),
+        ],
+    )
+):
     """One test's outcome.  A gate that could not be computed has no
     statistic, p = 0 (failed at every alpha > 0) and a ``reason``."""
 
-    test: str
-    statistic: float | None
-    df: tuple[float, ...]
-    p_value: float
-    reason: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -1e-12 <= self.p_value <= 1 + 1e-12:
-            raise ValidationError(f"p-value out of [0, 1]: {self.p_value}")
+    def __new__(
+        cls,
+        test: str,
+        statistic: float | None,
+        df: tuple[float, ...],
+        p_value: float,
+        reason: str | None = None,
+    ):
+        if not -1e-12 <= p_value <= 1 + 1e-12:
+            raise ValidationError(f"p-value out of [0, 1]: {p_value}")
+        return super().__new__(cls, test, statistic, df, p_value, reason)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     test_used: str
     gate_results: tuple[TestResult, ...]
     comparison: TestResult
@@ -72,7 +82,6 @@ class PipelineResult:
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
-_STD_NORMAL = NormalDist()
 
 
 def _norm_sf(z: float) -> float:
@@ -210,7 +219,10 @@ def shapiro_wilk(sample) -> TestResult:
     if n == 3:
         weights = [math.sqrt(0.5)]
     else:
-        m = [_STD_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)]
+        from statistics import NormalDist  # loads fractions and decimal: import it only here
+
+        inv_cdf = NormalDist().inv_cdf
+        m = [inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)]
         summ2 = 2.0 * math.fsum(v * v for v in m)
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)

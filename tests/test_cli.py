@@ -371,6 +371,33 @@ class TestGradeCmd:
         assert "Traceback" not in err
 
 
+class TestUnusableOutDir:
+    """An out-dir that cannot be made is a one-line error and exit 1."""
+
+    def test_simulate_fails_before_playing(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+
+        def play(**kwargs):
+            raise AssertionError("games played before the out-dir was made")
+
+        monkeypatch.setattr(cli, "generate_synthetic_experiment", play)
+        assert main(SIM_FLAGS + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_metrics_into_a_file(self, tmp_path, capsys):
+        bundle_dir = simulate(tmp_path)
+        out = tmp_path / "afile"
+        out.write_text("")
+        capsys.readouterr()
+        assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+
 class TestGcState:
     """main pauses the cycle collector while a command runs and leaves it as
     it found it, whatever the exit."""

@@ -351,6 +351,16 @@ class TestSampledOracle:
             sq: tuple(c / rollouts for c in triple) for sq, triple in counts.items()
         }
 
+    def test_randbelow_draws_what_randrange_draws(self):
+        # The rollouts draw with the private Random._randbelow; it must take
+        # the same bits as randrange, or every sampled value would change.
+        ours, reference = random.Random("pin"), random.Random("pin")
+        sizes = random.Random(5)
+        for _ in range(5000):
+            n = sizes.choice((1, 2, 3, 35, 36, 64, 65, 1000, 2**31 + 1))
+            assert ours._randbelow(n) == reference.randrange(n), n
+        assert ours.getstate() == reference.getstate()
+
     def test_deterministic_for_fixed_seed(self):
         board = new_game(BoardConfig(4, 4, 3))
         a = sampled_outcome_triples(board, rollouts=50, seed=11)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import pytest
 
@@ -18,7 +19,6 @@ from predscore.stats import (
     _chi2_sf,
     _f_sf,
     _norm_sf,
-    _STD_NORMAL,
     anova_oneway,
     kruskal_wallis,
     levene_median,
@@ -377,7 +377,7 @@ class TestTailAccuracy:
             z = rng.uniform(-37.0, 37.0)
             assert _norm_sf(z) == pytest.approx(special.ndtr(-z), rel=1e-10), z
             q = rng.random()
-            assert _STD_NORMAL.inv_cdf(q) == pytest.approx(special.ndtri(q), rel=1e-10), q
+            assert NormalDist().inv_cdf(q) == pytest.approx(special.ndtri(q), rel=1e-10), q
 
 
 def test_package_import_leaves_scipy_unloaded():

@@ -1,0 +1,244 @@
+"""Semantics of the package's immutable value types.
+
+Each type is immutable, compares and hashes as the tuple of its fields,
+prints as ``Name(field=value, ...)``, accepts its fields positionally and by
+keyword, and refuses invalid input with a fixed exception and message.
+"""
+
+import copy
+import math
+import pickle
+
+import pytest
+
+from predscore.actions import SquareId
+from predscore.board import AGENT, OPPONENT, Board, BoardConfig
+from predscore.dataset import CUSTOM, MNK, ActionManifest, ExperimentBundle, ParticipantModel
+from predscore.errors import UnknownActionError, ValidationError
+from predscore.metrics import GradeScale, PredictionRecord
+from predscore.oracle import EXHAUSTIVE, SAMPLED, AgentSpec, Mutation
+from predscore.report import MetricsTable
+from predscore.stats import ANOVA, PipelineResult, SampleGroup
+from predscore.stats import TestResult as GateResult  # a Test* name would be collected
+from predscore.values import DecisionValues, OutcomeTriple
+
+CFG = BoardConfig(3, 3, 3)
+MANIFEST = ActionManifest("e1", CUSTOM, (("a", "Alpha"), ("b", "Beta")))
+VALUES = DecisionValues("d1", {"a": 0.5, "b": -0.5}, "a", {"a": OutcomeTriple(0.5, 0.0, 0.5)})
+RESULT = GateResult(ANOVA, 2.0, (1.0, 4.0), 0.2)
+
+# type -> (field names in constructor order, a factory of one valid instance)
+TYPES = {
+    SquareId: (("col", "row"), lambda: SquareId(1, 2)),
+    BoardConfig: (("m", "n", "k"), lambda: BoardConfig(4, 3, 3)),
+    Board: (
+        ("config", "packed", "to_move", "history"),
+        lambda: Board(CFG, 1 << 8, OPPONENT, ((AGENT, SquareId(1, 1)),)),
+    ),
+    OutcomeTriple: (("win", "loss", "draw"), lambda: OutcomeTriple(0.5, 0.25, 0.25)),
+    DecisionValues: (
+        ("decision_id", "entries", "chosen", "outcomes"),
+        lambda: DecisionValues("d1", {"a": 0.5, "b": -0.5}, "a", {"a": OutcomeTriple(0.5, 0.0, 0.5)}),
+    ),
+    GradeScale: (("bins",), lambda: GradeScale(((4, "A"), (None, "F")))),
+    Mutation: (("seed", "magnitude"), lambda: Mutation(3, 0.1)),
+    AgentSpec: (
+        ("oracle", "rollouts", "seed", "depth_limit", "mutation"),
+        lambda: AgentSpec(SAMPLED, 10, 4, 2, Mutation(3, 0.1)),
+    ),
+    ActionManifest: (
+        ("experiment_id", "domain", "actions", "board"),
+        lambda: ActionManifest("e1", MNK, tuple((s, s) for s in ("A1", "A2", "B1", "B2")),
+                               BoardConfig(2, 2, 2)),
+    ),
+    ExperimentBundle: (
+        ("manifest", "decisions", "predictions", "treatments", "pending_decisions"),
+        lambda: ExperimentBundle(
+            MANIFEST, (VALUES,), (PredictionRecord("p1", "T", "d1", "b"),), ("T",),
+            (("d2", ("a", "b")),),
+        ),
+    ),
+    ParticipantModel: (("rank_probs",), lambda: ParticipantModel((0.5, 0.25))),
+    MetricsTable: (
+        ("decision_ids", "columns", "rows", "lower_is_better"),
+        lambda: MetricsTable(("d1",), ("mean_lv_all",), (("T", (0.5,)),), (True,)),
+    ),
+    SampleGroup: (("label", "values"), lambda: SampleGroup("T", (1.0, 2.0))),
+    GateResult: (
+        ("test", "statistic", "df", "p_value", "reason"),
+        lambda: GateResult(ANOVA, None, (), 0.0, "constant group"),
+    ),
+    PipelineResult: (
+        ("test_used", "gate_results", "comparison", "warnings", "excluded"),
+        lambda: PipelineResult(ANOVA, (RESULT,), RESULT, ("w",), ("g",)),
+    ),
+}
+IDS = [cls.__name__ for cls in TYPES]
+ALL = pytest.mark.parametrize("cls", list(TYPES), ids=IDS)
+
+
+def field_tuple(obj):
+    return tuple(getattr(obj, name) for name in TYPES[type(obj)][0])
+
+
+@ALL
+def test_assignment_and_deletion_raise_attribute_error(cls):
+    names, make = TYPES[cls]
+    obj = make()
+    for name in names + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert field_tuple(obj) == field_tuple(make())
+
+
+@ALL
+def test_equal_fields_compare_equal_and_hash_as_their_tuple(cls):
+    make = TYPES[cls][1]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    fields = field_tuple(a)
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict field: neither the tuple nor the value hashes
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+
+
+@ALL
+def test_repr_names_every_field(cls):
+    names, make = TYPES[cls]
+    obj = make()
+    inner = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+    assert repr(obj) == f"{cls.__name__}({inner})"
+
+
+@ALL
+def test_positional_and_keyword_construction_agree(cls):
+    names, make = TYPES[cls]
+    obj = make()
+    fields = field_tuple(obj)
+    assert cls(*fields) == obj
+    assert cls(**dict(zip(names, fields))) == obj
+
+
+@ALL
+def test_copies_and_pickles_round_trip(cls):
+    obj = TYPES[cls][1]()
+    assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
+    clone = pickle.loads(pickle.dumps(obj))
+    assert type(clone) is cls and clone == obj
+
+
+def test_defaults():
+    assert field_tuple(AgentSpec()) == (EXHAUSTIVE, None, None, None, None)
+    assert field_tuple(Board(CFG)) == (CFG, 0, AGENT, ())
+    assert ActionManifest("e1", CUSTOM, (("a", "a"),)).board is None
+    assert ExperimentBundle(MANIFEST, (), (), ("T",)).pending_decisions == ()
+    assert ParticipantModel().rank_probs is None
+    assert DecisionValues("d1", {"a": 1.0}, "a").outcomes is None
+    assert RESULT.reason is None
+    assert PipelineResult(ANOVA, (), RESULT, ()).excluded == ()
+
+
+def test_inputs_are_normalized():
+    entries = {"a": 1.0}
+    dv = DecisionValues("d1", entries, "a", {})
+    assert dv.entries == entries and dv.entries is not entries
+    assert dv.outcomes is None  # an empty triple map is no triple map
+    assert ParticipantModel([1, 2]).rank_probs == (1.0, 2.0)
+    group = SampleGroup("g", [1, 2])
+    assert group.values == (1.0, 2.0) and type(group.values[0]) is float
+
+
+def test_named_tuples_equal_plain_tuples_of_their_fields():
+    assert SquareId(1, 2) == (1, 2)
+    assert OutcomeTriple(1.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
+    assert VALUES != field_tuple(VALUES)  # not a tuple: it keeps its derived rank order
+
+
+def _bundle(decisions=(VALUES,), predictions=(), treatments=("T",), pending=()):
+    return ExperimentBundle(MANIFEST, decisions, predictions, treatments, pending)
+
+
+INVALID = [
+    (lambda: SquareId(-1, 0), ValidationError, "square indices must be >= 0, got (-1, 0)"),
+    (lambda: BoardConfig(0, 3, 3), ValidationError, "board dimensions must be >= 1, got 0x3 k=3"),
+    (lambda: BoardConfig(3, 3, 4), ValidationError,
+     "winning run k=4 exceeds both board dimensions 3x3"),
+    (lambda: BoardConfig(101, 100, 3), ValidationError,
+     "board of 10100 squares exceeds the 10000 guard"),
+    (lambda: OutcomeTriple(1.5, -0.5, 0.0), ValidationError, "win fraction out of [0, 1]: 1.5"),
+    (lambda: OutcomeTriple(0.2, 1.2, -0.4), ValidationError, "loss fraction out of [0, 1]: 1.2"),
+    (lambda: OutcomeTriple(0.0, 0.0, math.nan), ValidationError,
+     "draw fraction out of [0, 1]: nan"),
+    (lambda: OutcomeTriple(0.5, 0.5, 0.5), ValidationError,
+     "outcome fractions must sum to 1, got 1.5"),
+    (lambda: DecisionValues("d1", {}, "a"), ValidationError,
+     "decision 'd1' has an empty value table"),
+    (lambda: DecisionValues("d1", {"a": math.inf}, "a"), ValidationError,
+     "decision 'd1': value for 'a' is not finite"),
+    (lambda: DecisionValues("d1", {"a": 1.0}, "b"), UnknownActionError,
+     "decision 'd1': chosen action 'b' not in value table"),
+    (lambda: DecisionValues("d1", {"a": 1.0}, "a", {"c": OutcomeTriple(1.0, 0.0, 0.0)}),
+     UnknownActionError, "decision 'd1': outcome triples for unknown actions ['c']"),
+    (lambda: GradeScale(()), ValidationError, "grade scale needs at least one bin"),
+    (lambda: GradeScale(((4, "A"),)), ValidationError,
+     "final grade bin must be unbounded (threshold None)"),
+    (lambda: GradeScale(((None, "A"), (None, "F"))), ValidationError,
+     "only the final bin may be unbounded"),
+    (lambda: GradeScale(((4, "A"), (4, "B"), (None, "F"))), ValidationError,
+     "grade thresholds must be strictly increasing: [4, 4]"),
+    (lambda: GradeScale(((4, "A"), (None, "A"))), ValidationError,
+     "grade labels must be unique: ['A', 'A']"),
+    (lambda: Mutation(1, -0.5), ValidationError, "mutation magnitude must be >= 0, got -0.5"),
+    (lambda: AgentSpec(oracle="minimax"), ValidationError, "unknown oracle kind 'minimax'"),
+    (lambda: AgentSpec(SAMPLED, seed=1), ValidationError, "sampled oracle requires rollouts >= 1"),
+    (lambda: AgentSpec(SAMPLED, rollouts=10), ValidationError,
+     "sampled oracle requires an explicit seed"),
+    (lambda: AgentSpec(depth_limit=0), ValidationError, "depth_limit must be >= 1, got 0"),
+    (lambda: ActionManifest("e1", "chess", (("a", "a"),)), ValidationError,
+     "unknown domain tag 'chess'"),
+    (lambda: ActionManifest("e1", CUSTOM, ()), ValidationError,
+     "manifest needs at least one action"),
+    (lambda: ActionManifest("e1", CUSTOM, (("a", "x"), ("a", "y"))), ValidationError,
+     "manifest action ids must be unique"),
+    (lambda: ActionManifest("e1", CUSTOM, (("a", "x"), ("b", "x"))), ValidationError,
+     "manifest action names must be unique"),
+    (lambda: ActionManifest("e1", MNK, (("A1", "A1"),)), ValidationError,
+     "mnk manifest requires its board config"),
+    (lambda: ActionManifest("e1", MNK, (("A1", "A1"),), CFG), ValidationError,
+     "mnk manifest must list every board square in canonical order"),
+    (lambda: _bundle(pending=(("d1", ("a",)),)), ValidationError,
+     "duplicate decision ids in bundle"),
+    (lambda: _bundle(decisions=(DecisionValues("d1", {"z": 1.0}, "z"),)), ValidationError,
+     "decision 'd1' values actions missing from the manifest: ['z']"),
+    (lambda: _bundle(predictions=(PredictionRecord("p1", "T", "d9", "a"),)), ValidationError,
+     "prediction by 'p1' references unknown decision 'd9'"),
+    (lambda: _bundle(predictions=(PredictionRecord("p1", "T", "d1", "z"),)), ValidationError,
+     "prediction by 'p1' references unknown action 'z'"),
+    (lambda: _bundle(predictions=(PredictionRecord("p1", "U", "d1", "a"),)), ValidationError,
+     "prediction by 'p1' has unlisted treatment 'U'"),
+    (lambda: ParticipantModel((0.5, -0.5)), ValidationError,
+     "rank_probs must be non-negative finite numbers"),
+    (lambda: ParticipantModel(()), ValidationError,
+     "rank_probs must be non-negative finite numbers"),
+    (lambda: ParticipantModel((0.0, 0.0)), ValidationError, "rank_probs must have positive mass"),
+    (lambda: SampleGroup("g", (1.0, math.inf)), ValidationError,
+     "group 'g' contains non-finite values"),
+    (lambda: GateResult(ANOVA, 1.0, (), 1.5), ValidationError, "p-value out of [0, 1]: 1.5"),
+]
+
+
+@pytest.mark.parametrize("build,exc,message", INVALID, ids=[m for _, _, m in INVALID])
+def test_validation_errors_are_unchanged(build, exc, message):
+    with pytest.raises(exc) as info:
+        build()
+    assert type(info.value) is exc
+    assert str(info.value) == message
