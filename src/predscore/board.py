@@ -1,12 +1,19 @@
 """MNK game board: alternating placement, K-in-a-row win detection.
 
 Boards are immutable values.  The square grid is packed 2 bits per square
-(empty / agent piece / opponent piece), which keeps states hashable and
+(0 empty, 1 agent piece, 2 opponent piece), which keeps states hashable and
 cheap to memoize; the packed form round-trips losslessly to the cell list.
+
+A player wins by owning every square of some k-window.  Each window is a
+pair of masks on the packed board (the window's cells, and the player's
+code on each of them), so testing the windows through a square is one AND
+and one compare per window, and the window table is built once per board
+shape.  game_status and both value oracles test wins this way.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .actions import SquareId
@@ -15,9 +22,9 @@ from .errors import ValidationError
 AGENT = "agent"
 OPPONENT = "opponent"
 
-_EMPTY, _AGENT_BIT, _OPPONENT_BIT = 0, 1, 2
-_CELL_CODE = {AGENT: _AGENT_BIT, OPPONENT: _OPPONENT_BIT}
-_CODE_CELL = {_AGENT_BIT: AGENT, _OPPONENT_BIT: OPPONENT}
+_AGENT_CODE, _OPPONENT_CODE = 1, 2  # an empty square is 0; code ^ 3 is the other player
+_CELL_CODE = {AGENT: _AGENT_CODE, OPPONENT: _OPPONENT_CODE}
+_CODE_CELL = {_AGENT_CODE: AGENT, _OPPONENT_CODE: OPPONENT}
 
 MAX_SQUARES = 10_000
 
@@ -146,31 +153,55 @@ def apply_move(board: Board, sq: SquareId) -> Board:
     )
 
 
-_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
+@lru_cache(maxsize=None)
+def _window_table(m: int, n: int, k: int) -> dict:
+    """Per player code, per square index: one (cells, pattern) mask pair
+    for every k-window through that square, on the packed 2-bit board.
+
+    cells covers the window's squares (3 per square) and pattern is the
+    player's code on each of them, so a window is fully owned exactly when
+    packed & cells == pattern.
+    """
+    through: list[dict[int, None]] = [{} for _ in range(m * n)]
+    for r in range(n):
+        for c in range(m):
+            for dc, dr in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                if not (0 <= c + (k - 1) * dc < m and 0 <= r + (k - 1) * dr < n):
+                    continue
+                squares = [(r + i * dr) * m + c + i * dc for i in range(k)]
+                mask = sum(1 << (2 * j) for j in squares)
+                for j in squares:
+                    through[j][mask] = None  # with k=1 all four directions give one window
+    return {
+        code: tuple(tuple((mask * 3, mask * code) for mask in masks) for masks in through)
+        for code in _CODE_CELL
+    }
+
+
+def _wins(packed: int, windows) -> bool:
+    """True if some (cells, pattern) window is fully owned.  Passed the
+    windows through the square just placed, this is a k-run through it."""
+    for cells, pattern in windows:
+        if packed & cells == pattern:
+            return True
+    return False
 
 
 def game_status(board: Board) -> GameStatus:
-    """Win if either player has k in a row (any direction), else draw/ongoing."""
-    cells = board.cells()
-    m, n, k = board.config.m, board.config.n, board.config.k
-    for r in range(n):
-        for c in range(m):
-            player = cells[r * m + c]
-            if player is None:
-                continue
-            for dc, dr in _DIRECTIONS:
-                # Only scan runs from their starting square.
-                pc, pr = c - dc, r - dr
-                if 0 <= pc < m and 0 <= pr < n and cells[pr * m + pc] == player:
-                    continue
-                count = 0
-                cc, rr = c, r
-                while 0 <= cc < m and 0 <= rr < n and cells[rr * m + cc] == player:
-                    count += 1
-                    cc += dc
-                    rr += dr
-                if count >= k:
-                    return GameStatus(WIN, player)
+    """Win if either player owns a k-window (k in a row in any direction),
+    else draw on a full board, else ongoing.
+
+    Squares are scanned row-major, so if both players own a window (a board
+    that no game stopping at its first win reaches) the winner is the owner
+    of the lowest-index square that lies in an owned window.
+    """
+    cfg = board.config
+    windows = _window_table(cfg.m, cfg.n, cfg.k)
+    packed = board.packed
+    for idx in range(cfg.squares):
+        code = (packed >> (2 * idx)) & 3
+        if code and _wins(packed, windows[code][idx]):
+            return GameStatus(WIN, _CODE_CELL[code])
     if board.is_full:
         return GameStatus(DRAW)
     return GameStatus(ONGOING)

@@ -139,10 +139,11 @@ class ExperimentBundle(
                     f"decision {dv.decision_id!r} values actions missing from the manifest: "
                     f"{sorted(stray)}"
                 )
-        valued = set(decision_ids)
+        valued = {dv.decision_id: dv.entries for dv in decisions}
         treatment_set = set(treatments)
         for rec in predictions:
-            if rec.decision_id not in valued:
+            entries = valued.get(rec.decision_id)
+            if entries is None:
                 raise ValidationError(
                     f"prediction by {rec.participant_id!r} references unknown decision "
                     f"{rec.decision_id!r}"
@@ -151,6 +152,11 @@ class ExperimentBundle(
                 raise ValidationError(
                     f"prediction by {rec.participant_id!r} references unknown action "
                     f"{rec.predicted!r}"
+                )
+            if rec.predicted not in entries:
+                raise ValidationError(
+                    f"prediction by {rec.participant_id!r} references action {rec.predicted!r}, "
+                    f"which decision {rec.decision_id!r} does not value"
                 )
             if rec.treatment not in treatment_set:
                 raise ValidationError(

@@ -11,11 +11,8 @@ backends:
                  EXHAUSTIVE_LIMIT empty squares.
   sampled     -- seeded Monte-Carlo rollouts, optionally depth-limited.
 
-Both test for a win the same way: a placed piece wins when its player owns
-every square of some k-window through it.  Each window is a pair of masks
-on the packed 2-bit board (the window's cells, and the player's code on
-each of them), so the test is one AND and one compare per window through
-the square, and the window table is built once per board shape.
+Both test for a win with the board module's k-window masks: a placed piece
+wins when its player owns every square of some k-window through it.
 
 The exhaustive memo maps (packed board, mover) to that board's own counts
 and nothing else, so every root of a shape can share it.  A board and its
@@ -39,7 +36,16 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from .actions import SquareId, canonical_key
-from .board import AGENT, ONGOING, Board, BoardConfig, game_status
+from .board import (
+    _AGENT_CODE,
+    _CELL_CODE,
+    ONGOING,
+    Board,
+    BoardConfig,
+    _window_table,
+    _wins,
+    game_status,
+)
 from .errors import ValidationError
 from .values import DecisionValues, OutcomeTriple, argmax_action
 
@@ -51,8 +57,6 @@ SAMPLED = "sampled"
 
 # 12 empty squares is the largest exhaustive enumeration that stays desk-scale.
 EXHAUSTIVE_LIMIT = 12
-
-_AGENT_CODE, _OPPONENT_CODE = 1, 2
 
 
 class Mutation(NamedTuple("Mutation", [("seed", int), ("magnitude", float)])):
@@ -101,40 +105,6 @@ class AgentSpec(
 
 
 @lru_cache(maxsize=None)
-def _window_table(m: int, n: int, k: int) -> dict:
-    """Per player code, per square index: one (cells, pattern) mask pair
-    for every k-window through that square, on the packed 2-bit board.
-
-    cells covers the window's squares (3 per square) and pattern is the
-    player's code on each of them, so a window is fully owned exactly when
-    packed & cells == pattern.
-    """
-    through: list[dict[int, None]] = [{} for _ in range(m * n)]
-    for r in range(n):
-        for c in range(m):
-            for dc, dr in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                if not (0 <= c + (k - 1) * dc < m and 0 <= r + (k - 1) * dr < n):
-                    continue
-                squares = [(r + i * dr) * m + c + i * dc for i in range(k)]
-                mask = sum(1 << (2 * j) for j in squares)
-                for j in squares:
-                    through[j][mask] = None  # with k=1 all four directions give one window
-    return {
-        code: tuple(tuple((mask * 3, mask * code) for mask in masks) for masks in through)
-        for code in (_AGENT_CODE, _OPPONENT_CODE)
-    }
-
-
-def _wins(packed: int, windows) -> bool:
-    """True if some (cells, pattern) window is fully owned.  Passed the
-    windows through the square just placed, this is a k-run through it."""
-    for cells, pattern in windows:
-        if packed & cells == pattern:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
 def _symmetries(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The distinct square permutations of the board's symmetry group,
     identity first; perm[i] is the index square i is mapped to.
@@ -177,7 +147,7 @@ def _placements(perms: tuple[tuple[int, ...], ...]) -> dict:
             sum(code << (slot * size + 2 * perm[i]) for slot, perm in enumerate(perms))
             for i in range(len(perms[0]))
         )
-        for code in (_AGENT_CODE, _OPPONENT_CODE)
+        for code in _CELL_CODE.values()
     }
 
 
@@ -218,7 +188,7 @@ def _continuation(
     n_agent = n_opp = n_draw = 0
     last = len(empties) == 1
     immediate = math.factorial(len(empties) - 1)
-    other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
+    other = mover ^ 3
     placing = place[mover]
     for i, idx in enumerate(empties):
         child = multi | placing[idx]
@@ -268,8 +238,8 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
     shifts = tuple(range(0, size * len(perms), size))
     slot_mask = (1 << size) - 1
     multi = sum(board.packed << shift for shift in shifts)
-    mover = _AGENT_CODE if board.to_move == AGENT else _OPPONENT_CODE
-    other = _OPPONENT_CODE if mover == _AGENT_CODE else _AGENT_CODE
+    mover = _CELL_CODE[board.to_move]
+    other = mover ^ 3
     empty_idx = tuple(cfg.index(sq) for sq in empties)
     orderings = math.factorial(len(empties) - 1)
     out = {}
@@ -285,7 +255,7 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fracti
             n_agent, n_opp, n_draw = _continuation(
                 child, other, rest, place, windows, shifts, slot_mask, memo
             )
-            if board.to_move == AGENT:
+            if mover == _AGENT_CODE:
                 counts = (n_agent, n_opp, n_draw)
             else:
                 counts = (n_opp, n_agent, n_draw)
@@ -314,7 +284,7 @@ def sampled_outcome_triples(
         raise ValidationError("rollouts must be >= 1")
     cfg = board.config
     windows = _window_table(cfg.m, cfg.n, cfg.k)
-    mover = _AGENT_CODE if board.to_move == AGENT else _OPPONENT_CODE
+    mover = _CELL_CODE[board.to_move]
     empties = board.empty_squares()
     empty_idx = [cfg.index(sq) for sq in empties]
     base_key = _board_key(board)
@@ -332,7 +302,7 @@ def sampled_outcome_triples(
             # _randbelow(n) draws exactly the bits randrange(n) would, without
             # randrange's argument checks.
             randbelow = rng._randbelow
-            opponent = mover ^ 3  # player codes are 1 and 2
+            opponent = mover ^ 3
             for _ in range(rollouts):
                 packed = first
                 side = opponent

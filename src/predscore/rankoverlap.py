@@ -5,7 +5,10 @@ The classic extrapolated overlap divides every depth-d agreement by d,
 which punishes short lists: a group whose only vote went to the agent's
 top action scores far below 1 against the agent's full ordering.  The
 modified form caps each denominator at the shorter list's length, so any
-list that is a prefix of the other scores exactly 1.
+list that is a prefix of the other scores exactly 1.  Both are one
+recurrence, _extrapolated, that divides each depth-d agreement by
+min(cap, d): the classic form with cap = k, the modified form with cap =
+the shorter list's length and k = the longer's.
 """
 
 from __future__ import annotations
@@ -46,15 +49,9 @@ def _check_lists(s, t, p):
         raise ValidationError(f"persistence p must be in (0, 1), got {p}")
 
 
-def rbo_ext(s, t, p: float, k: int) -> float:
-    """Extrapolated rank-biased overlap at evaluation depth k.
-
-    1.0 for identical lists of length k, 0.0 for disjoint lists; the
-    depth-d agreement is |S_:d intersect T_:d| / d, weighted by p^d.
-    """
-    _check_lists(s, t, p)
-    if k < 1:
-        raise ValidationError(f"evaluation depth k must be >= 1, got {k}")
+def _extrapolated(s, t, p: float, k: int, cap: int) -> float:
+    """Extrapolated overlap to depth k, dividing each depth-d agreement
+    |S_:d intersect T_:d| by min(cap, d) and weighting it by p^d."""
     seen_s: set = set()
     seen_t: set = set()
     overlap = 0
@@ -72,9 +69,21 @@ def rbo_ext(s, t, p: float, k: int) -> float:
                 overlap += 1
             seen_t.add(x)
         weight *= p
-        tail += overlap / d * weight
+        tail += overlap / min(cap, d) * weight
     # after the loop: overlap == |S_:k intersect T_:k| and weight == p^k
-    return overlap / k * weight + (1 - p) / p * tail
+    return overlap / min(cap, k) * weight + (1 - p) / p * tail
+
+
+def rbo_ext(s, t, p: float, k: int) -> float:
+    """Extrapolated rank-biased overlap at evaluation depth k.
+
+    1.0 for identical lists of length k, 0.0 for disjoint lists; the
+    depth-d agreement is |S_:d intersect T_:d| / d, weighted by p^d.
+    """
+    _check_lists(s, t, p)
+    if k < 1:
+        raise ValidationError(f"evaluation depth k must be >= 1, got {k}")
+    return _extrapolated(s, t, p, k, k)
 
 
 def mrbo_ext(s, t, p: float = DEFAULT_PERSISTENCE) -> float:
@@ -85,29 +94,8 @@ def mrbo_ext(s, t, p: float = DEFAULT_PERSISTENCE) -> float:
     exactly iff one list is a prefix of the other.
     """
     _check_lists(s, t, p)
-    if len(s) > len(t):
-        s, t = t, s
-    k = len(t)
-    short = len(s)
-    seen_s: set = set()
-    seen_t: set = set()
-    overlap = 0
-    tail = 0.0
-    weight = 1.0
-    for d in range(1, k + 1):
-        if d <= short:
-            x = s[d - 1]
-            if x in seen_t:
-                overlap += 1
-            seen_s.add(x)
-        x = t[d - 1]
-        if x in seen_s:
-            overlap += 1
-        seen_t.add(x)
-        weight *= p
-        tail += overlap / min(short, d) * weight
-    first = overlap / short * weight  # overlap at depth k, weight = p^k
-    return first + (1 - p) / p * tail
+    short, long = (s, t) if len(s) <= len(t) else (t, s)
+    return _extrapolated(short, long, p, len(long), len(short))
 
 
 def mrbo_table(

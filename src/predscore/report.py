@@ -17,7 +17,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .actions import SquareId
+from .actions import SquareId, column_label
 from .dataset import ExperimentBundle, MNK
 from .errors import ValidationError
 from .metrics import DEFAULT_GRADE_SCALE, GradeScale, MetricSample
@@ -224,8 +224,6 @@ def vote_matrix(
 
 
 def render_vote_matrix_csv(grid: list[list[int]], m: int) -> str:
-    from .actions import column_label
-
     lines = ["row," + ",".join(column_label(c) for c in range(m))]
     for r, row in enumerate(grid):
         lines.append(f"{r + 1}," + ",".join(str(v) for v in row))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bruteforce import k_windows, longest_run_through, winner
 from predscore.actions import SquareId
 from predscore.board import (
     AGENT,
@@ -11,6 +12,8 @@ from predscore.board import (
     WIN,
     Board,
     BoardConfig,
+    _window_table,
+    _wins,
     apply_move,
     game_status,
     new_game,
@@ -168,3 +171,72 @@ class TestSymmetry:
                 for transform in (rotate, reflect):
                     transformed = Board.from_cells(config, transform(cells, 3), board.to_move)
                     assert game_status(transformed) == status
+
+
+class TestWindowTable:
+    SHAPES = [(3, 3, 3), (4, 3, 3), (9, 4, 4), (5, 2, 4), (7, 1, 3), (2, 2, 1)]
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_wins_matches_run_scan(self, m, n, k):
+        table = _window_table(m, n, k)
+        rng = random.Random(f"{m}x{n}k{k}")
+        for _ in range(150):
+            cells = [rng.choice((0, 0, 1, 2)) for _ in range(m * n)]
+            packed = sum(v << (2 * i) for i, v in enumerate(cells))
+            for idx in range(m * n):
+                for code in (1, 2):
+                    expected = cells[idx] == code and longest_run_through(m, n, cells, idx) >= k
+                    assert _wins(packed, table[code][idx]) == expected, (cells, idx, code)
+
+    @pytest.mark.parametrize("m,n,k", SHAPES)
+    def test_one_entry_per_distinct_window(self, m, n, k):
+        table = _window_table(m, n, k)
+        windows = {tuple(sorted(w)) for w in k_windows(m, n, k)}
+        for idx in range(m * n):
+            through = {w for w in windows if idx in w}
+            for code in (1, 2):
+                assert len(table[code][idx]) == len(through)
+                for cells, pattern in table[code][idx]:
+                    squares = tuple(j for j in range(m * n) if (cells >> (2 * j)) & 3)
+                    assert squares in through
+                    assert pattern == cells // 3 * code
+
+
+class TestGameStatusAgainstBruteForce:
+    # empty-heavy, mixed, and full boards, so all three states occur
+    PALETTES = ((0, 0, 1, 2), (0, 1, 2, 1, 2), (1, 2))
+
+    @pytest.mark.parametrize("m,n,k", TestWindowTable.SHAPES)
+    def test_matches_window_enumeration(self, m, n, k):
+        config = BoardConfig(m, n, k)
+        windows = k_windows(m, n, k)
+        rng = random.Random(f"status {m}x{n}k{k}")
+        compared = {ONGOING: 0, WIN: 0, DRAW: 0}
+        for i in range(600):
+            palette = self.PALETTES[i % 3]
+            cells = [rng.choice(palette) for _ in range(m * n)]
+            owners = {cells[w[0]] for w in windows if len({cells[j] for j in w}) == 1} - {0}
+            if len(owners) > 1:
+                continue
+            code = winner(cells, windows)
+            if code:
+                expected = (WIN, AGENT if code == 1 else OPPONENT)
+            else:
+                expected = (DRAW if all(cells) else ONGOING, None)
+            packed = sum(v << (2 * i) for i, v in enumerate(cells))
+            assert game_status(Board(config, packed)) == expected, cells
+            compared[expected[0]] += 1
+        assert compared[ONGOING] and compared[WIN]
+        assert compared[DRAW] or k == 1  # with k=1 every full board has two winners
+
+    def test_two_winners_go_to_the_lowest_square_in_an_owned_window(self):
+        # The agent owns the anti-diagonal A3-B2-C1 and the opponent the row
+        # C2-E2.  C1 is the lowest-index square in an owned window, so the
+        # agent wins, although the opponent's run is the first one that
+        # starts at a scanned square.
+        config = BoardConfig(5, 3, 3)
+        cells = [None] * config.squares
+        for texts, player in (("A3 B2 C1", AGENT), ("C2 D2 E2", OPPONENT)):
+            for text in texts.split():
+                cells[config.index(SquareId.parse(text))] = player
+        assert game_status(Board.from_cells(config, cells)) == (WIN, AGENT)

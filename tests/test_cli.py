@@ -331,6 +331,32 @@ class TestVotesCmd:
         assert sum(1 for c in counts if c) == 1
 
 
+class TestUnvaluedPrediction:
+    @pytest.mark.parametrize("command", [["votes", "--decision", "P2"], ["metrics"]])
+    def test_prediction_of_an_occupied_square_exits_1(self, tmp_path, capsys, command):
+        bundle_dir = tmp_path / "b"
+        assert main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4",
+             "--treatments", "A,B", "--seed", "1", "--out-dir", str(bundle_dir)]
+        ) == 0
+        bundle = read_bundle(bundle_dir)
+        valued = bundle.values_by_decision()["P2"].entries
+        occupied = sorted(set(bundle.manifest.action_ids) - set(valued))
+        path = bundle_dir / "predictions.csv"
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split(",")[2] == "P2")
+        participant = lines[row].split(",")[0]
+        lines[row] = ",".join(lines[row].split(",")[:3] + [occupied[0]])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        paths = ["--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]
+        assert main(command[:1] + paths + command[1:]) == 1
+        assert capsys.readouterr().err == (
+            f"error: prediction by {participant!r} references action {occupied[0]!r}, "
+            "which decision 'P2' does not value\n"
+        )
+
+
 class TestGradeCmd:
     def test_sample_rows(self, tmp_path):
         bundle_dir = simulate(tmp_path)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import brute_force_triples, k_windows, longest_run_through
+from bruteforce import brute_force_triples, k_windows
 from predscore import oracle
 from predscore.actions import SquareId
 from predscore.board import (
@@ -272,35 +272,6 @@ class TestSymmetricMemo:
         assert len(oracle._memo[1]) == states
         monkeypatch.setattr(oracle, "_memo", (None, {}))
         assert exact_outcome_triples(board) == warm
-
-
-class TestWindowTable:
-    SHAPES = [(3, 3, 3), (4, 3, 3), (9, 4, 4), (5, 2, 4), (7, 1, 3), (2, 2, 1)]
-
-    @pytest.mark.parametrize("m,n,k", SHAPES)
-    def test_wins_matches_run_scan(self, m, n, k):
-        table = oracle._window_table(m, n, k)
-        rng = random.Random(f"{m}x{n}k{k}")
-        for _ in range(150):
-            cells = [rng.choice((0, 0, 1, 2)) for _ in range(m * n)]
-            packed = sum(v << (2 * i) for i, v in enumerate(cells))
-            for idx in range(m * n):
-                for code in (1, 2):
-                    expected = cells[idx] == code and longest_run_through(m, n, cells, idx) >= k
-                    assert oracle._wins(packed, table[code][idx]) == expected, (cells, idx, code)
-
-    @pytest.mark.parametrize("m,n,k", SHAPES)
-    def test_one_entry_per_distinct_window(self, m, n, k):
-        table = oracle._window_table(m, n, k)
-        windows = {tuple(sorted(w)) for w in k_windows(m, n, k)}
-        for idx in range(m * n):
-            through = {w for w in windows if idx in w}
-            for code in (1, 2):
-                assert len(table[code][idx]) == len(through)
-                for cells, pattern in table[code][idx]:
-                    squares = tuple(j for j in range(m * n) if (cells >> (2 * j)) & 3)
-                    assert squares in through
-                    assert pattern == cells // 3 * code
 
 
 # (wins, losses, draws) per square, recorded from the ray-walking win test

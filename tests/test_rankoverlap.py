@@ -259,3 +259,79 @@ class TestMrboTable:
         groups, tables = self.make_inputs(treatments=3, decisions=2)
         reordered = dict(reversed(list(groups.items())))
         assert list(mrbo_table(groups, tables)) == list(mrbo_table(reordered, tables))
+
+
+# (s, t, p, k, rbo_ext(s, t, p, k).hex(), mrbo_ext(s, t, p).hex()), lists
+# space-separated.  Recorded from the two separate loops that preceded the
+# shared recurrence; compared bit for bit, since a last-bit drift here is a
+# changed mRBO cell in the CLI's reports.  The cases cover equal and unequal
+# lengths, k below, between and above the lengths, and identical,
+# permuted, prefix and disjoint lists.
+GOLDEN = [
+    ("H2", "H2", 0.9, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("F4 E2 C1 C4", "F4 E2 C1 C4", 0.5, 4, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("A1 F2 I1 H2", "A1 F2 H2 I1", 0.98, 2, "0x1.0000000000000p+0", "0x1.fcb8ca281e73cp-1"),
+    ("C3 H1 G4 D4", "C3 D4 G4 H1", 0.1, 7, "0x1.e769bc3d8e996p-1", "0x1.e76c8b4395811p-1"),
+    ("G1", "G1 B3 E3 D2 D3 F4 G2 I1 A3", 0.75, 9, "0x1.db7efc57c57c5p-2", "0x1.0000000000000p+0"),
+    ("E2 D2 G2", "E2 D2 G2 I4 F2 I2 A2 B3 F3", 0.999, 5,
+     "0x1.33e3ee58cea9dp-1", "0x1.0000000000000p+0"),
+    ("A1 G3", "A1 G3 A4 G1 H4 B1 I4", 0.3, 1, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("D4 G4 B4 A1 I2 G1 E3 B3 I3", "D4 G4 B4", 0.9, 12,
+     "0x1.193237da98e95p-1", "0x1.0000000000000p+0"),
+    ("D1 F2 A1", "B2 C1 E2", 0.5, 3, "0x0.0p+0", "0x0.0p+0"),
+    ("A2 I1", "B2 H4 D1 D2 A3 I3", 0.98, 4, "0x0.0p+0", "0x0.0p+0"),
+    ("D1 B2 C2 C4 A3", "A2", 0.1, 8, "0x0.0p+0", "0x0.0p+0"),
+    ("I4", "H4 E2 G4 I4 B4 D1 C2 A3", 0.75, 3, "0x0.0p+0", "0x1.b000000000000p-2"),
+    ("H4 H3", "F4 E3 H1 I4 A1 G2 D2 H3", 0.999, 1, "0x0.0p+0", "0x1.fc6d3e72229bcp-2"),
+    ("G1 A1 B3", "G2 E4 D1 B3 B2 G1 A4 E3", 0.3, 2, "0x0.0p+0", "0x1.41743e963dc48p-7"),
+    ("C1 C3 A2", "F4 A1 C1 I4 H1 G3 E3 A2", 0.9, 5, "0x1.695bff04577dap-3", "0x1.b7bd19d1625dep-2"),
+    ("C1 I3 E3", "E3 D4 E2 A1 B1 I3 F3 A3", 0.5, 8, "0x1.2abe2be2be2bep-4", "0x1.8000000000001p-4"),
+    ("H4 F3 B3", "E2 B3 F3 B1 G2 A4 C1 E1", 0.98, 11,
+     "0x1.9b087b9eefa4ap-3", "0x1.47d108541ac2ap-1"),
+    ("G4 H3 E2 E1 F3", "B1 E1 C4 E2 A1 C2 B2 I1 D2 E3 H3 F3", 0.1, 7,
+     "0x1.0086d1214b6cep-11", "0x1.00e6b08e655e4p-11"),
+    ("H2 E4 A3 D4 H1 A2 D3 I4", "H1 F4", 0.75, 10, "0x1.7d22492492491p-5", "0x1.4400000000000p-3"),
+    ("E2 B1 A3 B2 D4 F3", "I1 A2 H4 D4 G1 B2", 0.999, 6,
+     "0x1.53d584dd902ffp-2", "0x1.53d584dd902ffp-2"),
+    ("G4 D3 H3 A3 F3 C1", "G4 I2 C1 H3 D3 A4", 0.3, 3,
+     "0x1.ab851eb851eb8p-1", "0x1.ae525892684cfp-1"),
+    ("A1 I4 E4 D3 D1 H4", "A1 I3 I4 I2 A4 D2", 0.9, 9,
+     "0x1.9de0cb18e1473p-2", "0x1.d58750c1b9735p-2"),
+    (
+        "D3 B3 F3 D2 H4 B1 B4 A2 E4 B2",
+        "H3 A2 C1 G1 H4 B1 I4 F1 D3 G2 C4 B2 H1 A3 D4 A4 F2 E3 "
+        "D1 A1 G3 B4 I3 E4 I1 E1 F3 F4 I2 C2 B3 E2 C3 H2 D2 G4",
+        0.5, 36, "0x1.12f1b42b73692p-6", "0x1.1420c3bced4edp-6",
+    ),
+    (
+        "I4 H4 H3 G1 H2 A3 C3 I1 F1 E1 G4 B4 D4 A4 B2 C1 B3 F3 "
+        "G3 C2 E3 E2 H1 B1 A1 D2 A2 F4 E4 D3 I2 I3 D1 G2 C4 F2",
+        "G3 A3 A2 D1",
+        0.98, 20, "0x1.6ecefed91376bp-4", "0x1.5b6f51ce448c9p-1",
+    ),
+    ("E1 E2 B2 C3 I4 I1 D4", "H1 E1 A1 C1 F3 C3 G2 I1 E2", 0.1, 8,
+     "0x1.8b3bd0349db53p-5", "0x1.8b3bd3d93ccdep-5"),
+    ("D4 B1", "A3 B1", 0.75, 2, "0x1.8000000000000p-2", "0x1.8000000000000p-2"),
+    ("H4 B1 C2 H2", "A2 H2 I3 D4 G3 B1 H4 C4 C2 B2 F2", 0.999, 4,
+     "0x1.fe772d5570166p-3", "0x1.fd30efa830bacp-1"),
+    ("G3 D3 G4 A4 B4 C2 I3 E4 B2 I2 H2 C1", "A1 E4 I2 B3 B4", 0.3, 5,
+     "0x1.a8ac5c13fd0d0p-10", "0x1.b52be1d4479fbp-10"),
+    (
+        "I2",
+        "C1 H4 A3 G4 E4 F4 A2 F3 A1 E3 F2 D3 A4 G2 E2 I2 B2 G1 "
+        "I4 E1 I3 I1 H1 H3 B1 D4 G3 D2 C3 C2 D1 C4 H2 B3 F1 B4",
+        0.9, 40, "0x1.2d41cf9bdbc4dp-7", "0x1.a5aa3ff7103fap-3",
+    ),
+    ("A3 D2 I1 H3 G2 F3 B2 B1 E1", "G4 B1 D1 A3 B2 H3 G2 F3 D2", 0.5, 30,
+     "0x1.31340ecac5977p-5", "0x1.3353b53b53b54p-5"),
+]
+
+
+@pytest.mark.parametrize(
+    "s,t,p,k,rbo_hex,mrbo_hex", GOLDEN, ids=[f"case{i}" for i in range(len(GOLDEN))]
+)
+def test_golden_values_bit_for_bit(s, t, p, k, rbo_hex, mrbo_hex):
+    s, t = s.split(), t.split()
+    assert rbo_ext(s, t, p, k).hex() == rbo_hex
+    assert mrbo_ext(s, t, p).hex() == mrbo_hex
+    assert mrbo_ext(t, s, p).hex() == mrbo_hex

@@ -225,6 +225,9 @@ INVALID = [
      "prediction by 'p1' references unknown action 'z'"),
     (lambda: _bundle(predictions=(PredictionRecord("p1", "U", "d1", "a"),)), ValidationError,
      "prediction by 'p1' has unlisted treatment 'U'"),
+    (lambda: _bundle(decisions=(DecisionValues("d1", {"a": 1.0}, "a"),),
+                     predictions=(PredictionRecord("p1", "T", "d1", "b"),)), ValidationError,
+     "prediction by 'p1' references action 'b', which decision 'd1' does not value"),
     (lambda: ParticipantModel((0.5, -0.5)), ValidationError,
      "rank_probs must be non-negative finite numbers"),
     (lambda: ParticipantModel(()), ValidationError,
