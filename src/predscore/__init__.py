@@ -60,7 +60,6 @@ from .oracle import (
     Mutation,
     choose_action,
     exact_outcome_triples,
-    export_score_tensor,
     sampled_outcome_triples,
     value_oracle,
 )

@@ -11,13 +11,18 @@ An experiment bundle is a directory of three files:
 
 All numbers serialize as shortest round-trip decimals, and every writer is
 deterministic, so identical bundles produce identical bytes.
+
+Each fact is checked in one layer.  The parsers check what a file says by
+itself: header, field counts, numbers, and empty or duplicate keys.
+ExperimentBundle checks how the parts relate: every decision's actions are
+in the manifest, and every prediction names a valued decision, an action it
+values and a listed treatment; read_bundle adds the row of a refused record.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import random
@@ -93,12 +98,7 @@ class ActionManifest(
 
 def make_mnk_manifest(config: BoardConfig, experiment_id: str) -> ActionManifest:
     squares = [sq.text for sq in config.all_squares()]
-    return ActionManifest(
-        experiment_id=experiment_id,
-        domain=MNK,
-        actions=tuple((s, s) for s in squares),
-        board=config,
-    )
+    return ActionManifest(experiment_id, MNK, tuple((s, s) for s in squares), config)
 
 
 class ExperimentBundle(
@@ -115,7 +115,9 @@ class ExperimentBundle(
         ],
     )
 ):
-    """Everything one analysis needs: values, predictions, and naming."""
+    """Everything one analysis needs: values, predictions, and naming.  A
+    refused prediction's ValidationError also carries ``index``, its position
+    in ``predictions``, and ``column``, the CSV column at fault."""
 
     __slots__ = ()
 
@@ -128,41 +130,45 @@ class ExperimentBundle(
         pending_decisions: tuple[tuple[str, tuple[str, ...]], ...] = (),
     ):
         known_actions = set(manifest.action_ids)
-        decision_ids = [dv.decision_id for dv in decisions]
-        all_ids = decision_ids + [did for did, _ in pending_decisions]
+        all_ids = [dv.decision_id for dv in decisions] + [did for did, _ in pending_decisions]
         if len(set(all_ids)) != len(all_ids):
             raise ValidationError("duplicate decision ids in bundle")
-        for dv in decisions:
-            stray = set(dv.entries) - known_actions
+        listed = [(dv.decision_id, tuple(dv.entries)) for dv in decisions]
+        for decision_id, actions in listed + list(pending_decisions):
+            stray = set(actions) - known_actions
             if stray:
                 raise ValidationError(
-                    f"decision {dv.decision_id!r} values actions missing from the manifest: "
+                    f"decision {decision_id!r} values actions missing from the manifest: "
                     f"{sorted(stray)}"
                 )
+            if len(set(actions)) != len(actions):
+                raise ValidationError(f"decision {decision_id!r} lists an action more than once")
+        # Every valued action is in the manifest, so manifest membership is
+        # tested only to choose the message once a prediction is refused.
         valued = {dv.decision_id: dv.entries for dv in decisions}
         treatment_set = set(treatments)
         for rec in predictions:
             entries = valued.get(rec.decision_id)
             if entries is None:
-                raise ValidationError(
-                    f"prediction by {rec.participant_id!r} references unknown decision "
-                    f"{rec.decision_id!r}"
-                )
-            if rec.predicted not in known_actions:
-                raise ValidationError(
-                    f"prediction by {rec.participant_id!r} references unknown action "
-                    f"{rec.predicted!r}"
-                )
-            if rec.predicted not in entries:
-                raise ValidationError(
-                    f"prediction by {rec.participant_id!r} references action {rec.predicted!r}, "
-                    f"which decision {rec.decision_id!r} does not value"
-                )
-            if rec.treatment not in treatment_set:
-                raise ValidationError(
-                    f"prediction by {rec.participant_id!r} has unlisted treatment "
-                    f"{rec.treatment!r}"
-                )
+                column, problem = "decision_id", f"references unknown decision {rec.decision_id!r}"
+            elif rec.predicted not in entries:
+                column = "predicted_action"
+                if rec.predicted in known_actions:
+                    problem = (
+                        f"references action {rec.predicted!r}, "
+                        f"which decision {rec.decision_id!r} does not value"
+                    )
+                else:
+                    problem = f"references unknown action {rec.predicted!r}"
+            elif rec.treatment not in treatment_set:
+                column, problem = "treatment", f"has unlisted treatment {rec.treatment!r}"
+            else:
+                continue
+            error = ValidationError(f"prediction by {rec.participant_id!r} {problem}")
+            # An equal record earlier on would have failed first, so the first
+            # equal one is this one; read_bundle maps its position to a row.
+            error.index, error.column = predictions.index(rec), column
+            raise error
         return super().__new__(cls, manifest, decisions, predictions, treatments, pending_decisions)
 
     def values_by_decision(self) -> dict[str, DecisionValues]:
@@ -173,10 +179,6 @@ class ExperimentBundle(
         for rec in self.predictions:
             groups[rec.treatment].append(rec)
         return groups
-
-    @property
-    def incomplete_decision_ids(self) -> tuple[str, ...]:
-        return tuple(did for did, _ in self.pending_decisions)
 
 
 def _decode(data) -> str:
@@ -203,16 +205,20 @@ def _csv_error(name: str, row: int, exc: csv.Error) -> ParseError:
 
 
 def _record_line(text: str, index: int | None = None) -> int:
-    """Physical line on which CSV record ``index`` starts (0 is the header),
-    or with ``index=None`` the record the reader fails on.
-
-    A second pass over the text, taken only to report an error, so that the
-    predictions loop can count records with a plain ``enumerate``.
+    """Physical line on which prediction ``index`` starts (the non-blank
+    records after the header count from 0), or with ``index=None`` the line
+    of the record the reader fails on.  A second pass over the text, taken
+    only to report an error, so that the parse loop keeps no line count.
     """
     reader = csv.reader(io.StringIO(text))
     start = 1
+    remaining = math.inf if index is None else index + 1  # the header, then `index` records
     try:
-        for _ in itertools.islice(reader, index):
+        for row in reader:
+            if row:
+                if remaining == 0:
+                    break
+                remaining -= 1
             start = reader.line_num + 1
     except csv.Error:
         pass
@@ -324,20 +330,18 @@ def parse_values_csv(data) -> list[DecisionValues]:
     return decisions
 
 
-def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[PredictionRecord]:
-    """Decode and validate predictions.csv against the manifest and the set
-    of decisions that actually have value tables.
-
-    Rows are read as they stream from the CSV reader.  An error names the
-    physical line on which the offending record starts.  Each treatment,
-    decision and action field is validated and interned by one dict lookup,
-    so all records share one string per distinct value.
+def parse_predictions_csv(data) -> list[PredictionRecord]:
+    """Decode predictions.csv and check what it says by itself: the header,
+    four fields per record, a participant and a treatment, and one prediction
+    per (participant, decision).  Rows stream from the CSV reader; an error
+    names the physical line on which the offending record starts.  Treatment,
+    decision and action strings are interned through one dict, so all
+    records share one string per distinct value.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
-    known_actions = {a: a for a in manifest.action_ids}
-    known_decisions = {d: d for d in decision_ids}
-    treatments: dict[str, str] = {}
+    interned: dict[str, str] = {}
+    intern = interned.setdefault
     seen: set[tuple[str, str]] = set()
     records = []
     try:
@@ -348,42 +352,31 @@ def parse_predictions_csv(data, manifest: ActionManifest, decision_ids) -> list[
             raise ParseError(
                 f"unexpected predictions.csv header {header!r}", row=1, column="header"
             )
-        for index, row in enumerate(reader, start=1):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 4:
                 raise ParseError(
-                    f"expected 4 fields, got {len(row)}", row=_record_line(text, index)
+                    f"expected 4 fields, got {len(row)}", row=_record_line(text, len(records))
                 )
             participant_id, treatment, decision_id, predicted = row
             if not participant_id or not treatment:
                 raise ParseError(
                     "participant_id and treatment must be non-empty",
-                    row=_record_line(text, index),
+                    row=_record_line(text, len(records)),
                 )
-            treatment = treatments.setdefault(treatment, treatment)
-            decision_id = known_decisions.get(decision_id)
-            if decision_id is None:
-                raise ParseError(
-                    f"unknown decision {row[2]!r}",
-                    row=_record_line(text, index),
-                    column="decision_id",
-                )
-            predicted = known_actions.get(predicted)
-            if predicted is None:
-                raise ParseError(
-                    f"unknown action {row[3]!r}",
-                    row=_record_line(text, index),
-                    column="predicted_action",
-                )
+            # Intern before building the key, so the key holds the shared
+            # string and the row's own copy is freed.
+            decision_id = intern(decision_id, decision_id)
             key = (participant_id, decision_id)
             if key in seen:
                 raise ParseError(
                     f"duplicate prediction by {participant_id!r} for decision {decision_id!r}",
-                    row=_record_line(text, index),
+                    row=_record_line(text, len(records)),
                     column="participant_id",
                 )
             seen.add(key)
+            treatment, predicted = intern(treatment, treatment), intern(predicted, predicted)
             records.append(PredictionRecord(participant_id, treatment, decision_id, predicted))
     except csv.Error as exc:
         raise _csv_error("predictions.csv", _record_line(text), exc) from None
@@ -394,11 +387,25 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text with "\n" line ends from rows that can be iterated twice.
+    The csv module quotes only fields that hold a line-end character, and its
+    reader refuses a bare "\r" outside quotes, so text holding one is
+    written again with every field quoted."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = out.getvalue()
+        if "\r" not in text:
+            break
+    return text
+
+
 def serialize_values_csv(decisions) -> str:
     with_outcomes = any(dv.outcomes for dv in decisions)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []))
+    rows = []
     for dv in decisions:
         for action in sorted(dv.entries, key=canonical_key):
             row = [
@@ -413,30 +420,19 @@ def serialize_values_csv(decisions) -> str:
                     row += ["", "", ""]
                 else:
                     row += [_fmt(triple.win), _fmt(triple.loss), _fmt(triple.draw)]
-            writer.writerow(row)
-    return out.getvalue()
+            rows.append(row)
+    return _csv_text(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []), rows)
 
 
 def serialize_predictions_csv(predictions) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PREDICTIONS_HEADER)
-    for rec in predictions:
-        writer.writerow([rec.participant_id, rec.treatment, rec.decision_id, rec.predicted])
-    return out.getvalue()
+    return _csv_text(PREDICTIONS_HEADER, tuple(predictions))
 
 
 def manifest_to_dict(bundle: ExperimentBundle) -> dict:
     manifest = bundle.manifest
+    domain = {"type": manifest.domain}
     if manifest.domain == MNK:
-        domain = {
-            "type": MNK,
-            "m": manifest.board.m,
-            "n": manifest.board.n,
-            "k": manifest.board.k,
-        }
-    else:
-        domain = {"type": manifest.domain}
+        domain.update(m=manifest.board.m, n=manifest.board.n, k=manifest.board.k)
     doc = {
         "experiment_id": manifest.experiment_id,
         "domain": domain,
@@ -451,23 +447,27 @@ def manifest_to_dict(bundle: ExperimentBundle) -> dict:
     return doc
 
 
+def _json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{field} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _manifest_from_dict(doc: dict):
     try:
         domain_doc = doc["domain"]
         domain = domain_doc["type"]
-        if domain == MNK:
-            board = BoardConfig(m=domain_doc["m"], n=domain_doc["n"], k=domain_doc["k"])
-        else:
-            board = None
+        board = BoardConfig(domain_doc["m"], domain_doc["n"], domain_doc["k"]) if domain == MNK else None
         manifest = ActionManifest(
             experiment_id=doc["experiment_id"],
             domain=domain,
             actions=tuple((a["id"], a["name"]) for a in doc["actions"]),
             board=board,
         )
-        treatments = tuple(doc["treatments"])
+        treatments = tuple(_json_list(doc["treatments"], "treatments"))
         pending = tuple(
-            (p["decision_id"], tuple(p["actions"])) for p in doc.get("pending_decisions", [])
+            (p["decision_id"], tuple(_json_list(p["actions"], "pending decision actions")))
+            for p in _json_list(doc.get("pending_decisions", []), "pending_decisions")
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed manifest.json: {exc!r}") from None
@@ -498,17 +498,16 @@ def read_bundle(path) -> ExperimentBundle:
         raise ParseError(f"malformed manifest.json: {exc}") from None
     manifest, treatments, pending = _manifest_from_dict(doc)
     decisions = parse_values_csv((path / "values.csv").read_bytes())
-    decision_ids = [dv.decision_id for dv in decisions]
-    predictions = parse_predictions_csv(
-        (path / "predictions.csv").read_bytes(), manifest, decision_ids
-    )
-    return ExperimentBundle(
-        manifest=manifest,
-        decisions=tuple(decisions),
-        predictions=tuple(predictions),
-        treatments=treatments,
-        pending_decisions=pending,
-    )
+    data = (path / "predictions.csv").read_bytes()
+    predictions = tuple(parse_predictions_csv(data))
+    try:
+        return ExperimentBundle(manifest, tuple(decisions), predictions, treatments, pending)
+    except ValidationError as exc:
+        index = getattr(exc, "index", None)  # set only on a refused prediction
+        if index is None:
+            raise
+        row = _record_line(_decode(data), index)
+        raise ParseError(str(exc), row=row, column=exc.column) from None
 
 
 class ParticipantModel(NamedTuple("ParticipantModel", [("rank_probs", tuple[float, ...] | None)])):

@@ -41,7 +41,6 @@ from .board import (
     _CELL_CODE,
     ONGOING,
     Board,
-    BoardConfig,
     _window_table,
     _wins,
     game_status,
@@ -366,34 +365,3 @@ def choose_action(values: DecisionValues | dict) -> SquareId:
     """Argmax of the flattened values, ties to the lowest (col, row)."""
     entries = values.entries if isinstance(values, DecisionValues) else values
     return SquareId.parse(argmax_action(entries))
-
-
-def export_score_tensor(history: list[DecisionValues], config: BoardConfig | None = None) -> dict:
-    """Decision-by-square value grid plus the per-decision sorted series.
-
-    The square axis covers the full board when config is given, otherwise
-    the union of actions seen across decisions.  Squares with no value at a
-    decision (already occupied) are None.  Each decision also carries its
-    values sorted descending, the way a value-ordered score chart drops out
-    of the data.
-    """
-    if not history:
-        raise ValidationError("no decisions recorded; nothing to export")
-    if config is not None:
-        columns = [sq.text for sq in config.all_squares()]
-    else:
-        seen = set()
-        for dv in history:
-            seen.update(dv.entries)
-        columns = sorted(seen, key=canonical_key)
-    decisions = []
-    for dv in history:
-        decisions.append(
-            {
-                "decision_id": dv.decision_id,
-                "chosen": dv.chosen,
-                "values": [dv.entries.get(a) for a in columns],
-                "sorted_series": [[a, dv.entries[a]] for a in dv.actions],
-            }
-        )
-    return {"actions": columns, "decisions": decisions}

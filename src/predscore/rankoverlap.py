@@ -51,12 +51,17 @@ def _check_lists(s, t, p):
 
 def _extrapolated(s, t, p: float, k: int, cap: int) -> float:
     """Extrapolated overlap to depth k, dividing each depth-d agreement
-    |S_:d intersect T_:d| by min(cap, d) and weighting it by p^d."""
+    |S_:d intersect T_:d| by min(cap, d) and weighting it by p^d.
+
+    The weights sum to 1, so when every depth agrees fully the overlap is
+    exactly 1.0; it is returned as such rather than as a rounded sum.
+    """
     seen_s: set = set()
     seen_t: set = set()
     overlap = 0
     tail = 0.0
     weight = 1.0
+    full = True
     for d in range(1, k + 1):
         if d <= len(s):
             x = s[d - 1]
@@ -69,7 +74,10 @@ def _extrapolated(s, t, p: float, k: int, cap: int) -> float:
                 overlap += 1
             seen_t.add(x)
         weight *= p
+        full &= overlap == min(cap, d)
         tail += overlap / min(cap, d) * weight
+    if full:
+        return 1.0
     # after the loop: overlap == |S_:k intersect T_:k| and weight == p^k
     return overlap / min(cap, k) * weight + (1 - p) / p * tail
 

@@ -353,7 +353,7 @@ class TestUnvaluedPrediction:
         assert main(command[:1] + paths + command[1:]) == 1
         assert capsys.readouterr().err == (
             f"error: prediction by {participant!r} references action {occupied[0]!r}, "
-            "which decision 'P2' does not value\n"
+            f"which decision 'P2' does not value (row {row + 1}, column 'predicted_action')\n"
         )
 
 

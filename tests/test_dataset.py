@@ -82,9 +82,7 @@ class TestCsvRoundTrip:
         for seed in range(25):
             bundle = random_bundle(seed)
             text = serialize_predictions_csv(bundle.predictions)
-            parsed = parse_predictions_csv(
-                text.encode(), bundle.manifest, [d.decision_id for d in bundle.decisions]
-            )
+            parsed = parse_predictions_csv(text.encode())
             assert tuple(parsed) == bundle.predictions
 
     def test_bundle_directory_round_trip(self, tmp_path):
@@ -215,32 +213,92 @@ class TestParseValues:
 
 
 class TestParsePredictions:
+    """predictions.csv refusals.  The parser checks the file's shape and
+    duplicates; the checks against the manifest and the value tables happen
+    in ExperimentBundle, so those cases read a whole bundle."""
+
     def manifest(self):
         return make_mnk_manifest(BoardConfig(9, 4, 4), "exp")
 
+    def read(self, tmp_path, text):
+        """read_bundle on a bundle whose predictions.csv is ``text``: decision
+        P1 values A1 and B1 only, and T is its one treatment."""
+        values = DecisionValues("P1", {"A1": 1.0, "B1": 0.0}, "A1")
+        path = write_bundle(ExperimentBundle(self.manifest(), (values,), (), ("T",)), tmp_path)
+        (path / "predictions.csv").write_text(text, encoding="utf-8")
+        return read_bundle(path)
+
     def test_count_shape(self):
-        manifest = self.manifest()
         lines = ["participant_id,treatment,decision_id,predicted_action"]
         for i in range(86):
             for d in range(4):
                 lines.append(f"p{i:03d},T{i % 8},P{d + 1},A1")
-        records = parse_predictions_csv(
-            "\n".join(lines) + "\n", manifest, [f"P{d + 1}" for d in range(4)]
-        )
+        records = parse_predictions_csv("\n".join(lines) + "\n")
         assert len(records) == 344
 
-    def test_unknown_action_rejected(self):
+    def test_unknown_action_rejected(self, tmp_path):
         text = "participant_id,treatment,decision_id,predicted_action\np1,T,P1,Z9\n"
         with pytest.raises(ParseError) as err:
-            parse_predictions_csv(text, self.manifest(), ["P1"])
+            self.read(tmp_path, text)
         assert err.value.row == 2
         assert err.value.column == "predicted_action"
+        assert str(err.value) == (
+            "prediction by 'p1' references unknown action 'Z9' "
+            "(row 2, column 'predicted_action')"
+        )
 
-    def test_unknown_decision_rejected(self):
+    def test_unknown_decision_rejected(self, tmp_path):
         text = "participant_id,treatment,decision_id,predicted_action\np1,T,P9,A1\n"
         with pytest.raises(ParseError) as err:
-            parse_predictions_csv(text, self.manifest(), ["P1"])
+            self.read(tmp_path, text)
+        assert err.value.row == 2
         assert err.value.column == "decision_id"
+        assert str(err.value) == (
+            "prediction by 'p1' references unknown decision 'P9' (row 2, column 'decision_id')"
+        )
+
+    def test_unvalued_action_names_its_row(self, tmp_path):
+        # C1 is a board square, but decision P1 does not value it.
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p1,T,P1,A1\n"
+            "\n"
+            "p2,T,P1,C1\n"
+        )
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, text)
+        assert str(err.value) == (
+            "prediction by 'p2' references action 'C1', which decision 'P1' does not value "
+            "(row 4, column 'predicted_action')"
+        )
+
+    def test_unlisted_treatment_names_its_row(self, tmp_path):
+        # A blank line and a record spanning lines 4-5 precede the bad record.
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p1,T,P1,A1\n"
+            "\n"
+            '"p\n2",T,P1,A1\n'
+            "\n"
+            "p3,U,P1,A1\n"
+        )
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, text)
+        assert (err.value.row, err.value.column) == (7, "treatment")
+        assert str(err.value) == (
+            "prediction by 'p3' has unlisted treatment 'U' (row 7, column 'treatment')"
+        )
+
+    def test_shape_errors_come_before_bundle_errors(self, tmp_path):
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p1,T,P9,A1\n"
+            "p2,T,P1,A1\n"
+            "p2,T,P1,B1\n"
+        )
+        with pytest.raises(ParseError, match="duplicate prediction") as err:
+            self.read(tmp_path, text)
+        assert err.value.row == 4
 
     def test_duplicate_participant_decision_rejected(self):
         text = (
@@ -249,14 +307,14 @@ class TestParsePredictions:
             "p1,T,P1,B1\n"
         )
         with pytest.raises(ParseError) as err:
-            parse_predictions_csv(text, self.manifest(), ["P1"])
+            parse_predictions_csv(text)
         assert err.value.row == 3
 
     def test_empty_file_with_header(self):
         text = "participant_id,treatment,decision_id,predicted_action\n"
-        assert parse_predictions_csv(text, self.manifest(), ["P1"]) == []
+        assert parse_predictions_csv(text) == []
 
-    def test_blank_line_counts_toward_row_numbers(self):
+    def test_blank_line_counts_toward_row_numbers(self, tmp_path):
         text = (
             "participant_id,treatment,decision_id,predicted_action\n"
             "p1,T,P1,A1\n"
@@ -264,7 +322,7 @@ class TestParsePredictions:
             "p2,T,P1,Z9\n"
         )
         with pytest.raises(ParseError) as err:
-            parse_predictions_csv(text, self.manifest(), ["P1"])
+            self.read(tmp_path, text)
         assert err.value.row == 4
         assert err.value.column == "predicted_action"
 
@@ -275,7 +333,7 @@ class TestParsePredictions:
             'p2,T,P1,"' + "x" * 200_000 + '"\n'
         )
         with pytest.raises(ParseError, match="malformed predictions.csv") as err:
-            parse_predictions_csv(text, self.manifest(), ["P1"])
+            parse_predictions_csv(text)
         assert err.value.row == 3
 
     @pytest.mark.parametrize(
@@ -283,19 +341,31 @@ class TestParsePredictions:
         [("p2,T,P1,Z9", "predicted_action"), ('p2,T,P1,"' + "x" * 200_000 + '"', None)],
         ids=["invalid_field", "oversized_field"],
     )
-    def test_row_is_line_where_record_starts(self, bad_record, column):
-        # Record 2 spans lines 2-3, so the bad record starts on line 4.
+    def test_row_is_line_where_record_starts(self, tmp_path, bad_record, column):
+        # Record 2 spans lines 2-3, so the bad record starts on line 4.  The
+        # invalid field is refused by the bundle, the oversized one by the parser.
         text = (
             "participant_id,treatment,decision_id,predicted_action\n"
             '"p\n1",T,P1,A1\n' + bad_record + "\n"
         )
         with pytest.raises(ParseError) as err:
-            parse_predictions_csv(text, self.manifest(), ["P1"])
+            self.read(tmp_path, text)
         assert err.value.row == 4
         assert err.value.column == column
 
+    def test_shape_errors_name_the_record_start_line(self):
+        # A blank line and a record spanning lines 3-4 precede the bad record.
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "\n"
+            '"p\n1",T,P1,A1\n'
+            "p2,,P1,A1\n"
+        )
+        with pytest.raises(ParseError, match="must be non-empty") as err:
+            parse_predictions_csv(text)
+        assert err.value.row == 5
+
     def test_records_share_one_string_per_field_value(self):
-        manifest = self.manifest()
         text = (
             "participant_id,treatment,decision_id,predicted_action\n"
             "p01,OTB,P1,A1\n"
@@ -303,13 +373,12 @@ class TestParsePredictions:
             "p02,OTB,P1,A1\n"
             "p02,OTB,P2,A1\n"
         )
-        first, *rest = parse_predictions_csv(text, manifest, ["P1", "P2"])
+        first, *rest = parse_predictions_csv(text)
         for rec in rest:
             assert rec.treatment is first.treatment
             assert rec.predicted is first.predicted
         assert rest[1].decision_id is first.decision_id
         assert rest[0].decision_id is rest[2].decision_id
-        assert first.predicted is manifest.action_ids[0]
 
 
 def generate_small(seed=7, behavior=None, participants=6, mutation=None):
@@ -508,8 +577,9 @@ class TestFourTowersFixture:
 
     def test_thirteen_decisions_pending(self):
         bundle = load_four_towers_fixture()
-        assert len(bundle.incomplete_decision_ids) == 13
-        assert bundle.incomplete_decision_ids == tuple(f"DP{i}" for i in range(2, 15))
+        assert tuple(did for did, _ in bundle.pending_decisions) == tuple(
+            f"DP{i}" for i in range(2, 15)
+        )
         assert all(actions == QUADRANTS for _, actions in bundle.pending_decisions)
 
     def test_round_trips_through_directory(self, tmp_path):
@@ -541,6 +611,16 @@ class TestBundleValidation:
                 predictions=bundle.predictions + (bad,),
                 treatments=bundle.treatments,
             )
+
+    def test_refusal_carries_the_record_position_and_column(self):
+        bundle = random_bundle(1)
+        bad = PredictionRecord("p", "unlisted", bundle.decisions[0].decision_id, "act0")
+        with pytest.raises(ValidationError) as err:
+            ExperimentBundle(
+                bundle.manifest, bundle.decisions, bundle.predictions + (bad,), bundle.treatments
+            )
+        assert type(err.value) is ValidationError
+        assert (err.value.index, err.value.column) == (len(bundle.predictions), "treatment")
 
     def test_mnk_manifest_requires_full_square_list(self):
         with pytest.raises(ValidationError):

@@ -24,7 +24,6 @@ from predscore.oracle import (
     Mutation,
     choose_action,
     exact_outcome_triples,
-    export_score_tensor,
     sampled_outcome_triples,
     value_oracle,
 )
@@ -441,48 +440,3 @@ class TestChooseAction:
             best = choose_action(dv)
             assert triples[best][0] == 1
         assert found > 0  # the sweep must actually exercise winning positions
-
-
-class TestScoreTensor:
-    def play_decisions(self, count):
-        board = new_game(TTT)
-        history = []
-        rng = random.Random(0)
-        for i in range(count):
-            dv = value_oracle(board, AgentSpec(), f"P{i + 1}")
-            history.append(dv)
-            board = apply_move(board, choose_action(dv))
-            empties = board.empty_squares()
-            board = apply_move(board, empties[rng.randrange(len(empties))])
-        return history
-
-    def test_shapes(self):
-        history = self.play_decisions(2)
-        tensor = export_score_tensor(history, TTT)
-        assert tensor["actions"] == [SquareId(c, r).text for c in range(3) for r in range(3)]
-        assert len(tensor["decisions"]) == 2
-        for i, decision in enumerate(tensor["decisions"]):
-            assert len(decision["values"]) == 9
-            valued = [v for v in decision["values"] if v is not None]
-            assert len(valued) == 9 - 2 * i
-
-    def test_sorted_series_is_descending_permutation(self):
-        history = self.play_decisions(2)
-        tensor = export_score_tensor(history)
-        for decision in tensor["decisions"]:
-            series = [value for _, value in decision["sorted_series"]]
-            assert series == sorted(series, reverse=True)
-            valued = sorted(v for v in decision["values"] if v is not None)
-            assert sorted(series) == valued
-
-    def test_first_series_element_is_chosen_value(self):
-        history = self.play_decisions(1)
-        tensor = export_score_tensor(history)
-        decision = tensor["decisions"][0]
-        top_action, top_value = decision["sorted_series"][0]
-        assert top_action == decision["chosen"]
-        assert top_value == history[0].entries[history[0].chosen]
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValidationError):
-            export_score_tensor([])

@@ -1,0 +1,190 @@
+"""Property tests: bundle I/O round trips, row numbers of refused records,
+and laws of the scores and statistics.
+
+Runs when hypothesis is installed (it is in the ``test`` extra) and is
+skipped otherwise.  Examples are derandomized, so every run draws the same
+cases.
+"""
+
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from predscore.dataset import (  # noqa: E402
+    CUSTOM,
+    PREDICTIONS_HEADER,
+    ActionManifest,
+    ExperimentBundle,
+    parse_predictions_csv,
+    parse_values_csv,
+    read_bundle,
+    serialize_predictions_csv,
+    serialize_values_csv,
+    write_bundle,
+)
+from predscore.errors import ParseError  # noqa: E402
+from predscore.metrics import PredictionRecord, loss_in_rank  # noqa: E402
+from predscore.rankoverlap import mrbo_ext  # noqa: E402
+from predscore.stats import kruskal_wallis  # noqa: E402
+from predscore.values import DecisionValues, OutcomeTriple  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+# Ids built from characters that stress CSV quoting: the delimiter, the
+# quote, spaces, both line-end characters and a non-ASCII letter.
+IDS = st.text(st.sampled_from('ab,"\n\r é'), min_size=1, max_size=5)
+VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bundles(draw):
+    actions = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    names = tuple((a, f"name {i}") for i, a in enumerate(actions))
+    manifest = ActionManifest("exp", CUSTOM, names)
+    ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+    n_valued = draw(st.integers(1, len(ids)))
+    decisions = []
+    for decision_id in ids[:n_valued]:
+        valued = draw(st.lists(st.sampled_from(actions), min_size=1, unique=True))
+        entries = {a: draw(VALUES) for a in valued}
+        outcomes = None
+        if draw(st.booleans()):
+            outcomes = {}
+            for a in valued:
+                win = draw(st.floats(0, 1))
+                loss = draw(st.floats(0, 1 - win))
+                outcomes[a] = OutcomeTriple(win, loss, 1.0 - win - loss)
+        decisions.append(
+            DecisionValues(decision_id, entries, draw(st.sampled_from(valued)), outcomes)
+        )
+    pending = tuple(
+        (decision_id, tuple(draw(st.lists(st.sampled_from(actions), min_size=1, unique=True))))
+        for decision_id in ids[n_valued:]
+    )
+    treatments = tuple(draw(st.lists(IDS, min_size=1, max_size=3, unique=True)))
+    participants = draw(st.lists(IDS, max_size=6, unique=True))
+    predictions = []
+    for participant in participants:
+        for dv in decisions:
+            if draw(st.booleans()):
+                predictions.append(
+                    PredictionRecord(
+                        participant,
+                        draw(st.sampled_from(treatments)),
+                        dv.decision_id,
+                        draw(st.sampled_from(dv.actions)),
+                    )
+                )
+    return ExperimentBundle(manifest, tuple(decisions), tuple(predictions), treatments, pending)
+
+
+@PROPERTY
+@given(bundles())
+def test_parse_inverts_serialize(bundle):
+    assert tuple(parse_values_csv(serialize_values_csv(bundle.decisions).encode())) == (
+        bundle.decisions
+    )
+    assert tuple(parse_predictions_csv(serialize_predictions_csv(bundle.predictions))) == (
+        bundle.predictions
+    )
+
+
+@PROPERTY
+@given(bundles())
+def test_read_bundle_inverts_write_bundle(bundle):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert read_bundle(write_bundle(bundle, Path(tmp) / "b")) == bundle
+
+
+def _record_text(fields) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
+@PROPERTY
+@given(st.data())
+def test_refused_record_reports_its_start_line(data):
+    """One corrupted record among blank lines and ids that span lines is
+    refused, by the parser or by the bundle, naming the line it starts on."""
+    values = DecisionValues("P1", {"A1": 1.0, "B1": 0.0}, "A1")
+    base = ExperimentBundle(
+        ActionManifest("exp", CUSTOM, (("A1", "A1"), ("B1", "B1"), ("C1", "C1"))),
+        (values,),
+        (),
+        ("T",),
+    )
+    # Participant ids with line breaks make a record span several lines.
+    participants = data.draw(
+        st.lists(st.text(st.sampled_from("pq\n"), min_size=1, max_size=4), min_size=1,
+                 max_size=8, unique=True)
+    )
+    bad = data.draw(st.integers(0, len(participants) - 1))
+    # (the bad record's fields after its participant id, expected column)
+    corruptions = [
+        (["T", "P9", "A1"], "decision_id"),  # unknown decision: the bundle refuses it
+        (["T", "P1", "Z9"], "predicted_action"),  # unknown action
+        (["T", "P1", "C1"], "predicted_action"),  # in the manifest, not valued by P1
+        (["U", "P1", "A1"], "treatment"),  # unlisted treatment
+        (["", "P1", "A1"], None),  # empty treatment: the parser refuses it
+        (["T", "P1"], None),  # three fields
+    ]
+    rest, column = data.draw(st.sampled_from(corruptions))
+    duplicate = bad > 0 and data.draw(st.booleans())
+    text = _record_text(PREDICTIONS_HEADER)
+    for i, participant in enumerate(participants):
+        text += "\n" * data.draw(st.integers(0, 2))
+        fields = [participant, "T", "P1", "A1"]
+        if i == bad:
+            start = text.count("\n") + 1
+            if duplicate:
+                fields[0], column = participants[0], "participant_id"
+            else:
+                fields[1:] = rest
+        text += _record_text(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_bundle(base, Path(tmp) / "b")
+        (path / "predictions.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_bundle(path)
+    assert err.value.row == start
+    assert err.value.column == column
+
+
+@PROPERTY
+@given(st.dictionaries(IDS, VALUES, min_size=1, max_size=8), st.data())
+def test_loss_in_rank_is_zero_only_for_the_chosen_action(entries, data):
+    values = DecisionValues("d", entries, data.draw(st.sampled_from(sorted(entries))))
+    predicted = data.draw(st.sampled_from(sorted(entries)))
+    assert (loss_in_rank(values, predicted) == 0) == (predicted == values.chosen)
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(0, 20), min_size=1, max_size=12, unique=True),
+    st.lists(st.integers(0, 20), min_size=1, max_size=12, unique=True),
+    st.floats(0.01, 0.99),
+)
+def test_mrbo_is_in_the_unit_interval_and_one_for_a_prefix(s, t, p):
+    assert 0.0 <= mrbo_ext(s, t, p) <= 1.0
+    assert mrbo_ext(t[: len(s)], t, p) == 1.0
+    assert mrbo_ext(s, s[: len(t)], p) == 1.0
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.integers(-1000, 1000), min_size=1, max_size=8), min_size=2,
+                max_size=4))
+def test_kruskal_wallis_h_is_invariant_under_increasing_maps(groups):
+    assume(sum(map(len, groups)) >= 3)
+    assume(len({v for g in groups for v in g}) > 1)
+    # x**3 + 5x is strictly increasing and exact in floats on these integers.
+    mapped = [[x**3 + 5 * x for x in g] for g in groups]
+    assert kruskal_wallis(mapped) == kruskal_wallis(groups)

@@ -207,18 +207,6 @@ class TestVotes:
             assert vote_matrix(bundle, "P2", treatment) == expected
 
 
-class TestScoreTensorShape:
-    def test_four_decision_9x4_tensor(self, bundle):
-        from predscore.oracle import export_score_tensor
-
-        tensor = export_score_tensor(list(bundle.decisions), BoardConfig(9, 4, 4))
-        assert len(tensor["actions"]) == 36
-        assert len(tensor["decisions"]) == 4
-        for i, decision in enumerate(tensor["decisions"]):
-            assert len(decision["values"]) == 36
-            assert len(decision["sorted_series"]) == 36 - 2 * i
-
-
 class TestSvg:
     def test_vote_svg_is_deterministic_and_annotated(self, bundle):
         grid = vote_matrix(bundle, "P1")

@@ -13,8 +13,15 @@ import pytest
 
 from predscore.actions import SquareId
 from predscore.board import AGENT, OPPONENT, Board, BoardConfig
-from predscore.dataset import CUSTOM, MNK, ActionManifest, ExperimentBundle, ParticipantModel
-from predscore.errors import UnknownActionError, ValidationError
+from predscore.dataset import (
+    CUSTOM,
+    MNK,
+    ActionManifest,
+    ExperimentBundle,
+    ParticipantModel,
+    _manifest_from_dict,
+)
+from predscore.errors import ParseError, UnknownActionError, ValidationError
 from predscore.metrics import GradeScale, PredictionRecord
 from predscore.oracle import EXHAUSTIVE, SAMPLED, AgentSpec, Mutation
 from predscore.report import MetricsTable
@@ -167,6 +174,12 @@ def _bundle(decisions=(VALUES,), predictions=(), treatments=("T",), pending=()):
     return ExperimentBundle(MANIFEST, decisions, predictions, treatments, pending)
 
 
+def _manifest_doc(**fields):
+    doc = {"experiment_id": "e1", "domain": {"type": CUSTOM}, "treatments": ["T"],
+           "actions": [{"id": "a", "name": "Alpha"}, {"id": "b", "name": "Beta"}]}
+    return {**doc, **fields}
+
+
 INVALID = [
     (lambda: SquareId(-1, 0), ValidationError, "square indices must be >= 0, got (-1, 0)"),
     (lambda: BoardConfig(0, 3, 3), ValidationError, "board dimensions must be >= 1, got 0x3 k=3"),
@@ -228,6 +241,15 @@ INVALID = [
     (lambda: _bundle(decisions=(DecisionValues("d1", {"a": 1.0}, "a"),),
                      predictions=(PredictionRecord("p1", "T", "d1", "b"),)), ValidationError,
      "prediction by 'p1' references action 'b', which decision 'd1' does not value"),
+    (lambda: _bundle(pending=(("d9", ("z",)),)), ValidationError,
+     "decision 'd9' values actions missing from the manifest: ['z']"),
+    (lambda: _bundle(pending=(("d9", ("a", "b", "a")),)), ValidationError,
+     "decision 'd9' lists an action more than once"),
+    (lambda: _manifest_from_dict(_manifest_doc(treatments="AB")), ParseError,
+     "malformed manifest.json: TypeError('treatments must be a list, got str')"),
+    (lambda: _manifest_from_dict(
+        _manifest_doc(pending_decisions=[{"decision_id": "d9", "actions": "a"}])), ParseError,
+     "malformed manifest.json: TypeError('pending decision actions must be a list, got str')"),
     (lambda: ParticipantModel((0.5, -0.5)), ValidationError,
      "rank_probs must be non-negative finite numbers"),
     (lambda: ParticipantModel(()), ValidationError,
