@@ -53,6 +53,7 @@ from .metrics import (
     loss_in_rank,
     loss_in_value,
     score_dataset,
+    score_table,
 )
 from .oracle import (
     EXHAUSTIVE_LIMIT,

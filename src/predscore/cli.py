@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .actions import SquareId
@@ -29,7 +30,7 @@ from .dataset import (
     write_bundle,
 )
 from .errors import PredscoreError, ValidationError
-from .metrics import score_dataset
+from .metrics import score_table
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
@@ -158,8 +159,9 @@ def cmd_metrics(args) -> int:
         return _usage_error(exc)
     bundle = read_bundle(args.bundle)
     out = _out_dir(args)
-    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
-    table = build_metrics_table(bundle, samples, p=args.p)
+    counts = bundle.vote_counts()
+    scores = score_table(bundle.values_by_decision())
+    table = build_metrics_table(bundle, counts, scores, p=args.p)
     written = []
     if "csv" in formats:
         path = out / "metrics.csv"
@@ -171,11 +173,11 @@ def cmd_metrics(args) -> int:
         written.append(path)
     grades_path = out / "grades.csv"
     grades_path.write_text(
-        render_grade_distribution_csv(grade_distribution(bundle, samples)), encoding="utf-8"
+        render_grade_distribution_csv(grade_distribution(bundle, counts, scores)), encoding="utf-8"
     )
     written.append(grades_path)
     for space in (VALUE_SPACE, RANK_SPACE):
-        groups = participant_loss_sums(samples, space)
+        groups = participant_loss_sums(bundle.predictions, scores, space)
         path = out / f"boxplot_l{space[0]}.csv"
         path.write_text(render_boxplot_csv(groups), encoding="utf-8")
         written.append(path)
@@ -200,8 +202,8 @@ def cmd_stats(args) -> int:
     if not 0 < args.alpha < 1:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
     bundle = read_bundle(args.bundle)
-    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
-    groups = participant_loss_sums(samples, args.space)
+    scores = score_table(bundle.values_by_decision())
+    groups = participant_loss_sums(bundle.predictions, scores, args.space)
     if len(groups) < 2:
         raise ValidationError("stats needs at least 2 treatments with predictions")
     result = run_pipeline(groups, alpha=args.alpha)
@@ -265,12 +267,11 @@ def cmd_votes(args) -> int:
         raise ValidationError(f"unknown decision {args.decision!r}")
     chosen = SquareId.parse(values.chosen)
     out = _out_dir(args)
-    if args.group_by == "treatment":
-        selections = [(t, t) for t in sorted(bundle.treatments)]
-    else:
-        selections = [(None, "all")]
+    counts = bundle.vote_counts()
+    by_treatment = args.group_by == "treatment"
+    selections = [(t, t) for t in sorted(bundle.treatments)] if by_treatment else [(None, "all")]
     for treatment, label in selections:
-        grid = vote_matrix(bundle, args.decision, treatment)
+        grid = vote_matrix(bundle, counts, args.decision, treatment)
         stem = f"votes_{_slug(args.decision)}_{_slug(label)}"
         path = out / f"{stem}.csv"
         path.write_text(render_vote_matrix_csv(grid, bundle.manifest.board.m), encoding="utf-8")
@@ -284,15 +285,14 @@ def cmd_votes(args) -> int:
 
 def cmd_grade(args) -> int:
     bundle = read_bundle(args.bundle)
-    samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+    # Each row's tail (predicted,lv,lr,grade) is rendered once per (decision, action).
+    tails = {d: {a: f"{a},{lv!r},{lr},{grade}\n" for a, (lv, lr, grade) in table.items()}
+             for d, table in score_table(bundle.values_by_decision()).items()}
     path = _out_dir(args) / "samples.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("participant_id,treatment,decision_id,predicted,lv,lr,grade\n")
-        fh.writelines(
-            f"{s.participant_id},{s.treatment},{s.decision_id},{s.predicted},"
-            f"{s.lv!r},{s.lr},{s.grade}\n"
-            for s in samples
-        )
+        ordered = sorted(bundle.predictions, key=itemgetter(0, 2))  # (participant, decision)
+        fh.writelines(f"{pid},{t},{d},{tails[d][a]}" for pid, t, d, a in ordered)
     print(f"wrote {path}")
     return 0
 

@@ -27,14 +27,16 @@ import json
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, ValidationError
-from .metrics import PredictionRecord
+from .metrics import PredictionRecord, VoteCounts
 from .oracle import AgentSpec, value_oracle
 from .values import DecisionValues, OutcomeTriple
 
@@ -116,8 +118,9 @@ class ExperimentBundle(
     )
 ):
     """Everything one analysis needs: values, predictions, and naming.  A
-    refused prediction's ValidationError also carries ``index``, its position
-    in ``predictions``, and ``column``, the CSV column at fault."""
+    ValidationError refusing a record carries ``column``, the CSV column at
+    fault, and either ``index``, a prediction's position in ``predictions``,
+    or ``key``, the (decision, action) of a values row."""
 
     __slots__ = ()
 
@@ -137,10 +140,13 @@ class ExperimentBundle(
         for decision_id, actions in listed + list(pending_decisions):
             stray = set(actions) - known_actions
             if stray:
-                raise ValidationError(
+                error = ValidationError(
                     f"decision {decision_id!r} values actions missing from the manifest: "
                     f"{sorted(stray)}"
                 )
+                if (decision_id, actions) in listed:  # values.csv: tag its first stray row
+                    error.key, error.column = (decision_id, min(stray, key=actions.index)), "action"
+                raise error
             if len(set(actions)) != len(actions):
                 raise ValidationError(f"decision {decision_id!r} lists an action more than once")
         # Every valued action is in the manifest, so manifest membership is
@@ -174,11 +180,14 @@ class ExperimentBundle(
     def values_by_decision(self) -> dict[str, DecisionValues]:
         return {dv.decision_id: dv for dv in self.decisions}
 
-    def predictions_by_treatment(self) -> dict[str, list[PredictionRecord]]:
-        groups: dict[str, list[PredictionRecord]] = {t: [] for t in self.treatments}
-        for rec in self.predictions:
-            groups[rec.treatment].append(rec)
-        return groups
+    def vote_counts(self) -> VoteCounts:
+        """(treatment, decision) -> {action: votes}, from one pass over the
+        predictions.  Every listed treatment and valued decision has a cell,
+        empty where nobody in that treatment predicted that decision."""
+        counts = {(t, dv.decision_id): {} for t in self.treatments for dv in self.decisions}
+        for (t, d, action), votes in Counter(map(itemgetter(1, 2, 3), self.predictions)).items():
+            counts[(t, d)][action] = votes
+        return counts
 
 
 def _decode(data) -> str:
@@ -205,7 +214,7 @@ def _csv_error(name: str, row: int, exc: csv.Error) -> ParseError:
 
 
 def _record_line(text: str, index: int | None = None) -> int:
-    """Physical line on which prediction ``index`` starts (the non-blank
+    """Physical line on which record ``index`` starts (the non-blank
     records after the header count from 0), or with ``index=None`` the line
     of the record the reader fails on.  A second pass over the text, taken
     only to report an error, so that the parse loop keeps no line count.
@@ -447,9 +456,10 @@ def manifest_to_dict(bundle: ExperimentBundle) -> dict:
     return doc
 
 
-def _json_list(value, field: str) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"{field} must be a list, got {type(value).__name__}")
+def _json_typed(value, kind: type, field: str):
+    if not isinstance(value, kind):
+        noun = "string" if kind is str else kind.__name__
+        raise TypeError(f"{field} must be a {noun}, got {type(value).__name__}")
     return value
 
 
@@ -461,13 +471,17 @@ def _manifest_from_dict(doc: dict):
         manifest = ActionManifest(
             experiment_id=doc["experiment_id"],
             domain=domain,
-            actions=tuple((a["id"], a["name"]) for a in doc["actions"]),
+            actions=tuple((_json_typed(a["id"], str, "action id"), a["name"]) for a in doc["actions"]),
             board=board,
         )
-        treatments = tuple(_json_list(doc["treatments"], "treatments"))
+        treatments = tuple(
+            _json_typed(t, str, "treatment") for t in _json_typed(doc["treatments"], list, "treatments")
+        )
         pending = tuple(
-            (p["decision_id"], tuple(_json_list(p["actions"], "pending decision actions")))
-            for p in _json_list(doc.get("pending_decisions", []), "pending_decisions")
+            (_json_typed(p["decision_id"], str, "pending decision id"),
+             tuple(_json_typed(a, str, "pending decision action")
+                   for a in _json_typed(p["actions"], list, "pending decision actions")))
+            for p in _json_typed(doc.get("pending_decisions", []), list, "pending_decisions")
         )
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed manifest.json: {exc!r}") from None
@@ -497,17 +511,22 @@ def read_bundle(path) -> ExperimentBundle:
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed manifest.json: {exc}") from None
     manifest, treatments, pending = _manifest_from_dict(doc)
-    decisions = parse_values_csv((path / "values.csv").read_bytes())
+    values = (path / "values.csv").read_bytes()
+    decisions = parse_values_csv(values)
     data = (path / "predictions.csv").read_bytes()
     predictions = tuple(parse_predictions_csv(data))
     try:
         return ExperimentBundle(manifest, tuple(decisions), predictions, treatments, pending)
     except ValidationError as exc:
-        index = getattr(exc, "index", None)  # set only on a refused prediction
-        if index is None:
+        column = getattr(exc, "column", None)  # set only on a refused record
+        if column is None:
             raise
-        row = _record_line(_decode(data), index)
-        raise ParseError(str(exc), row=row, column=exc.column) from None
+        if column == "action":  # a values.csv record, found by its (decision, action) key
+            text = _decode(values)
+            index = [row[:2] for row in csv.reader(io.StringIO(text)) if row][1:].index(list(exc.key))
+        else:
+            text, index = _decode(data), exc.index
+        raise ParseError(str(exc), row=_record_line(text, index), column=column) from None
 
 
 class ParticipantModel(NamedTuple("ParticipantModel", [("rank_probs", tuple[float, ...] | None)])):

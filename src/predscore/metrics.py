@@ -8,22 +8,27 @@ how close the agent judged it to the action it actually took:
                   value ordering (0 = predicted exactly)
   grade           the predicted action's rank discretized into letter bins
 
-plus two group-level weighted averages (by value and by rank) over a set
-of predictions for one decision.
+plus two group-level averages (by value and by rank) weighted by one
+group's vote count for one decision: action -> number of predictions.
 
+A score depends only on the (decision, action) pair, so :func:`score_table`
+scores each pair once and every per-prediction score is a lookup in it.
 Predictions and their scores are immutable named tuples
 (:class:`PredictionRecord`, :class:`MetricSample`): a bundle holds hundreds
-of thousands of them, and a tuple is one small object built in one call.
+of thousands of records, and a tuple is one small object built in one call.
 Like any tuple they compare equal to a plain tuple of the same fields.
+:func:`score_dataset` is the per-record view for library callers; the CLI
+reads the score table and the vote counts directly.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import UnknownActionError, ValidationError
 from .values import DecisionValues
 
 
@@ -113,29 +118,50 @@ def discretized_loss_in_rank(
     return scale.grade(values.rank(predicted))
 
 
-def _check_group(predictions, values: DecisionValues):
-    if not predictions:
-        raise ValidationError("empty prediction group")
-    for rec in predictions:
-        if rec.decision_id != values.decision_id:
-            raise ValidationError(
-                f"prediction by {rec.participant_id!r} is for decision "
-                f"{rec.decision_id!r}, not {values.decision_id!r}"
-            )
+# decision -> action -> (LV, LR, grade), and (treatment, decision) -> {action: votes}
+ScoreTable = dict[str, dict[str, tuple[float, int, str]]]
+VoteCounts = dict[tuple[str, str], dict[str, int]]
 
 
-def av_score(predictions: list[PredictionRecord], values: DecisionValues) -> float:
-    """Vote-count-weighted average of the agent's values over the group's
-    predictions; equals the mean of V(predicted) across participants."""
-    _check_group(predictions, values)
-    return math.fsum(values.value(rec.predicted) for rec in predictions) / len(predictions)
+def weighted_mean(pairs) -> float:
+    """Mean of (value, count) pairs, as fsum(expanded) / len(expanded) bit
+    for bit: fsum rounds the sum, then the division rounds again.  (The
+    exact rational mean, rounded once, differs in the last bit at times.)
+    """
+    pairs = list(pairs)
+    total = sum(count for _, count in pairs)
+    if not total or min(count for _, count in pairs) < 0:
+        raise ValidationError("vote counts must be non-negative with a positive total")
+    return math.fsum(chain.from_iterable(repeat(x, count) for x, count in pairs)) / total
 
 
-def ar_score(predictions: list[PredictionRecord], values: DecisionValues) -> float:
+def av_score(votes: dict[str, int], values: DecisionValues) -> float:
+    """Average of the agent's values weighted by one group's vote count
+    (action -> votes); equals the mean of V(predicted) across participants."""
+    return weighted_mean((values.value(action), count) for action, count in votes.items())
+
+
+def ar_score(votes: dict[str, int], values: DecisionValues) -> float:
     """Vote-count-weighted average of ranks; >= 1, and 1.0 only when every
-    participant predicted the top-ranked action."""
-    _check_group(predictions, values)
-    return math.fsum(values.rank(rec.predicted) for rec in predictions) / len(predictions)
+    vote went to the top-ranked action."""
+    return weighted_mean((values.rank(action), count) for action, count in votes.items())
+
+
+def score_table(
+    value_tables: dict[str, DecisionValues], scale: GradeScale = DEFAULT_GRADE_SCALE
+) -> ScoreTable:
+    """(LV, LR, grade) of every valued (decision, action) pair, scored once."""
+    return {
+        decision_id: {
+            action: (
+                loss_in_value(values, action),
+                loss_in_rank(values, action),
+                discretized_loss_in_rank(values, action, scale),
+            )
+            for action in values.entries
+        }
+        for decision_id, values in value_tables.items()
+    }
 
 
 def score_dataset(
@@ -143,29 +169,14 @@ def score_dataset(
     value_tables: dict[str, DecisionValues],
     scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> list[MetricSample]:
-    """Score every prediction, ordered by (participant, decision); each
-    distinct (decision, action) pair is scored once and the result shared
-    through a per-decision table of at most |A| entries."""
-    tables: dict[str, dict[str, tuple[float, int, str]]] = {}
+    """Every prediction with its scores, ordered by (participant, decision):
+    a per-record view over :func:`score_table`."""
+    scores = score_table(value_tables, scale)
     samples = []
-    for participant_id, treatment, decision_id, predicted in sorted(
-        predictions, key=attrgetter("participant_id", "decision_id")
-    ):
-        table = tables.get(decision_id)
-        if table is None:
-            if decision_id not in value_tables:
-                raise ValidationError(
-                    f"no value table for decision {decision_id!r} "
-                    f"(prediction by {participant_id!r})"
-                )
-            table = tables[decision_id] = {}
-        score = table.get(predicted)
-        if score is None:
-            values = value_tables[decision_id]
-            score = table[predicted] = (
-                loss_in_value(values, predicted),
-                loss_in_rank(values, predicted),
-                discretized_loss_in_rank(values, predicted, scale),
-            )
-        samples.append(MetricSample(participant_id, decision_id, treatment, predicted, *score))
+    for pid, treatment, d, action in sorted(predictions, key=itemgetter(0, 2)):
+        if d not in scores:
+            raise ValidationError(f"no value table for decision {d!r} (prediction by {pid!r})")
+        if action not in scores[d]:
+            raise UnknownActionError(f"decision {d!r}: unknown action {action!r}")
+        samples.append(MetricSample(pid, d, treatment, action, *scores[d][action]))
     return samples

@@ -13,11 +13,8 @@ the shorter list's length and k = the longer's.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .actions import canonical_key
 from .errors import ValidationError
-from .metrics import PredictionRecord
 from .values import DecisionValues
 
 DEFAULT_PERSISTENCE = 0.9
@@ -28,16 +25,17 @@ def agent_ranklist(values: DecisionValues) -> tuple[str, ...]:
     return values.actions
 
 
-def vote_ranklist(predictions: list[PredictionRecord]) -> tuple[str, ...]:
-    """Group preference list by vote count, most votes first.
+def vote_ranklist(votes: dict[str, int]) -> tuple[str, ...]:
+    """Group preference list from a vote count (action -> votes), most
+    votes first.
 
     Actions nobody voted for are dropped; equal nonzero counts are ordered
     canonically.
     """
-    if not predictions:
+    voted = [action for action, count in votes.items() if count > 0]
+    if not voted:
         raise ValidationError("empty prediction group")
-    counts = Counter(rec.predicted for rec in predictions)
-    return tuple(sorted(counts, key=lambda a: (-counts[a], canonical_key(a))))
+    return tuple(sorted(voted, key=lambda a: (-votes[a], canonical_key(a))))
 
 
 def _check_lists(s, t, p):
@@ -107,28 +105,26 @@ def mrbo_ext(s, t, p: float = DEFAULT_PERSISTENCE) -> float:
 
 
 def mrbo_table(
-    groups: dict[str, list[PredictionRecord]],
+    counts: dict[tuple[str, str], dict[str, int]],
     value_tables: dict[str, DecisionValues],
     p: float = DEFAULT_PERSISTENCE,
 ) -> dict[tuple[str, str], float]:
-    """Modified overlap per (treatment, decision): the group's vote list
-    against the agent's full preference list.
+    """Modified overlap per (treatment, decision): the vote list of the
+    cell's count (action -> votes) against the agent's full preference list.
 
+    Every treatment in counts needs a nonempty cell for every decision.
     Iterates treatments in sorted order and decisions in value_tables
     order, so the resulting dict has a deterministic layout.
     """
     table = {}
-    for treatment in sorted(groups):
-        by_decision: dict[str, list[PredictionRecord]] = {}
-        for rec in groups[treatment]:
-            by_decision.setdefault(rec.decision_id, []).append(rec)
+    for treatment in sorted({t for t, _ in counts}):
         for decision_id, values in value_tables.items():
-            group = by_decision.get(decision_id)
-            if not group:
+            votes = counts.get((treatment, decision_id))
+            if not votes:
                 raise ValidationError(
                     f"treatment {treatment!r} has no predictions for decision {decision_id!r}"
                 )
             table[(treatment, decision_id)] = mrbo_ext(
-                vote_ranklist(group), agent_ranklist(values), p
+                vote_ranklist(votes), agent_ranklist(values), p
             )
     return table

@@ -1,26 +1,26 @@
 """Report tables and figures built from a bundle.
 
-A bundle is scored once, by :func:`predscore.metrics.score_dataset`, and
-every score-based table is a view over that one list of samples: mean loss
-in value / loss in rank per treatment per decision, grade counts, and
-per-participant loss sums for boxplots and the stats pipeline.  Modified
-overlap per cell and vote matrices read the bundle's votes directly.
-Everything renders to CSV, markdown or SVG deterministically so outputs
-are golden-file friendly.
+Every table reads two small structures instead of the records: the
+bundle's vote counts, (treatment, decision) -> {action: votes}, and the
+score table of :func:`predscore.metrics.score_table`, decision -> action ->
+(LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
+modified overlap and vote matrices are sums over the counts; only the
+per-participant loss sums for boxplots and the stats pipeline walk the
+records, looking each score up.  Everything renders to CSV, markdown or SVG
+deterministically so outputs are golden-file friendly.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .actions import SquareId, column_label
 from .dataset import ExperimentBundle, MNK
 from .errors import ValidationError
-from .metrics import DEFAULT_GRADE_SCALE, GradeScale, MetricSample
+from .metrics import DEFAULT_GRADE_SCALE, GradeScale, ScoreTable, VoteCounts, weighted_mean
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
@@ -49,50 +49,29 @@ class MetricsTable(NamedTuple):
         return tuple(tuple(sorted(s)) for s in best)
 
 
-def _mean(values) -> float:
-    return math.fsum(values) / len(values)
-
-
 def build_metrics_table(
-    bundle: ExperimentBundle,
-    samples: list[MetricSample],
-    p: float = DEFAULT_PERSISTENCE,
+    bundle: ExperimentBundle, counts: VoteCounts, scores: ScoreTable, p: float = DEFAULT_PERSISTENCE
 ) -> MetricsTable:
     if not bundle.predictions:
         raise ValidationError("bundle has no predictions to summarize")
     decision_ids = tuple(dv.decision_id for dv in bundle.decisions)
-    overlap = mrbo_table(bundle.predictions_by_treatment(), bundle.values_by_decision(), p)
-    by_cell: dict[tuple[str, str], list[MetricSample]] = {}
-    for s in samples:
-        by_cell.setdefault((s.treatment, s.decision_id), []).append(s)
+    overlap = mrbo_table(counts, bundle.values_by_decision(), p)
 
-    columns = (
-        ["mean_lv_all"]
-        + [f"mean_lv_{d}" for d in decision_ids]
-        + ["mean_lr_all"]
-        + [f"mean_lr_{d}" for d in decision_ids]
+    columns = tuple(
+        [f"mean_{m}_{d}" for m in ("lv", "lr") for d in ("all", *decision_ids)]
         + [f"mrbo_{d}" for d in decision_ids]
     )
-    lower = (
-        [True] * (1 + len(decision_ids)) + [True] * (1 + len(decision_ids)) + [False] * len(decision_ids)
-    )
+    lower = (True,) * (2 + 2 * len(decision_ids)) + (False,) * len(decision_ids)
     rows = []
     # every (treatment, decision) cell is filled: mrbo_table rejects an empty one
-    for treatment in sorted({t for t, _ in by_cell}):
-        lv = [[s.lv for s in by_cell[(treatment, d)]] for d in decision_ids]
-        lr = [[s.lr for s in by_cell[(treatment, d)]] for d in decision_ids]
-        cells = (
-            [_mean([x for sub in lv for x in sub])] + [_mean(sub) for sub in lv]
-            + [_mean([x for sub in lr for x in sub])] + [_mean(sub) for sub in lr]
-            + [overlap[(treatment, d)] for d in decision_ids]
-        )
-        rows.append((treatment, tuple(cells)))
-    return MetricsTable(
-        decision_ids=decision_ids,
-        columns=tuple(columns),
-        rows=tuple(rows),
-        lower_is_better=tuple(lower),
-    )
+    for treatment in sorted({t for t, _ in counts}):
+        cells = []
+        for field in (0, 1):  # LV, then LR: (loss, votes) pairs per decision
+            pairs = [[(scores[d][a][field], n) for a, n in counts[(treatment, d)].items()]
+                     for d in decision_ids]
+            cells += [weighted_mean(chain.from_iterable(pairs)), *map(weighted_mean, pairs)]
+        rows.append((treatment, tuple(cells + [overlap[(treatment, d)] for d in decision_ids])))
+    return MetricsTable(decision_ids, columns, tuple(rows), lower)
 
 
 def render_metrics_csv(table: MetricsTable) -> str:
@@ -119,17 +98,19 @@ def render_metrics_markdown(table: MetricsTable) -> str:
 
 
 def grade_distribution(
-    bundle: ExperimentBundle, samples: list[MetricSample], scale: GradeScale = DEFAULT_GRADE_SCALE
+    bundle: ExperimentBundle,
+    counts: VoteCounts,
+    scores: ScoreTable,
+    scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> dict[str, dict[str, dict[str, int]]]:
-    """decision -> treatment -> grade label -> count, for samples graded
-    on scale."""
-    out: dict[str, dict[str, dict[str, int]]] = {}
-    for dv in bundle.decisions:
-        out[dv.decision_id] = {
-            t: {label: 0 for label in scale.labels} for t in sorted(bundle.treatments)
-        }
-    for s in samples:
-        out[s.decision_id][s.treatment][s.grade] += 1
+    """decision -> treatment -> grade label -> count, for scores graded on
+    scale."""
+    out = {dv.decision_id: {t: dict.fromkeys(scale.labels, 0) for t in sorted(bundle.treatments)}
+           for dv in bundle.decisions}
+    for (treatment, decision_id), votes in counts.items():
+        grades, table = out[decision_id][treatment], scores[decision_id]
+        for action, count in votes.items():
+            grades[table[action][2]] += count
     return out
 
 
@@ -144,26 +125,23 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
     return "\n".join(lines) + "\n"
 
 
-def participant_loss_sums(samples: list[MetricSample], space: str) -> list[SampleGroup]:
+def participant_loss_sums(predictions, scores: ScoreTable, space: str) -> list[SampleGroup]:
     """Per-treatment groups of each participant's summed loss across
-    decisions (value space sums LV, rank space sums LR), added in sample
-    order.
+    decisions (value space sums LV, rank space sums LR).
 
-    Samples from score_dataset come sorted by participant, so each
-    participant's rows form one run; a run's total starts from whatever
-    earlier runs of that participant left, so any input order gives the
-    same sums.
+    Each (treatment, participant) total starts from 0.0 and adds its losses
+    in decision order, whatever the record order, so equal bundles give
+    equal float sums.
     """
     if space not in (VALUE_SPACE, RANK_SPACE):
         raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
-    loss = attrgetter("lv" if space == VALUE_SPACE else "lr")
+    field = 0 if space == VALUE_SPACE else 1
+    loss = {d: {action: score[field] for action, score in table.items()} for d, table in scores.items()}
     sums: dict[str, dict[str, float]] = {}
-    for (treatment, pid), run in groupby(samples, attrgetter("treatment", "participant_id")):
-        per = sums.setdefault(treatment, {})
-        total = per.get(pid, 0.0)
-        for s in run:
-            total += loss(s)
-        per[pid] = total
+    # A stable sort by decision alone adds each total's losses in decision order.
+    for pid, treatment, decision_id, predicted in sorted(predictions, key=itemgetter(2)):
+        per = sums.get(treatment) or sums.setdefault(treatment, {})
+        per[pid] = per.get(pid, 0.0) + loss[decision_id][predicted]
     return [
         SampleGroup(label=treatment, values=tuple(per[pid] for pid in sorted(per)))
         for treatment, per in sorted(sums.items())
@@ -199,27 +177,22 @@ def render_boxplot_csv(groups: list[SampleGroup]) -> str:
 
 
 def vote_matrix(
-    bundle: ExperimentBundle, decision_id: str, treatment: str | None = None
+    bundle: ExperimentBundle, counts: VoteCounts, decision_id: str, treatment: str | None = None
 ) -> list[list[int]]:
-    """n-row by m-column grid of vote counts for one decision (row 1 first).
+    """n-row by m-column grid of one decision's vote counts (row 1 first).
 
     treatment None pools every group.
     """
     if bundle.manifest.domain != MNK:
         raise ValidationError("vote matrices are defined for mnk bundles")
-    value_tables = bundle.values_by_decision()
-    if decision_id not in value_tables:
+    if decision_id not in bundle.values_by_decision():
         raise ValidationError(f"unknown decision {decision_id!r}")
     cfg = bundle.manifest.board
     grid = [[0] * cfg.m for _ in range(cfg.n)]
-    votes = Counter(
-        rec.predicted
-        for rec in bundle.predictions
-        if rec.decision_id == decision_id and (treatment is None or rec.treatment == treatment)
-    )
-    for predicted, count in votes.items():
-        sq = SquareId.parse(predicted)
-        grid[sq.row][sq.col] += count
+    for (t, d), votes in counts.items():
+        if d == decision_id and (treatment is None or t == treatment):
+            for sq, count in zip(map(SquareId.parse, votes), votes.values()):
+                grid[sq.row][sq.col] += count
     return grid
 
 

@@ -9,7 +9,7 @@ import pytest
 from predscore import cli
 from predscore.cli import main
 from predscore.dataset import read_bundle
-from predscore.metrics import score_dataset
+from predscore.metrics import score_dataset, score_table
 from predscore.report import build_metrics_table, render_metrics_csv
 
 SIM_FLAGS = [
@@ -119,8 +119,8 @@ class TestMetricsCmd:
         )
         assert code == 0
         bundle = read_bundle(bundle_dir)
-        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
-        expected = render_metrics_csv(build_metrics_table(bundle, samples))
+        scores = score_table(bundle.values_by_decision())
+        expected = render_metrics_csv(build_metrics_table(bundle, bundle.vote_counts(), scores))
         assert (report / "metrics.csv").read_text() == expected
         assert (report / "metrics.md").exists()
         assert (report / "grades.csv").exists()
@@ -203,8 +203,8 @@ class TestStatsCmd:
         from predscore.stats import run_pipeline
 
         bundle = read_bundle(bundle_dir)
-        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
-        direct = run_pipeline(participant_loss_sums(samples, "rank"))
+        scores = score_table(bundle.values_by_decision())
+        direct = run_pipeline(participant_loss_sums(bundle.predictions, scores, "rank"))
         assert doc["test_used"] == direct.test_used
         assert doc["comparison"]["statistic"] == direct.comparison.statistic
         assert doc["comparison"]["p_value"] == direct.comparison.p_value
@@ -354,6 +354,43 @@ class TestUnvaluedPrediction:
         assert capsys.readouterr().err == (
             f"error: prediction by {participant!r} references action {occupied[0]!r}, "
             f"which decision 'P2' does not value (row {row + 1}, column 'predicted_action')\n"
+        )
+
+
+class TestRefusedBundleFiles:
+    @staticmethod
+    def small_bundle(tmp_path):
+        bundle_dir = tmp_path / "b"
+        assert main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4",
+             "--treatments", "A,B", "--seed", "1", "--out-dir", str(bundle_dir)]
+        ) == 0
+        return bundle_dir
+
+    def test_stray_values_action_names_its_row(self, tmp_path, capsys):
+        bundle_dir = self.small_bundle(tmp_path)
+        path = bundle_dir / "values.csv"
+        lines = path.read_text().splitlines()
+        row = [i for i, line in enumerate(lines) if line.startswith("P1,")][2]
+        lines[row] = ",".join(["P1", "Z9"] + lines[row].split(",")[2:])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            "error: decision 'P1' values actions missing from the manifest: ['Z9'] "
+            f"(row {row + 1}, column 'action')\n"
+        )
+
+    def test_non_string_treatment_is_a_malformed_manifest(self, tmp_path, capsys):
+        bundle_dir = self.small_bundle(tmp_path)
+        path = bundle_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["treatments"] = [["A"], "B"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == (
+            "error: malformed manifest.json: TypeError('treatment must be a string, got list')\n"
         )
 
 

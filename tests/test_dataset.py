@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -418,7 +419,9 @@ class TestSyntheticGeneration:
             mutation=Mutation(seed=3, magnitude=0.0),
         )
         for dv in bundle.decisions:
-            group = [r for r in bundle.predictions if r.decision_id == dv.decision_id]
+            group = Counter(
+                r.predicted for r in bundle.predictions if r.decision_id == dv.decision_id
+            )
             score = mrbo_ext(vote_ranklist(group), agent_ranklist(dv))
             assert score == pytest.approx(1.0, abs=1e-12)
 

@@ -48,3 +48,27 @@ def test_statistics_and_fractions_load_on_first_use():
         "assert all(sum(t) == 1 for t in triples.values())\n"
     )
     assert loaded_by(statements) == ["decimal", "fractions", "statistics"]
+
+
+def test_scoring_commands_load_no_heavy_module(tmp_path):
+    """metrics, stats, votes and grade score from float tables and vote
+    counts, so none of them loads fractions or decimal.  Each group here has
+    two participants, too few for the Shapiro-Wilk gate, whose normal
+    quantiles come from statistics and so load both by design (see the
+    test above)."""
+    from predscore.cli import main
+
+    bundle, report = str(tmp_path / "bundle"), str(tmp_path / "report")
+    assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4",
+                 "--treatments", "A,B", "--seed", "1", "--out-dir", bundle]) == 0
+    commands = [
+        ["metrics", "--format", "csv,markdown,svg"],
+        ["stats", "--space", "value"],
+        ["votes", "--decision", "P1", "--group-by", "treatment", "--format", "csv,svg"],
+        ["grade"],
+    ]
+    statements = "from predscore.cli import main\n" + "".join(
+        f"assert main({cmd[:1] + ['--bundle', bundle, '--out-dir', report] + cmd[1:]!r}) == 0\n"
+        for cmd in commands
+    )
+    assert loaded_by(statements) == []

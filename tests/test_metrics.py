@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from predscore.metrics import (
     loss_in_rank,
     loss_in_value,
     score_dataset,
+    score_table,
 )
 from predscore.values import DecisionValues
 
@@ -124,16 +126,9 @@ class TestGrades:
         assert discretized_loss_in_rank(dv, "z", pass_fail) == "fail"
 
 
-def records(decision_id, *predicted, treatment="T"):
-    return [
-        PredictionRecord(
-            participant_id=f"p{i:02d}",
-            treatment=treatment,
-            decision_id=decision_id,
-            predicted=action,
-        )
-        for i, action in enumerate(predicted)
-    ]
+def votes(*predicted):
+    """One group's vote count for one decision."""
+    return Counter(predicted)
 
 
 class TestRecords:
@@ -164,35 +159,35 @@ class TestRecords:
 class TestGroupScores:
     def test_av_degenerate_group(self):
         dv = make_values("d", {"x": 0.5, "y": 0.1})
-        assert av_score(records("d", "x", "x", "x"), dv) == pytest.approx(0.5)
+        assert av_score(votes("x", "x", "x"), dv) == pytest.approx(0.5)
 
     def test_av_two_point_mean(self):
         dv = make_values("d", {"x": 0.2, "y": 0.4, "z": 0.0})
-        assert av_score(records("d", "x", "y"), dv) == pytest.approx(0.3)
+        assert av_score(votes("x", "y"), dv) == pytest.approx(0.3)
 
     def test_av_equals_mean_of_predicted_values(self):
         rng = random.Random(11)
         for _ in range(25):
             dv = random_values(rng)
             picks = [rng.choice(list(dv.entries)) for _ in range(rng.randint(1, 12))]
-            group = records("d", *picks)
+            group = votes(*picks)
             expected = sum(dv.value(a) for a in picks) / len(picks)
             assert av_score(group, dv) == pytest.approx(expected)
 
     def test_ar_all_best(self):
         dv = make_values("d", {"x": 0.5, "y": 0.1})
-        assert ar_score(records("d", "x", "x"), dv) == 1.0
+        assert ar_score(votes("x", "x"), dv) == 1.0
 
     def test_ar_two_point_mean(self):
         dv = make_values("d", {"x": 0.5, "y": 0.3, "z": 0.1})
-        assert ar_score(records("d", "x", "z"), dv) == pytest.approx(2.0)
+        assert ar_score(votes("x", "z"), dv) == pytest.approx(2.0)
 
     def test_ar_lower_bound(self):
         rng = random.Random(12)
         for _ in range(25):
             dv = random_values(rng)
             picks = [rng.choice(list(dv.entries)) for _ in range(rng.randint(1, 10))]
-            assert ar_score(records("d", *picks), dv) >= 1.0
+            assert ar_score(votes(*picks), dv) >= 1.0
 
     def test_group_mean_lv_identity(self):
         # mean per-participant loss = V(chosen) - av_score of the group
@@ -200,21 +195,21 @@ class TestGroupScores:
         for _ in range(25):
             dv = random_values(rng)
             picks = [rng.choice(list(dv.entries)) for _ in range(rng.randint(1, 10))]
-            group = records("d", *picks)
+            group = votes(*picks)
             direct = sum(loss_in_value(dv, a) for a in picks) / len(picks)
             assert direct == pytest.approx(dv.value(dv.chosen) - av_score(group, dv))
 
     def test_empty_group_rejected(self):
         dv = make_values("d", {"x": 0.5})
         with pytest.raises(ValidationError):
-            av_score([], dv)
+            av_score({}, dv)
         with pytest.raises(ValidationError):
-            ar_score([], dv)
+            ar_score({"x": 0}, dv)
 
-    def test_wrong_decision_rejected(self):
-        dv = make_values("d", {"x": 0.5})
+    def test_negative_count_rejected(self):
+        dv = make_values("d", {"x": 0.5, "y": 0.1})
         with pytest.raises(ValidationError):
-            av_score(records("other", "x"), dv)
+            av_score({"x": 2, "y": -1}, dv)
 
 
 class TestScoreDataset:
@@ -315,8 +310,9 @@ class TestInvariants:
 
 
 class TestScoredViews:
-    """score_dataset shares one score per (decision, action); each sample and
-    each view over the samples must equal the per-prediction reference."""
+    """score_dataset, grade_distribution and participant_loss_sums read one
+    score per (decision, action); each sample and each view must equal the
+    per-prediction reference."""
 
     SCALE = GradeScale(((1, "top"), (3, "mid"), (None, "low")))
 
@@ -366,13 +362,14 @@ class TestScoredViews:
                 per = sums[space].setdefault(rec.treatment, {})
                 per[rec.participant_id] = per.get(rec.participant_id, 0.0) + loss
 
-        distribution = grade_distribution(bundle, samples, self.SCALE)
+        scores = score_table(tables, self.SCALE)
+        distribution = grade_distribution(bundle, bundle.vote_counts(), scores, self.SCALE)
         for decision_id, per_treatment in distribution.items():
             for treatment, by_label in per_treatment.items():
                 for label, count in by_label.items():
                     assert count == counts.get((decision_id, treatment, label), 0)
         for space, per_treatment in sums.items():
-            groups = participant_loss_sums(samples, space)
+            groups = participant_loss_sums(bundle.predictions, scores, space)
             assert [g.label for g in groups] == sorted(per_treatment)
             for g in groups:
                 per = per_treatment[g.label]

@@ -8,7 +8,9 @@ cases.
 
 import csv
 import io
+import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,13 @@ from predscore.dataset import (  # noqa: E402
     write_bundle,
 )
 from predscore.errors import ParseError  # noqa: E402
-from predscore.metrics import PredictionRecord, loss_in_rank  # noqa: E402
+from predscore.metrics import (  # noqa: E402
+    PredictionRecord,
+    av_score,
+    loss_in_rank,
+    loss_in_value,
+    weighted_mean,
+)
 from predscore.rankoverlap import mrbo_ext  # noqa: E402
 from predscore.stats import kruskal_wallis  # noqa: E402
 from predscore.values import DecisionValues, OutcomeTriple  # noqa: E402
@@ -165,6 +173,29 @@ def test_loss_in_rank_is_zero_only_for_the_chosen_action(entries, data):
     values = DecisionValues("d", entries, data.draw(st.sampled_from(sorted(entries))))
     predicted = data.draw(st.sampled_from(sorted(entries)))
     assert (loss_in_rank(values, predicted) == 0) == (predicted == values.chosen)
+
+
+@PROPERTY
+@given(st.dictionaries(IDS, VALUES, min_size=1, max_size=8), st.data())
+def test_mean_from_vote_counts_is_fsum_of_the_votes_over_their_number(entries, data):
+    """A mean-LV cell from a vote count equals fsum(list) / len(list) over
+    one LV per vote, bit for bit; so does AV over one value per vote."""
+    values = DecisionValues("d", entries, data.draw(st.sampled_from(sorted(entries))))
+    votes = data.draw(st.dictionaries(st.sampled_from(sorted(entries)), st.integers(0, 40)))
+    assume(sum(votes.values()) > 0)
+    lvs = [loss_in_value(values, a) for a, n in votes.items() for _ in range(n)]
+    cell = weighted_mean((loss_in_value(values, a), n) for a, n in votes.items())
+    assert cell == math.fsum(lvs) / len(lvs)
+    expanded = [values.value(a) for a, n in votes.items() for _ in range(n)]
+    assert av_score(votes, values) == math.fsum(expanded) / len(expanded)
+
+
+def test_mean_rounds_the_sum_and_then_the_quotient():
+    """The exact rational mean, rounded once, is a different double here:
+    LVs 0.05 (one vote) and 1.1 (two votes)."""
+    pairs = [(0.05, 1), (1.1, 2)]
+    assert weighted_mean(pairs) == math.fsum([0.05, 1.1, 1.1]) / 3 == 0.75
+    assert float((Fraction(0.05) + 2 * Fraction(1.1)) / 3) == 0.7500000000000001
 
 
 @PROPERTY

@@ -1,11 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from bruteforce import series_mrbo, series_rbo
 from predscore.errors import ValidationError
-from predscore.metrics import PredictionRecord
 from predscore.rankoverlap import (
     agent_ranklist,
     mrbo_ext,
@@ -18,22 +18,12 @@ from predscore.values import DecisionValues
 T36 = tuple(f"t{i:02d}" for i in range(1, 37))
 
 
-def votes(decision_id, *counts, treatment="T"):
-    """counts: (action, how many participants predicted it)."""
-    records = []
-    i = 0
+def votes(*counts):
+    """One group's vote count from (action, how many participants predicted it)."""
+    tally = Counter()
     for action, count in counts:
-        for _ in range(count):
-            records.append(
-                PredictionRecord(
-                    participant_id=f"p{i:03d}",
-                    treatment=treatment,
-                    decision_id=decision_id,
-                    predicted=action,
-                )
-            )
-            i += 1
-    return records
+        tally[action] += count
+    return dict(tally)
 
 
 class TestAgentRanklist:
@@ -55,23 +45,23 @@ class TestAgentRanklist:
 
 class TestVoteRanklist:
     def test_single_recipient(self):
-        assert vote_ranklist(votes("d", ("F2", 10))) == ("F2",)
+        assert vote_ranklist(votes(("F2", 10))) == ("F2",)
 
     def test_two_recipients_by_count(self):
-        group = votes("d", ("E2", 7), ("C3", 3))
+        group = votes(("E2", 7), ("C3", 3))
         assert vote_ranklist(group) == ("E2", "C3")
 
     def test_zero_vote_actions_never_appear(self):
-        group = votes("d", ("E2", 2))
+        group = votes(("E2", 2), ("A1", 0))
         assert "A1" not in vote_ranklist(group)
 
     def test_count_ties_break_canonically(self):
-        group = votes("d", ("B1", 2), ("A1", 2))
+        group = votes(("B1", 2), ("A1", 2))
         assert vote_ranklist(group) == ("A1", "B1")
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
-            vote_ranklist([])
+            vote_ranklist({})
 
 
 class TestRboExt:
@@ -228,50 +218,41 @@ class TestMrboTable:
             entries = {a: rng.uniform(-1, 1) for a in T36}
             chosen = max(entries, key=entries.get)
             value_tables[f"P{d + 1}"] = DecisionValues(f"P{d + 1}", entries, chosen)
-        groups = {}
+        counts = {}
         for g in range(treatments):
-            label = f"G{g}"
-            records = []
             for d in range(decisions):
                 dv = value_tables[f"P{d + 1}"]
                 pool = list(dv.entries)
-                records += votes(
-                    dv.decision_id,
-                    (rng.choice(pool), 3),
-                    (rng.choice(pool), 2),
-                    treatment=label,
+                counts[(f"G{g}", dv.decision_id)] = votes(
+                    (rng.choice(pool), 3), (rng.choice(pool), 2)
                 )
-            groups[label] = records
-        return groups, value_tables
+        return counts, value_tables
 
     def test_cell_count(self):
-        groups, tables = self.make_inputs()
-        table = mrbo_table(groups, tables)
+        counts, tables = self.make_inputs()
+        table = mrbo_table(counts, tables)
         assert len(table) == 8 * 4
         assert all(0.0 <= v <= 1.0 for v in table.values())
 
     def test_all_votes_on_chosen_score_one(self):
-        groups, tables = self.make_inputs(treatments=1, decisions=2)
-        loyal = {
-            "G0": [
-                rec
-                for dv in tables.values()
-                for rec in votes(dv.decision_id, (dv.chosen, 5), treatment="G0")
-            ]
-        }
+        _, tables = self.make_inputs(treatments=1, decisions=2)
+        loyal = {("G0", dv.decision_id): votes((dv.chosen, 5)) for dv in tables.values()}
         table = mrbo_table(loyal, tables)
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in table.values())
 
     def test_missing_group_rejected(self):
-        groups, tables = self.make_inputs(treatments=2, decisions=2)
-        groups["G0"] = [r for r in groups["G0"] if r.decision_id != "P1"]
+        counts, tables = self.make_inputs(treatments=2, decisions=2)
+        counts[("G0", "P1")] = {}
         with pytest.raises(ValidationError):
-            mrbo_table(groups, tables)
+            mrbo_table(counts, tables)
+        del counts[("G0", "P1")]
+        with pytest.raises(ValidationError):
+            mrbo_table(counts, tables)
 
     def test_deterministic_iteration_order(self):
-        groups, tables = self.make_inputs(treatments=3, decisions=2)
-        reordered = dict(reversed(list(groups.items())))
-        assert list(mrbo_table(groups, tables)) == list(mrbo_table(reordered, tables))
+        counts, tables = self.make_inputs(treatments=3, decisions=2)
+        reordered = dict(reversed(list(counts.items())))
+        assert list(mrbo_table(counts, tables)) == list(mrbo_table(reordered, tables))
 
 
 # (s, t, p, k, rbo_ext(s, t, p, k).hex(), mrbo_ext(s, t, p).hex()), lists

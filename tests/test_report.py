@@ -1,12 +1,14 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from predscore.actions import SquareId
 from predscore.board import BoardConfig
-from predscore.dataset import ParticipantModel, generate_synthetic_experiment
+from predscore.dataset import ExperimentBundle, ParticipantModel, generate_synthetic_experiment
 from predscore.errors import ValidationError
-from predscore.metrics import score_dataset
+from predscore.metrics import score_dataset, score_table
 from predscore.oracle import AgentSpec
 from predscore.report import (
     build_metrics_table,
@@ -23,7 +25,11 @@ from predscore.report import (
 
 
 def score(bundle):
-    return score_dataset(list(bundle.predictions), bundle.values_by_decision())
+    return score_table(bundle.values_by_decision())
+
+
+def metrics_table(bundle):
+    return build_metrics_table(bundle, bundle.vote_counts(), score(bundle))
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +47,7 @@ def bundle():
 
 class TestMetricsTable:
     def test_column_layout(self, bundle):
-        table = build_metrics_table(bundle, score(bundle))
+        table = metrics_table(bundle)
         assert len(table.rows) == 4
         # 5 LV columns, 5 LR columns, 4 overlap columns
         assert len(table.columns) == 5 + 5 + 4
@@ -50,20 +56,22 @@ class TestMetricsTable:
 
     def test_cells_recomputable_from_library(self, bundle):
         samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
-        table = build_metrics_table(bundle, samples)
+        table = metrics_table(bundle)
         for treatment, cells in table.rows:
             mine = [s.lv for s in samples if s.treatment == treatment]
-            assert cells[0] == pytest.approx(sum(mine) / len(mine), abs=1e-12)
+            assert cells[0] == math.fsum(mine) / len(mine)
+            mine = [s.lr for s in samples if s.treatment == treatment and s.decision_id == "P2"]
+            assert cells[table.columns.index("mean_lr_P2")] == math.fsum(mine) / len(mine)
 
     def test_best_markers_cover_every_column(self, bundle):
-        table = build_metrics_table(bundle, score(bundle))
+        table = metrics_table(bundle)
         marked = set()
         for best in table.best_in_column():
             marked.update(best)
         assert marked == set(table.columns)
 
     def test_csv_and_markdown_render(self, bundle):
-        table = build_metrics_table(bundle, score(bundle))
+        table = metrics_table(bundle)
         csv_text = render_metrics_csv(table)
         assert csv_text.startswith("treatment,mean_lv_all")
         assert len(csv_text.strip().splitlines()) == 1 + len(table.rows)
@@ -83,14 +91,14 @@ class TestEightTreatmentLayout:
             seed=5,
             decisions_per_agent=4,
         )
-        table = build_metrics_table(bundle, score(bundle))
+        table = metrics_table(bundle)
         assert len(table.rows) == 8
         assert len(table.columns) == 14
 
 
 class TestGradeDistribution:
     def test_counts_conserve_samples(self, bundle):
-        distribution = grade_distribution(bundle, score(bundle))
+        distribution = grade_distribution(bundle, bundle.vote_counts(), score(bundle))
         total = sum(
             count
             for per_treatment in distribution.values()
@@ -102,17 +110,17 @@ class TestGradeDistribution:
 
 class TestLossSums:
     def test_group_sizes(self, bundle):
-        groups = participant_loss_sums(score(bundle), "value")
+        groups = participant_loss_sums(bundle.predictions, score(bundle), "value")
         assert [g.label for g in groups] == ["BTW", "NONE", "OTB", "STT"]
         assert all(len(g.values) == 6 for g in groups)
 
     def test_rank_space_sums_are_integers(self, bundle):
-        for g in participant_loss_sums(score(bundle), "rank"):
+        for g in participant_loss_sums(bundle.predictions, score(bundle), "rank"):
             assert all(v == int(v) for v in g.values)
 
     def test_bad_space_rejected(self, bundle):
         with pytest.raises(ValidationError):
-            participant_loss_sums(score(bundle), "time")
+            participant_loss_sums(bundle.predictions, score(bundle), "time")
 
     @staticmethod
     def per_sample_loss_sums(samples, space):
@@ -130,14 +138,16 @@ class TestLossSums:
 
     @pytest.mark.parametrize("space", ["value", "rank"])
     def test_sums_equal_per_sample_reference_in_any_order(self, bundle, space):
-        samples = score(bundle)
+        """Totals add in (participant, decision) order, the order of
+        score_dataset's samples, however the records are ordered."""
+        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        expected = self.per_sample_loss_sums(samples, space)
+        records = list(bundle.predictions)
         rng = random.Random(5)
         for _ in range(5):
-            groups = participant_loss_sums(samples, space)
-            assert [(g.label, g.values) for g in groups] == self.per_sample_loss_sums(
-                samples, space
-            )
-            samples = rng.sample(samples, len(samples))
+            groups = participant_loss_sums(records, score(bundle), space)
+            assert [(g.label, g.values) for g in groups] == expected
+            records = rng.sample(records, len(records))
 
 
 class TestFiveNumber:
@@ -170,24 +180,24 @@ class TestFiveNumber:
 
 class TestVotes:
     def test_matrix_conserves_votes(self, bundle):
-        grid = vote_matrix(bundle, "P1")
+        grid = vote_matrix(bundle, bundle.vote_counts(), "P1")
         total = sum(v for row in grid for v in row)
         assert total == sum(1 for r in bundle.predictions if r.decision_id == "P1")
 
     def test_matrix_shape(self, bundle):
-        grid = vote_matrix(bundle, "P1")
+        grid = vote_matrix(bundle, bundle.vote_counts(), "P1")
         assert len(grid) == 4
         assert all(len(row) == 9 for row in grid)
 
     def test_treatment_matrices_partition_pooled(self, bundle):
-        pooled = vote_matrix(bundle, "P1")
-        per = [vote_matrix(bundle, "P1", t) for t in bundle.treatments]
+        pooled = vote_matrix(bundle, bundle.vote_counts(), "P1")
+        per = [vote_matrix(bundle, bundle.vote_counts(), "P1", t) for t in bundle.treatments]
         for r in range(4):
             for c in range(9):
                 assert pooled[r][c] == sum(grid[r][c] for grid in per)
 
     def test_single_square_votes(self, bundle):
-        grid = vote_matrix(bundle, "P1", "NONE")
+        grid = vote_matrix(bundle, bundle.vote_counts(), "P1", "NONE")
         csv_text = render_vote_matrix_csv(grid, 9)
         lines = csv_text.strip().splitlines()
         assert lines[0] == "row,A,B,C,D,E,F,G,H,I"
@@ -195,7 +205,21 @@ class TestVotes:
 
     def test_unknown_decision_rejected(self, bundle):
         with pytest.raises(ValidationError):
-            vote_matrix(bundle, "P9")
+            vote_matrix(bundle, bundle.vote_counts(), "P9")
+
+    def test_vote_counts_hold_every_cell_and_every_prediction(self, bundle):
+        counts = bundle.vote_counts()
+        cells = [(t, dv.decision_id) for t in bundle.treatments for dv in bundle.decisions]
+        assert list(counts) == cells
+        expected = Counter((r.treatment, r.decision_id, r.predicted) for r in bundle.predictions)
+        flat = {(t, d, a): n for (t, d), votes in counts.items() for a, n in votes.items()}
+        assert flat == expected
+
+    def test_listed_treatment_without_predictions_is_refused(self, bundle):
+        extra = ExperimentBundle(bundle.manifest, bundle.decisions, bundle.predictions,
+                                 bundle.treatments + ("EMPTY",))
+        with pytest.raises(ValidationError, match="'EMPTY' has no predictions for decision 'P1'"):
+            metrics_table(extra)
 
     def test_counts_match_per_prediction_reference(self, bundle):
         for treatment in (None, *bundle.treatments):
@@ -204,12 +228,12 @@ class TestVotes:
                 if rec.decision_id == "P2" and treatment in (None, rec.treatment):
                     sq = SquareId.parse(rec.predicted)
                     expected[sq.row][sq.col] += 1
-            assert vote_matrix(bundle, "P2", treatment) == expected
+            assert vote_matrix(bundle, bundle.vote_counts(), "P2", treatment) == expected
 
 
 class TestSvg:
     def test_vote_svg_is_deterministic_and_annotated(self, bundle):
-        grid = vote_matrix(bundle, "P1")
+        grid = vote_matrix(bundle, bundle.vote_counts(), "P1")
         chosen = SquareId.parse(bundle.decisions[0].chosen)
         a = render_vote_svg(grid, chosen)
         b = render_vote_svg(grid, chosen)
@@ -218,6 +242,6 @@ class TestSvg:
         assert "#d62728" in a  # chosen-square outline
 
     def test_boxplot_svg_renders(self, bundle):
-        svg = render_boxplot_svg(participant_loss_sums(score(bundle), "value"))
+        svg = render_boxplot_svg(participant_loss_sums(bundle.predictions, score(bundle), "value"))
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 4

@@ -250,6 +250,16 @@ INVALID = [
     (lambda: _manifest_from_dict(
         _manifest_doc(pending_decisions=[{"decision_id": "d9", "actions": "a"}])), ParseError,
      "malformed manifest.json: TypeError('pending decision actions must be a list, got str')"),
+    (lambda: _manifest_from_dict(_manifest_doc(treatments=[["A"], "B"])), ParseError,
+     "malformed manifest.json: TypeError('treatment must be a string, got list')"),
+    (lambda: _manifest_from_dict(_manifest_doc(actions=[{"id": 1, "name": "One"}])), ParseError,
+     "malformed manifest.json: TypeError('action id must be a string, got int')"),
+    (lambda: _manifest_from_dict(
+        _manifest_doc(pending_decisions=[{"decision_id": None, "actions": ["a"]}])), ParseError,
+     "malformed manifest.json: TypeError('pending decision id must be a string, got NoneType')"),
+    (lambda: _manifest_from_dict(
+        _manifest_doc(pending_decisions=[{"decision_id": "d9", "actions": ["a", {}]}])), ParseError,
+     "malformed manifest.json: TypeError('pending decision action must be a string, got dict')"),
     (lambda: ParticipantModel((0.5, -0.5)), ValidationError,
      "rank_probs must be non-negative finite numbers"),
     (lambda: ParticipantModel(()), ValidationError,
