@@ -34,8 +34,7 @@ from .metrics import score_table
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
-    RANK_SPACE,
-    VALUE_SPACE,
+    SPACES,
     build_metrics_table,
     grade_distribution,
     participant_loss_sums,
@@ -176,8 +175,7 @@ def cmd_metrics(args) -> int:
         render_grade_distribution_csv(grade_distribution(bundle, counts, scores)), encoding="utf-8"
     )
     written.append(grades_path)
-    for space in (VALUE_SPACE, RANK_SPACE):
-        groups = participant_loss_sums(bundle.predictions, scores, space)
+    for space, groups in zip(SPACES, participant_loss_sums(bundle.predictions, scores, *SPACES)):
         path = out / f"boxplot_l{space[0]}.csv"
         path.write_text(render_boxplot_csv(groups), encoding="utf-8")
         written.append(path)
@@ -203,7 +201,7 @@ def cmd_stats(args) -> int:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
     bundle = read_bundle(args.bundle)
     scores = score_table(bundle.values_by_decision())
-    groups = participant_loss_sums(bundle.predictions, scores, args.space)
+    (groups,) = participant_loss_sums(bundle.predictions, scores, args.space)
     if len(groups) < 2:
         raise ValidationError("stats needs at least 2 treatments with predictions")
     result = run_pipeline(groups, alpha=args.alpha)
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sta = sub.add_parser("stats", help="gated treatment comparison", epilog=EPILOG)
     sta.add_argument("--bundle", required=True)
     sta.add_argument("--out-dir", default="report")
-    sta.add_argument("--space", choices=[VALUE_SPACE, RANK_SPACE], required=True,
+    sta.add_argument("--space", choices=SPACES, required=True,
                      help="sum each participant's loss in this space")
     sta.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="gate threshold")
     sta.set_defaults(func=cmd_stats)

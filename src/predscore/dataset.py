@@ -17,6 +17,12 @@ itself: header, field counts, numbers, and empty or duplicate keys.
 ExperimentBundle checks how the parts relate: every decision's actions are
 in the manifest, and every prediction names a valued decision, an action it
 values and a listed treatment; read_bundle adds the row of a refused record.
+
+predictions.csv is the one large file, so its parser streams it and keeps
+little beside the records: one entry per participant holding the shared id
+string and a bitmask of the decisions seen so far, which finds a duplicate
+(participant, decision) and interns the id at once, and one dict interning
+treatment, decision and action strings.
 """
 
 from __future__ import annotations
@@ -342,17 +348,33 @@ def parse_values_csv(data) -> list[DecisionValues]:
 def parse_predictions_csv(data) -> list[PredictionRecord]:
     """Decode predictions.csv and check what it says by itself: the header,
     four fields per record, a participant and a treatment, and one prediction
-    per (participant, decision).  Rows stream from the CSV reader; an error
-    names the physical line on which the offending record starts.  Treatment,
-    decision and action strings are interned through one dict, so all
-    records share one string per distinct value.
+    per (participant, decision).
+
+    Bytes stream through an incremental decoder after one up-front UTF-8
+    check, so the whole text is never held as a line buffer; a str streams
+    from memory.  Each participant has one dict entry, [shared id, mask],
+    where the mask has one bit per decision id in first-seen order: a
+    decision whose bit is already set is a duplicate.  So every record of a
+    participant holds the same id string, and treatment, decision and action
+    strings are interned through one dict as well.  An error names the
+    physical line on which the offending record starts; the text is decoded
+    again only to find it.
     """
-    text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
+    if isinstance(data, str):
+        lines = io.StringIO(_decode(data))
+    else:
+        _decode(data)  # the UTF-8 check, with its message
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
+    reader = csv.reader(lines)
     interned: dict[str, str] = {}
     intern = interned.setdefault
-    seen: set[tuple[str, str]] = set()
+    bits: dict[str, int] = {}  # decision id -> its bit in a participant's mask
+    participants: dict[str, list] = {}  # participant id -> [shared id, mask]
     records = []
+
+    def refused(message: str, column: str | None = None) -> ParseError:
+        return ParseError(message, row=_record_line(_decode(data), len(records)), column=column)
+
     try:
         header = next(reader, None)
         if header is None:
@@ -365,30 +387,26 @@ def parse_predictions_csv(data) -> list[PredictionRecord]:
             if not row:
                 continue
             if len(row) != 4:
-                raise ParseError(
-                    f"expected 4 fields, got {len(row)}", row=_record_line(text, len(records))
-                )
+                raise refused(f"expected 4 fields, got {len(row)}")
             participant_id, treatment, decision_id, predicted = row
             if not participant_id or not treatment:
-                raise ParseError(
-                    "participant_id and treatment must be non-empty",
-                    row=_record_line(text, len(records)),
-                )
-            # Intern before building the key, so the key holds the shared
-            # string and the row's own copy is freed.
+                raise refused("participant_id and treatment must be non-empty")
             decision_id = intern(decision_id, decision_id)
-            key = (participant_id, decision_id)
-            if key in seen:
-                raise ParseError(
+            bit = bits.get(decision_id) or bits.setdefault(decision_id, 1 << len(bits))
+            entry = participants.get(participant_id)
+            if entry is None:
+                participants[participant_id] = entry = [participant_id, bit]
+            elif entry[1] & bit:
+                raise refused(
                     f"duplicate prediction by {participant_id!r} for decision {decision_id!r}",
-                    row=_record_line(text, len(records)),
-                    column="participant_id",
+                    "participant_id",
                 )
-            seen.add(key)
+            else:
+                entry[1] |= bit
             treatment, predicted = intern(treatment, treatment), intern(predicted, predicted)
-            records.append(PredictionRecord(participant_id, treatment, decision_id, predicted))
+            records.append(PredictionRecord(entry[0], treatment, decision_id, predicted))
     except csv.Error as exc:
-        raise _csv_error("predictions.csv", _record_line(text), exc) from None
+        raise _csv_error("predictions.csv", _record_line(_decode(data)), exc) from None
     return records
 
 

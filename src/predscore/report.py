@@ -26,6 +26,7 @@ from .stats import SampleGroup
 
 VALUE_SPACE = "value"
 RANK_SPACE = "rank"
+SPACES = (VALUE_SPACE, RANK_SPACE)  # the order of each participant's (LV, LR) totals
 
 
 class MetricsTable(NamedTuple):
@@ -125,27 +126,36 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
     return "\n".join(lines) + "\n"
 
 
-def participant_loss_sums(predictions, scores: ScoreTable, space: str) -> list[SampleGroup]:
+def participant_loss_sums(
+    predictions, scores: ScoreTable, *spaces: str
+) -> tuple[list[SampleGroup], ...]:
     """Per-treatment groups of each participant's summed loss across
-    decisions (value space sums LV, rank space sums LR).
+    decisions, one list of groups per space asked for (value space sums LV,
+    rank space sums LR).
 
-    Each (treatment, participant) total starts from 0.0 and adds its losses
-    in decision order, whatever the record order, so equal bundles give
-    equal float sums.
+    One walk over the records fills an LV and an LR total per (treatment,
+    participant).  Each total starts from 0.0 and adds its losses in
+    decision order, whatever the record order, so equal bundles give equal
+    float sums.
     """
-    if space not in (VALUE_SPACE, RANK_SPACE):
-        raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
-    field = 0 if space == VALUE_SPACE else 1
-    loss = {d: {action: score[field] for action, score in table.items()} for d, table in scores.items()}
-    sums: dict[str, dict[str, float]] = {}
+    for space in spaces:
+        if space not in SPACES:
+            raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
+    sums: dict[str, tuple[dict[str, float], dict[str, float]]] = {}  # treatment -> (LV, LR) totals
     # A stable sort by decision alone adds each total's losses in decision order.
     for pid, treatment, decision_id, predicted in sorted(predictions, key=itemgetter(2)):
-        per = sums.get(treatment) or sums.setdefault(treatment, {})
-        per[pid] = per.get(pid, 0.0) + loss[decision_id][predicted]
-    return [
-        SampleGroup(label=treatment, values=tuple(per[pid] for pid in sorted(per)))
-        for treatment, per in sorted(sums.items())
-    ]
+        lvs, lrs = sums.get(treatment) or sums.setdefault(treatment, ({}, {}))
+        lv, lr, _ = scores[decision_id][predicted]
+        lvs[pid] = lvs.get(pid, 0.0) + lv
+        lrs[pid] = lrs.get(pid, 0.0) + lr
+
+    def groups(field: int) -> list[SampleGroup]:
+        return [
+            SampleGroup(label=treatment, values=tuple(v for _, v in sorted(totals[field].items())))
+            for treatment, totals in sorted(sums.items())
+        ]
+
+    return tuple(groups(SPACES.index(space)) for space in spaces)
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:

@@ -204,7 +204,8 @@ class TestStatsCmd:
 
         bundle = read_bundle(bundle_dir)
         scores = score_table(bundle.values_by_decision())
-        direct = run_pipeline(participant_loss_sums(bundle.predictions, scores, "rank"))
+        (groups,) = participant_loss_sums(bundle.predictions, scores, "rank")
+        direct = run_pipeline(groups)
         assert doc["test_used"] == direct.test_used
         assert doc["comparison"]["statistic"] == direct.comparison.statistic
         assert doc["comparison"]["p_value"] == direct.comparison.p_value

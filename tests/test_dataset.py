@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -380,6 +381,103 @@ class TestParsePredictions:
             assert rec.predicted is first.predicted
         assert rest[1].decision_id is first.decision_id
         assert rest[0].decision_id is rest[2].decision_id
+
+    @staticmethod
+    def outcome(data):
+        """The records, or the refusal's message, row and column."""
+        try:
+            return parse_predictions_csv(data)
+        except ParseError as exc:
+            return str(exc), exc.row, exc.column
+
+    def test_duplicate_in_non_adjacent_rows_rejected(self):
+        text = (
+            "participant_id,treatment,decision_id,predicted_action\n"
+            "p1,T,P1,A1\n"
+            "p2,T,P1,A1\n"
+            "p1,T,P2,A1\n"
+            "p2,T,P2,A1\n"
+            "p1,T,P1,B1\n"
+        )
+        for data in (text, text.encode()):
+            assert self.outcome(data) == (
+                "duplicate prediction by 'p1' for decision 'P1' (row 6, column 'participant_id')",
+                6,
+                "participant_id",
+            )
+
+    def test_duplicate_among_more_than_64_decisions_rejected(self):
+        # A participant's decision mask grows past one machine word.
+        rows = [f"p1,T,D{d},A1" for d in range(70)] + [f"p2,T,D{d},A1" for d in range(70)]
+        rows.insert(100, "p1,T,D67,B1")  # record 101, line 102
+        text = "participant_id,treatment,decision_id,predicted_action\n" + "\n".join(rows) + "\n"
+        assert len(parse_predictions_csv(text.replace("p1,T,D67,B1", "p3,T,D67,B1"))) == 141
+        for data in (text, text.encode()):
+            assert self.outcome(data) == (
+                "duplicate prediction by 'p1' for decision 'D67' (row 102, column 'participant_id')",
+                102,
+                "participant_id",
+            )
+
+    def test_records_of_a_participant_share_one_id_string(self):
+        text = "participant_id,treatment,decision_id,predicted_action\n" + "".join(
+            f"p{i:05d},T,P{d},A1\n" for d in range(1, 4) for i in range(5)
+        )
+        for data in (text, text.encode()):
+            records = parse_predictions_csv(data)
+            first = {}
+            for rec in records:
+                assert rec.participant_id is first.setdefault(rec.participant_id, rec.participant_id)
+            assert len(first) == 5
+
+    @pytest.mark.parametrize(
+        "text, refused_row",
+        [
+            ("\ufeffparticipant_id,treatment,decision_id,predicted_action\np1,T,P1,A1\n", None),
+            (
+                "participant_id,treatment,decision_id,predicted_action\r\n"
+                "p1,T,P1,A1\r\np2,T,P1,A1\r\n",
+                None,
+            ),
+            ('participant_id,treatment,decision_id,predicted_action\np1,T,"P\r1",A1\n', None),
+            ("participant_id,treatment,decision_id,predicted_action\np1,T,P1,A1\np2,T,P\r1,A1\n", 3),
+            (
+                "\ufeffparticipant_id,treatment,decision_id,predicted_action\r\n"
+                "p1,T,P1,A1\r\np1,T,P1,B1\r\n",
+                3,
+            ),
+        ],
+        ids=["bom", "crlf", "quoted_cr", "bare_cr", "bom_crlf_duplicate"],
+    )
+    def test_bytes_and_str_agree(self, text, refused_row):
+        from_str = self.outcome(text)
+        assert self.outcome(text.encode()) == from_str
+        if refused_row is None:
+            assert from_str[0].participant_id == "p1"
+        else:
+            assert from_str[1] == refused_row
+
+
+class TestParseMemory:
+    def test_peak_is_the_records(self):
+        """Parsing 80k rows peaks at no more than 1.5 times the memory the
+        records keep: the duplicate check and the line source stay small."""
+        squares = [sq.text for sq in BoardConfig(9, 4, 4).all_squares()]
+        treatments = ("NONE", "STT", "OTB", "BTW", "STT+OTB", "OTB+BTW", "STT+BTW", "ALL")
+        rows = ["participant_id,treatment,decision_id,predicted_action"]
+        for i in range(20_000):
+            for d in range(4):
+                rows.append(f"p{i + 1:05d},{treatments[i % 8]},P{d + 1},{squares[(7 * i + 13 * d) % 36]}")
+        data = ("\n".join(rows) + "\n").encode()
+        del rows
+        tracemalloc.start()
+        try:
+            records = parse_predictions_csv(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 80_000
+        assert peak <= 1.5 * kept
 
 
 def generate_small(seed=7, behavior=None, participants=6, mutation=None):

@@ -369,7 +369,7 @@ class TestScoredViews:
                 for label, count in by_label.items():
                     assert count == counts.get((decision_id, treatment, label), 0)
         for space, per_treatment in sums.items():
-            groups = participant_loss_sums(bundle.predictions, scores, space)
+            (groups,) = participant_loss_sums(bundle.predictions, scores, space)
             assert [g.label for g in groups] == sorted(per_treatment)
             for g in groups:
                 per = per_treatment[g.label]

@@ -1,13 +1,16 @@
 """Property tests: bundle I/O round trips, row numbers of refused records,
-and laws of the scores and statistics.
+the CLI on corrupted bundles, and laws of the scores and statistics.
 
 Runs when hypothesis is installed (it is in the ``test`` extra) and is
 skipped otherwise.  Examples are derandomized, so every run draws the same
 cases.
 """
 
+import contextlib
 import csv
+import functools
 import io
+import json
 import math
 import tempfile
 from fractions import Fraction
@@ -20,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from predscore.cli import main  # noqa: E402
 from predscore.dataset import (  # noqa: E402
     CUSTOM,
     PREDICTIONS_HEADER,
@@ -32,7 +36,7 @@ from predscore.dataset import (  # noqa: E402
     serialize_values_csv,
     write_bundle,
 )
-from predscore.errors import ParseError  # noqa: E402
+from predscore.errors import ParseError, PredscoreError  # noqa: E402
 from predscore.metrics import (  # noqa: E402
     PredictionRecord,
     av_score,
@@ -165,6 +169,105 @@ def test_refused_record_reports_its_start_line(data):
             read_bundle(path)
     assert err.value.row == start
     assert err.value.column == column
+
+
+@functools.cache
+def _simulated_files() -> dict[str, bytes]:
+    """The three files of a small simulated bundle, made through the CLI."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "b"
+        argv = ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "6",
+                "--treatments", "A,B", "--seed", "1", "--out-dir", str(out)]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _json_slots(node):
+    """(container, key) of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _json_slots(value)
+
+
+JSON_VALUES = (0, 3, -1, 1.5, "", "x", [], ["A"], {}, {"id": "A1"}, None, True)
+FIELD_TEXTS = st.text(st.sampled_from(list('aP1.-,"\n\r é')), max_size=6) | st.sampled_from(
+    ["nan", "inf", "1e400", "-0", "0", "1", "2", "P1", "P9", "A1", "Z9", "B"]
+)
+
+
+@st.composite
+def corrupted_bundles(draw):
+    """A simulated bundle with one change: a manifest.json value of another
+    type, one CSV field, a duplicated CSV row or a truncated file.  Returns
+    the name of the changed file and the files."""
+    files = dict(_simulated_files())
+    kind = draw(st.sampled_from(["json_type", "csv_field", "duplicate_row", "truncate"]))
+    if kind == "json_type":
+        name = "manifest.json"
+        doc = json.loads(files[name])
+        container, key = draw(st.sampled_from(list(_json_slots(doc))))
+        old = container[key]
+        container[key] = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(old)]))
+        files[name] = json.dumps(doc).encode()
+    elif kind == "truncate":
+        name = draw(st.sampled_from(sorted(files)))
+        files[name] = files[name][: draw(st.integers(0, len(files[name]) - 1))]
+    else:
+        name = draw(st.sampled_from(["values.csv", "predictions.csv"]))
+        lines = files[name].decode().split("\n")[:-1]
+        row = draw(st.integers(0, len(lines) - 1))
+        if kind == "csv_field":
+            fields = lines[row].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(FIELD_TEXTS)
+            lines[row] = ",".join(fields)
+        else:
+            lines.insert(draw(st.integers(1, len(lines))), lines[row])
+        files[name] = "".join(line + "\n" for line in lines).encode()
+    return name, files
+
+
+COMMANDS = (
+    ["metrics", "--format", "csv,markdown,svg"],
+    ["stats", "--space", "value"],
+    ["stats", "--space", "rank"],
+    ["votes", "--decision", "P1", "--group-by", "treatment", "--format", "csv,svg"],
+    ["grade"],
+)
+
+
+@PROPERTY
+@given(corrupted_bundles())
+def test_cli_answers_a_corrupted_bundle_with_at_most_one_error_line(corruption):
+    """Every command exits 0 or 1 with at most one "error:" line and no
+    traceback; a bundle that read_bundle refuses is refused by every command
+    with the same message, and a refused CSV change names its row."""
+    changed, files = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "b"
+        bundle.mkdir()
+        for name, data in files.items():
+            (bundle / name).write_bytes(data)
+        try:
+            read_bundle(bundle)
+            refusal = None
+        except PredscoreError as exc:
+            refusal = exc
+        if refusal is not None and changed.endswith(".csv"):
+            assert getattr(refusal, "row", None) is not None, refusal
+        for command in COMMANDS:
+            argv = [command[0], "--bundle", str(bundle), "--out-dir", str(Path(tmp) / "r"),
+                    *command[1:]]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            assert code in (0, 1), (argv, err)
+            assert "Traceback" not in err
+            assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+            if refusal is not None:
+                assert (code, err) == (1, f"error: {refusal}\n")
 
 
 @PROPERTY

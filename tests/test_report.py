@@ -110,13 +110,26 @@ class TestGradeDistribution:
 
 class TestLossSums:
     def test_group_sizes(self, bundle):
-        groups = participant_loss_sums(bundle.predictions, score(bundle), "value")
+        (groups,) = participant_loss_sums(bundle.predictions, score(bundle), "value")
         assert [g.label for g in groups] == ["BTW", "NONE", "OTB", "STT"]
         assert all(len(g.values) == 6 for g in groups)
 
     def test_rank_space_sums_are_integers(self, bundle):
-        for g in participant_loss_sums(bundle.predictions, score(bundle), "rank"):
+        (groups,) = participant_loss_sums(bundle.predictions, score(bundle), "rank")
+        for g in groups:
             assert all(v == int(v) for v in g.values)
+
+    def test_one_walk_gives_each_space_as_asked(self, bundle):
+        scores = score(bundle)
+        (by_value,) = participant_loss_sums(bundle.predictions, scores, "value")
+        (by_rank,) = participant_loss_sums(bundle.predictions, scores, "rank")
+        assert by_value != by_rank
+        assert participant_loss_sums(bundle.predictions, scores, "value", "rank") == (
+            by_value, by_rank
+        )
+        assert participant_loss_sums(bundle.predictions, scores, "rank", "value") == (
+            by_rank, by_value
+        )
 
     def test_bad_space_rejected(self, bundle):
         with pytest.raises(ValidationError):
@@ -145,7 +158,7 @@ class TestLossSums:
         records = list(bundle.predictions)
         rng = random.Random(5)
         for _ in range(5):
-            groups = participant_loss_sums(records, score(bundle), space)
+            (groups,) = participant_loss_sums(records, score(bundle), space)
             assert [(g.label, g.values) for g in groups] == expected
             records = rng.sample(records, len(records))
 
@@ -242,6 +255,7 @@ class TestSvg:
         assert "#d62728" in a  # chosen-square outline
 
     def test_boxplot_svg_renders(self, bundle):
-        svg = render_boxplot_svg(participant_loss_sums(bundle.predictions, score(bundle), "value"))
+        (groups,) = participant_loss_sums(bundle.predictions, score(bundle), "value")
+        svg = render_boxplot_svg(groups)
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 4
