@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from .actions import SquareId
@@ -30,7 +29,7 @@ from .dataset import (
     write_bundle,
 )
 from .errors import PredscoreError, ValidationError
-from .metrics import score_table
+from .metrics import _by_participant_and_decision, score_table
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
@@ -289,7 +288,7 @@ def cmd_grade(args) -> int:
     path = _out_dir(args) / "samples.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("participant_id,treatment,decision_id,predicted,lv,lr,grade\n")
-        ordered = sorted(bundle.predictions, key=itemgetter(0, 2))  # (participant, decision)
+        ordered = _by_participant_and_decision(bundle.predictions)
         fh.writelines(f"{pid},{t},{d},{tails[d][a]}" for pid, t, d, a in ordered)
     print(f"wrote {path}")
     return 0

@@ -18,11 +18,18 @@ ExperimentBundle checks how the parts relate: every decision's actions are
 in the manifest, and every prediction names a valued decision, an action it
 values and a listed treatment; read_bundle adds the row of a refused record.
 
-predictions.csv is the one large file, so its parser streams it and keeps
-little beside the records: one entry per participant holding the shared id
-string and a bitmask of the decisions seen so far, which finds a duplicate
-(participant, decision) and interns the id at once, and one dict interning
-treatment, decision and action strings.
+Both CSV files are read by one streaming record reader, ``_records``: it
+drops one leading UTF-8 BOM from str and bytes alike, refuses an empty file,
+an unexpected header or malformed CSV, and skips blank lines.  The row of
+every refusal is the physical line on which the refused record starts, and
+``_record_line`` is the only code that finds it: it reads the text a second
+time, and only once a record is refused, so no parse loop counts lines.
+
+predictions.csv is the one large file, so its parser keeps little beside
+the records: one entry per participant holding the shared id string and a
+bitmask of the decisions seen so far, which finds a duplicate (participant,
+decision) and interns the id at once, and one dict interning treatment,
+decision and action strings.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
@@ -53,6 +62,7 @@ CUSTOM = "custom"
 VALUES_HEADER = ["decision_id", "action", "value", "chosen"]
 OUTCOME_COLUMNS = ["win", "loss", "draw"]
 PREDICTIONS_HEADER = ["participant_id", "treatment", "decision_id", "predicted_action"]
+_VALUES_HEADERS = (VALUES_HEADER, VALUES_HEADER + OUTCOME_COLUMNS)
 
 TRIPLE_CSV_TOLERANCE = 1e-6
 
@@ -197,33 +207,20 @@ class ExperimentBundle(
 
 
 def _decode(data) -> str:
-    if isinstance(data, str):
-        return data.lstrip("﻿")
-    try:
-        return data.decode("utf-8-sig")  # tolerate a spreadsheet-added BOM
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from None
+    """The text of str or UTF-8 bytes, less one leading byte order mark."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not valid UTF-8: {exc}") from None
+    return data.removeprefix("\ufeff")  # tolerate a spreadsheet-added BOM
 
 
-def _float_field(text: str, row: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"non-numeric {column} {text!r}", row=row, column=column) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{column} must be finite, got {text!r}", row=row, column=column)
-    return value
-
-
-def _csv_error(name: str, row: int, exc: csv.Error) -> ParseError:
-    return ParseError(f"malformed {name}: {exc}", row=row)
-
-
-def _record_line(text: str, index: int | None = None) -> int:
+def _record_line(text: str, index: int | None) -> int:
     """Physical line on which record ``index`` starts (the non-blank
     records after the header count from 0), or with ``index=None`` the line
     of the record the reader fails on.  A second pass over the text, taken
-    only to report an error, so that the parse loop keeps no line count.
+    only to report an error, so that the parse loops keep no line count.
     """
     reader = csv.reader(io.StringIO(text))
     start = 1
@@ -240,109 +237,96 @@ def _record_line(text: str, index: int | None = None) -> int:
     return start
 
 
+def _refusal(data, index: int | None, message: str, column: str | None = None) -> ParseError:
+    """A ParseError naming the line on which record ``index`` of ``data`` starts."""
+    return ParseError(message, row=_record_line(_decode(data), index), column=column)
+
+
+@contextmanager
+def _records(data, name: str, headers):
+    """Read CSV file ``name`` as (header, records): the header must be one
+    of ``headers``, and records yields the non-blank records after it.
+    Malformed CSV met inside the ``with`` block is refused with its row.
+
+    Bytes stream through an incremental decoder after one up-front UTF-8
+    check, so the whole text is never held as a line buffer; a str streams
+    from memory.  Either way one leading BOM is dropped and only "\n" ends
+    a line, so str and bytes read alike.
+    """
+    if isinstance(data, str):
+        stream = io.StringIO(_decode(data))
+    else:
+        _decode(data)  # the UTF-8 check, with its message
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
+    with stream:
+        reader = csv.reader(stream)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{name} is empty", row=1)
+            if header not in headers:
+                raise ParseError(f"unexpected {name} header {header!r}", row=1, column="header")
+            yield header, filter(None, reader)
+        except csv.Error as exc:
+            raise _refusal(data, None, f"malformed {name}: {exc}") from None
+
+
+def _float_field(text: str, column: str, refuse) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise refuse(f"non-numeric {column} {text!r}", column) from None
+    if not math.isfinite(value):
+        raise refuse(f"{column} must be finite, got {text!r}", column)
+    return value
+
+
 def parse_values_csv(data) -> list[DecisionValues]:
     """Decode and validate values.csv; decisions come back in first-seen order."""
-    text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
-    # Row numbers are the physical line on which a record starts, since a
-    # quoted field may span lines.
-    rows = []
-    start = 1
-    try:
-        for row in reader:
-            rows.append((start, row))
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        raise _csv_error("values.csv", start, exc) from None
-    if not rows:
-        raise ParseError("values.csv is empty", row=1)
-    header = rows[0][1]
-    if header == VALUES_HEADER:
-        with_outcomes = False
-    elif header == VALUES_HEADER + OUTCOME_COLUMNS:
-        with_outcomes = True
-    else:
-        raise ParseError(
-            f"unexpected values.csv header {header!r}", row=1, column="header"
-        )
-    width = len(header)
-
-    order: list[str] = []
-    entries: dict[str, dict[str, float]] = {}
+    entries: dict[str, dict[str, float]] = {}  # decision id -> its values, in first-seen order
     outcomes: dict[str, dict[str, OutcomeTriple]] = {}
     chosen: dict[str, str] = {}
-    first_row: dict[str, int] = {}
-    for lineno, row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", row=lineno)
-        decision_id, action = row[0], row[1]
-        if not decision_id or not action:
-            raise ParseError("decision_id and action must be non-empty", row=lineno)
-        if decision_id not in entries:
-            order.append(decision_id)
-            entries[decision_id] = {}
-            outcomes[decision_id] = {}
-            first_row[decision_id] = lineno
-        if action in entries[decision_id]:
-            raise ParseError(
-                f"duplicate action {action!r} for decision {decision_id!r}",
-                row=lineno,
-                column="action",
-            )
-        entries[decision_id][action] = _float_field(row[2], lineno, "value")
-        flag = row[3]
-        if flag not in ("0", "1"):
-            raise ParseError(f"chosen flag must be 0 or 1, got {flag!r}", row=lineno, column="chosen")
-        if flag == "1":
-            if decision_id in chosen:
-                raise ParseError(
-                    f"decision {decision_id!r} has more than one chosen action",
-                    row=lineno,
-                    column="chosen",
-                )
-            chosen[decision_id] = action
-        if with_outcomes:
+    first: dict[str, int] = {}  # decision id -> index of its first record
+    with _records(data, "values.csv", _VALUES_HEADERS) as (header, records):
+        width = len(header)
+        for index, row in enumerate(records):
+            refuse = partial(_refusal, data, index)
+            if len(row) != width:
+                raise refuse(f"expected {width} fields, got {len(row)}")
+            decision_id, action = row[0], row[1]
+            if not decision_id or not action:
+                raise refuse("decision_id and action must be non-empty")
+            if decision_id not in entries:
+                entries[decision_id], first[decision_id] = {}, index
+            if action in entries[decision_id]:
+                raise refuse(f"duplicate action {action!r} for decision {decision_id!r}", "action")
+            entries[decision_id][action] = _float_field(row[2], "value", refuse)
+            flag = row[3]
+            if flag not in ("0", "1"):
+                raise refuse(f"chosen flag must be 0 or 1, got {flag!r}", "chosen")
+            if flag == "1":
+                if decision_id in chosen:
+                    raise refuse(f"decision {decision_id!r} has more than one chosen action", "chosen")
+                chosen[decision_id] = action
             triple_fields = row[4:7]
             filled = [f for f in triple_fields if f != ""]
             if not filled:
                 continue
             if len(filled) != 3:
-                raise ParseError(
-                    "win/loss/draw must be given together or not at all",
-                    row=lineno,
-                    column="win",
-                )
+                raise refuse("win/loss/draw must be given together or not at all", "win")
             win, loss, draw = (
-                _float_field(f, lineno, col) for f, col in zip(triple_fields, OUTCOME_COLUMNS)
+                _float_field(f, col, refuse) for f, col in zip(triple_fields, OUTCOME_COLUMNS)
             )
             total = win + loss + draw
             if abs(total - 1.0) > TRIPLE_CSV_TOLERANCE:
-                raise ParseError(
-                    f"outcome triple sums to {total!r}, not 1", row=lineno, column="win"
-                )
+                raise refuse(f"outcome triple sums to {total!r}, not 1", "win")
             if abs(total - 1.0) > 1e-9:
                 win, loss, draw = win / total, loss / total, draw / total
-            outcomes[decision_id][action] = OutcomeTriple(win, loss, draw)
-
-    decisions = []
-    for decision_id in order:
+            outcomes.setdefault(decision_id, {})[action] = OutcomeTriple(win, loss, draw)
+    for decision_id, index in first.items():
         if decision_id not in chosen:
-            raise ParseError(
-                f"decision {decision_id!r} has no chosen action",
-                row=first_row[decision_id],
-                column="chosen",
-            )
-        decisions.append(
-            DecisionValues(
-                decision_id=decision_id,
-                entries=entries[decision_id],
-                chosen=chosen[decision_id],
-                outcomes=outcomes[decision_id] or None,
-            )
-        )
-    return decisions
+            raise _refusal(data, index, f"decision {decision_id!r} has no chosen action", "chosen")
+    return [DecisionValues(d, entries[d], chosen[d], outcomes.get(d)) for d in entries]
 
 
 def parse_predictions_csv(data) -> list[PredictionRecord]:
@@ -350,63 +334,36 @@ def parse_predictions_csv(data) -> list[PredictionRecord]:
     four fields per record, a participant and a treatment, and one prediction
     per (participant, decision).
 
-    Bytes stream through an incremental decoder after one up-front UTF-8
-    check, so the whole text is never held as a line buffer; a str streams
-    from memory.  Each participant has one dict entry, [shared id, mask],
-    where the mask has one bit per decision id in first-seen order: a
-    decision whose bit is already set is a duplicate.  So every record of a
-    participant holds the same id string, and treatment, decision and action
-    strings are interned through one dict as well.  An error names the
-    physical line on which the offending record starts; the text is decoded
-    again only to find it.
+    Each participant has one dict entry, [shared id, mask], where the mask
+    has one bit per decision id in first-seen order: a decision whose bit is
+    already set is a duplicate.  So every record of a participant holds the
+    same id string, and treatment, decision and action strings are interned
+    through one dict as well.
     """
-    if isinstance(data, str):
-        lines = io.StringIO(_decode(data))
-    else:
-        _decode(data)  # the UTF-8 check, with its message
-        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
-    reader = csv.reader(lines)
     interned: dict[str, str] = {}
     intern = interned.setdefault
     bits: dict[str, int] = {}  # decision id -> its bit in a participant's mask
     participants: dict[str, list] = {}  # participant id -> [shared id, mask]
     records = []
-
-    def refused(message: str, column: str | None = None) -> ParseError:
-        return ParseError(message, row=_record_line(_decode(data), len(records)), column=column)
-
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("predictions.csv is empty", row=1)
-        if header != PREDICTIONS_HEADER:
-            raise ParseError(
-                f"unexpected predictions.csv header {header!r}", row=1, column="header"
-            )
-        for row in reader:
-            if not row:
-                continue
+    with _records(data, "predictions.csv", (PREDICTIONS_HEADER,)) as (_, rows):
+        for row in rows:
             if len(row) != 4:
-                raise refused(f"expected 4 fields, got {len(row)}")
+                raise _refusal(data, len(records), f"expected 4 fields, got {len(row)}")
             participant_id, treatment, decision_id, predicted = row
             if not participant_id or not treatment:
-                raise refused("participant_id and treatment must be non-empty")
+                raise _refusal(data, len(records), "participant_id and treatment must be non-empty")
             decision_id = intern(decision_id, decision_id)
             bit = bits.get(decision_id) or bits.setdefault(decision_id, 1 << len(bits))
             entry = participants.get(participant_id)
             if entry is None:
                 participants[participant_id] = entry = [participant_id, bit]
             elif entry[1] & bit:
-                raise refused(
-                    f"duplicate prediction by {participant_id!r} for decision {decision_id!r}",
-                    "participant_id",
-                )
+                message = f"duplicate prediction by {participant_id!r} for decision {decision_id!r}"
+                raise _refusal(data, len(records), message, "participant_id")
             else:
                 entry[1] |= bit
             treatment, predicted = intern(treatment, treatment), intern(predicted, predicted)
             records.append(PredictionRecord(entry[0], treatment, decision_id, predicted))
-    except csv.Error as exc:
-        raise _csv_error("predictions.csv", _record_line(_decode(data)), exc) from None
     return records
 
 
@@ -540,11 +497,10 @@ def read_bundle(path) -> ExperimentBundle:
         if column is None:
             raise
         if column == "action":  # a values.csv record, found by its (decision, action) key
-            text = _decode(values)
-            index = [row[:2] for row in csv.reader(io.StringIO(text)) if row][1:].index(list(exc.key))
-        else:
-            text, index = _decode(data), exc.index
-        raise ParseError(str(exc), row=_record_line(text, index), column=column) from None
+            with _records(values, "values.csv", _VALUES_HEADERS) as (_, records):
+                index = [row[:2] for row in records].index(list(exc.key))
+            raise _refusal(values, index, str(exc), column) from None
+        raise _refusal(data, exc.index, str(exc), column) from None
 
 
 class ParticipantModel(NamedTuple("ParticipantModel", [("rank_probs", tuple[float, ...] | None)])):

@@ -164,6 +164,14 @@ def score_table(
     }
 
 
+def _by_participant_and_decision(predictions) -> list[PredictionRecord]:
+    """The records sorted by (participant, decision), keeping input order
+    among equal pairs: two stable sorts, so no key tuple is built."""
+    ordered = sorted(predictions, key=itemgetter(2))
+    ordered.sort(key=itemgetter(0))
+    return ordered
+
+
 def score_dataset(
     predictions: list[PredictionRecord],
     value_tables: dict[str, DecisionValues],
@@ -173,7 +181,7 @@ def score_dataset(
     a per-record view over :func:`score_table`."""
     scores = score_table(value_tables, scale)
     samples = []
-    for pid, treatment, d, action in sorted(predictions, key=itemgetter(0, 2)):
+    for pid, treatment, d, action in _by_participant_and_decision(predictions):
         if d not in scores:
             raise ValidationError(f"no value table for decision {d!r} (prediction by {pid!r})")
         if action not in scores[d]:

@@ -333,9 +333,12 @@ def levene_median(groups) -> TestResult:
         return TestResult(LEVENE_MEDIAN, 0.0, (float(g - 1), float(total_n - g)), 1.0)
 
 
-def _midranks(pooled: list[float]) -> list[float]:
+def _midranks(pooled: list[float]) -> tuple[list[float], int]:
+    """Mid-ranks of the pooled sample, and its tie sum: t**3 - t summed over
+    every run of t equal values."""
     order = sorted(range(len(pooled)), key=lambda i: pooled[i])
     ranks = [0.0] * len(pooled)
+    ties = 0
     i = 0
     while i < len(order):
         j = i
@@ -344,8 +347,9 @@ def _midranks(pooled: list[float]) -> list[float]:
         mid = (i + j) / 2.0 + 1.0
         for idx in order[i : j + 1]:
             ranks[idx] = mid
+        ties += (j - i + 1) ** 3 - (j - i + 1)
         i = j + 1
-    return ranks
+    return ranks, ties
 
 
 def kruskal_wallis(groups) -> TestResult:
@@ -361,7 +365,7 @@ def kruskal_wallis(groups) -> TestResult:
     if total_n < 3:
         raise ValidationError("kruskal_wallis needs at least 3 observations in total")
     pooled = [v for s in samples for v in s]
-    ranks = _midranks(pooled)
+    ranks, ties = _midranks(pooled)
     rank_sums = []
     pos = 0
     for s in samples:
@@ -370,17 +374,6 @@ def kruskal_wallis(groups) -> TestResult:
     h = 12.0 / (total_n * (total_n + 1)) * math.fsum(
         rs * rs / len(s) for rs, s in zip(rank_sums, samples)
     ) - 3.0 * (total_n + 1)
-    # Tie correction over the pooled sample.
-    ordered = sorted(pooled)
-    ties = 0
-    run = 1
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b:
-            run += 1
-        else:
-            ties += run**3 - run
-            run = 1
-    ties += run**3 - run
     correction = 1.0 - ties / float(total_n**3 - total_n)
     if correction <= 0.0:
         raise DegenerateDataError("all observations identical; H is undefined after tie correction")

@@ -1,5 +1,6 @@
-"""Property tests: bundle I/O round trips, row numbers of refused records,
-the CLI on corrupted bundles, and laws of the scores and statistics.
+"""Property tests: bundle I/O round trips, str and bytes input read alike,
+row numbers of refused records, the CLI on corrupted bundles, and laws of
+the scores and statistics.
 
 Runs when hypothesis is installed (it is in the ``test`` extra) and is
 skipped otherwise.  Examples are derandomized, so every run draws the same
@@ -20,13 +21,15 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from predscore.cli import main  # noqa: E402
 from predscore.dataset import (  # noqa: E402
     CUSTOM,
+    OUTCOME_COLUMNS,
     PREDICTIONS_HEADER,
+    VALUES_HEADER,
     ActionManifest,
     ExperimentBundle,
     parse_predictions_csv,
@@ -165,6 +168,85 @@ def test_refused_record_reports_its_start_line(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_bundle(base, Path(tmp) / "b")
         (path / "predictions.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_bundle(path)
+    assert err.value.row == start
+    assert err.value.column == column
+
+
+def _parsed(parse, data):
+    """The records, or the refusal's message, row and column."""
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return str(exc), exc.row, exc.column
+
+
+# Whole records of either file, and fragments that stress CSV quoting.
+CSV_LINES = st.lists(
+    st.sampled_from(["P1,A1,1.0,1", "P1,B1,0.5,0", "p1,T,P1,A1", "p1,T,P2,B1", "", "\ufeff"])
+    | st.text(st.sampled_from('ab1.,"\n\r\ufeff'), max_size=8),
+    max_size=5,
+)
+
+
+@PROPERTY
+@given(st.sampled_from([parse_values_csv, parse_predictions_csv]), st.integers(0, 2), CSV_LINES)
+@example(parse_values_csv, 2, ["P1,A1,1.0,1"])
+@example(parse_predictions_csv, 2, ["p1,T,P1,A1"])
+def test_str_and_bytes_read_alike(parse, boms, lines):
+    """A text and its UTF-8 bytes give equal records or the same refusal:
+    each drops one leading BOM, so a second one is part of the header."""
+    header = VALUES_HEADER if parse is parse_values_csv else PREDICTIONS_HEADER
+    text = "\ufeff" * boms + "\n".join([",".join(header), *lines]) + "\n"
+    assert _parsed(parse, text) == _parsed(parse, text.encode())
+
+
+@PROPERTY
+@given(st.data())
+def test_refused_values_record_reports_its_start_line(data):
+    """One corrupted values.csv record among blank lines and decision ids
+    that span lines is refused, by the parser or by the bundle, naming the
+    line it starts on."""
+    base = ExperimentBundle(
+        ActionManifest("exp", CUSTOM, (("A1", "A1"), ("B1", "B1"), ("C1", "C1"))),
+        (DecisionValues("P1", {"A1": 1.0}, "A1"),),
+        (),
+        ("T",),
+    )
+    # Decision ids with line breaks make a record span several lines.
+    decisions = data.draw(
+        st.lists(st.text(st.sampled_from("PQ\n"), min_size=1, max_size=4), min_size=1,
+                 max_size=5, unique=True)
+    )
+    bad = data.draw(st.integers(0, len(decisions) - 1))
+    # Each decision has two records, A1 (chosen) and then B1: (which record
+    # is corrupted, how, expected column).
+    corruptions = [
+        (1, lambda f: f[:-1], None),  # six fields
+        (1, lambda f: ["", *f[1:]], None),  # empty decision id
+        (1, lambda f: [f[0], "A1", *f[2:]], "action"),  # duplicate action
+        (1, lambda f: [*f[:2], "high", *f[3:]], "value"),  # non-numeric value
+        (1, lambda f: [*f[:2], "inf", *f[3:]], "value"),  # infinite value
+        (1, lambda f: [*f[:3], "2", *f[4:]], "chosen"),  # bad chosen flag
+        (1, lambda f: [*f[:4], "0.5", "0.5", ""], "win"),  # partial triple
+        (1, lambda f: [*f[:4], "0.6", "0.3", "0.2"], "win"),  # triple sums to 1.1
+        (0, lambda f: [*f[:3], "0", *f[4:]], "chosen"),  # no chosen action: its first record
+        (1, lambda f: [f[0], "Z9", *f[2:]], "action"),  # not in the manifest: a bundle refusal
+    ]
+    position, corrupt, column = data.draw(st.sampled_from(corruptions))
+    text = _record_text(VALUES_HEADER + OUTCOME_COLUMNS)
+    for i, decision_id in enumerate(decisions):
+        for j, fields in enumerate([["A1", "1.0", "1"], ["B1", "0.0", "0"]]):
+            text += "\n" * data.draw(st.integers(0, 2))
+            fields = [decision_id, *fields, "", "", ""]
+            if (i, j) == (bad, position):
+                start = text.count("\n") + 1
+                fields = corrupt(fields)
+            text += _record_text(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_bundle(base, Path(tmp) / "b")
+        (path / "values.csv").write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as err:
             read_bundle(path)
     assert err.value.row == start
