@@ -14,7 +14,7 @@ orderings deterministic and reproducible across implementations.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ValidationError
 
@@ -42,7 +42,7 @@ def parse_column_label(text: str) -> int:
     return col - 1
 
 
-class SquareId(NamedTuple("SquareId", [("col", int), ("row", int)])):
+class SquareId(namedtuple("SquareId", "col row")):
     """A board square addressed by 0-based (col, row)."""
 
     __slots__ = ()

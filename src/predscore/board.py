@@ -13,8 +13,8 @@ shape.  game_status and both value oracles test wins this way.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .actions import SquareId
 from .errors import ValidationError
@@ -33,7 +33,7 @@ WIN = "win"
 DRAW = "draw"
 
 
-class BoardConfig(NamedTuple("BoardConfig", [("m", int), ("n", int), ("k", int)])):
+class BoardConfig(namedtuple("BoardConfig", "m n k")):
     """Board shape: m columns, n rows, k consecutive pieces to win."""
 
     __slots__ = ()
@@ -62,16 +62,17 @@ class BoardConfig(NamedTuple("BoardConfig", [("m", int), ("n", int), ("k", int)]
         return sq.col < self.m and sq.row < self.n
 
 
-class GameStatus(NamedTuple):
-    state: str  # ONGOING | WIN | DRAW
-    winner: str | None = None
+class GameStatus(namedtuple("GameStatus", "state winner", defaults=(None,))):
+    """state is ONGOING, WIN or DRAW; winner is the winning player or None."""
+
+    __slots__ = ()
 
 
-class Board(NamedTuple):
-    config: BoardConfig
-    packed: int = 0
-    to_move: str = AGENT
-    history: tuple[tuple[str, SquareId], ...] = ()
+class Board(namedtuple("Board", "config packed to_move history", defaults=(0, AGENT, ()))):
+    """A position on a config-shaped board: the packed squares, the player
+    to move, and history, the (player, SquareId) moves that led here."""
+
+    __slots__ = ()
 
     def cell(self, sq: SquareId) -> str | None:
         """AGENT, OPPONENT or None for an empty square."""

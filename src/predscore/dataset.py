@@ -18,12 +18,14 @@ ExperimentBundle checks how the parts relate: every decision's actions are
 in the manifest, and every prediction names a valued decision, an action it
 values and a listed treatment; read_bundle adds the row of a refused record.
 
+All three files are decoded by ``_decode``: UTF-8, less one leading BOM;
+bytes that are not UTF-8 are refused with the line of the first bad byte.
 Both CSV files are read by one streaming record reader, ``_records``: it
-drops one leading UTF-8 BOM from str and bytes alike, refuses an empty file,
-an unexpected header or malformed CSV, and skips blank lines.  The row of
-every refusal is the physical line on which the refused record starts, and
-``_record_line`` is the only code that finds it: it reads the text a second
-time, and only once a record is refused, so no parse loop counts lines.
+refuses an empty file, an unexpected header or malformed CSV, and skips
+blank lines.  The row of every refused record is the physical line on which
+it starts, and ``_record_line`` is the only code that finds it: it reads the
+text a second time, and only once a record is refused, so no parse loop
+counts lines.
 
 predictions.csv is the one large file, so its parser keeps little beside
 the records: one entry per participant holding the shared id string and a
@@ -40,13 +42,12 @@ import json
 import math
 import random
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
@@ -67,18 +68,10 @@ _VALUES_HEADERS = (VALUES_HEADER, VALUES_HEADER + OUTCOME_COLUMNS)
 TRIPLE_CSV_TOLERANCE = 1e-6
 
 
-class ActionManifest(
-    NamedTuple(
-        "ActionManifest",
-        [
-            ("experiment_id", str),
-            ("domain", str),
-            ("actions", tuple[tuple[str, str], ...]),  # (action id, display name)
-            ("board", BoardConfig | None),
-        ],
-    )
-):
-    """Names the actions of one experiment and tags its domain."""
+class ActionManifest(namedtuple("ActionManifest", "experiment_id domain actions board")):
+    """Names the actions of one experiment and tags its domain: actions are
+    (action id, display name) pairs, and board is the BoardConfig of an mnk
+    domain."""
 
     __slots__ = ()
 
@@ -120,21 +113,13 @@ def make_mnk_manifest(config: BoardConfig, experiment_id: str) -> ActionManifest
 
 
 class ExperimentBundle(
-    NamedTuple(
-        "ExperimentBundle",
-        [
-            ("manifest", ActionManifest),
-            ("decisions", tuple[DecisionValues, ...]),
-            ("predictions", tuple[PredictionRecord, ...]),
-            ("treatments", tuple[str, ...]),
-            # Decisions that exist in the design but whose value tables are
-            # not yet supplied: (decision_id, action ids).
-            ("pending_decisions", tuple[tuple[str, tuple[str, ...]], ...]),
-        ],
-    )
+    namedtuple("ExperimentBundle", "manifest decisions predictions treatments pending_decisions")
 ):
-    """Everything one analysis needs: values, predictions, and naming.  A
-    ValidationError refusing a record carries ``column``, the CSV column at
+    """Everything one analysis needs: values, predictions, and naming.
+    pending_decisions are the decisions that exist in the design but whose
+    value tables are not yet supplied, as (decision id, action ids) pairs.
+
+    A ValidationError refusing a record carries ``column``, the CSV column at
     fault, and either ``index``, a prediction's position in ``predictions``,
     or ``key``, the (decision, action) of a values row."""
 
@@ -207,12 +192,14 @@ class ExperimentBundle(
 
 
 def _decode(data) -> str:
-    """The text of str or UTF-8 bytes, less one leading byte order mark."""
+    """The text of str or UTF-8 bytes, less one leading byte order mark.
+    Bytes that are not UTF-8 are refused with the line of the first bad byte."""
     if not isinstance(data, str):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc}") from None
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"input is not valid UTF-8: {exc}", row=row) from None
     return data.removeprefix("\ufeff")  # tolerate a spreadsheet-added BOM
 
 
@@ -322,7 +309,11 @@ def parse_values_csv(data) -> list[DecisionValues]:
                 raise refuse(f"outcome triple sums to {total!r}, not 1", "win")
             if abs(total - 1.0) > 1e-9:
                 win, loss, draw = win / total, loss / total, draw / total
-            outcomes.setdefault(decision_id, {})[action] = OutcomeTriple(win, loss, draw)
+            try:
+                triple = OutcomeTriple(win, loss, draw)
+            except ValidationError as exc:
+                raise refuse(str(exc), "win") from None
+            outcomes.setdefault(decision_id, {})[action] = triple
     for decision_id, index in first.items():
         if decision_id not in chosen:
             raise _refusal(data, index, f"decision {decision_id!r} has no chosen action", "chosen")
@@ -482,7 +473,7 @@ def read_bundle(path) -> ExperimentBundle:
         if not (path / name).exists():
             raise ParseError(f"no {name} in {path}")
     try:
-        doc = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        doc = json.loads(_decode((path / "manifest.json").read_bytes()))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed manifest.json: {exc}") from None
     manifest, treatments, pending = _manifest_from_dict(doc)
@@ -503,7 +494,7 @@ def read_bundle(path) -> ExperimentBundle:
         raise _refusal(data, exc.index, str(exc), column) from None
 
 
-class ParticipantModel(NamedTuple("ParticipantModel", [("rank_probs", tuple[float, ...] | None)])):
+class ParticipantModel(namedtuple("ParticipantModel", "rank_probs")):
     """Rank-indexed categorical model of how a participant predicts.
 
     rank_probs[i] is the probability of predicting the agent's rank-(i+1)

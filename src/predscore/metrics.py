@@ -24,15 +24,15 @@ reads the score table and the vote counts directly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import UnknownActionError, ValidationError
 from .values import DecisionValues
 
 
-class GradeScale(NamedTuple("GradeScale", [("bins", tuple[tuple[int | None, str], ...])])):
+class GradeScale(namedtuple("GradeScale", "bins")):
     """Ordered rank bins mapping a rank to a letter grade.
 
     bins are (max rank inclusive, label) with strictly increasing
@@ -76,25 +76,21 @@ class GradeScale(NamedTuple("GradeScale", [("bins", tuple[tuple[int | None, str]
 DEFAULT_GRADE_SCALE = GradeScale(((4, "A"), (8, "B"), (12, "C"), (16, "D"), (None, "F")))
 
 
-class PredictionRecord(NamedTuple):
+class PredictionRecord(
+    namedtuple("PredictionRecord", "participant_id treatment decision_id predicted")
+):
     """One participant's predicted action for one decision."""
 
-    participant_id: str
-    treatment: str
-    decision_id: str
-    predicted: str
+    __slots__ = ()
 
 
-class MetricSample(NamedTuple):
-    """Per-prediction scores, ready for grouping and comparison."""
+class MetricSample(
+    namedtuple("MetricSample", "participant_id decision_id treatment predicted lv lr grade")
+):
+    """Per-prediction scores, ready for grouping and comparison: lv and lr
+    are the loss in value and in rank, grade the predicted rank's letter."""
 
-    participant_id: str
-    decision_id: str
-    treatment: str
-    predicted: str
-    lv: float
-    lr: int
-    grade: str
+    __slots__ = ()
 
 
 def loss_in_value(values: DecisionValues, predicted: str) -> float:

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
 
 from .actions import SquareId, canonical_key
 from .board import (
@@ -48,9 +48,6 @@ from .board import (
 from .errors import ValidationError
 from .values import DecisionValues, OutcomeTriple, argmax_action
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 
@@ -58,29 +55,23 @@ SAMPLED = "sampled"
 EXHAUSTIVE_LIMIT = 12
 
 
-class Mutation(NamedTuple("Mutation", [("seed", int), ("magnitude", float)])):
+class Mutation(namedtuple("Mutation", "seed magnitude")):
     """Seeded value-noise perturbation applied to flattened values."""
 
     __slots__ = ()
 
     def __new__(cls, seed: int, magnitude: float):
+        if not math.isfinite(magnitude):
+            raise ValidationError(f"mutation magnitude must be finite, got {magnitude}")
         if magnitude < 0:
             raise ValidationError(f"mutation magnitude must be >= 0, got {magnitude}")
         return super().__new__(cls, seed, magnitude)
 
 
-class AgentSpec(
-    NamedTuple(
-        "AgentSpec",
-        [
-            ("oracle", str),
-            ("rollouts", int | None),
-            ("seed", int | None),
-            ("depth_limit", int | None),
-            ("mutation", Mutation | None),
-        ],
-    )
-):
+class AgentSpec(namedtuple("AgentSpec", "oracle rollouts seed depth_limit mutation")):
+    """How an agent values moves: the oracle kind, its rollouts, seed and
+    depth limit when sampled, and an optional value Mutation."""
+
     __slots__ = ()
 
     def __new__(
@@ -211,10 +202,9 @@ def _continuation(
     return result
 
 
-def exact_outcome_triples(board: Board) -> dict[SquareId, tuple[Fraction, Fraction, Fraction]]:
-    """Exact mover-perspective (win, loss, draw) for every legal move.
-
-    The three fractions of each triple sum to exactly 1.
+def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
+    """Exact mover-perspective (win, loss, draw) for every legal move, as a
+    triple of fractions.Fraction that sums to exactly 1.
     """
     from fractions import Fraction  # loads decimal: import it only here
 

@@ -13,9 +13,9 @@ deterministically so outputs are golden-file friendly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
 
 from .actions import SquareId, column_label
 from .dataset import ExperimentBundle, MNK
@@ -29,14 +29,12 @@ RANK_SPACE = "rank"
 SPACES = (VALUE_SPACE, RANK_SPACE)  # the order of each participant's (LV, LR) totals
 
 
-class MetricsTable(NamedTuple):
+class MetricsTable(namedtuple("MetricsTable", "decision_ids columns rows lower_is_better")):
     """Per-treatment summary: mean LV and LR (pooled and per decision) and
-    the modified overlap per decision."""
+    the modified overlap per decision.  rows are (treatment, cells) pairs
+    with one cell per column; lower_is_better has one flag per column."""
 
-    decision_ids: tuple[str, ...]
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, tuple[float, ...]], ...]  # (treatment, cells)
-    lower_is_better: tuple[bool, ...]
+    __slots__ = ()
 
     def best_in_column(self) -> tuple[tuple[str, ...], ...]:
         """For each row, the column names where that row holds the best value."""

@@ -19,7 +19,7 @@ continued fraction (Numerical Recipes 6.4).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DegenerateDataError, ValidationError
 
@@ -31,7 +31,7 @@ KRUSKAL_WALLIS = "kruskal_wallis"
 DEFAULT_ALPHA = 0.05
 
 
-class SampleGroup(NamedTuple("SampleGroup", [("label", str), ("values", tuple[float, ...])])):
+class SampleGroup(namedtuple("SampleGroup", "label values")):
     """One treatment's per-participant aggregated losses."""
 
     __slots__ = ()
@@ -42,18 +42,7 @@ class SampleGroup(NamedTuple("SampleGroup", [("label", str), ("values", tuple[fl
         return super().__new__(cls, label, tuple(float(v) for v in values))
 
 
-class TestResult(
-    NamedTuple(
-        "TestResult",
-        [
-            ("test", str),
-            ("statistic", float | None),
-            ("df", tuple[float, ...]),
-            ("p_value", float),
-            ("reason", str | None),
-        ],
-    )
-):
+class TestResult(namedtuple("TestResult", "test statistic df p_value reason")):
     """One test's outcome.  A gate that could not be computed has no
     statistic, p = 0 (failed at every alpha > 0) and a ``reason``."""
 
@@ -72,12 +61,14 @@ class TestResult(
         return super().__new__(cls, test, statistic, df, p_value, reason)
 
 
-class PipelineResult(NamedTuple):
-    test_used: str
-    gate_results: tuple[TestResult, ...]
-    comparison: TestResult
-    warnings: tuple[str, ...]
-    excluded: tuple[str, ...] = ()
+class PipelineResult(
+    namedtuple("PipelineResult", "test_used gate_results comparison warnings excluded",
+               defaults=((),))
+):
+    """The test the gates chose, every gate's TestResult, the comparison,
+    warnings, and the labels of groups left out of it."""
+
+    __slots__ = ()
 
 
 _SQRT2 = math.sqrt(2.0)

@@ -74,6 +74,13 @@ class TestSimulate:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("magnitude", ["nan", "inf"])
+    def test_non_finite_mutation_exits_2(self, tmp_path, capsys, magnitude):
+        code = main(SIM_FLAGS + ["--mutation", magnitude, "--out-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_exhaustive_oracle_on_large_board_exits_2(self, tmp_path, capsys):
         code = main(
             ["simulate", "--m", "6", "--n", "6", "--k", "4", "--participants", "4",

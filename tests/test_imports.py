@@ -10,7 +10,7 @@ from pathlib import Path
 
 import predscore
 
-HEAVY = ("dataclasses", "statistics", "fractions", "decimal", "scipy", "numpy")
+HEAVY = ("dataclasses", "typing", "statistics", "fractions", "decimal", "scipy", "numpy")
 
 
 def loaded_by(statements: str) -> list[str]:

@@ -231,6 +231,7 @@ def test_refused_values_record_reports_its_start_line(data):
         (1, lambda f: [*f[:3], "2", *f[4:]], "chosen"),  # bad chosen flag
         (1, lambda f: [*f[:4], "0.5", "0.5", ""], "win"),  # partial triple
         (1, lambda f: [*f[:4], "0.6", "0.3", "0.2"], "win"),  # triple sums to 1.1
+        (1, lambda f: [*f[:4], "1.5", "-0.5", "0"], "win"),  # sums to 1, out of [0, 1]
         (0, lambda f: [*f[:3], "0", *f[4:]], "chosen"),  # no chosen action: its first record
         (1, lambda f: [f[0], "Z9", *f[2:]], "action"),  # not in the manifest: a bundle refusal
     ]
@@ -279,14 +280,23 @@ FIELD_TEXTS = st.text(st.sampled_from(list('aP1.-,"\n\r é')), max_size=6) | st.
 )
 
 
+def _with_invalid_utf8(files: dict[str, bytes], name: str, at: int) -> dict[str, bytes]:
+    """The files with a byte that is never valid UTF-8 put into file name."""
+    return {**files, name: files[name][:at] + b"\xff" + files[name][at:]}
+
+
 @st.composite
 def corrupted_bundles(draw):
     """A simulated bundle with one change: a manifest.json value of another
-    type, one CSV field, a duplicated CSV row or a truncated file.  Returns
-    the name of the changed file and the files."""
+    type, one CSV field, a duplicated CSV row, a truncated file or a byte
+    that is not UTF-8.  Returns the name of the changed file and the files."""
     files = dict(_simulated_files())
-    kind = draw(st.sampled_from(["json_type", "csv_field", "duplicate_row", "truncate"]))
-    if kind == "json_type":
+    kinds = ["json_type", "csv_field", "duplicate_row", "truncate", "invalid_utf8"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "invalid_utf8":
+        name = draw(st.sampled_from(sorted(files)))
+        files = _with_invalid_utf8(files, name, draw(st.integers(0, len(files[name]))))
+    elif kind == "json_type":
         name = "manifest.json"
         doc = json.loads(files[name])
         container, key = draw(st.sampled_from(list(_json_slots(doc))))
@@ -321,6 +331,7 @@ COMMANDS = (
 
 @PROPERTY
 @given(corrupted_bundles())
+@example(("manifest.json", _with_invalid_utf8(_simulated_files(), "manifest.json", 40)))
 def test_cli_answers_a_corrupted_bundle_with_at_most_one_error_line(corruption):
     """Every command exits 0 or 1 with at most one "error:" line and no
     traceback; a bundle that read_bundle refuses is refused by every command

@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from predscore.actions import SquareId
-from predscore.board import AGENT, OPPONENT, Board, BoardConfig
+from predscore.board import AGENT, OPPONENT, WIN, Board, BoardConfig, GameStatus
 from predscore.dataset import (
     CUSTOM,
     MNK,
@@ -22,7 +22,7 @@ from predscore.dataset import (
     _manifest_from_dict,
 )
 from predscore.errors import ParseError, UnknownActionError, ValidationError
-from predscore.metrics import GradeScale, PredictionRecord
+from predscore.metrics import GradeScale, MetricSample, PredictionRecord
 from predscore.oracle import EXHAUSTIVE, SAMPLED, AgentSpec, Mutation
 from predscore.report import MetricsTable
 from predscore.stats import ANOVA, PipelineResult, SampleGroup
@@ -42,12 +42,21 @@ TYPES = {
         ("config", "packed", "to_move", "history"),
         lambda: Board(CFG, 1 << 8, OPPONENT, ((AGENT, SquareId(1, 1)),)),
     ),
+    GameStatus: (("state", "winner"), lambda: GameStatus(WIN, AGENT)),
     OutcomeTriple: (("win", "loss", "draw"), lambda: OutcomeTriple(0.5, 0.25, 0.25)),
     DecisionValues: (
         ("decision_id", "entries", "chosen", "outcomes"),
         lambda: DecisionValues("d1", {"a": 0.5, "b": -0.5}, "a", {"a": OutcomeTriple(0.5, 0.0, 0.5)}),
     ),
     GradeScale: (("bins",), lambda: GradeScale(((4, "A"), (None, "F")))),
+    PredictionRecord: (
+        ("participant_id", "treatment", "decision_id", "predicted"),
+        lambda: PredictionRecord("p1", "T", "d1", "b"),
+    ),
+    MetricSample: (
+        ("participant_id", "decision_id", "treatment", "predicted", "lv", "lr", "grade"),
+        lambda: MetricSample("p1", "d1", "T", "b", 1.0, 1, "A"),
+    ),
     Mutation: (("seed", "magnitude"), lambda: Mutation(3, 0.1)),
     AgentSpec: (
         ("oracle", "rollouts", "seed", "depth_limit", "mutation"),
@@ -145,6 +154,7 @@ def test_copies_and_pickles_round_trip(cls):
 
 def test_defaults():
     assert field_tuple(AgentSpec()) == (EXHAUSTIVE, None, None, None, None)
+    assert field_tuple(GameStatus(WIN)) == (WIN, None)
     assert field_tuple(Board(CFG)) == (CFG, 0, AGENT, ())
     assert ActionManifest("e1", CUSTOM, (("a", "a"),)).board is None
     assert ExperimentBundle(MANIFEST, (), (), ("T",)).pending_decisions == ()
@@ -167,7 +177,24 @@ def test_inputs_are_normalized():
 def test_named_tuples_equal_plain_tuples_of_their_fields():
     assert SquareId(1, 2) == (1, 2)
     assert OutcomeTriple(1.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
-    assert VALUES != field_tuple(VALUES)  # not a tuple: it keeps its derived rank order
+    assert VALUES == field_tuple(VALUES)
+
+
+@pytest.mark.parametrize("obj", [PredictionRecord("p1", "T", "d1", "b"),
+                                 MetricSample("p1", "d1", "T", "b", 1.0, 1, "A"),
+                                 SquareId(1, 2), OutcomeTriple(1.0, 0.0, 0.0)],
+                         ids=lambda obj: type(obj).__name__)
+def test_records_built_by_the_hundred_thousand_have_no_instance_dict(obj):
+    """A tuple subclass without ``__slots__ = ()`` gets a ``__dict__``: 8 more
+    bytes for each of a large bundle's records."""
+    assert not hasattr(obj, "__dict__")
+
+
+def test_decision_values_cache_their_rank_order():
+    dv = DecisionValues("d1", {"a": -1.0, "b": 2.0, "c": 2.0}, "b")
+    assert dv.actions is dv.actions == ("b", "c", "a")
+    assert [dv.rank(a) for a in "abc"] == [3, 1, 2]
+    assert pickle.loads(pickle.dumps(dv)).actions == ("b", "c", "a")
 
 
 def _bundle(decisions=(VALUES,), predictions=(), treatments=("T",), pending=()):
@@ -211,6 +238,8 @@ INVALID = [
     (lambda: GradeScale(((4, "A"), (None, "A"))), ValidationError,
      "grade labels must be unique: ['A', 'A']"),
     (lambda: Mutation(1, -0.5), ValidationError, "mutation magnitude must be >= 0, got -0.5"),
+    (lambda: Mutation(1, math.nan), ValidationError, "mutation magnitude must be finite, got nan"),
+    (lambda: Mutation(1, math.inf), ValidationError, "mutation magnitude must be finite, got inf"),
     (lambda: AgentSpec(oracle="minimax"), ValidationError, "unknown oracle kind 'minimax'"),
     (lambda: AgentSpec(SAMPLED, seed=1), ValidationError, "sampled oracle requires rollouts >= 1"),
     (lambda: AgentSpec(SAMPLED, rollouts=10), ValidationError,
