@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .errors import ValidationError
+from .errors import Validated, ValidationError
 
 QUADRANTS = ("NE", "NW", "SE", "SW")
 
@@ -42,7 +42,7 @@ def parse_column_label(text: str) -> int:
     return col - 1
 
 
-class SquareId(namedtuple("SquareId", "col row")):
+class SquareId(Validated, namedtuple("SquareId", "col row")):
     """A board square addressed by 0-based (col, row)."""
 
     __slots__ = ()

@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .actions import SquareId
-from .errors import ValidationError
+from .errors import Validated, ValidationError
 
 AGENT = "agent"
 OPPONENT = "opponent"
@@ -33,7 +33,7 @@ WIN = "win"
 DRAW = "draw"
 
 
-class BoardConfig(namedtuple("BoardConfig", "m n k")):
+class BoardConfig(Validated, namedtuple("BoardConfig", "m n k")):
     """Board shape: m columns, n rows, k consecutive pieces to win."""
 
     __slots__ = ()

@@ -24,6 +24,7 @@ from .board import BoardConfig
 from .dataset import (
     MNK,
     ParticipantModel,
+    _csv_lines,
     generate_synthetic_experiment,
     read_bundle,
     write_bundle,
@@ -49,6 +50,7 @@ from .report import (
 from .stats import DEFAULT_ALPHA, run_pipeline
 
 EPILOG = "exit codes: 0 success, 1 data error, 2 usage error"
+SAMPLES_HEADER = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
 
 
 def _slug(text: str) -> str:
@@ -83,6 +85,13 @@ def _parse_formats(text: str, allowed: set[str]) -> set[str]:
             f"--format must be a comma subset of {sorted(allowed)}, got {text!r}"
         )
     return formats
+
+
+def _write(path: Path, text) -> None:
+    """Write text, a string or an iterable of strings, to path as UTF-8 and say so."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
+    print(f"wrote {path}")
 
 
 def _usage_error(exc) -> int:
@@ -160,30 +169,16 @@ def cmd_metrics(args) -> int:
     counts = bundle.vote_counts()
     scores = score_table(bundle.values_by_decision())
     table = build_metrics_table(bundle, counts, scores, p=args.p)
-    written = []
     if "csv" in formats:
-        path = out / "metrics.csv"
-        path.write_text(render_metrics_csv(table), encoding="utf-8")
-        written.append(path)
+        _write(out / "metrics.csv", render_metrics_csv(table))
     if "markdown" in formats:
-        path = out / "metrics.md"
-        path.write_text(render_metrics_markdown(table), encoding="utf-8")
-        written.append(path)
-    grades_path = out / "grades.csv"
-    grades_path.write_text(
-        render_grade_distribution_csv(grade_distribution(bundle, counts, scores)), encoding="utf-8"
-    )
-    written.append(grades_path)
+        _write(out / "metrics.md", render_metrics_markdown(table))
+    distribution = grade_distribution(bundle, counts, scores)
+    _write(out / "grades.csv", render_grade_distribution_csv(distribution))
     for space, groups in zip(SPACES, participant_loss_sums(bundle.predictions, scores, *SPACES)):
-        path = out / f"boxplot_l{space[0]}.csv"
-        path.write_text(render_boxplot_csv(groups), encoding="utf-8")
-        written.append(path)
+        _write(out / f"boxplot_l{space[0]}.csv", render_boxplot_csv(groups))
         if "svg" in formats:
-            path = out / f"boxplot_l{space[0]}.svg"
-            path.write_text(render_boxplot_svg(groups), encoding="utf-8")
-            written.append(path)
-    for path in written:
-        print(f"wrote {path}")
+            _write(out / f"boxplot_l{space[0]}.svg", render_boxplot_svg(groups))
     if min(len(g.values) for g in groups) <= 1:
         print("notice: at least one treatment has a single participant; "
               "comparative statistics are omitted for such groups")
@@ -244,10 +239,8 @@ def cmd_stats(args) -> int:
     }
     if result.excluded:
         doc["excluded"] = list(result.excluded)
-    out = _out_dir(args)
-    path = out / f"stats_{args.space}.json"
-    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    _write(_out_dir(args) / f"stats_{args.space}.json",
+           json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -263,34 +256,33 @@ def cmd_votes(args) -> int:
     if values is None:
         raise ValidationError(f"unknown decision {args.decision!r}")
     chosen = SquareId.parse(values.chosen)
-    out = _out_dir(args)
-    counts = bundle.vote_counts()
     by_treatment = args.group_by == "treatment"
     selections = [(t, t) for t in sorted(bundle.treatments)] if by_treatment else [(None, "all")]
+    # casefolded file stem -> the stem, the treatment (None pools every group) and its
+    # label; stems that differ only in case name one file on a case-insensitive filesystem
+    stems = {}
     for treatment, label in selections:
-        grid = vote_matrix(bundle, counts, args.decision, treatment)
         stem = f"votes_{_slug(args.decision)}_{_slug(label)}"
-        path = out / f"{stem}.csv"
-        path.write_text(render_vote_matrix_csv(grid, bundle.manifest.board.m), encoding="utf-8")
-        print(f"wrote {path}")
+        if stem.casefold() in stems:
+            first, _, other = stems[stem.casefold()]
+            raise ValidationError(f"treatments {other!r} and {label!r} "
+                                  f"would both write {first}.csv")
+        stems[stem.casefold()] = stem, treatment, label
+    out = _out_dir(args)
+    counts = bundle.vote_counts()
+    for stem, treatment, _ in stems.values():
+        grid = vote_matrix(bundle, counts, args.decision, treatment)
+        _write(out / f"{stem}.csv", render_vote_matrix_csv(grid, bundle.manifest.board.m))
         if "svg" in formats:
-            path = out / f"{stem}.svg"
-            path.write_text(render_vote_svg(grid, chosen), encoding="utf-8")
-            print(f"wrote {path}")
+            _write(out / f"{stem}.svg", render_vote_svg(grid, chosen))
     return 0
 
 
 def cmd_grade(args) -> int:
     bundle = read_bundle(args.bundle)
-    # Each row's tail (predicted,lv,lr,grade) is rendered once per (decision, action).
-    tails = {d: {a: f"{a},{lv!r},{lr},{grade}\n" for a, (lv, lr, grade) in table.items()}
-             for d, table in score_table(bundle.values_by_decision()).items()}
-    path = _out_dir(args) / "samples.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("participant_id,treatment,decision_id,predicted,lv,lr,grade\n")
-        ordered = _by_participant_and_decision(bundle.predictions)
-        fh.writelines(f"{pid},{t},{d},{tails[d][a]}" for pid, t, d, a in ordered)
-    print(f"wrote {path}")
+    ordered = _by_participant_and_decision(bundle.predictions)
+    lines = _csv_lines(SAMPLES_HEADER, ordered, score_table(bundle.values_by_decision()))
+    _write(_out_dir(args) / "samples.csv", lines)
     return 0
 
 

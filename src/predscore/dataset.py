@@ -10,7 +10,9 @@ An experiment bundle is a directory of three files:
   predictions.csv   participant_id,treatment,decision_id,predicted_action
 
 All numbers serialize as shortest round-trip decimals, and every writer is
-deterministic, so identical bundles produce identical bytes.
+deterministic, so identical bundles produce identical bytes.  ``_csv_text``
+is the one CSV encoding: it writes both CSV files and every report CSV, and
+``_csv_lines`` streams its lines for the one large report, samples.csv.
 
 Each fact is checked in one layer.  The parsers check what a file says by
 itself: header, field counts, numbers, and empty or duplicate keys.
@@ -45,13 +47,13 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
-from .errors import ParseError, ValidationError
+from .errors import ParseError, Validated, ValidationError
 from .metrics import PredictionRecord, VoteCounts
 from .oracle import AgentSpec, value_oracle
 from .values import DecisionValues, OutcomeTriple
@@ -68,7 +70,7 @@ _VALUES_HEADERS = (VALUES_HEADER, VALUES_HEADER + OUTCOME_COLUMNS)
 TRIPLE_CSV_TOLERANCE = 1e-6
 
 
-class ActionManifest(namedtuple("ActionManifest", "experiment_id domain actions board")):
+class ActionManifest(Validated, namedtuple("ActionManifest", "experiment_id domain actions board")):
     """Names the actions of one experiment and tags its domain: actions are
     (action id, display name) pairs, and board is the BoardConfig of an mnk
     domain."""
@@ -113,7 +115,8 @@ def make_mnk_manifest(config: BoardConfig, experiment_id: str) -> ActionManifest
 
 
 class ExperimentBundle(
-    namedtuple("ExperimentBundle", "manifest decisions predictions treatments pending_decisions")
+    Validated,
+    namedtuple("ExperimentBundle", "manifest decisions predictions treatments pending_decisions"),
 ):
     """Everything one analysis needs: values, predictions, and naming.
     pending_decisions are the decisions that exist in the design but whose
@@ -362,20 +365,61 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_writer(out, quote_all: bool):
+    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+    return csv.writer(out, lineterminator="\n", quoting=quoting)
+
+
 def _csv_text(header: list[str], rows) -> str:
-    """CSV text with "\n" line ends from rows that can be iterated twice.
-    The csv module quotes only fields that hold a line-end character, and its
-    reader refuses a bare "\r" outside quotes, so text holding one is
-    written again with every field quoted."""
-    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+    """CSV text with "\n" line ends from rows that can be iterated twice:
+    the package's one CSV encoding, used by the bundle files and every report
+    file.  The csv module quotes a field that holds a comma, a quote or a
+    "\n", but can leave a bare "\r" unquoted, and its reader refuses one
+    outside quotes, so text holding one is written again with every field
+    quoted."""
+    for quote_all in (False, True):
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n", quoting=quoting)
+        writer = _csv_writer(out, quote_all)
         writer.writerow(header)
         writer.writerows(rows)
         text = out.getvalue()
         if "\r" not in text:
             break
     return text
+
+
+class _Lines(list):
+    """A list for a csv writer to write to: each row it writes is one item."""
+
+    __slots__ = ()
+    write = list.append
+
+
+def _csv_lines(header: list[str], rows: list, tails: dict):
+    """The lines of ``_csv_text(header, [(*row, *tails[row[2]][row[3]]) for
+    row in rows])``, one at a time, for a list of rows of four strings whose
+    last two key a table of further fields: records keyed into a score table.
+
+    No csv writer call is made per row.  The writer renders the header, each
+    tail from its two keys on, and each distinct first and second field once.
+    Whether every field is quoted is decided up front, by _csv_text's rule:
+    of the fields, only the ids can hold a "\r".
+    """
+    leading = list({*map(itemgetter(0), rows), *map(itemgetter(1), rows)})
+    quote_all = "\r" in "".join(chain(leading, tails, *tails.values()))
+
+    def render(batch) -> list[str]:
+        lines = _Lines()
+        _csv_writer(lines, quote_all).writerows(batch)
+        return lines
+
+    (head,) = render([header])
+    rendered = {k: dict(zip(table, render((k, j, *fields) for j, fields in table.items())))
+                for k, table in tails.items()}
+    # a second, empty field keeps an empty one from being written as a lone '""'
+    cells = {field: line.rpartition(",")[0]
+             for field, line in zip(leading, render(zip(leading, repeat(""))))}
+    return chain((head,), (f"{cells[a]},{cells[b]},{rendered[k][j]}" for a, b, k, j in rows))
 
 
 def serialize_values_csv(decisions) -> str:
@@ -494,7 +538,7 @@ def read_bundle(path) -> ExperimentBundle:
         raise _refusal(data, exc.index, str(exc), column) from None
 
 
-class ParticipantModel(namedtuple("ParticipantModel", "rank_probs")):
+class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
     """Rank-indexed categorical model of how a participant predicts.
 
     rank_probs[i] is the probability of predicting the agent's rank-(i+1)

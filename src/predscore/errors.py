@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the mixin that keeps a
+validating value type's invariants on every construction path."""
 
 
 class PredscoreError(Exception):
@@ -27,3 +28,16 @@ class ParseError(ValidationError):
 
 class DegenerateDataError(PredscoreError, ValueError):
     """Sample data is degenerate for the requested statistic (e.g. zero variance)."""
+
+
+class Validated:
+    """Mixin, listed before the named-tuple base, for a value type whose
+    ``__new__`` validates its fields.  A named tuple's ``_make``, and so its
+    ``_replace``, build through ``tuple.__new__``; here they build through
+    the type's own ``__new__``, so neither can make an invalid value."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

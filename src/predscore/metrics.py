@@ -28,11 +28,11 @@ from collections import namedtuple
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .errors import UnknownActionError, ValidationError
+from .errors import UnknownActionError, Validated, ValidationError
 from .values import DecisionValues
 
 
-class GradeScale(namedtuple("GradeScale", "bins")):
+class GradeScale(Validated, namedtuple("GradeScale", "bins")):
     """Ordered rank bins mapping a rank to a letter grade.
 
     bins are (max rank inclusive, label) with strictly increasing

@@ -45,7 +45,7 @@ from .board import (
     _wins,
     game_status,
 )
-from .errors import ValidationError
+from .errors import Validated, ValidationError
 from .values import DecisionValues, OutcomeTriple, argmax_action
 
 EXHAUSTIVE = "exhaustive"
@@ -55,7 +55,7 @@ SAMPLED = "sampled"
 EXHAUSTIVE_LIMIT = 12
 
 
-class Mutation(namedtuple("Mutation", "seed magnitude")):
+class Mutation(Validated, namedtuple("Mutation", "seed magnitude")):
     """Seeded value-noise perturbation applied to flattened values."""
 
     __slots__ = ()
@@ -68,7 +68,7 @@ class Mutation(namedtuple("Mutation", "seed magnitude")):
         return super().__new__(cls, seed, magnitude)
 
 
-class AgentSpec(namedtuple("AgentSpec", "oracle rollouts seed depth_limit mutation")):
+class AgentSpec(Validated, namedtuple("AgentSpec", "oracle rollouts seed depth_limit mutation")):
     """How an agent values moves: the oracle kind, its rollouts, seed and
     depth limit when sampled, and an optional value Mutation."""
 

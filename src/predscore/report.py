@@ -7,18 +7,21 @@ score table of :func:`predscore.metrics.score_table`, decision -> action ->
 modified overlap and vote matrices are sums over the counts; only the
 per-participant loss sums for boxplots and the stats pipeline walk the
 records, looking each score up.  Everything renders to CSV, markdown or SVG
-deterministically so outputs are golden-file friendly.
+deterministically so outputs are golden-file friendly.  CSV is quoted as the
+bundle files are, by :func:`predscore.dataset._csv_text`; markdown escapes
+the pipes and line breaks in ids, and SVG the markup characters in labels.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from itertools import chain
 from operator import itemgetter
 
 from .actions import SquareId, column_label
-from .dataset import ExperimentBundle, MNK
+from .dataset import MNK, ExperimentBundle, _csv_text
 from .errors import ValidationError
 from .metrics import DEFAULT_GRADE_SCALE, GradeScale, ScoreTable, VoteCounts, weighted_mean
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
@@ -74,16 +77,18 @@ def build_metrics_table(
 
 
 def render_metrics_csv(table: MetricsTable) -> str:
-    lines = ["treatment," + ",".join(table.columns) + ",best_in"]
-    for (treatment, cells), best in zip(table.rows, table.best_in_column()):
-        lines.append(
-            treatment + "," + ",".join(repr(c) for c in cells) + "," + ";".join(best)
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(treatment, *cells, ";".join(best))
+            for (treatment, cells), best in zip(table.rows, table.best_in_column())]
+    return _csv_text(["treatment", *table.columns, "best_in"], rows)
+
+
+def _markdown_cell(text: str) -> str:
+    """text as one markdown table cell: a pipe is escaped, a line break is <br>."""
+    return re.sub(r"\r\n?|\n", "<br>", text.replace("|", "\\|"))
 
 
 def render_metrics_markdown(table: MetricsTable) -> str:
-    header = "| treatment | " + " | ".join(table.columns) + " |"
+    header = "| treatment | " + " | ".join(map(_markdown_cell, table.columns)) + " |"
     rule = "|" + " --- |" * (len(table.columns) + 1)
     lines = [header, rule]
     best = table.best_in_column()
@@ -92,7 +97,7 @@ def render_metrics_markdown(table: MetricsTable) -> str:
         for col, cell in zip(table.columns, cells):
             text = f"{cell:.3f}"
             rendered.append(f"**{text}**" if col in best_cols else text)
-        lines.append("| " + treatment + " | " + " | ".join(rendered) + " |")
+        lines.append("| " + _markdown_cell(treatment) + " | " + " | ".join(rendered) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -114,14 +119,10 @@ def grade_distribution(
 
 
 def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRADE_SCALE) -> str:
-    lines = ["decision_id,treatment," + ",".join(scale.labels)]
-    for decision_id, per_treatment in distribution.items():
-        for treatment, counts in per_treatment.items():
-            lines.append(
-                f"{decision_id},{treatment},"
-                + ",".join(str(counts[label]) for label in scale.labels)
-            )
-    return "\n".join(lines) + "\n"
+    rows = [(decision_id, treatment, *(counts[label] for label in scale.labels))
+            for decision_id, per_treatment in distribution.items()
+            for treatment, counts in per_treatment.items()]
+    return _csv_text(["decision_id", "treatment", *scale.labels], rows)
 
 
 def participant_loss_sums(
@@ -177,11 +178,8 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
 
 
 def render_boxplot_csv(groups: list[SampleGroup]) -> str:
-    lines = ["treatment,n,min,q1,median,q3,max"]
-    for g in groups:
-        lo, q1, med, q3, hi = five_number_summary(g.values)
-        lines.append(f"{g.label},{len(g.values)},{lo!r},{q1!r},{med!r},{q3!r},{hi!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(g.label, len(g.values), *five_number_summary(g.values)) for g in groups]
+    return _csv_text(["treatment", "n", "min", "q1", "median", "q3", "max"], rows)
 
 
 def vote_matrix(
@@ -205,10 +203,8 @@ def vote_matrix(
 
 
 def render_vote_matrix_csv(grid: list[list[int]], m: int) -> str:
-    lines = ["row," + ",".join(column_label(c) for c in range(m))]
-    for r, row in enumerate(grid):
-        lines.append(f"{r + 1}," + ",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = [(r + 1, *row) for r, row in enumerate(grid)]
+    return _csv_text(["row", *map(column_label, range(m))], rows)
 
 
 # Fixed monotone blue ramp, light to dark, for vote heat maps.
@@ -268,6 +264,10 @@ def render_vote_svg(grid: list[list[int]], chosen: SquareId | None = None) -> st
     return "\n".join(parts) + "\n"
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_boxplot_svg(groups: list[SampleGroup]) -> str:
     """Minimal box-and-whisker chart, one box per treatment."""
     if not groups:
@@ -304,7 +304,7 @@ def render_boxplot_svg(groups: list[SampleGroup]) -> str:
         )
         parts.append(
             f'<text x="{cx:.1f}" y="{chart_h + margin + 16:.1f}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{g.label}</text>'
+            f'font-size="12" font-family="sans-serif">{_xml_text(g.label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

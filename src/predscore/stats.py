@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, Validated, ValidationError
 
 SHAPIRO_WILK = "shapiro_wilk"
 LEVENE_MEDIAN = "levene_median"
@@ -31,7 +31,7 @@ KRUSKAL_WALLIS = "kruskal_wallis"
 DEFAULT_ALPHA = 0.05
 
 
-class SampleGroup(namedtuple("SampleGroup", "label values")):
+class SampleGroup(Validated, namedtuple("SampleGroup", "label values")):
     """One treatment's per-participant aggregated losses."""
 
     __slots__ = ()
@@ -42,7 +42,7 @@ class SampleGroup(namedtuple("SampleGroup", "label values")):
         return super().__new__(cls, label, tuple(float(v) for v in values))
 
 
-class TestResult(namedtuple("TestResult", "test statistic df p_value reason")):
+class TestResult(Validated, namedtuple("TestResult", "test statistic df p_value reason")):
     """One test's outcome.  A gate that could not be computed has no
     statistic, p = 0 (failed at every alpha > 0) and a ``reason``."""
 

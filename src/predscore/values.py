@@ -16,12 +16,12 @@ from collections import namedtuple
 from functools import cached_property
 
 from .actions import canonical_key
-from .errors import UnknownActionError, ValidationError
+from .errors import UnknownActionError, Validated, ValidationError
 
 TRIPLE_SUM_TOLERANCE = 1e-9
 
 
-class OutcomeTriple(namedtuple("OutcomeTriple", "win loss draw")):
+class OutcomeTriple(Validated, namedtuple("OutcomeTriple", "win loss draw")):
     """(win, loss, draw) probability estimates for one action."""
 
     __slots__ = ()
@@ -36,7 +36,9 @@ class OutcomeTriple(namedtuple("OutcomeTriple", "win loss draw")):
         return super().__new__(cls, win, loss, draw)
 
 
-class DecisionValues(namedtuple("DecisionValues", "decision_id entries chosen outcomes")):
+class DecisionValues(
+    Validated, namedtuple("DecisionValues", "decision_id entries chosen outcomes")
+):
     """The agent's value table for one decision.
 
     entries maps action id -> scalar value; chosen is the action the agent

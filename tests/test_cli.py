@@ -1,15 +1,19 @@
+import csv
 import filecmp
 import gc
+import io
 import json
+import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from predscore import cli
 from predscore.cli import main
-from predscore.dataset import read_bundle
-from predscore.metrics import score_dataset, score_table
+from predscore.dataset import _csv_text, read_bundle, write_bundle
+from predscore.metrics import PredictionRecord, score_dataset, score_table
 from predscore.report import build_metrics_table, render_metrics_csv
 
 SIM_FLAGS = [
@@ -337,6 +341,104 @@ class TestVotesCmd:
         counts = [int(cell) for line in lines[1:] for cell in line.split(",")[1:]]
         assert sorted(counts)[-1] == 16
         assert sum(1 for c in counts if c) == 1
+
+
+    @pytest.mark.parametrize("treatments, error", [
+        ("A x,A+x", "treatments 'A x' and 'A+x' would both write votes_P1_A_x.csv"),
+        ("A,a", "treatments 'A' and 'a' would both write votes_P1_A.csv"),
+    ], ids=["same-slug", "same-casefold"])
+    def test_treatments_writing_the_same_file_exit_1_before_writing(
+        self, tmp_path, capsys, treatments, error
+    ):
+        bundle_dir = tmp_path / "b"
+        assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4",
+                     "--treatments", treatments, "--seed", "1", "--out-dir", str(bundle_dir)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "v"
+        code = main(["votes", "--bundle", str(bundle_dir), "--out-dir", str(report),
+                     "--decision", "P1", "--group-by", "treatment"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+        assert not report.exists()
+
+
+def _read_csv(path):
+    return list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"))))
+
+
+class TestHostileIds:
+    """Ids the bundle reader accepts come back out intact from every report:
+    CSVs quote them as the bundle files do, markdown escapes its cell
+    separators and line breaks, and SVG escapes markup."""
+
+    @pytest.fixture(params=['a,b"c|d<e&f\ng', 'a,b"c|d<e&f\ng\rh'], ids=["quoted", "all-quoted"])
+    def hostile(self, request, tmp_path):
+        text = request.param
+        plain = tmp_path / "plain"
+        assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "6",
+                     "--treatments", "A,B", "--seed", "1", "--decisions", "2",
+                     "--out-dir", str(plain)]) == 0
+        bundle = read_bundle(plain)
+        names = {dv.decision_id: f"{dv.decision_id}{text}" for dv in bundle.decisions}
+        names.update({t: f"{t}{text}" for t in bundle.treatments})
+        names.update({r.participant_id: f"{r.participant_id}{text}" for r in bundle.predictions})
+        bundle = bundle._replace(
+            decisions=tuple(dv._replace(decision_id=names[dv.decision_id])
+                            for dv in bundle.decisions),
+            predictions=tuple(PredictionRecord(names[p], names[t], names[d], a)
+                              for p, t, d, a in bundle.predictions),
+            treatments=tuple(names[t] for t in bundle.treatments),
+        )
+        write_bundle(bundle, tmp_path / "hostile")
+        return read_bundle(tmp_path / "hostile"), tmp_path / "hostile"
+
+    def test_every_report_parses_back_with_ids_intact(self, hostile, tmp_path, capsys):
+        bundle, bundle_dir = hostile
+        report = tmp_path / "report"
+        decision = bundle.decisions[0].decision_id
+        for argv in (["metrics", "--format", "csv,markdown,svg"], ["grade"],
+                     ["votes", "--decision", decision, "--group-by", "treatment",
+                      "--format", "csv,svg"]):
+            assert main(argv + ["--bundle", str(bundle_dir), "--out-dir", str(report)]) == 0
+        written = capsys.readouterr().out.splitlines()
+        assert len(written) == len(list(report.iterdir())) == 12
+        treatments = sorted(bundle.treatments)
+        decisions = [dv.decision_id for dv in bundle.decisions]
+
+        for path in report.glob("*.csv"):
+            rows = _read_csv(path)
+            assert {len(row) for row in rows} == {len(rows[0])}, path.name
+        metrics = _read_csv(report / "metrics.csv")
+        assert [row[0] for row in metrics[1:]] == treatments
+        assert metrics[0][1:3] == ["mean_lv_all", f"mean_lv_{decisions[0]}"]
+        grades = _read_csv(report / "grades.csv")
+        assert [row[:2] for row in grades[1:]] == [[d, t] for d in decisions for t in treatments]
+        for space in "vr":
+            assert [row[0] for row in _read_csv(report / f"boxplot_l{space}.csv")[1:]] == treatments
+
+        samples = score_dataset(bundle.predictions, bundle.values_by_decision())
+        expected = _csv_text(
+            ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"],
+            [(s.participant_id, s.treatment, s.decision_id, s.predicted, s.lv, s.lr, s.grade)
+             for s in samples],
+        )
+        assert (report / "samples.csv").read_bytes() == expected.encode("utf-8")
+        assert {row[0] for row in _read_csv(report / "samples.csv")[1:]} == {
+            r.participant_id for r in bundle.predictions}
+
+        markdown = (report / "metrics.md").read_text(encoding="utf-8").splitlines()
+        assert len(markdown) == 2 + len(treatments)
+        for line in markdown:
+            cells = re.split(r"(?<!\\)\|", line)[1:-1]
+            assert len(cells) == 1 + len(metrics[0]) - 2  # best_in is CSV only
+
+        for path in report.glob("*.svg"):
+            root = ET.fromstring(path.read_bytes())
+            if path.name.startswith("boxplot"):
+                labels = [el.text for el in root if el.tag.endswith("text")]
+                assert labels == [re.sub(r"\r\n?", "\n", t) for t in treatments]
 
 
 class TestUnvaluedPrediction:

@@ -11,6 +11,8 @@ from predscore.dataset import (
     ActionManifest,
     ExperimentBundle,
     ParticipantModel,
+    _csv_lines,
+    _csv_text,
     generate_synthetic_experiment,
     load_four_towers_fixture,
     make_mnk_manifest,
@@ -101,6 +103,20 @@ class TestCsvRoundTrip:
         write_bundle(bundle, b)
         for name in ("manifest.json", "values.csv", "predictions.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("text", ["", "x,y", 'x"y', "x\ny", "x\ry"])
+    def test_streamed_lines_equal_the_csv_text(self, field, text):
+        """_csv_lines renders as _csv_text, whichever one field of a row
+        holds a character that is quoted, or empties it."""
+        rows = [["P1", "A", "D1", "NE"], ["P2", "B", "D1", "SW"], ["P1", "A", "D2", "NE"]]
+        rows[1][field] = text
+        tails = {}
+        for _, _, decision, action in rows:
+            tails.setdefault(decision, {})[action] = (-1.5, 0.25, "good")
+        header = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
+        expected = _csv_text(header, [(*row, *tails[row[2]][row[3]]) for row in rows])
+        assert "".join(_csv_lines(header, rows, tails)) == expected
 
 
 VALUES_4T = """decision_id,action,value,chosen

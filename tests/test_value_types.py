@@ -6,8 +6,10 @@ keyword, and refuses invalid input with a fixed exception and message.
 """
 
 import copy
+import inspect
 import math
 import pickle
+from functools import partial
 
 import pytest
 
@@ -198,7 +200,7 @@ def test_decision_values_cache_their_rank_order():
 
 
 def _bundle(decisions=(VALUES,), predictions=(), treatments=("T",), pending=()):
-    return ExperimentBundle(MANIFEST, decisions, predictions, treatments, pending)
+    return partial(ExperimentBundle, MANIFEST, decisions, predictions, treatments, pending)
 
 
 def _manifest_doc(**fields):
@@ -208,71 +210,71 @@ def _manifest_doc(**fields):
 
 
 INVALID = [
-    (lambda: SquareId(-1, 0), ValidationError, "square indices must be >= 0, got (-1, 0)"),
-    (lambda: BoardConfig(0, 3, 3), ValidationError, "board dimensions must be >= 1, got 0x3 k=3"),
-    (lambda: BoardConfig(3, 3, 4), ValidationError,
+    (partial(SquareId, -1, 0), ValidationError, "square indices must be >= 0, got (-1, 0)"),
+    (partial(BoardConfig, 0, 3, 3), ValidationError, "board dimensions must be >= 1, got 0x3 k=3"),
+    (partial(BoardConfig, 3, 3, 4), ValidationError,
      "winning run k=4 exceeds both board dimensions 3x3"),
-    (lambda: BoardConfig(101, 100, 3), ValidationError,
+    (partial(BoardConfig, 101, 100, 3), ValidationError,
      "board of 10100 squares exceeds the 10000 guard"),
-    (lambda: OutcomeTriple(1.5, -0.5, 0.0), ValidationError, "win fraction out of [0, 1]: 1.5"),
-    (lambda: OutcomeTriple(0.2, 1.2, -0.4), ValidationError, "loss fraction out of [0, 1]: 1.2"),
-    (lambda: OutcomeTriple(0.0, 0.0, math.nan), ValidationError,
+    (partial(OutcomeTriple, 1.5, -0.5, 0.0), ValidationError, "win fraction out of [0, 1]: 1.5"),
+    (partial(OutcomeTriple, 0.2, 1.2, -0.4), ValidationError, "loss fraction out of [0, 1]: 1.2"),
+    (partial(OutcomeTriple, 0.0, 0.0, math.nan), ValidationError,
      "draw fraction out of [0, 1]: nan"),
-    (lambda: OutcomeTriple(0.5, 0.5, 0.5), ValidationError,
+    (partial(OutcomeTriple, 0.5, 0.5, 0.5), ValidationError,
      "outcome fractions must sum to 1, got 1.5"),
-    (lambda: DecisionValues("d1", {}, "a"), ValidationError,
+    (partial(DecisionValues, "d1", {}, "a"), ValidationError,
      "decision 'd1' has an empty value table"),
-    (lambda: DecisionValues("d1", {"a": math.inf}, "a"), ValidationError,
+    (partial(DecisionValues, "d1", {"a": math.inf}, "a"), ValidationError,
      "decision 'd1': value for 'a' is not finite"),
-    (lambda: DecisionValues("d1", {"a": 1.0}, "b"), UnknownActionError,
+    (partial(DecisionValues, "d1", {"a": 1.0}, "b"), UnknownActionError,
      "decision 'd1': chosen action 'b' not in value table"),
-    (lambda: DecisionValues("d1", {"a": 1.0}, "a", {"c": OutcomeTriple(1.0, 0.0, 0.0)}),
+    (partial(DecisionValues, "d1", {"a": 1.0}, "a", {"c": OutcomeTriple(1.0, 0.0, 0.0)}),
      UnknownActionError, "decision 'd1': outcome triples for unknown actions ['c']"),
-    (lambda: GradeScale(()), ValidationError, "grade scale needs at least one bin"),
-    (lambda: GradeScale(((4, "A"),)), ValidationError,
+    (partial(GradeScale, ()), ValidationError, "grade scale needs at least one bin"),
+    (partial(GradeScale, ((4, "A"),)), ValidationError,
      "final grade bin must be unbounded (threshold None)"),
-    (lambda: GradeScale(((None, "A"), (None, "F"))), ValidationError,
+    (partial(GradeScale, ((None, "A"), (None, "F"))), ValidationError,
      "only the final bin may be unbounded"),
-    (lambda: GradeScale(((4, "A"), (4, "B"), (None, "F"))), ValidationError,
+    (partial(GradeScale, ((4, "A"), (4, "B"), (None, "F"))), ValidationError,
      "grade thresholds must be strictly increasing: [4, 4]"),
-    (lambda: GradeScale(((4, "A"), (None, "A"))), ValidationError,
+    (partial(GradeScale, ((4, "A"), (None, "A"))), ValidationError,
      "grade labels must be unique: ['A', 'A']"),
-    (lambda: Mutation(1, -0.5), ValidationError, "mutation magnitude must be >= 0, got -0.5"),
-    (lambda: Mutation(1, math.nan), ValidationError, "mutation magnitude must be finite, got nan"),
-    (lambda: Mutation(1, math.inf), ValidationError, "mutation magnitude must be finite, got inf"),
-    (lambda: AgentSpec(oracle="minimax"), ValidationError, "unknown oracle kind 'minimax'"),
-    (lambda: AgentSpec(SAMPLED, seed=1), ValidationError, "sampled oracle requires rollouts >= 1"),
-    (lambda: AgentSpec(SAMPLED, rollouts=10), ValidationError,
+    (partial(Mutation, 1, -0.5), ValidationError, "mutation magnitude must be >= 0, got -0.5"),
+    (partial(Mutation, 1, math.nan), ValidationError, "mutation magnitude must be finite, got nan"),
+    (partial(Mutation, 1, math.inf), ValidationError, "mutation magnitude must be finite, got inf"),
+    (partial(AgentSpec, oracle="minimax"), ValidationError, "unknown oracle kind 'minimax'"),
+    (partial(AgentSpec, SAMPLED, seed=1), ValidationError, "sampled oracle requires rollouts >= 1"),
+    (partial(AgentSpec, SAMPLED, rollouts=10), ValidationError,
      "sampled oracle requires an explicit seed"),
-    (lambda: AgentSpec(depth_limit=0), ValidationError, "depth_limit must be >= 1, got 0"),
-    (lambda: ActionManifest("e1", "chess", (("a", "a"),)), ValidationError,
+    (partial(AgentSpec, depth_limit=0), ValidationError, "depth_limit must be >= 1, got 0"),
+    (partial(ActionManifest, "e1", "chess", (("a", "a"),)), ValidationError,
      "unknown domain tag 'chess'"),
-    (lambda: ActionManifest("e1", CUSTOM, ()), ValidationError,
+    (partial(ActionManifest, "e1", CUSTOM, ()), ValidationError,
      "manifest needs at least one action"),
-    (lambda: ActionManifest("e1", CUSTOM, (("a", "x"), ("a", "y"))), ValidationError,
+    (partial(ActionManifest, "e1", CUSTOM, (("a", "x"), ("a", "y"))), ValidationError,
      "manifest action ids must be unique"),
-    (lambda: ActionManifest("e1", CUSTOM, (("a", "x"), ("b", "x"))), ValidationError,
+    (partial(ActionManifest, "e1", CUSTOM, (("a", "x"), ("b", "x"))), ValidationError,
      "manifest action names must be unique"),
-    (lambda: ActionManifest("e1", MNK, (("A1", "A1"),)), ValidationError,
+    (partial(ActionManifest, "e1", MNK, (("A1", "A1"),)), ValidationError,
      "mnk manifest requires its board config"),
-    (lambda: ActionManifest("e1", MNK, (("A1", "A1"),), CFG), ValidationError,
+    (partial(ActionManifest, "e1", MNK, (("A1", "A1"),), CFG), ValidationError,
      "mnk manifest must list every board square in canonical order"),
-    (lambda: _bundle(pending=(("d1", ("a",)),)), ValidationError,
+    (_bundle(pending=(("d1", ("a",)),)), ValidationError,
      "duplicate decision ids in bundle"),
-    (lambda: _bundle(decisions=(DecisionValues("d1", {"z": 1.0}, "z"),)), ValidationError,
+    (_bundle(decisions=(DecisionValues("d1", {"z": 1.0}, "z"),)), ValidationError,
      "decision 'd1' values actions missing from the manifest: ['z']"),
-    (lambda: _bundle(predictions=(PredictionRecord("p1", "T", "d9", "a"),)), ValidationError,
+    (_bundle(predictions=(PredictionRecord("p1", "T", "d9", "a"),)), ValidationError,
      "prediction by 'p1' references unknown decision 'd9'"),
-    (lambda: _bundle(predictions=(PredictionRecord("p1", "T", "d1", "z"),)), ValidationError,
+    (_bundle(predictions=(PredictionRecord("p1", "T", "d1", "z"),)), ValidationError,
      "prediction by 'p1' references unknown action 'z'"),
-    (lambda: _bundle(predictions=(PredictionRecord("p1", "U", "d1", "a"),)), ValidationError,
+    (_bundle(predictions=(PredictionRecord("p1", "U", "d1", "a"),)), ValidationError,
      "prediction by 'p1' has unlisted treatment 'U'"),
-    (lambda: _bundle(decisions=(DecisionValues("d1", {"a": 1.0}, "a"),),
+    (_bundle(decisions=(DecisionValues("d1", {"a": 1.0}, "a"),),
                      predictions=(PredictionRecord("p1", "T", "d1", "b"),)), ValidationError,
      "prediction by 'p1' references action 'b', which decision 'd1' does not value"),
-    (lambda: _bundle(pending=(("d9", ("z",)),)), ValidationError,
+    (_bundle(pending=(("d9", ("z",)),)), ValidationError,
      "decision 'd9' values actions missing from the manifest: ['z']"),
-    (lambda: _bundle(pending=(("d9", ("a", "b", "a")),)), ValidationError,
+    (_bundle(pending=(("d9", ("a", "b", "a")),)), ValidationError,
      "decision 'd9' lists an action more than once"),
     (lambda: _manifest_from_dict(_manifest_doc(treatments="AB")), ParseError,
      "malformed manifest.json: TypeError('treatments must be a list, got str')"),
@@ -289,14 +291,14 @@ INVALID = [
     (lambda: _manifest_from_dict(
         _manifest_doc(pending_decisions=[{"decision_id": "d9", "actions": ["a", {}]}])), ParseError,
      "malformed manifest.json: TypeError('pending decision action must be a string, got dict')"),
-    (lambda: ParticipantModel((0.5, -0.5)), ValidationError,
+    (partial(ParticipantModel, (0.5, -0.5)), ValidationError,
      "rank_probs must be non-negative finite numbers"),
-    (lambda: ParticipantModel(()), ValidationError,
+    (partial(ParticipantModel, ()), ValidationError,
      "rank_probs must be non-negative finite numbers"),
-    (lambda: ParticipantModel((0.0, 0.0)), ValidationError, "rank_probs must have positive mass"),
-    (lambda: SampleGroup("g", (1.0, math.inf)), ValidationError,
+    (partial(ParticipantModel, (0.0, 0.0)), ValidationError, "rank_probs must have positive mass"),
+    (partial(SampleGroup, "g", (1.0, math.inf)), ValidationError,
      "group 'g' contains non-finite values"),
-    (lambda: GateResult(ANOVA, 1.0, (), 1.5), ValidationError, "p-value out of [0, 1]: 1.5"),
+    (partial(GateResult, ANOVA, 1.0, (), 1.5), ValidationError, "p-value out of [0, 1]: 1.5"),
 ]
 
 
@@ -304,5 +306,25 @@ INVALID = [
 def test_validation_errors_are_unchanged(build, exc, message):
     with pytest.raises(exc) as info:
         build()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+CONSTRUCTED = [case for case in INVALID if isinstance(case[0], partial)]
+
+
+@pytest.mark.parametrize("build,exc,message", CONSTRUCTED, ids=[m for _, _, m in CONSTRUCTED])
+@pytest.mark.parametrize("via", ["_replace", "_make"])
+def test_replace_and_make_validate_like_the_constructor(build, exc, message, via):
+    """A valid instance given every field of an invalid one is refused the same way."""
+    cls = build.func
+    fields = inspect.signature(cls).bind(*build.args, **build.keywords)
+    fields.apply_defaults()
+    valid = TYPES[cls][1]()
+    with pytest.raises(exc) as info:
+        if via == "_replace":
+            valid._replace(**fields.arguments)
+        else:
+            cls._make(fields.arguments.values())
     assert type(info.value) is exc
     assert str(info.value) == message
