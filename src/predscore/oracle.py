@@ -23,6 +23,14 @@ that stabilizer, and a state whose image was computed earlier is a plain
 memo hit: the empty 4x3 board's 79,562 states cost 20,087 evaluations.
 An asymmetric root has only the identity and runs the same code.
 
+A sampled rollout picks each ply's square among the n left with
+getrandbits(n.bit_length()), drawn again while the result is >= n: the bits
+Random.randrange(n) takes on CPython 3.10-3.13, without its call per ply.
+A side cannot own a k-window before it holds k pieces, and the ply at
+which each side first does is fixed by the root's piece counts, so the
+plies before it skip the window test.  Equal seeds give the
+same values on those versions.
+
 A mutated agent adds seeded uniform noise to the flattened values only,
 leaving the outcome triples untouched; magnitude 0 is bit-exact identical
 to the unmutated agent.
@@ -39,6 +47,7 @@ from .actions import SquareId, canonical_key
 from .board import (
     _AGENT_CODE,
     _CELL_CODE,
+    _CODE_CELL,
     ONGOING,
     Board,
     _window_table,
@@ -274,49 +283,58 @@ def sampled_outcome_triples(
     cfg = board.config
     windows = _window_table(cfg.m, cfg.n, cfg.k)
     mover = _CELL_CODE[board.to_move]
+    opponent = mover ^ 3
     empties = board.empty_squares()
     empty_idx = [cfg.index(sq) for sq in empties]
+    # One row per ply after the root move, the same for every root move:
+    # the n squares left, the bits a pick among them draws, the last of the
+    # n live slots of the remaining list (the picked slot takes its square,
+    # so nothing is popped), the side's bits on each square, the side, and
+    # the side's windows once it holds k pieces.  Before that the row holds
+    # None: a side with fewer pieces cannot own a k-window.
+    held = board.cells()
+    pieces = {mover: held.count(board.to_move) + 1, opponent: held.count(_CODE_CELL[opponent])}
+    placing = {code: tuple(code << (2 * i) for i in range(cfg.squares)) for code in pieces}
+    plies = len(empties) - 1 if depth_limit is None else min(depth_limit, len(empties) - 1)
+    schedule = []
+    for ply in range(plies):
+        n = len(empties) - 1 - ply
+        side = mover if ply % 2 else opponent
+        pieces[side] += 1
+        tested = windows[side] if pieces[side] >= cfg.k else None
+        schedule.append((n, n.bit_length(), n - 1, placing[side], side, tested))
     base_key = _board_key(board)
     out = {}
     for pos, sq in enumerate(empties):
         idx = empty_idx[pos]
         first = board.packed | (mover << (2 * idx))
-        rng = random.Random(f"{seed}|{base_key}|{sq.text}")
-        wins = losses = draws = 0
         if _wins(first, windows[mover][idx]):
-            wins = rollouts
-        else:
-            rest_template = empty_idx[:pos] + empty_idx[pos + 1 :]
-            plies = len(rest_template) if depth_limit is None else min(depth_limit, len(rest_template))
-            # _randbelow(n) draws exactly the bits randrange(n) would, without
-            # randrange's argument checks.
-            randbelow = rng._randbelow
-            opponent = mover ^ 3
-            for _ in range(rollouts):
-                packed = first
-                side = opponent
-                remaining = list(rest_template)
-                outcome = 0  # 0 draw/limit, else winning code
-                for _ in range(plies):
-                    pick = randbelow(len(remaining))
-                    move = remaining[pick]
-                    remaining[pick] = remaining[-1]
-                    remaining.pop()
-                    packed |= side << (2 * move)
-                    for cells, pattern in windows[side][move]:
+            out[sq] = (1.0, 0.0, 0.0)
+            continue
+        rest = empty_idx[:pos] + empty_idx[pos + 1 :]
+        # Each pick draws what randrange(n) would (see the module docstring).
+        getrandbits = random.Random(f"{seed}|{base_key}|{sq.text}").getrandbits
+        tally = [0, 0, 0]  # draws (or depth limit), agent wins, opponent wins
+        for _ in range(rollouts):
+            packed = first
+            remaining = rest[:]
+            winner = 0
+            for n, bits, last, places, side, tested in schedule:
+                pick = getrandbits(bits)
+                while pick >= n:
+                    pick = getrandbits(bits)
+                move = remaining[pick]
+                remaining[pick] = remaining[last]
+                packed |= places[move]
+                if tested is not None:
+                    for cells, pattern in tested[move]:
                         if packed & cells == pattern:
-                            outcome = side
+                            winner = side
                             break
-                    if outcome:
+                    if winner:
                         break
-                    side ^= 3
-                if outcome == mover:
-                    wins += 1
-                elif outcome:
-                    losses += 1
-                else:
-                    draws += 1
-        out[sq] = (wins / rollouts, losses / rollouts, draws / rollouts)
+            tally[winner] += 1
+        out[sq] = (tally[mover] / rollouts, tally[opponent] / rollouts, tally[0] / rollouts)
     return out
 
 

@@ -264,8 +264,16 @@ def render_vote_svg(grid: list[list[int]], chosen: SquareId | None = None) -> st
     return "\n".join(parts) + "\n"
 
 
+# Code points XML 1.0 cannot hold: C0 controls other than tab, LF and CR,
+# the surrogates, and U+FFFE and U+FFFF.
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _xml_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """text escaped for an SVG text node, with U+FFFD for every code point
+    XML 1.0 cannot hold."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML_CHAR.sub("\ufffd", text)
 
 
 def render_boxplot_svg(groups: list[SampleGroup]) -> str:

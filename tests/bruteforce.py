@@ -2,7 +2,8 @@
 
 Nothing here imports from the package: boards are bare tuples, win
 detection enumerates k-length windows, outcome probabilities come from
-replaying every ordering of the empty squares, and the overlap scores are
+replaying every ordering of the empty squares, sampled rollouts draw with
+randrange and test every ply for a win, and the overlap scores are
 evaluated term by term with explicit set intersections.
 """
 
@@ -86,6 +87,52 @@ def brute_force_triples(m, n, k, cells, mover):
     return {
         i: tuple(Fraction(c, per_first) for c in counts[i]) for i in empties
     }
+
+
+def reference_rollout_counts(m, n, k, cells, mover, rollouts, rng_for, depth_limit=None):
+    """Seeded uniform-random rollouts drawn one randrange per ply, with a
+    window test after every ply.
+
+    cells and mover are as for brute_force_triples; rng_for(idx) gives the
+    random.Random of root move idx.  Root moves and the squares left are
+    listed column by column (the package's square order), and each pick
+    is swapped with the last square left and popped.  A rollout cut short
+    by depth_limit counts as a draw.  Returns {square index: (wins, losses,
+    draws)} as counts from the mover's perspective.
+    """
+    windows = k_windows(m, n, k)
+    by_square = {i: tuple(w for w in windows if i in w) for i in range(m * n)}
+    empties = [r * m + c for c in range(m) for r in range(n) if cells[r * m + c] == 0]
+    counts = {}
+    for pos, first in enumerate(empties):
+        board = list(cells)
+        board[first] = mover
+        if any(all(board[j] == mover for j in w) for w in by_square[first]):
+            counts[first] = (rollouts, 0, 0)
+            continue
+        rng = rng_for(first)
+        rest = empties[:pos] + empties[pos + 1 :]
+        plies = len(rest) if depth_limit is None else min(depth_limit, len(rest))
+        tally = [0, 0, 0]
+        for _ in range(rollouts):
+            board = list(cells)
+            board[first] = mover
+            remaining = list(rest)
+            side = 3 - mover
+            outcome = 0
+            for _ in range(plies):
+                pick = rng.randrange(len(remaining))
+                sq = remaining[pick]
+                remaining[pick] = remaining[-1]
+                remaining.pop()
+                board[sq] = side
+                if any(all(board[j] == side for j in w) for w in by_square[sq]):
+                    outcome = side
+                    break
+                side = 3 - side
+            tally[0 if outcome == mover else 1 if outcome else 2] += 1
+        counts[first] = tuple(tally)
+    return counts
 
 
 def positions_within_plies(m, n, k, max_plies):

@@ -371,9 +371,11 @@ def _read_csv(path):
 class TestHostileIds:
     """Ids the bundle reader accepts come back out intact from every report:
     CSVs quote them as the bundle files do, markdown escapes its cell
-    separators and line breaks, and SVG escapes markup."""
+    separators and line breaks, and SVG escapes markup and writes U+FFFD
+    for the code points XML 1.0 cannot hold."""
 
-    @pytest.fixture(params=['a,b"c|d<e&f\ng', 'a,b"c|d<e&f\ng\rh'], ids=["quoted", "all-quoted"])
+    @pytest.fixture(params=['a,b"c|d<e&f\ng', 'a,b"c|d<e&f\ng\rh', 'a<\x01b\x1f\tc\uffff'],
+                    ids=["quoted", "all-quoted", "control"])
     def hostile(self, request, tmp_path):
         text = request.param
         plain = tmp_path / "plain"
@@ -438,7 +440,8 @@ class TestHostileIds:
             root = ET.fromstring(path.read_bytes())
             if path.name.startswith("boxplot"):
                 labels = [el.text for el in root if el.tag.endswith("text")]
-                assert labels == [re.sub(r"\r\n?", "\n", t) for t in treatments]
+                assert labels == [re.sub("[\x01\x1f\uffff]", "\ufffd", re.sub(r"\r\n?", "\n", t))
+                                  for t in treatments]
 
 
 class TestUnvaluedPrediction:

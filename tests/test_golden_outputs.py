@@ -1,5 +1,5 @@
 """Golden outputs: the SHA-256 of every file that `metrics`, `votes` and
-`grade` write for two fixed bundles.
+`grade` write for two fixed bundles, and of the simulated bundle files.
 
 The bundles are a seeded 9x4, 86-participant simulation and a copy of it
 whose predictions.csv rows are shuffled and in which one participant's rows
@@ -7,6 +7,10 @@ carry two treatments.  The hashes in golden_outputs.json were recorded from
 the per-prediction implementation that preceded the vote-count tables, so
 any changed report byte fails here.  stats_*.json is left out: its p-values
 go through libm and may differ in the last bit between platforms.
+
+Under "bundles" are the values.csv and predictions.csv that `simulate`
+writes for the seeded bundle and for a depth-limited, mutated two-agent
+run, so that a changed rollout draw fails by file name.
 
 To see which file differs, run this module; it prints the current hashes
 as JSON in the layout of golden_outputs.json.
@@ -29,7 +33,15 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 TREATMENTS = "NONE,STT,OTB,BTW,STT+OTB,OTB+BTW,STT+BTW,ALL"
 SIMULATE = ["simulate", "--m", "9", "--n", "4", "--k", "4", "--participants", "86",
             "--treatments", TREATMENTS, "--seed", "5"]
+LIMITED = ["simulate", "--m", "9", "--n", "4", "--k", "4", "--participants", "12",
+           "--treatments", "A,B", "--seed", "3", "--depth-limit", "5", "--mutation", "0.05",
+           "--agents", "2"]
 DECISIONS = ("P1", "P2", "P3", "P4")
+BUNDLE_FILES = ("predictions.csv", "values.csv")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def make_bundles(root: Path) -> dict[str, Path]:
@@ -62,13 +74,18 @@ def report_hashes(bundle: Path, report: Path) -> dict[str, str]:
             assert main(["votes", *base, "--decision", decision, "--group-by", group_by,
                          "--format", "csv,svg"]) == 0
     assert main(["grade", *base]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(report.iterdir())}
+    return {p.name: sha256(p) for p in sorted(report.iterdir())}
 
 
-def current_hashes(root: Path) -> dict[str, dict[str, str]]:
-    return {name: report_hashes(bundle, root / f"report_{name}")
-            for name, bundle in make_bundles(root).items()}
+def current_hashes(root: Path) -> dict[str, dict]:
+    bundles = make_bundles(root)
+    doc = {name: report_hashes(bundle, root / f"report_{name}")
+           for name, bundle in bundles.items()}
+    assert main(LIMITED + ["--out-dir", str(root / "limited")]) == 0
+    doc["bundles"] = {name: {f: sha256(path / f) for f in BUNDLE_FILES}
+                      for name, path in (("seeded", bundles["seeded"]),
+                                         ("limited", root / "limited"))}
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +98,14 @@ def test_outputs_match_recorded_hashes(hashes, bundle):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[bundle]
     assert sorted(hashes[bundle]) == sorted(golden)
     changed = sorted(name for name in golden if hashes[bundle][name] != golden[name])
+    assert changed == []
+
+
+@pytest.mark.parametrize("bundle", ["seeded", "limited"])
+def test_simulated_bundle_matches_recorded_hashes(hashes, bundle):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["bundles"][bundle]
+    assert sorted(hashes["bundles"][bundle]) == sorted(golden)
+    changed = sorted(name for name in golden if hashes["bundles"][bundle][name] != golden[name])
     assert changed == []
 
 

@@ -321,14 +321,20 @@ class TestSampledOracle:
             sq: tuple(c / rollouts for c in triple) for sq, triple in counts.items()
         }
 
-    def test_randbelow_draws_what_randrange_draws(self):
-        # The rollouts draw with the private Random._randbelow; it must take
-        # the same bits as randrange, or every sampled value would change.
+    def test_inline_draw_takes_the_bits_randrange_takes(self):
+        # The rollouts pick among n squares with getrandbits(n.bit_length()),
+        # drawn again while >= n.  It must take the same bits as randrange(n),
+        # or every sampled value would change: a Python release whose
+        # randrange draws otherwise fails here.
         ours, reference = random.Random("pin"), random.Random("pin")
         sizes = random.Random(5)
         for _ in range(5000):
-            n = sizes.choice((1, 2, 3, 35, 36, 64, 65, 1000, 2**31 + 1))
-            assert ours._randbelow(n) == reference.randrange(n), n
+            n = sizes.choice((*range(1, 41), 64, 65, 1000, 2**31 + 1))
+            bits = n.bit_length()
+            pick = ours.getrandbits(bits)
+            while pick >= n:
+                pick = ours.getrandbits(bits)
+            assert pick == reference.randrange(n), n
         assert ours.getstate() == reference.getstate()
 
     def test_deterministic_for_fixed_seed(self):

@@ -1,6 +1,6 @@
 """Property tests: bundle I/O round trips, str and bytes input read alike,
-row numbers of refused records, the CLI on corrupted bundles, and laws of
-the scores and statistics.
+row numbers of refused records, the CLI on corrupted bundles, laws of the
+scores and statistics, and the sampled oracle against a reference rollout.
 
 Runs when hypothesis is installed (it is in the ``test`` extra) and is
 skipped otherwise.  Examples are derandomized, so every run draws the same
@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from bruteforce import reference_rollout_counts  # noqa: E402
+from predscore.actions import SquareId  # noqa: E402
+from predscore.board import (  # noqa: E402
+    AGENT,
+    ONGOING,
+    OPPONENT,
+    BoardConfig,
+    apply_move,
+    game_status,
+    new_game,
+)
 from predscore.cli import main  # noqa: E402
 from predscore.dataset import (  # noqa: E402
     CUSTOM,
@@ -47,6 +59,7 @@ from predscore.metrics import (  # noqa: E402
     loss_in_value,
     weighted_mean,
 )
+from predscore.oracle import _board_key, sampled_outcome_triples  # noqa: E402
 from predscore.rankoverlap import mrbo_ext  # noqa: E402
 from predscore.stats import kruskal_wallis  # noqa: E402
 from predscore.values import DecisionValues, OutcomeTriple  # noqa: E402
@@ -415,3 +428,83 @@ def test_kruskal_wallis_h_is_invariant_under_increasing_maps(groups):
     # x**3 + 5x is strictly increasing and exact in floats on these integers.
     mapped = [[x**3 + 5 * x for x in g] for g in groups]
     assert kruskal_wallis(mapped) == kruskal_wallis(groups)
+
+
+def _played(config, order, moves):
+    """The board after the first moves squares of order, stopping before a
+    move that would end the game."""
+    board = new_game(config)
+    for idx in order[:moves]:
+        child = apply_move(board, SquareId(idx % config.m, idx // config.m))
+        if game_status(child).state != ONGOING:
+            break
+        board = child
+    return board
+
+
+@st.composite
+def rollout_positions(draw):
+    """Ongoing positions on boards of up to 5x5, either side to move, with
+    k = 1 and k = min(m, n) drawn as often as any other k."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.sampled_from([1, min(m, n), draw(st.integers(1, max(m, n)))]))
+    order = draw(st.permutations(range(m * n)))
+    return _played(BoardConfig(m, n, k), order, draw(st.integers(0, m * n - 1)))
+
+
+@st.composite
+def one_short_positions(draw):
+    """Positions in which one side holds exactly k - 1 pieces (k >= 2): the
+    agent after 2k - 3 or 2k - 2 moves, the opponent after 2k - 2 or 2k - 1."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    assume(max(m, n) >= 2)
+    k = draw(st.integers(2, max(m, n)))
+    lengths = [t for t in (2 * k - 3, 2 * k - 2, 2 * k - 1) if t < m * n]
+    assume(lengths)
+    moves = draw(st.sampled_from(lengths))
+    board = _played(BoardConfig(m, n, k), draw(st.permutations(range(m * n))), moves)
+    assume(board.move_count == moves)
+    held = board.cells()
+    assert k - 1 in (held.count(AGENT), held.count(OPPONENT))
+    return board
+
+
+def _assert_matches_reference(board, rollouts, seed, depth_limit):
+    cfg = board.config
+    codes = {None: 0, AGENT: 1, OPPONENT: 2}
+    key = _board_key(board)
+
+    def rng_for(idx):
+        return random.Random(f"{seed}|{key}|{SquareId(idx % cfg.m, idx // cfg.m).text}")
+
+    reference = reference_rollout_counts(
+        cfg.m, cfg.n, cfg.k, tuple(codes[c] for c in board.cells()), codes[board.to_move],
+        rollouts, rng_for, depth_limit,
+    )
+    triples = sampled_outcome_triples(board, rollouts, seed, depth_limit)
+    assert {cfg.index(sq): t for sq, t in triples.items()} == {
+        idx: tuple(c / rollouts for c in counts) for idx, counts in reference.items()
+    }
+
+
+ROLLOUT_ARGS = dict(
+    rollouts=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+    depth_limit=st.none() | st.integers(1, 6),
+)
+
+
+@PROPERTY
+@given(board=rollout_positions(), **ROLLOUT_ARGS)
+# depth 3 ends every rollout before either side can hold five pieces
+@example(board=new_game(BoardConfig(5, 5, 5)), rollouts=4, seed=1, depth_limit=3)
+def test_sampled_triples_match_the_reference_rollouts(board, rollouts, seed, depth_limit):
+    _assert_matches_reference(board, rollouts, seed, depth_limit)
+
+
+@PROPERTY
+@given(board=one_short_positions(), **ROLLOUT_ARGS)
+def test_sampled_triples_match_the_reference_one_piece_short_of_k(
+    board, rollouts, seed, depth_limit
+):
+    _assert_matches_reference(board, rollouts, seed, depth_limit)
