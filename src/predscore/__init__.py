@@ -59,7 +59,6 @@ from .oracle import (
     EXHAUSTIVE_LIMIT,
     AgentSpec,
     Mutation,
-    choose_action,
     exact_outcome_triples,
     sampled_outcome_triples,
     value_oracle,

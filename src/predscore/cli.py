@@ -24,13 +24,12 @@ from .board import BoardConfig
 from .dataset import (
     MNK,
     ParticipantModel,
-    _csv_lines,
     generate_synthetic_experiment,
     read_bundle,
     write_bundle,
 )
 from .errors import PredscoreError, ValidationError
-from .metrics import _by_participant_and_decision, score_table
+from .metrics import score_table
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
@@ -43,6 +42,7 @@ from .report import (
     render_grade_distribution_csv,
     render_metrics_csv,
     render_metrics_markdown,
+    render_samples_csv,
     render_vote_matrix_csv,
     render_vote_svg,
     vote_matrix,
@@ -50,7 +50,6 @@ from .report import (
 from .stats import DEFAULT_ALPHA, run_pipeline
 
 EPILOG = "exit codes: 0 success, 1 data error, 2 usage error"
-SAMPLES_HEADER = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
 
 
 def _slug(text: str) -> str:
@@ -105,9 +104,15 @@ def cmd_simulate(args) -> int:
         treatments = [t for t in args.treatments.split(",") if t]
         if not treatments:
             raise ValidationError("--treatments must list at least one label")
+        if len(set(treatments)) != len(treatments):
+            raise ValidationError(f"--treatments must not repeat a label, got {args.treatments!r}")
         behavior = _parse_behavior(args.behavior)
         if args.participants < 1:
             raise ValidationError("--participants must be >= 1")
+        if args.participants < len(treatments):
+            # each treatment needs a participant, or metrics refuses the bundle
+            raise ValidationError(f"--participants must be at least the {len(treatments)} "
+                                  f"treatments, got {args.participants}")
         if args.agents < 1:
             raise ValidationError("--agents must be >= 1")
         if args.decisions < 1:
@@ -280,9 +285,8 @@ def cmd_votes(args) -> int:
 
 def cmd_grade(args) -> int:
     bundle = read_bundle(args.bundle)
-    ordered = _by_participant_and_decision(bundle.predictions)
-    lines = _csv_lines(SAMPLES_HEADER, ordered, score_table(bundle.values_by_decision()))
-    _write(_out_dir(args) / "samples.csv", lines)
+    scores = score_table(bundle.values_by_decision())
+    _write(_out_dir(args) / "samples.csv", render_samples_csv(bundle.predictions, scores))
     return 0
 
 

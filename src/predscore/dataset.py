@@ -56,7 +56,7 @@ from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
 from .metrics import PredictionRecord, VoteCounts
 from .oracle import AgentSpec, value_oracle
-from .values import DecisionValues, OutcomeTriple
+from .values import DecisionValues, OutcomeTriple, ranked
 
 MNK = "mnk"
 FOUR_TOWERS = "four_towers"
@@ -140,6 +140,9 @@ class ExperimentBundle(
         all_ids = [dv.decision_id for dv in decisions] + [did for did, _ in pending_decisions]
         if len(set(all_ids)) != len(all_ids):
             raise ValidationError("duplicate decision ids in bundle")
+        repeated = [t for t, n in Counter(treatments).items() if n > 1]
+        if repeated:
+            raise ValidationError(f"treatment {repeated[0]!r} is listed more than once")
         listed = [(dv.decision_id, tuple(dv.entries)) for dv in decisions]
         for decision_id, actions in listed + list(pending_decisions):
             stray = set(actions) - known_actions
@@ -671,7 +674,7 @@ def load_four_towers_fixture() -> ExperimentBundle:
     dp1 = DecisionValues(
         decision_id="DP1",
         entries=entries,
-        chosen=max(entries, key=entries.get),
+        chosen=ranked(entries)[0],
     )
     manifest = ActionManifest(
         experiment_id="four-towers",

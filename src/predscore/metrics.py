@@ -162,7 +162,8 @@ def score_table(
 
 def _by_participant_and_decision(predictions) -> list[PredictionRecord]:
     """The records sorted by (participant, decision), keeping input order
-    among equal pairs: two stable sorts, so no key tuple is built."""
+    among equal pairs: two stable sorts, so no key tuple is built.  Every
+    per-record walk, here and in the report module, takes this order."""
     ordered = sorted(predictions, key=itemgetter(2))
     ordered.sort(key=itemgetter(0))
     return ordered

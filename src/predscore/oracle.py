@@ -55,7 +55,7 @@ from .board import (
     game_status,
 )
 from .errors import Validated, ValidationError
-from .values import DecisionValues, OutcomeTriple, argmax_action
+from .values import DecisionValues, OutcomeTriple, ranked
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -341,7 +341,9 @@ def sampled_outcome_triples(
 def value_oracle(board: Board, spec: AgentSpec, decision_id: str | None = None) -> DecisionValues:
     """Full value table for the current mover: one outcome triple per legal
     move, flattened to advantage = win - loss, with optional mutation noise
-    on the flattened values."""
+    on the flattened values.  The chosen action is the first of
+    :func:`predscore.values.ranked`: the best value, ties to the lowest
+    (col, row)."""
     if spec.oracle == EXHAUSTIVE:
         raw = {
             sq: (float(win), float(loss), float(draw))
@@ -364,12 +366,7 @@ def value_oracle(board: Board, spec: AgentSpec, decision_id: str | None = None) 
     return DecisionValues(
         decision_id=decision_id,
         entries=entries,
-        chosen=argmax_action(entries),
+        chosen=ranked(entries)[0],
         outcomes=outcomes,
     )
 
-
-def choose_action(values: DecisionValues | dict) -> SquareId:
-    """Argmax of the flattened values, ties to the lowest (col, row)."""
-    entries = values.entries if isinstance(values, DecisionValues) else values
-    return SquareId.parse(argmax_action(entries))

@@ -9,13 +9,15 @@ list that is a prefix of the other scores exactly 1.  Both are one
 recurrence, _extrapolated, that divides each depth-d agreement by
 min(cap, d): the classic form with cap = k, the modified form with cap =
 the shorter list's length and k = the longer's.
+
+Both lists are ordered by :func:`predscore.values.ranked`: the agent's by
+value, a group's by votes, ties in canonical action order.
 """
 
 from __future__ import annotations
 
-from .actions import canonical_key
 from .errors import ValidationError
-from .values import DecisionValues
+from .values import DecisionValues, ranked
 
 DEFAULT_PERSISTENCE = 0.9
 
@@ -32,10 +34,10 @@ def vote_ranklist(votes: dict[str, int]) -> tuple[str, ...]:
     Actions nobody voted for are dropped; equal nonzero counts are ordered
     canonically.
     """
-    voted = [action for action, count in votes.items() if count > 0]
+    voted = {action: count for action, count in votes.items() if count > 0}
     if not voted:
         raise ValidationError("empty prediction group")
-    return tuple(sorted(voted, key=lambda a: (-votes[a], canonical_key(a))))
+    return ranked(voted)
 
 
 def _check_lists(s, t, p):

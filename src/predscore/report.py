@@ -5,11 +5,12 @@ bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts; only the
-per-participant loss sums for boxplots and the stats pipeline walk the
-records, looking each score up.  Everything renders to CSV, markdown or SVG
-deterministically so outputs are golden-file friendly.  CSV is quoted as the
-bundle files are, by :func:`predscore.dataset._csv_text`; markdown escapes
-the pipes and line breaks in ids, and SVG the markup characters in labels.
+per-participant loss sums and the rows of samples.csv walk the records, by
+participant and then decision (metrics._by_participant_and_decision), looking
+each score up.  Everything renders to CSV, markdown or SVG deterministically
+so outputs are golden-file friendly.  CSV is quoted as the bundle files are,
+by :func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
+breaks in ids, and SVG the markup characters in labels.
 """
 
 from __future__ import annotations
@@ -18,18 +19,19 @@ import math
 import re
 from collections import namedtuple
 from itertools import chain
-from operator import itemgetter
 
 from .actions import SquareId, column_label
-from .dataset import MNK, ExperimentBundle, _csv_text
+from .dataset import MNK, ExperimentBundle, _csv_lines, _csv_text
 from .errors import ValidationError
-from .metrics import DEFAULT_GRADE_SCALE, GradeScale, ScoreTable, VoteCounts, weighted_mean
+from .metrics import (DEFAULT_GRADE_SCALE, GradeScale, ScoreTable, VoteCounts,
+                      _by_participant_and_decision, weighted_mean)
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
 VALUE_SPACE = "value"
 RANK_SPACE = "rank"
 SPACES = (VALUE_SPACE, RANK_SPACE)  # the order of each participant's (LV, LR) totals
+SAMPLES_HEADER = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
 
 
 class MetricsTable(namedtuple("MetricsTable", "decision_ids columns rows lower_is_better")):
@@ -132,29 +134,32 @@ def participant_loss_sums(
     decisions, one list of groups per space asked for (value space sums LV,
     rank space sums LR).
 
-    One walk over the records fills an LV and an LR total per (treatment,
-    participant).  Each total starts from 0.0 and adds its losses in
-    decision order, whatever the record order, so equal bundles give equal
-    float sums.
+    One walk over the records, by participant and then decision, fills an
+    LV and an LR total per (treatment, participant), so each treatment lists
+    its participants in sorted order.  Each total starts from 0.0 and adds
+    its losses in decision order, whatever the record order, so equal
+    bundles give equal float sums.
     """
     for space in spaces:
         if space not in SPACES:
             raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
     sums: dict[str, tuple[dict[str, float], dict[str, float]]] = {}  # treatment -> (LV, LR) totals
-    # A stable sort by decision alone adds each total's losses in decision order.
-    for pid, treatment, decision_id, predicted in sorted(predictions, key=itemgetter(2)):
+    for pid, treatment, decision_id, predicted in _by_participant_and_decision(predictions):
         lvs, lrs = sums.get(treatment) or sums.setdefault(treatment, ({}, {}))
         lv, lr, _ = scores[decision_id][predicted]
         lvs[pid] = lvs.get(pid, 0.0) + lv
         lrs[pid] = lrs.get(pid, 0.0) + lr
 
     def groups(field: int) -> list[SampleGroup]:
-        return [
-            SampleGroup(label=treatment, values=tuple(v for _, v in sorted(totals[field].items())))
-            for treatment, totals in sorted(sums.items())
-        ]
+        return [SampleGroup(label=treatment, values=tuple(totals[field].values()))
+                for treatment, totals in sorted(sums.items())]
 
     return tuple(groups(SPACES.index(space)) for space in spaces)
+
+
+def render_samples_csv(predictions, scores: ScoreTable):
+    """The lines of samples.csv: each prediction with its (LV, LR, grade)."""
+    return _csv_lines(SAMPLES_HEADER, _by_participant_and_decision(predictions), scores)
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:

@@ -7,6 +7,9 @@ Ranks are always 1-based, assigned in descending value order with ties
 broken by canonical action order, so every action set has ranks 1..|A| with
 no gaps.  The rank order is derived on first use and cached on the
 instance.
+
+That order is :func:`ranked`, the one ranking rule: the agent's chosen
+action and a group's vote list (rankoverlap.vote_ranklist) come from it too.
 """
 
 from __future__ import annotations
@@ -83,8 +86,7 @@ class DecisionValues(
     @cached_property
     def actions(self) -> tuple[str, ...]:
         """All action ids, best value first (ties by canonical order)."""
-        entries = self.entries
-        return tuple(sorted(entries, key=lambda a: (-entries[a], canonical_key(a))))
+        return ranked(self.entries)
 
     @cached_property
     def _ranks(self) -> dict[str, int]:
@@ -103,8 +105,7 @@ class DecisionValues(
         return self._ranks[action]
 
 
-def argmax_action(entries: dict[str, float]) -> str:
-    """Highest-valued action id, ties broken by canonical action order."""
-    if not entries:
-        raise ValidationError("empty value table")
-    return min(entries, key=lambda a: (-entries[a], canonical_key(a)))
+def ranked(numbers: dict[str, float]) -> tuple[str, ...]:
+    """The action ids of an action -> number map, largest number first,
+    ties broken by canonical action order."""
+    return tuple(sorted(numbers, key=lambda a: (-numbers[a], canonical_key(a))))

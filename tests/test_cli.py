@@ -97,6 +97,24 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("participants, treatments, error", [
+        ("6", "A,A,B", "--treatments must not repeat a label, got 'A,A,B'"),
+        ("3", "A,B,C,D", "--participants must be at least the 4 treatments, got 3"),
+    ], ids=["repeated-treatment", "fewer-participants-than-treatments"])
+    def test_bundle_metrics_would_refuse_exits_2_before_writing(
+        self, tmp_path, capsys, participants, treatments, error
+    ):
+        code = main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", participants,
+             "--treatments", treatments, "--seed", "1", "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {error}\n"
+        assert not (tmp_path / "x").exists()
+
+
 class TestFlagValidation:
     def test_bad_format_token_exits_2(self, tmp_path, capsys):
         bundle_dir = simulate(tmp_path)
@@ -493,6 +511,26 @@ class TestRefusedBundleFiles:
             "error: decision 'P1' values actions missing from the manifest: ['Z9'] "
             f"(row {row + 1}, column 'action')\n"
         )
+
+    @pytest.mark.parametrize("command", [
+        ["metrics"], ["stats", "--space", "rank"], ["grade"],
+        ["votes", "--decision", "P1", "--group-by", "treatment"],
+    ], ids=lambda command: command[0])
+    def test_treatment_listed_twice_exits_1(self, tmp_path, capsys, command):
+        bundle_dir = self.small_bundle(tmp_path)
+        path = bundle_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["treatments"] = ["A", "B", "A"]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        report = tmp_path / "r"
+        code = main([command[0], "--bundle", str(bundle_dir), "--out-dir", str(report),
+                     *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: treatment 'A' is listed more than once\n"
+        assert not report.exists()
 
     def test_non_string_treatment_is_a_malformed_manifest(self, tmp_path, capsys):
         bundle_dir = self.small_bundle(tmp_path)

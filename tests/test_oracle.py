@@ -22,12 +22,11 @@ from predscore.oracle import (
     EXHAUSTIVE_LIMIT,
     AgentSpec,
     Mutation,
-    choose_action,
     exact_outcome_triples,
     sampled_outcome_triples,
     value_oracle,
 )
-from predscore.values import DecisionValues
+from predscore.values import DecisionValues, ranked
 
 TTT = BoardConfig(3, 3, 3)
 
@@ -408,15 +407,26 @@ class TestValueOracle:
 
 
 class TestChooseAction:
+    """The agent's chosen action is the first of values.ranked, the one
+    ranking rule that a value table's order also comes from."""
+
     def test_argmax(self):
-        dv = DecisionValues("d", {"A1": 0.3, "B1": 0.5, "C1": 0.1}, chosen="B1")
-        assert choose_action(dv) == SquareId.parse("B1")
+        entries = {"A1": 0.3, "B1": 0.5, "C1": 0.1}
+        assert ranked(entries) == ("B1", "A1", "C1")
+        assert DecisionValues("d", entries, chosen="B1").actions[0] == "B1"
 
     def test_all_equal_breaks_to_lowest_col_row(self):
-        assert choose_action({"A1": 0.5, "B1": 0.5, "A2": 0.5}) == SquareId.parse("A1")
+        entries = {"B1": 0.5, "A2": 0.5, "A1": 0.5}
+        assert ranked(entries) == ("A1", "A2", "B1")
+        assert DecisionValues("d", entries, chosen="B1").actions[0] == "A1"
+        # every square of a 2x2 k=1 board wins at once: four equal values
+        values = value_oracle(new_game(BoardConfig(2, 2, 1)), AgentSpec())
+        assert set(values.entries.values()) == {1.0}
+        assert values.chosen == "A1"
 
     def test_single_square(self):
-        assert choose_action({"C2": -0.25}) == SquareId.parse("C2")
+        assert ranked({"C2": -0.25}) == ("C2",)
+        assert DecisionValues("d", {"C2": -0.25}, chosen="C2").actions == ("C2",)
 
     def test_invariant_under_constant_shift(self):
         rng = random.Random(7)
@@ -425,7 +435,7 @@ class TestChooseAction:
             entries = {sq: rng.uniform(-1, 1) for sq in squares}
             shift = rng.uniform(-10, 10)
             shifted = {sq: v + shift for sq, v in entries.items()}
-            assert choose_action(entries) == choose_action(shifted)
+            assert ranked(entries)[0] == ranked(shifted)[0]
 
     def test_picks_certain_win_with_exhaustive_oracle(self):
         found = 0
@@ -443,6 +453,6 @@ class TestChooseAction:
                 continue
             found += 1
             dv = value_oracle(board, AgentSpec(), "x")
-            best = choose_action(dv)
-            assert triples[best][0] == 1
+            assert dv.chosen == ranked(dv.entries)[0] == dv.actions[0]
+            assert triples[SquareId.parse(dv.chosen)][0] == 1
         assert found > 0  # the sweep must actually exercise winning positions

@@ -6,11 +6,18 @@ import pytest
 
 from predscore.actions import SquareId
 from predscore.board import BoardConfig
-from predscore.dataset import ExperimentBundle, ParticipantModel, generate_synthetic_experiment
+from predscore.dataset import (
+    ExperimentBundle,
+    ParticipantModel,
+    _csv_text,
+    generate_synthetic_experiment,
+)
 from predscore.errors import ValidationError
-from predscore.metrics import score_dataset, score_table
+from predscore.metrics import PredictionRecord, score_dataset, score_table
 from predscore.oracle import AgentSpec
+from predscore.values import DecisionValues
 from predscore.report import (
+    SAMPLES_HEADER,
     build_metrics_table,
     five_number_summary,
     grade_distribution,
@@ -18,6 +25,7 @@ from predscore.report import (
     render_boxplot_svg,
     render_metrics_csv,
     render_metrics_markdown,
+    render_samples_csv,
     render_vote_matrix_csv,
     render_vote_svg,
     vote_matrix,
@@ -161,6 +169,73 @@ class TestLossSums:
             (groups,) = participant_loss_sums(records, score(bundle), space)
             assert [(g.label, g.values) for g in groups] == expected
             records = rng.sample(records, len(records))
+
+
+class TestRecordOrder:
+    """The loss sums and samples.csv walk the records in one order, by
+    participant and then decision id, whatever order the records come in."""
+
+    # values.csv order P1, P2, P10; decision-id order P1, P10, P2.  Each
+    # decision's losses are 0.1, 0.2 and 0.3, whose float sum depends on the
+    # order of addition: (0.2 + 0.3) + 0.1 != (0.2 + 0.1) + 0.3.
+    VALUES = {
+        d: DecisionValues(d, {"a": 0.0, "b": -0.1, "c": -0.2, "d": -0.3}, "a")
+        for d in ("P1", "P2", "P10")
+    }
+    # p1 is listed under two treatments; p10 sorts before p2.
+    RECORDS = [
+        PredictionRecord(pid, treatment, d, action)
+        for pid, treatment, plan in [
+            ("p1", "A", {"P1": "c", "P2": "b", "P10": "d"}),
+            ("p1", "B", {"P11": "c", "P3": "b", "P20": "d"}),
+            ("p2", "A", {"P1": "d", "P2": "c", "P10": "b"}),
+            ("p10", "B", {"P11": "c", "P3": "d", "P20": "b"}),
+        ]
+        for d, action in plan.items()
+    ]
+
+    @classmethod
+    def scores(cls):
+        tables = dict(cls.VALUES)
+        for d in ("P3", "P11", "P20"):
+            tables[d] = tables["P1"]._replace(decision_id=d)
+        return score_table(tables)
+
+    @staticmethod
+    def reference_sums(records, scores, field):
+        """Each (treatment, participant) total, added left to right from 0.0
+        in decision-id order."""
+        losses = {}
+        for pid, treatment, d, action in records:
+            losses.setdefault(treatment, {}).setdefault(pid, []).append(
+                (d, scores[d][action][field]))
+        sums = []
+        for treatment in sorted(losses):
+            totals = []
+            for pid in sorted(losses[treatment]):
+                total = 0.0
+                for _, loss in sorted(losses[treatment][pid]):
+                    total += loss
+                totals.append(total)
+            sums.append((treatment, tuple(totals)))
+        return sums
+
+    def test_shuffled_records_give_the_same_sums_and_samples(self):
+        scores = self.scores()
+        expected = {field: self.reference_sums(self.RECORDS, scores, field) for field in (0, 1)}
+        # p1's totals differ from the sums in values.csv order
+        assert expected[0][0][1][0] == expected[0][1][1][0] != 0.2 + 0.1 + 0.3
+        rows = [(*r, *scores[r.decision_id][r.predicted])
+                for r in sorted(self.RECORDS, key=lambda r: (r.participant_id, r.decision_id))]
+        expected_csv = _csv_text(SAMPLES_HEADER, rows)
+        rng = random.Random(11)
+        records = list(self.RECORDS)
+        for _ in range(20):
+            records = rng.sample(records, len(records))
+            by_value, by_rank = participant_loss_sums(records, scores, "value", "rank")
+            assert [(g.label, g.values) for g in by_value] == expected[0]
+            assert [(g.label, g.values) for g in by_rank] == expected[1]
+            assert "".join(render_samples_csv(records, scores)) == expected_csv
 
 
 class TestFiveNumber:

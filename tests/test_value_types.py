@@ -261,6 +261,8 @@ INVALID = [
      "mnk manifest must list every board square in canonical order"),
     (_bundle(pending=(("d1", ("a",)),)), ValidationError,
      "duplicate decision ids in bundle"),
+    (_bundle(treatments=("T", "U", "T")), ValidationError,
+     "treatment 'T' is listed more than once"),
     (_bundle(decisions=(DecisionValues("d1", {"z": 1.0}, "z"),)), ValidationError,
      "decision 'd1' values actions missing from the manifest: ['z']"),
     (_bundle(predictions=(PredictionRecord("p1", "T", "d9", "a"),)), ValidationError,
