@@ -114,6 +114,12 @@ def make_mnk_manifest(config: BoardConfig, experiment_id: str) -> ActionManifest
     return ActionManifest(experiment_id, MNK, tuple((s, s) for s in squares), config)
 
 
+def _refuse_repeated(treatments) -> None:
+    repeated = [t for t, n in Counter(treatments).items() if n > 1]
+    if repeated:
+        raise ValidationError(f"treatment {repeated[0]!r} is listed more than once")
+
+
 class ExperimentBundle(
     Validated,
     namedtuple("ExperimentBundle", "manifest decisions predictions treatments pending_decisions"),
@@ -140,9 +146,7 @@ class ExperimentBundle(
         all_ids = [dv.decision_id for dv in decisions] + [did for did, _ in pending_decisions]
         if len(set(all_ids)) != len(all_ids):
             raise ValidationError("duplicate decision ids in bundle")
-        repeated = [t for t, n in Counter(treatments).items() if n > 1]
-        if repeated:
-            raise ValidationError(f"treatment {repeated[0]!r} is listed more than once")
+        _refuse_repeated(treatments)
         listed = [(dv.decision_id, tuple(dv.entries)) for dv in decisions]
         for decision_id, actions in listed + list(pending_decisions):
             stray = set(actions) - known_actions
@@ -615,13 +619,20 @@ def generate_synthetic_experiment(
         raise ValidationError("need at least one agent spec")
     if not treatments:
         raise ValidationError("need at least one treatment label")
+    _refuse_repeated(treatments)
+    if participants < len(treatments):
+        # each treatment needs a participant, or metrics refuses the bundle
+        raise ValidationError(
+            f"participants must be at least the {len(treatments)} treatments, got {participants}"
+        )
     if decisions_per_agent < 1:
         raise ValidationError(f"decisions_per_agent must be >= 1, got {decisions_per_agent}")
-
-    decisions: list[DecisionValues] = []
     for agent_index, agent in enumerate(agents):
         if not isinstance(agent, AgentSpec):
             raise ValidationError(f"agents[{agent_index}] is not an AgentSpec")
+
+    decisions: list[DecisionValues] = []
+    for agent_index, agent in enumerate(agents):
         opponent_rng = random.Random(f"{seed}|opponent|{agent_index}")
         board = new_game(config)
         for _ in range(decisions_per_agent):

@@ -28,8 +28,11 @@ getrandbits(n.bit_length()), drawn again while the result is >= n: the bits
 Random.randrange(n) takes on CPython 3.10-3.13, without its call per ply.
 A side cannot own a k-window before it holds k pieces, and the ply at
 which each side first does is fixed by the root's piece counts, so the
-plies before it skip the window test.  Equal seeds give the
-same values on those versions.
+plies before it skip the window test.  On Linux the root moves are
+shared with one forked worker on another CPU of the process's affinity
+mask (see _fan_out); each root move draws from its own Random, so equal
+seeds give the same values on those versions, on one CPU or many.
+The exhaustive oracle stays in one process, for its memo.
 
 A mutated agent adds seeded uniform noise to the flattened values only,
 leaving the outcome triples untouched; magnitude 0 is bit-exact identical
@@ -39,6 +42,7 @@ to the unmutated agent.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import namedtuple
 from functools import lru_cache
@@ -272,8 +276,9 @@ def sampled_outcome_triples(
     """Monte-Carlo estimate of the mover-perspective outcome triples.
 
     Each square draws its own RNG from (seed, board, square), so estimates
-    are reproducible regardless of evaluation order.  Rollouts that hit the
-    depth limit count as draws.
+    are reproducible regardless of evaluation order, and the squares are
+    shared with a forked worker by :func:`_fan_out`.  Rollouts that hit the depth
+    limit count as draws.
     """
     status = game_status(board)
     if status.state != ONGOING:
@@ -304,16 +309,15 @@ def sampled_outcome_triples(
         tested = windows[side] if pieces[side] >= cfg.k else None
         schedule.append((n, n.bit_length(), n - 1, placing[side], side, tested))
     base_key = _board_key(board)
-    out = {}
-    for pos, sq in enumerate(empties):
+
+    def outcome(pos: int) -> tuple[float, float, float]:
         idx = empty_idx[pos]
         first = board.packed | (mover << (2 * idx))
         if _wins(first, windows[mover][idx]):
-            out[sq] = (1.0, 0.0, 0.0)
-            continue
+            return (1.0, 0.0, 0.0)
         rest = empty_idx[:pos] + empty_idx[pos + 1 :]
         # Each pick draws what randrange(n) would (see the module docstring).
-        getrandbits = random.Random(f"{seed}|{base_key}|{sq.text}").getrandbits
+        getrandbits = random.Random(f"{seed}|{base_key}|{empties[pos].text}").getrandbits
         tally = [0, 0, 0]  # draws (or depth limit), agent wins, opponent wins
         for _ in range(rollouts):
             packed = first
@@ -334,8 +338,142 @@ def sampled_outcome_triples(
                     if winner:
                         break
             tally[winner] += 1
-        out[sq] = (tally[mover] / rollouts, tally[opponent] / rollouts, tally[0] / rollouts)
-    return out
+        return (tally[mover] / rollouts, tally[opponent] / rollouts, tally[0] / rollouts)
+
+    return dict(zip(empties, _fan_out(outcome, range(len(empties)))))
+
+
+def _threads_and_cpu() -> tuple[int, int] | None:
+    """This process's OS thread count, native threads (such as a BLAS pool)
+    included, and the CPU it last ran on; None where /proc cannot tell."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            fields = fh.read().rsplit(b")", 1)[1].split()
+    except OSError:
+        return None
+    return int(fields[17]), int(fields[36])
+
+
+# The parent and at most one child: the fan-out was measured on 2 CPUs
+# only, so more children per call wait until a larger machine measures them.
+_WORKERS = 2
+
+
+def _fan_out(fn, items) -> list:
+    """[fn(x) for x in items], with the items spread over the CPUs in this
+    process's affinity mask by os.fork, at most _WORKERS processes in all.
+
+    The items are split into one contiguous segment per worker; the parent
+    is worker 0.  Each forked child works its segment from the far end and
+    writes each (index, result) down its own pipe as soon as it is done.
+    The parent sweeps every item front to back, takes each result that has
+    arrived and computes the rest itself.  So the parent never waits for a
+    child, and a starved child, a failed pipe or fork, or a child whose fn
+    raises changes no result: the parent reaches the item whose fn raised
+    and raises the same error.  A child's result that arrives after the
+    parent computed the item is CPU time lost, which shows on a machine with
+    no idle CPU.  Once every item has a result, or the parent raises, the
+    children are killed and reaped.  fn must be pure: what a child's call
+    does besides returning is lost.
+
+    A child leaves only when it is killed or the parent is gone: after its
+    segment (or an error) it waits for end-of-file on a pipe whose write end
+    only the parent holds.  So each pid the parent kills is still its own
+    child, also where SIGCHLD is ignored and exited children are reaped at
+    once.
+
+    A forked child starts on its parent's CPU, and the kernel may leave it
+    there for longer than a call lasts, so each child binds itself to the
+    CPUs of the mask other than the one the parent is running on.
+
+    It runs in process for fewer than 2 items, with one CPU in the mask,
+    without os.fork or os.sched_getaffinity (off Linux), and when the
+    process runs more than one thread, which fork() may deadlock in the
+    child (CPython 3.12+ warns about it).
+    """
+    workers = 1
+    if len(items) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = os.sched_getaffinity(0)
+        workers = min(len(items), len(cpus), _WORKERS)
+    stat = _threads_and_cpu() if workers > 1 else None
+    if stat is None or stat[0] > 1:
+        return [fn(x) for x in items]
+    others = cpus - {stat[1]}
+
+    import contextlib
+    import pickle
+    import signal
+
+    bounds = [len(items) * w // workers for w in range(workers + 1)]
+    missing = object()
+    results = [missing] * len(items)
+    pids = []
+    pending = {}  # read end of a child's pipe -> the bytes read but not yet decoded
+    hold = ()  # the pipe a child reads end-of-file from before it leaves
+    try:
+        for w in range(1, workers):
+            try:
+                hold = hold or os.pipe()
+                read_fd, write_fd = os.pipe()
+            except OSError:  # the parent computes this segment itself
+                break
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    try:
+                        os.close(hold[1])
+                        with contextlib.suppress(OSError):  # else left to the kernel
+                            os.sched_setaffinity(0, others)
+                        for i in range(bounds[w + 1] - 1, bounds[w] - 1, -1):
+                            payload = pickle.dumps((i, fn(items[i])), pickle.HIGHEST_PROTOCOL)
+                            frame = len(payload).to_bytes(4, "little") + payload
+                            while frame:
+                                frame = frame[os.write(write_fd, frame) :]
+                    finally:
+                        os.close(write_fd)
+                        os.read(hold[0], 1)
+                finally:
+                    os._exit(0)  # never return into the parent's frames
+            pids.append(pid)
+            os.close(write_fd)
+            os.set_blocking(read_fd, False)
+            pending[read_fd] = b""
+        for i, item in enumerate(items):
+            for fd, buffer in list(pending.items()):
+                try:
+                    chunk = os.read(fd, 1 << 16)
+                except BlockingIOError:
+                    continue
+                if not chunk:  # the child is done or gone
+                    del pending[fd]
+                    os.close(fd)
+                    continue
+                buffer += chunk
+                while len(buffer) >= 4:  # each frame: 4-byte length, then the pickle
+                    end = 4 + int.from_bytes(buffer[:4], "little")
+                    if len(buffer) < end:
+                        break
+                    index, result = pickle.loads(buffer[4:end])
+                    results[index] = result
+                    buffer = buffer[end:]
+                pending[fd] = buffer
+            if results[i] is missing:
+                results[i] = fn(item)
+        return results
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):  # killed from outside
+                os.kill(pid, signal.SIGKILL)
+        for fd in (*pending, *hold):
+            os.close(fd)
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
+                os.waitpid(pid, 0)
 
 
 def value_oracle(board: Board, spec: AgentSpec, decision_id: str | None = None) -> DecisionValues:

@@ -1,10 +1,12 @@
 import random
+import re
 import tracemalloc
 from collections import Counter
 
 import pytest
 
 from predscore.actions import QUADRANTS
+from predscore import dataset
 from predscore.board import BoardConfig
 from predscore.dataset import (
     FOUR_TOWERS_VALUE_RANGE,
@@ -571,6 +573,35 @@ class TestSyntheticGeneration:
                 behavior=ParticipantModel.uniform(),
                 seed=1,
             )
+
+
+    @pytest.mark.parametrize(
+        "changed,message",
+        [
+            ({"treatments": ["T0", "T1", "T0"]}, "treatment 'T0' is listed more than once"),
+            (
+                {"participants": 2, "treatments": ["A", "B", "C"]},
+                "participants must be at least the 3 treatments, got 2",
+            ),
+            ({"agents": [AgentSpec(), "exhaustive"]}, "agents[1] is not an AgentSpec"),
+        ],
+        ids=["repeated-treatment", "fewer-participants-than-treatments", "agent-not-a-spec"],
+    )
+    def test_refused_before_the_first_game(self, monkeypatch, changed, message):
+        def no_games(*args, **kwargs):
+            raise AssertionError("a game was played before the arguments were checked")
+
+        monkeypatch.setattr(dataset, "value_oracle", no_games)
+        arguments = {
+            "config": BoardConfig(3, 3, 3),
+            "agents": [AgentSpec()],
+            "participants": 6,
+            "treatments": ["T0", "T1"],
+            "behavior": ParticipantModel.uniform(),
+            "seed": 1,
+        }
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            generate_synthetic_experiment(**{**arguments, **changed})
 
 
 class TestParticipantModel:
