@@ -101,6 +101,10 @@ def _usage_error(exc) -> int:
 def cmd_simulate(args) -> int:
     try:
         config = BoardConfig(m=args.m, n=args.n, k=args.k)
+        try:  # argv bytes that are not UTF-8 arrive as lone surrogates
+            args.treatments.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"--treatments must be UTF-8, got {args.treatments!r}") from None
         treatments = [t for t in args.treatments.split(",") if t]
         if not treatments:
             raise ValidationError("--treatments must list at least one label")

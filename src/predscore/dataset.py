@@ -43,6 +43,7 @@ import io
 import json
 import math
 import random
+import re
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -268,14 +269,20 @@ def _records(data, name: str, headers):
             raise _refusal(data, None, f"malformed {name}: {exc}") from None
 
 
+# float() alone also takes "1_0", padding and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
+
+
 def _float_field(text: str, column: str, refuse) -> float:
-    try:
+    """An ASCII decimal literal as a finite float."""
+    if _DECIMAL.fullmatch(text):
         value = float(text)
-    except ValueError:
-        raise refuse(f"non-numeric {column} {text!r}", column) from None
-    if not math.isfinite(value):
-        raise refuse(f"{column} must be finite, got {text!r}", column)
-    return value
+        if math.isfinite(value):
+            return value
+    elif not _NON_FINITE.fullmatch(text):
+        raise refuse(f"non-numeric {column} {text!r}", column)
+    raise refuse(f"{column} must be finite, got {text!r}", column)
 
 
 def parse_values_csv(data) -> list[DecisionValues]:

@@ -41,6 +41,7 @@ to the unmutated agent.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import random
@@ -354,124 +355,94 @@ def _threads_and_cpu() -> tuple[int, int] | None:
     return int(fields[17]), int(fields[36])
 
 
-# The parent and at most one child: the fan-out was measured on 2 CPUs
-# only, so more children per call wait until a larger machine measures them.
-_WORKERS = 2
-
-
 def _fan_out(fn, items) -> list:
-    """[fn(x) for x in items], with the items spread over the CPUs in this
-    process's affinity mask by os.fork, at most _WORKERS processes in all.
+    """[fn(x) for x in items], with the far half of the items given to one
+    child forked onto another CPU of this process's affinity mask.  One
+    child only: the fan-out was measured on 2 CPUs only.
 
-    The items are split into one contiguous segment per worker; the parent
-    is worker 0.  Each forked child works its segment from the far end and
-    writes each (index, result) down its own pipe as soon as it is done.
-    The parent sweeps every item front to back, takes each result that has
-    arrived and computes the rest itself.  So the parent never waits for a
-    child, and a starved child, a failed pipe or fork, or a child whose fn
-    raises changes no result: the parent reaches the item whose fn raised
-    and raises the same error.  A child's result that arrives after the
-    parent computed the item is CPU time lost, which shows on a machine with
-    no idle CPU.  Once every item has a result, or the parent raises, the
-    children are killed and reaped.  fn must be pure: what a child's call
-    does besides returning is lost.
+    The child works from the far end and writes each (index, result) down a
+    pipe as soon as it is done.  The parent sweeps the items front to back,
+    takes each result that has arrived and computes the rest itself, so it
+    never waits: a starved child, a failed pipe or fork, or a child whose fn
+    raises changes no result, and the parent raises fn's error when it
+    reaches that item.  A result that arrives late is CPU time lost, which
+    shows on a machine with no idle CPU.  Then the child is killed and
+    reaped.  fn must be pure: what the child's call does besides returning
+    is lost.
 
-    A child leaves only when it is killed or the parent is gone: after its
-    segment (or an error) it waits for end-of-file on a pipe whose write end
-    only the parent holds.  So each pid the parent kills is still its own
-    child, also where SIGCHLD is ignored and exited children are reaped at
-    once.
-
-    A forked child starts on its parent's CPU, and the kernel may leave it
-    there for longer than a call lasts, so each child binds itself to the
-    CPUs of the mask other than the one the parent is running on.
+    The child leaves only when it is killed or the parent is gone: it waits
+    for end-of-file on a pipe whose write end only the parent holds.  So the
+    pid the parent kills is still its child, also where SIGCHLD is ignored.
+    It binds itself to the mask's CPUs other than the parent's, because the
+    kernel may leave a forked child on its parent's CPU for longer than a
+    call lasts.
 
     It runs in process for fewer than 2 items, with one CPU in the mask,
-    without os.fork or os.sched_getaffinity (off Linux), and when the
-    process runs more than one thread, which fork() may deadlock in the
-    child (CPython 3.12+ warns about it).
+    without os.fork or os.sched_getaffinity (off Linux), and beside a second
+    thread, which fork() may deadlock in the child (CPython 3.12+ warns).
     """
-    workers = 1
+    cpus = set()
     if len(items) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         cpus = os.sched_getaffinity(0)
-        workers = min(len(items), len(cpus), _WORKERS)
-    stat = _threads_and_cpu() if workers > 1 else None
+    stat = _threads_and_cpu() if len(cpus) >= 2 else None
     if stat is None or stat[0] > 1:
         return [fn(x) for x in items]
-    others = cpus - {stat[1]}
 
-    import contextlib
     import pickle
     import signal
 
-    bounds = [len(items) * w // workers for w in range(workers + 1)]
     missing = object()
     results = [missing] * len(items)
-    pids = []
-    pending = {}  # read end of a child's pipe -> the bytes read but not yet decoded
-    hold = ()  # the pipe a child reads end-of-file from before it leaves
+    pid = None
+    fds = []  # every pipe end the parent holds
     try:
-        for w in range(1, workers):
+        with contextlib.suppress(OSError):  # else the parent computes every item
+            hold = os.pipe()  # the child reads end-of-file from it before it leaves
+            fds += hold
+            read_fd, write_fd = os.pipe()
+            fds += (read_fd, write_fd)
+            pid = os.fork()
+        if pid is None:
+            return [fn(x) for x in items]
+        if pid == 0:
             try:
-                hold = hold or os.pipe()
-                read_fd, write_fd = os.pipe()
-            except OSError:  # the parent computes this segment itself
-                break
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
                 try:
-                    try:
-                        os.close(hold[1])
-                        with contextlib.suppress(OSError):  # else left to the kernel
-                            os.sched_setaffinity(0, others)
-                        for i in range(bounds[w + 1] - 1, bounds[w] - 1, -1):
-                            payload = pickle.dumps((i, fn(items[i])), pickle.HIGHEST_PROTOCOL)
-                            frame = len(payload).to_bytes(4, "little") + payload
-                            while frame:
-                                frame = frame[os.write(write_fd, frame) :]
-                    finally:
-                        os.close(write_fd)
-                        os.read(hold[0], 1)
+                    os.close(hold[1])
+                    with contextlib.suppress(OSError):  # else left to the kernel
+                        os.sched_setaffinity(0, cpus - {stat[1]})
+                    for i in range(len(items) - 1, len(items) // 2 - 1, -1):
+                        payload = pickle.dumps((i, fn(items[i])), pickle.HIGHEST_PROTOCOL)
+                        frame = len(payload).to_bytes(4, "little") + payload
+                        while frame:
+                            frame = frame[os.write(write_fd, frame) :]
                 finally:
-                    os._exit(0)  # never return into the parent's frames
-            pids.append(pid)
-            os.close(write_fd)
-            os.set_blocking(read_fd, False)
-            pending[read_fd] = b""
+                    os.close(write_fd)
+                    os.read(hold[0], 1)
+            finally:
+                os._exit(0)  # never return into the parent's frames
+        os.close(fds.pop())  # the write end: once the child closes its own, reads give b""
+        os.set_blocking(read_fd, False)
+        buffer = b""
         for i, item in enumerate(items):
-            for fd, buffer in list(pending.items()):
-                try:
-                    chunk = os.read(fd, 1 << 16)
-                except BlockingIOError:
-                    continue
-                if not chunk:  # the child is done or gone
-                    del pending[fd]
-                    os.close(fd)
-                    continue
-                buffer += chunk
-                while len(buffer) >= 4:  # each frame: 4-byte length, then the pickle
-                    end = 4 + int.from_bytes(buffer[:4], "little")
-                    if len(buffer) < end:
-                        break
-                    index, result = pickle.loads(buffer[4:end])
-                    results[index] = result
-                    buffer = buffer[end:]
-                pending[fd] = buffer
+            with contextlib.suppress(BlockingIOError):
+                buffer += os.read(read_fd, 1 << 16)
+            while len(buffer) >= 4:  # each frame: 4-byte length, then the pickle
+                end = 4 + int.from_bytes(buffer[:4], "little")
+                if len(buffer) < end:
+                    break
+                index, result = pickle.loads(buffer[4:end])
+                results[index] = result
+                buffer = buffer[end:]
             if results[i] is missing:
                 results[i] = fn(item)
         return results
     finally:
-        for pid in pids:
+        if pid:
             with contextlib.suppress(ProcessLookupError):  # killed from outside
                 os.kill(pid, signal.SIGKILL)
-        for fd in (*pending, *hold):
+        for fd in fds:
             os.close(fd)
-        for pid in pids:
+        if pid:
             with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
                 os.waitpid(pid, 0)
 

@@ -100,7 +100,8 @@ class TestSimulate:
     @pytest.mark.parametrize("participants, treatments, error", [
         ("6", "A,A,B", "--treatments must not repeat a label, got 'A,A,B'"),
         ("3", "A,B,C,D", "--participants must be at least the 4 treatments, got 3"),
-    ], ids=["repeated-treatment", "fewer-participants-than-treatments"])
+        ("4", "A,\udcff", "--treatments must be UTF-8, got 'A,\\udcff'"),  # argv byte 0xff
+    ], ids=["repeated-treatment", "fewer-participants-than-treatments", "non-utf8-treatment"])
     def test_bundle_metrics_would_refuse_exits_2_before_writing(
         self, tmp_path, capsys, participants, treatments, error
     ):

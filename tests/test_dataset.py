@@ -170,6 +170,27 @@ class TestParseValues:
             parse_values_csv(bad)
         assert err.value.column == "value"
 
+    @pytest.mark.parametrize("text, value", [
+        ("1.", 1.0), (".5", 0.5), ("+3E-2", 0.03), ("-0", 0.0), ("007", 7.0),
+    ])
+    def test_ascii_decimal_literal_accepted(self, text, value):
+        decisions = parse_values_csv(VALUES_4T.replace("31.0", text))
+        assert decisions[0].value("NE") == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_0", "non-numeric value '1_0'"),
+        (" 2.5", "non-numeric value ' 2.5'"),
+        ("\u0661\u0662", "non-numeric value '\u0661\u0662'"),
+        ("0x1", "non-numeric value '0x1'"),
+        ("nan", "value must be finite, got 'nan'"),
+        ("-Infinity", "value must be finite, got '-Infinity'"),
+        ("1e999", "value must be finite, got '1e999'"),
+    ])
+    def test_value_that_is_no_finite_ascii_decimal_rejected(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_values_csv(VALUES_4T.replace("31.0", text))
+        assert (err.value.row, err.value.column) == (2, "value")
+
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_values_csv(b"foo,bar\n1,2\n")

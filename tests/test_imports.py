@@ -10,7 +10,8 @@ from pathlib import Path
 
 import predscore
 
-HEAVY = ("dataclasses", "typing", "statistics", "fractions", "decimal", "scipy", "numpy")
+HEAVY = ("dataclasses", "typing", "statistics", "fractions", "decimal", "scipy", "numpy",
+         "pickle", "signal")
 
 
 def loaded_by(statements: str) -> list[str]:

@@ -241,6 +241,9 @@ def test_refused_values_record_reports_its_start_line(data):
         (1, lambda f: [f[0], "A1", *f[2:]], "action"),  # duplicate action
         (1, lambda f: [*f[:2], "high", *f[3:]], "value"),  # non-numeric value
         (1, lambda f: [*f[:2], "inf", *f[3:]], "value"),  # infinite value
+        (1, lambda f: [*f[:2], "1_0", *f[3:]], "value"),  # float() takes it, the parser does not
+        (1, lambda f: [*f[:2], " 2.5", *f[3:]], "value"),  # padded value
+        (1, lambda f: [*f[:4], "0", "\u0661", "0"], "loss"),  # a non-ASCII digit
         (1, lambda f: [*f[:3], "2", *f[4:]], "chosen"),  # bad chosen flag
         (1, lambda f: [*f[:4], "0.5", "0.5", ""], "win"),  # partial triple
         (1, lambda f: [*f[:4], "0.6", "0.3", "0.2"], "win"),  # triple sums to 1.1
