@@ -24,6 +24,7 @@ from .board import BoardConfig
 from .dataset import (
     MNK,
     ParticipantModel,
+    check_synthetic_design,
     generate_synthetic_experiment,
     read_bundle,
     write_bundle,
@@ -54,20 +55,6 @@ EPILOG = "exit codes: 0 success, 1 data error, 2 usage error"
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9.-]+", "_", text)
-
-
-def _parse_behavior(text: str) -> ParticipantModel:
-    if text == "best":
-        return ParticipantModel.always_best()
-    if text == "uniform":
-        return ParticipantModel.uniform()
-    try:
-        probs = tuple(float(f) for f in text.split(","))
-    except ValueError:
-        raise ValidationError(
-            f"--behavior must be 'best', 'uniform' or comma-separated weights, got {text!r}"
-        ) from None
-    return ParticipantModel(rank_probs=probs)
 
 
 def _out_dir(args) -> Path:
@@ -101,26 +88,8 @@ def _usage_error(exc) -> int:
 def cmd_simulate(args) -> int:
     try:
         config = BoardConfig(m=args.m, n=args.n, k=args.k)
-        try:  # argv bytes that are not UTF-8 arrive as lone surrogates
-            args.treatments.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError(f"--treatments must be UTF-8, got {args.treatments!r}") from None
         treatments = [t for t in args.treatments.split(",") if t]
-        if not treatments:
-            raise ValidationError("--treatments must list at least one label")
-        if len(set(treatments)) != len(treatments):
-            raise ValidationError(f"--treatments must not repeat a label, got {args.treatments!r}")
-        behavior = _parse_behavior(args.behavior)
-        if args.participants < 1:
-            raise ValidationError("--participants must be >= 1")
-        if args.participants < len(treatments):
-            # each treatment needs a participant, or metrics refuses the bundle
-            raise ValidationError(f"--participants must be at least the {len(treatments)} "
-                                  f"treatments, got {args.participants}")
-        if args.agents < 1:
-            raise ValidationError("--agents must be >= 1")
-        if args.decisions < 1:
-            raise ValidationError("--decisions must be >= 1")
+        behavior = ParticipantModel.parse(args.behavior)
         if args.rollouts < 1:
             raise ValidationError("--rollouts must be >= 1")
         oracle_kind = args.oracle
@@ -143,6 +112,7 @@ def cmd_simulate(args) -> int:
                     mutation=mutation,
                 )
             )
+        check_synthetic_design(agents, args.participants, treatments, args.decisions)
     except ValidationError as exc:
         return _usage_error(exc)
 

@@ -19,6 +19,10 @@ itself: header, field counts, numbers, and empty or duplicate keys.
 ExperimentBundle checks how the parts relate: every decision's actions are
 in the manifest, and every prediction names a valued decision, an action it
 values and a listed treatment; read_bundle adds the row of a refused record.
+A simulated design (agents, participants, treatment labels, decisions per
+agent) is checked by ``check_synthetic_design`` alone, which both
+generate_synthetic_experiment and ``predscore simulate`` call before any
+game is played.
 
 All three files are decoded by ``_decode``: UTF-8, less one leading BOM;
 bytes that are not UTF-8 are refused with the line of the first bad byte.
@@ -481,9 +485,9 @@ def manifest_to_dict(bundle: ExperimentBundle) -> dict:
 
 
 def _json_typed(value, kind: type, field: str):
-    if not isinstance(value, kind):
-        noun = "string" if kind is str else kind.__name__
-        raise TypeError(f"{field} must be a {noun}, got {type(value).__name__}")
+    if type(value) is not kind:  # JSON true and false are bools, which isinstance counts as ints
+        noun = {str: "a string", int: "an integer"}.get(kind, f"a {kind.__name__}")
+        raise TypeError(f"{field} must be {noun}, got {type(value).__name__}")
     return value
 
 
@@ -491,7 +495,9 @@ def _manifest_from_dict(doc: dict):
     try:
         domain_doc = doc["domain"]
         domain = domain_doc["type"]
-        board = BoardConfig(domain_doc["m"], domain_doc["n"], domain_doc["k"]) if domain == MNK else None
+        board = None
+        if domain == MNK:
+            board = BoardConfig(*(_json_typed(domain_doc[d], int, f"board {d}") for d in "mnk"))
         manifest = ActionManifest(
             experiment_id=doc["experiment_id"],
             domain=domain,
@@ -579,8 +585,20 @@ class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
     def uniform(cls) -> "ParticipantModel":
         return cls(rank_probs=None)
 
-    def sample(self, values: DecisionValues, rng: random.Random) -> str:
-        return self._draw(values)(rng)
+    @classmethod
+    def parse(cls, text: str) -> "ParticipantModel":
+        """'best', 'uniform', or comma-separated rank weights, each an ASCII
+        decimal literal as values.csv requires (no padding, no "1_0")."""
+        if text == "best":
+            return cls.always_best()
+        if text == "uniform":
+            return cls.uniform()
+        weights = text.split(",")
+        if not all(_DECIMAL.fullmatch(w) for w in weights):
+            raise ValidationError(
+                f"behavior must be 'best', 'uniform' or comma-separated decimal weights, got {text!r}"
+            )
+        return cls(rank_probs=tuple(map(float, weights)))
 
     def _draw(self, values: DecisionValues):
         """One decision's sampler, rng -> predicted action.  The pick is the
@@ -598,6 +616,38 @@ class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
         cumulative = list(accumulate(probs))
         last = len(probs) - 1
         return lambda rng: order[min(bisect_right(cumulative, rng.random() * total), last)]
+
+
+def check_synthetic_design(agents, participants: int, treatments, decisions_per_agent: int) -> None:
+    """Refuse a simulated design before any game is played.
+
+    generate_synthetic_experiment and ``predscore simulate`` both check
+    their design here, and nowhere else.
+    """
+    if participants < 1:
+        raise ValidationError(f"participants must be >= 1, got {participants}")
+    if not agents:
+        raise ValidationError("need at least one agent spec")
+    if not treatments:
+        raise ValidationError("need at least one treatment label")
+    for treatment in treatments:  # manifest.json must read each label back as a string
+        if not isinstance(treatment, str):
+            raise ValidationError(f"treatment {treatment!r} is not a string")
+        try:  # a lone surrogate (an argv byte that is not UTF-8) cannot be written
+            treatment.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"treatment {treatment!r} is not UTF-8") from None
+    _refuse_repeated(treatments)
+    if participants < len(treatments):
+        # each treatment needs a participant, or metrics refuses the bundle
+        raise ValidationError(
+            f"participants must be at least the {len(treatments)} treatments, got {participants}"
+        )
+    if decisions_per_agent < 1:
+        raise ValidationError(f"decisions_per_agent must be >= 1, got {decisions_per_agent}")
+    for agent_index, agent in enumerate(agents):
+        if not isinstance(agent, AgentSpec):
+            raise ValidationError(f"agents[{agent_index}] is not an AgentSpec")
 
 
 def generate_synthetic_experiment(
@@ -620,23 +670,7 @@ def generate_synthetic_experiment(
     """
     agents = list(agents)
     treatments = tuple(treatments)
-    if participants < 1:
-        raise ValidationError(f"participants must be >= 1, got {participants}")
-    if not agents:
-        raise ValidationError("need at least one agent spec")
-    if not treatments:
-        raise ValidationError("need at least one treatment label")
-    _refuse_repeated(treatments)
-    if participants < len(treatments):
-        # each treatment needs a participant, or metrics refuses the bundle
-        raise ValidationError(
-            f"participants must be at least the {len(treatments)} treatments, got {participants}"
-        )
-    if decisions_per_agent < 1:
-        raise ValidationError(f"decisions_per_agent must be >= 1, got {decisions_per_agent}")
-    for agent_index, agent in enumerate(agents):
-        if not isinstance(agent, AgentSpec):
-            raise ValidationError(f"agents[{agent_index}] is not an AgentSpec")
+    check_synthetic_design(agents, participants, treatments, decisions_per_agent)
 
     decisions: list[DecisionValues] = []
     for agent_index, agent in enumerate(agents):

@@ -97,17 +97,21 @@ class TestSimulate:
         assert not (tmp_path / "x").exists()
 
 
-    @pytest.mark.parametrize("participants, treatments, error", [
-        ("6", "A,A,B", "--treatments must not repeat a label, got 'A,A,B'"),
-        ("3", "A,B,C,D", "--participants must be at least the 4 treatments, got 3"),
-        ("4", "A,\udcff", "--treatments must be UTF-8, got 'A,\\udcff'"),  # argv byte 0xff
-    ], ids=["repeated-treatment", "fewer-participants-than-treatments", "non-utf8-treatment"])
+    @pytest.mark.parametrize("participants, treatments, extra, error", [
+        ("6", "A,A,B", [], "treatment 'A' is listed more than once"),
+        ("3", "A,B,C,D", [], "participants must be at least the 4 treatments, got 3"),
+        ("4", "A,\udcff", [], "treatment '\\udcff' is not UTF-8"),  # argv byte 0xff
+        ("4", "A,B", ["--behavior", "1_0, \u0665"],  # float() reads both weights
+         "behavior must be 'best', 'uniform' or comma-separated decimal weights, "
+         "got '1_0, \u0665'"),
+    ], ids=["repeated-treatment", "fewer-participants-than-treatments", "non-utf8-treatment",
+            "non-decimal-behavior-weight"])
     def test_bundle_metrics_would_refuse_exits_2_before_writing(
-        self, tmp_path, capsys, participants, treatments, error
+        self, tmp_path, capsys, participants, treatments, extra, error
     ):
         code = main(
             ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", participants,
-             "--treatments", treatments, "--seed", "1", "--out-dir", str(tmp_path / "x")]
+             "--treatments", treatments, "--seed", "1", "--out-dir", str(tmp_path / "x")] + extra
         )
         assert code == 2
         captured = capsys.readouterr()

@@ -605,8 +605,11 @@ class TestSyntheticGeneration:
                 "participants must be at least the 3 treatments, got 2",
             ),
             ({"agents": [AgentSpec(), "exhaustive"]}, "agents[1] is not an AgentSpec"),
+            ({"treatments": ["A", "\udcff"]}, "treatment '\\udcff' is not UTF-8"),
+            ({"treatments": ["A", 2]}, "treatment 2 is not a string"),
         ],
-        ids=["repeated-treatment", "fewer-participants-than-treatments", "agent-not-a-spec"],
+        ids=["repeated-treatment", "fewer-participants-than-treatments", "agent-not-a-spec",
+             "non-utf8-treatment", "non-string-treatment"],
     )
     def test_refused_before_the_first_game(self, monkeypatch, changed, message):
         def no_games(*args, **kwargs):
@@ -634,17 +637,28 @@ class TestParticipantModel:
         with pytest.raises(ValidationError):
             ParticipantModel(rank_probs=(0.0, 0.0))
 
+    @pytest.mark.parametrize("text, rank_probs", [
+        ("best", (1.0,)), ("uniform", None), ("0.5,.2,1e-1,3", (0.5, 0.2, 0.1, 3.0)),
+    ])
+    def test_parse(self, text, rank_probs):
+        assert ParticipantModel.parse(text) == ParticipantModel(rank_probs)
+
+    @pytest.mark.parametrize("text", ["1_0", "0.5, 0.2", "\u0665", "inf", "", "0.5,", "Best"])
+    def test_parse_refuses_what_values_csv_refuses(self, text):
+        with pytest.raises(ValidationError, match="comma-separated decimal weights"):
+            ParticipantModel.parse(text)
+
     def test_always_best_predicts_top_rank(self):
         dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
         rng = random.Random(0)
         model = ParticipantModel.always_best()
-        assert all(model.sample(dv, rng) == "x" for _ in range(20))
+        assert all(model._draw(dv)(rng) == "x" for _ in range(20))
 
     def test_truncates_to_available_ranks(self):
         dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
         model = ParticipantModel(rank_probs=(0.5, 0.25, 0.25))  # 3 ranks, 2 actions
         rng = random.Random(1)
-        picks = {model.sample(dv, rng) for _ in range(50)}
+        picks = {model._draw(dv)(rng) for _ in range(50)}
         assert picks == {"x", "y"}
 
 
@@ -690,9 +704,9 @@ class TestSamplingMatchesLinearScan:
                     expected = reference_sample(model, dv, a)
                 except ValidationError as exc:
                     with pytest.raises(ValidationError, match=str(exc)):
-                        model.sample(dv, b)
+                        model._draw(dv)(b)
                     break
-                assert model.sample(dv, b) == expected
+                assert model._draw(dv)(b) == expected
             assert a.random() == b.random()
 
     def test_draws_on_cumulative_boundaries(self):
@@ -707,13 +721,13 @@ class TestSamplingMatchesLinearScan:
         model = ParticipantModel(rank_probs=(0.0, 0.25, 0.0, 0.25, 0.5))
         for value in (0.0, 0.25, 0.5, 0.75, 0.999):
             expected = reference_sample(model, dv, FixedRng(value))
-            assert model.sample(dv, FixedRng(value)) == expected, value
+            assert model._draw(dv)(FixedRng(value)) == expected, value
 
     def test_no_mass_on_available_ranks(self):
         dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
         model = ParticipantModel(rank_probs=(0.0, 0.0, 1.0))
         with pytest.raises(ValidationError, match="no mass on the 2 available ranks"):
-            model.sample(dv, random.Random(0))
+            model._draw(dv)(random.Random(0))
 
     def test_generated_predictions_match_linear_scan(self):
         behavior = ParticipantModel(rank_probs=(0.5, 0.0, 0.3, 0.0, 0.2))

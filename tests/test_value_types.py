@@ -293,6 +293,10 @@ INVALID = [
     (lambda: _manifest_from_dict(
         _manifest_doc(pending_decisions=[{"decision_id": "d9", "actions": ["a", {}]}])), ParseError,
      "malformed manifest.json: TypeError('pending decision action must be a string, got dict')"),
+    (lambda: _manifest_from_dict(_manifest_doc(domain={"type": MNK, "m": 3, "n": True, "k": 3})),
+     ParseError, "malformed manifest.json: TypeError('board n must be an integer, got bool')"),
+    (lambda: _manifest_from_dict(_manifest_doc(domain={"type": MNK, "m": 3.0, "n": 3, "k": 3})),
+     ParseError, "malformed manifest.json: TypeError('board m must be an integer, got float')"),
     (partial(ParticipantModel, (0.5, -0.5)), ValidationError,
      "rank_probs must be non-negative finite numbers"),
     (partial(ParticipantModel, ()), ValidationError,
