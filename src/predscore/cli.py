@@ -22,7 +22,6 @@ from pathlib import Path
 from .actions import SquareId
 from .board import BoardConfig
 from .dataset import (
-    MNK,
     ParticipantModel,
     check_synthetic_design,
     generate_synthetic_experiment,
@@ -175,8 +174,6 @@ def cmd_stats(args) -> int:
     bundle = read_bundle(args.bundle)
     scores = score_table(bundle.values_by_decision())
     (groups,) = participant_loss_sums(bundle.predictions, scores, args.space)
-    if len(groups) < 2:
-        raise ValidationError("stats needs at least 2 treatments with predictions")
     result = run_pipeline(groups, alpha=args.alpha)
     labels = [g.label for g in groups] + [None]  # per-group gates, then levene
     gates_doc = []
@@ -229,12 +226,6 @@ def cmd_votes(args) -> int:
     except ValidationError as exc:
         return _usage_error(exc)
     bundle = read_bundle(args.bundle)
-    if bundle.manifest.domain != MNK:
-        raise ValidationError(f"votes need an mnk bundle, not {bundle.manifest.domain!r}")
-    values = bundle.values_by_decision().get(args.decision)
-    if values is None:
-        raise ValidationError(f"unknown decision {args.decision!r}")
-    chosen = SquareId.parse(values.chosen)
     by_treatment = args.group_by == "treatment"
     selections = [(t, t) for t in sorted(bundle.treatments)] if by_treatment else [(None, "all")]
     # casefolded file stem -> the stem, the treatment (None pools every group) and its
@@ -247,13 +238,15 @@ def cmd_votes(args) -> int:
             raise ValidationError(f"treatments {other!r} and {label!r} "
                                   f"would both write {first}.csv")
         stems[stem.casefold()] = stem, treatment, label
-    out = _out_dir(args)
     counts = bundle.vote_counts()
-    for stem, treatment, _ in stems.values():
-        grid = vote_matrix(bundle, counts, args.decision, treatment)
+    grids = {stem: vote_matrix(bundle, counts, args.decision, treatment)
+             for stem, treatment, _ in stems.values()}
+    out = _out_dir(args)
+    for stem, grid in grids.items():
         _write(out / f"{stem}.csv", render_vote_matrix_csv(grid, bundle.manifest.board.m))
         if "svg" in formats:
-            _write(out / f"{stem}.svg", render_vote_svg(grid, chosen))
+            chosen = bundle.values_by_decision()[args.decision].chosen  # vote_matrix refused any other
+            _write(out / f"{stem}.svg", render_vote_svg(grid, SquareId.parse(chosen)))
     return 0
 
 

@@ -15,10 +15,13 @@ is the one CSV encoding: it writes both CSV files and every report CSV, and
 ``_csv_lines`` streams its lines for the one large report, samples.csv.
 
 Each fact is checked in one layer.  The parsers check what a file says by
-itself: header, field counts, numbers, and empty or duplicate keys.
-ExperimentBundle checks how the parts relate: every decision's actions are
-in the manifest, and every prediction names a valued decision, an action it
-values and a listed treatment; read_bundle adds the row of a refused record.
+itself: header and field counts, and in values.csv numbers and empty or
+duplicate keys.  ExperimentBundle checks how the parts relate and every rule
+on a prediction: every decision's actions are in the manifest, and every
+prediction has a participant and a treatment, names a valued decision, an
+action it values and a listed treatment, and is its participant's only one
+for that decision.  So a bundle the library builds holds no prediction that
+read_bundle would refuse, and read_bundle adds the row of a refused record.
 A simulated design (agents, participants, treatment labels, decisions per
 agent) is checked by ``check_synthetic_design`` alone, which both
 generate_synthetic_experiment and ``predscore simulate`` call before any
@@ -33,11 +36,11 @@ it starts, and ``_record_line`` is the only code that finds it: it reads the
 text a second time, and only once a record is refused, so no parse loop
 counts lines.
 
-predictions.csv is the one large file, so its parser keeps little beside
-the records: one entry per participant holding the shared id string and a
-bitmask of the decisions seen so far, which finds a duplicate (participant,
-decision) and interns the id at once, and one dict interning treatment,
-decision and action strings.
+predictions.csv is the one large file, so its parser keeps nothing beside
+the records but one dict interning every field string: the records of a
+participant share one id string, and likewise for treatments, decisions and
+actions.  ExperimentBundle finds a repeated (participant, decision) with one
+small integer per participant, a bit per valued decision.
 """
 
 from __future__ import annotations
@@ -168,28 +171,34 @@ class ExperimentBundle(
         # Every valued action is in the manifest, so manifest membership is
         # tested only to choose the message once a prediction is refused.
         valued = {dv.decision_id: dv.entries for dv in decisions}
+        bits = {decision_id: 1 << i for i, decision_id in enumerate(valued)}
         treatment_set = set(treatments)
-        for rec in predictions:
-            entries = valued.get(rec.decision_id)
-            if entries is None:
-                column, problem = "decision_id", f"references unknown decision {rec.decision_id!r}"
-            elif rec.predicted not in entries:
+        predicted_by: dict[str, int] = {}  # participant id -> one bit per decision it predicts
+        for index, (participant_id, treatment, decision_id, predicted) in enumerate(predictions):
+            if not participant_id or not treatment:
+                column = "treatment" if participant_id else "participant_id"
+                message = f"{column} must be non-empty"
+            elif (entries := valued.get(decision_id)) is None:
+                column = "decision_id"
+                message = f"prediction by {participant_id!r} references unknown decision {decision_id!r}"
+            elif predicted not in entries:
                 column = "predicted_action"
-                if rec.predicted in known_actions:
-                    problem = (
-                        f"references action {rec.predicted!r}, "
-                        f"which decision {rec.decision_id!r} does not value"
-                    )
+                if predicted in known_actions:
+                    message = (f"prediction by {participant_id!r} references action {predicted!r}, "
+                               f"which decision {decision_id!r} does not value")
                 else:
-                    problem = f"references unknown action {rec.predicted!r}"
-            elif rec.treatment not in treatment_set:
-                column, problem = "treatment", f"has unlisted treatment {rec.treatment!r}"
+                    message = f"prediction by {participant_id!r} references unknown action {predicted!r}"
+            elif treatment not in treatment_set:
+                column = "treatment"
+                message = f"prediction by {participant_id!r} has unlisted treatment {treatment!r}"
+            elif (mask := predicted_by.get(participant_id, 0)) & (bit := bits[decision_id]):
+                column = "participant_id"
+                message = f"duplicate prediction by {participant_id!r} for decision {decision_id!r}"
             else:
+                predicted_by[participant_id] = mask | bit
                 continue
-            error = ValidationError(f"prediction by {rec.participant_id!r} {problem}")
-            # An equal record earlier on would have failed first, so the first
-            # equal one is this one; read_bundle maps its position to a row.
-            error.index, error.column = predictions.index(rec), column
+            error = ValidationError(message)
+            error.index, error.column = index, column
             raise error
         return super().__new__(cls, manifest, decisions, predictions, treatments, pending_decisions)
 
@@ -342,40 +351,20 @@ def parse_values_csv(data) -> list[DecisionValues]:
 
 
 def parse_predictions_csv(data) -> list[PredictionRecord]:
-    """Decode predictions.csv and check what it says by itself: the header,
-    four fields per record, a participant and a treatment, and one prediction
-    per (participant, decision).
-
-    Each participant has one dict entry, [shared id, mask], where the mask
-    has one bit per decision id in first-seen order: a decision whose bit is
-    already set is a duplicate.  So every record of a participant holds the
-    same id string, and treatment, decision and action strings are interned
-    through one dict as well.
+    """Decode predictions.csv into records, checking only the header and four
+    fields per record; ExperimentBundle checks what the fields say.  Equal
+    strings are interned through one dict, so every record of a participant
+    holds the same id string, and likewise for the other fields.
     """
     interned: dict[str, str] = {}
     intern = interned.setdefault
-    bits: dict[str, int] = {}  # decision id -> its bit in a participant's mask
-    participants: dict[str, list] = {}  # participant id -> [shared id, mask]
     records = []
     with _records(data, "predictions.csv", (PREDICTIONS_HEADER,)) as (_, rows):
         for row in rows:
             if len(row) != 4:
                 raise _refusal(data, len(records), f"expected 4 fields, got {len(row)}")
-            participant_id, treatment, decision_id, predicted = row
-            if not participant_id or not treatment:
-                raise _refusal(data, len(records), "participant_id and treatment must be non-empty")
-            decision_id = intern(decision_id, decision_id)
-            bit = bits.get(decision_id) or bits.setdefault(decision_id, 1 << len(bits))
-            entry = participants.get(participant_id)
-            if entry is None:
-                participants[participant_id] = entry = [participant_id, bit]
-            elif entry[1] & bit:
-                message = f"duplicate prediction by {participant_id!r} for decision {decision_id!r}"
-                raise _refusal(data, len(records), message, "participant_id")
-            else:
-                entry[1] |= bit
-            treatment, predicted = intern(treatment, treatment), intern(predicted, predicted)
-            records.append(PredictionRecord(entry[0], treatment, decision_id, predicted))
+            p, t, d, a = row
+            records.append(PredictionRecord(intern(p, p), intern(t, t), intern(d, d), intern(a, a)))
     return records
 
 
@@ -633,6 +622,8 @@ def check_synthetic_design(agents, participants: int, treatments, decisions_per_
     for treatment in treatments:  # manifest.json must read each label back as a string
         if not isinstance(treatment, str):
             raise ValidationError(f"treatment {treatment!r} is not a string")
+        if not treatment:  # ExperimentBundle refuses a prediction in an empty treatment
+            raise ValidationError("treatment labels must be non-empty")
         try:  # a lone surrogate (an argv byte that is not UTF-8) cannot be written
             treatment.encode("utf-8")
         except UnicodeEncodeError:

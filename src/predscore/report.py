@@ -195,7 +195,7 @@ def vote_matrix(
     treatment None pools every group.
     """
     if bundle.manifest.domain != MNK:
-        raise ValidationError("vote matrices are defined for mnk bundles")
+        raise ValidationError(f"vote matrices need an mnk bundle, not {bundle.manifest.domain!r}")
     if decision_id not in bundle.values_by_decision():
         raise ValidationError(f"unknown decision {decision_id!r}")
     cfg = bundle.manifest.board

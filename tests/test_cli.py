@@ -260,6 +260,23 @@ class TestStatsCmd:
             assert "identical" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_one_treatment_exits_1_before_writing(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "one"
+        assert main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "6",
+             "--treatments", "A", "--seed", "1", "--out-dir", str(bundle_dir)]
+        ) == 0
+        capsys.readouterr()
+        code = main(
+            ["stats", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
+             "--space", "rank"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: pipeline needs at least 2 groups of 2 or more observations, got 1\n"
+        )
+        assert not (tmp_path / "r").exists()
+
     def test_small_groups_answer_with_kruskal_wallis(self, tmp_path, capsys):
         # 7 participants over A-D: three pairs (no normality gate) and a single.
         bundle_dir = tmp_path / "small"
@@ -340,6 +357,7 @@ class TestVotesCmd:
              "--decision", "P99"]
         )
         assert code == 1
+        assert not (tmp_path / "v").exists()
 
     def test_non_mnk_bundle_exits_1_naming_the_domain(self, tmp_path, capsys):
         from predscore.dataset import load_four_towers_fixture, write_bundle
@@ -352,6 +370,7 @@ class TestVotesCmd:
         assert code == 1
         err = capsys.readouterr().err
         assert "'four_towers'" in err and "square" not in err
+        assert not (tmp_path / "v").exists()
 
     def test_unanimous_votes_fill_a_single_cell(self, tmp_path):
         bundle_dir = simulate(tmp_path, "best", extra=["--behavior", "best"])

@@ -254,18 +254,18 @@ class TestParseValues:
 
 
 class TestParsePredictions:
-    """predictions.csv refusals.  The parser checks the file's shape and
-    duplicates; the checks against the manifest and the value tables happen
-    in ExperimentBundle, so those cases read a whole bundle."""
+    """predictions.csv refusals.  The parser checks the file's shape; every
+    rule on what a record's fields say is ExperimentBundle's, so those cases
+    read a whole bundle."""
 
     def manifest(self):
         return make_mnk_manifest(BoardConfig(9, 4, 4), "exp")
 
-    def read(self, tmp_path, text):
-        """read_bundle on a bundle whose predictions.csv is ``text``: decision
-        P1 values A1 and B1 only, and T is its one treatment."""
-        values = DecisionValues("P1", {"A1": 1.0, "B1": 0.0}, "A1")
-        path = write_bundle(ExperimentBundle(self.manifest(), (values,), (), ("T",)), tmp_path)
+    def read(self, tmp_path, text, decision_ids=("P1",)):
+        """read_bundle on a bundle whose predictions.csv is ``text``: each of
+        decision_ids values A1 and B1 only, and T is its one treatment."""
+        values = tuple(DecisionValues(d, {"A1": 1.0, "B1": 0.0}, "A1") for d in decision_ids)
+        path = write_bundle(ExperimentBundle(self.manifest(), values, (), ("T",)), tmp_path)
         (path / "predictions.csv").write_text(text, encoding="utf-8")
         return read_bundle(path)
 
@@ -330,25 +330,27 @@ class TestParsePredictions:
             "prediction by 'p3' has unlisted treatment 'U' (row 7, column 'treatment')"
         )
 
-    def test_shape_errors_come_before_bundle_errors(self, tmp_path):
-        text = (
-            "participant_id,treatment,decision_id,predicted_action\n"
-            "p1,T,P9,A1\n"
-            "p2,T,P1,A1\n"
-            "p2,T,P1,B1\n"
-        )
-        with pytest.raises(ParseError, match="duplicate prediction") as err:
+    @pytest.mark.parametrize("records, refused", [
+        (["p1,T,P9,A1", "p2,T,P1,A1", "p2,T,P1,B1"], ("unknown decision 'P9'", 2)),
+        (["p2,T,P1,A1", "p2,T,P1,B1", "p1,T,P9,A1"], ("duplicate prediction", 3)),
+        (["p1,T,P1,Z9", "p2,,P1,A1"], ("unknown action 'Z9'", 2)),
+        (["p2,,P1,A1", "p1,T,P1,Z9"], ("must be non-empty", 2)),
+    ], ids=["unknown-decision-first", "duplicate-first", "unknown-action-first", "empty-first"])
+    def test_first_bad_record_in_file_order_is_refused(self, tmp_path, records, refused):
+        text = "participant_id,treatment,decision_id,predicted_action\n" + "\n".join(records) + "\n"
+        message, row = refused
+        with pytest.raises(ParseError, match=message) as err:
             self.read(tmp_path, text)
-        assert err.value.row == 4
+        assert err.value.row == row
 
-    def test_duplicate_participant_decision_rejected(self):
+    def test_duplicate_participant_decision_rejected(self, tmp_path):
         text = (
             "participant_id,treatment,decision_id,predicted_action\n"
             "p1,T,P1,A1\n"
             "p1,T,P1,B1\n"
         )
         with pytest.raises(ParseError) as err:
-            parse_predictions_csv(text)
+            self.read(tmp_path, text)
         assert err.value.row == 3
 
     def test_empty_file_with_header(self):
@@ -394,7 +396,7 @@ class TestParsePredictions:
         assert err.value.row == 4
         assert err.value.column == column
 
-    def test_shape_errors_name_the_record_start_line(self):
+    def test_shape_errors_name_the_record_start_line(self, tmp_path):
         # A blank line and a record spanning lines 3-4 precede the bad record.
         text = (
             "participant_id,treatment,decision_id,predicted_action\n"
@@ -403,7 +405,7 @@ class TestParsePredictions:
             "p2,,P1,A1\n"
         )
         with pytest.raises(ParseError, match="must be non-empty") as err:
-            parse_predictions_csv(text)
+            self.read(tmp_path, text)
         assert err.value.row == 5
 
     def test_records_share_one_string_per_field_value(self):
@@ -429,7 +431,13 @@ class TestParsePredictions:
         except ParseError as exc:
             return str(exc), exc.row, exc.column
 
-    def test_duplicate_in_non_adjacent_rows_rejected(self):
+    def refusal(self, tmp_path, text, decision_ids=("P1",)):
+        """read_bundle's refusal of ``text`` as (message, row, column)."""
+        with pytest.raises(ParseError) as err:
+            self.read(tmp_path, text, decision_ids)
+        return str(err.value), err.value.row, err.value.column
+
+    def test_duplicate_in_non_adjacent_rows_rejected(self, tmp_path):
         text = (
             "participant_id,treatment,decision_id,predicted_action\n"
             "p1,T,P1,A1\n"
@@ -438,25 +446,25 @@ class TestParsePredictions:
             "p2,T,P2,A1\n"
             "p1,T,P1,B1\n"
         )
-        for data in (text, text.encode()):
-            assert self.outcome(data) == (
-                "duplicate prediction by 'p1' for decision 'P1' (row 6, column 'participant_id')",
-                6,
-                "participant_id",
-            )
+        assert self.refusal(tmp_path, text, ("P1", "P2")) == (
+            "duplicate prediction by 'p1' for decision 'P1' (row 6, column 'participant_id')",
+            6,
+            "participant_id",
+        )
 
-    def test_duplicate_among_more_than_64_decisions_rejected(self):
+    def test_duplicate_among_more_than_64_decisions_rejected(self, tmp_path):
         # A participant's decision mask grows past one machine word.
-        rows = [f"p1,T,D{d},A1" for d in range(70)] + [f"p2,T,D{d},A1" for d in range(70)]
+        decision_ids = [f"D{d}" for d in range(70)]
+        rows = [f"p1,T,{d},A1" for d in decision_ids] + [f"p2,T,{d},A1" for d in decision_ids]
         rows.insert(100, "p1,T,D67,B1")  # record 101, line 102
         text = "participant_id,treatment,decision_id,predicted_action\n" + "\n".join(rows) + "\n"
-        assert len(parse_predictions_csv(text.replace("p1,T,D67,B1", "p3,T,D67,B1"))) == 141
-        for data in (text, text.encode()):
-            assert self.outcome(data) == (
-                "duplicate prediction by 'p1' for decision 'D67' (row 102, column 'participant_id')",
-                102,
-                "participant_id",
-            )
+        unique = text.replace("p1,T,D67,B1", "p3,T,D67,B1")
+        assert len(self.read(tmp_path, unique, decision_ids).predictions) == 141
+        assert self.refusal(tmp_path, text, decision_ids) == (
+            "duplicate prediction by 'p1' for decision 'D67' (row 102, column 'participant_id')",
+            102,
+            "participant_id",
+        )
 
     def test_records_of_a_participant_share_one_id_string(self):
         text = "participant_id,treatment,decision_id,predicted_action\n" + "".join(
@@ -488,13 +496,15 @@ class TestParsePredictions:
         ],
         ids=["bom", "crlf", "quoted_cr", "bare_cr", "bom_crlf_duplicate"],
     )
-    def test_bytes_and_str_agree(self, text, refused_row):
+    def test_bytes_and_str_agree(self, tmp_path, text, refused_row):
+        """The parser reads a text and its UTF-8 bytes alike, and read_bundle
+        refuses the text on its bad record's row."""
         from_str = self.outcome(text)
         assert self.outcome(text.encode()) == from_str
         if refused_row is None:
             assert from_str[0].participant_id == "p1"
         else:
-            assert from_str[1] == refused_row
+            assert self.refusal(tmp_path, text)[1] == refused_row
 
 
 class TestParseMemory:
@@ -600,6 +610,7 @@ class TestSyntheticGeneration:
         "changed,message",
         [
             ({"treatments": ["T0", "T1", "T0"]}, "treatment 'T0' is listed more than once"),
+            ({"treatments": ["", "B"]}, "treatment labels must be non-empty"),
             (
                 {"participants": 2, "treatments": ["A", "B", "C"]},
                 "participants must be at least the 3 treatments, got 2",
@@ -608,8 +619,8 @@ class TestSyntheticGeneration:
             ({"treatments": ["A", "\udcff"]}, "treatment '\\udcff' is not UTF-8"),
             ({"treatments": ["A", 2]}, "treatment 2 is not a string"),
         ],
-        ids=["repeated-treatment", "fewer-participants-than-treatments", "agent-not-a-spec",
-             "non-utf8-treatment", "non-string-treatment"],
+        ids=["repeated-treatment", "empty-treatment", "fewer-participants-than-treatments",
+             "agent-not-a-spec", "non-utf8-treatment", "non-string-treatment"],
     )
     def test_refused_before_the_first_game(self, monkeypatch, changed, message):
         def no_games(*args, **kwargs):

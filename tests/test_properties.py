@@ -162,7 +162,7 @@ def test_refused_record_reports_its_start_line(data):
         (["T", "P1", "Z9"], "predicted_action"),  # unknown action
         (["T", "P1", "C1"], "predicted_action"),  # in the manifest, not valued by P1
         (["U", "P1", "A1"], "treatment"),  # unlisted treatment
-        (["", "P1", "A1"], None),  # empty treatment: the parser refuses it
+        (["", "P1", "A1"], "treatment"),  # empty treatment
         (["T", "P1"], None),  # three fields
     ]
     rest, column = data.draw(st.sampled_from(corruptions))

@@ -203,6 +203,9 @@ def _bundle(decisions=(VALUES,), predictions=(), treatments=("T",), pending=()):
     return partial(ExperimentBundle, MANIFEST, decisions, predictions, treatments, pending)
 
 
+RECORD = PredictionRecord("p1", "T", "d1", "a")
+
+
 def _manifest_doc(**fields):
     doc = {"experiment_id": "e1", "domain": {"type": CUSTOM}, "treatments": ["T"],
            "actions": [{"id": "a", "name": "Alpha"}, {"id": "b", "name": "Beta"}]}
@@ -274,6 +277,12 @@ INVALID = [
     (_bundle(decisions=(DecisionValues("d1", {"a": 1.0}, "a"),),
                      predictions=(PredictionRecord("p1", "T", "d1", "b"),)), ValidationError,
      "prediction by 'p1' references action 'b', which decision 'd1' does not value"),
+    (_bundle(predictions=(RECORD, RECORD)), ValidationError,
+     "duplicate prediction by 'p1' for decision 'd1'"),
+    (_bundle(predictions=(RECORD._replace(participant_id=""),)), ValidationError,
+     "participant_id must be non-empty"),
+    (_bundle(predictions=(RECORD._replace(treatment=""),)), ValidationError,
+     "treatment must be non-empty"),
     (_bundle(pending=(("d9", ("z",)),)), ValidationError,
      "decision 'd9' values actions missing from the manifest: ['z']"),
     (_bundle(pending=(("d9", ("a", "b", "a")),)), ValidationError,
@@ -314,6 +323,18 @@ def test_validation_errors_are_unchanged(build, exc, message):
         build()
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("predictions, index, column", [
+    ((RECORD, RECORD), 1, "participant_id"),
+    ((RECORD, RECORD._replace(predicted="b"), RECORD._replace(treatment="")), 1, "participant_id"),
+], ids=["same-record-twice", "duplicate-before-empty-treatment"])
+def test_refused_prediction_is_tagged_with_its_own_index(predictions, index, column):
+    """A refused prediction's index is its own position, so a repeat is
+    named, not the record it repeats."""
+    with pytest.raises(ValidationError) as info:
+        _bundle(predictions=predictions)()
+    assert (info.value.index, info.value.column) == (index, column)
 
 
 CONSTRUCTED = [case for case in INVALID if isinstance(case[0], partial)]
