@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -73,9 +74,19 @@ def _parse_formats(text: str, allowed: set[str]) -> set[str]:
 
 
 def _write(path: Path, text) -> None:
-    """Write text, a string or an iterable of strings, to path as UTF-8 and say so."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    """Write text, a string or an iterable of strings, to path as UTF-8 and say so.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces path, so an error while the text is made leaves path as it was.
+    """
+    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(staged, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(staged, path)
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        raise
     print(f"wrote {path}")
 
 

@@ -15,17 +15,28 @@ is the one CSV encoding: it writes both CSV files and every report CSV, and
 ``_csv_lines`` streams its lines for the one large report, samples.csv.
 
 Each fact is checked in one layer.  The parsers check what a file says by
-itself: header and field counts, and in values.csv numbers and empty or
-duplicate keys.  ExperimentBundle checks how the parts relate and every rule
-on a prediction: every decision's actions are in the manifest, and every
-prediction has a participant and a treatment, names a valued decision, an
-action it values and a listed treatment, and is its participant's only one
-for that decision.  So a bundle the library builds holds no prediction that
-read_bundle would refuse, and read_bundle adds the row of a refused record.
+itself: header and field counts, and in values.csv numbers, duplicate keys
+and chosen flags.  DecisionValues refuses an empty decision or action id;
+parse_values_csv meets such a record before it can build one, and refuses
+it there only to name its row.  ExperimentBundle checks how the parts
+relate and every rule on a prediction: every decision's actions are in the
+manifest, and every prediction has a participant and a treatment, names a
+valued decision, an action it values and a listed treatment, and is its
+participant's only one for that decision.  So a bundle the library builds
+always reads back, and read_bundle adds the row of a refused record.
 A simulated design (agents, participants, treatment labels, decisions per
 agent) is checked by ``check_synthetic_design`` alone, which both
 generate_synthetic_experiment and ``predscore simulate`` call before any
 game is played.
+
+generate_synthetic_experiment plays the agents' games first, then samples
+the participants in blocks of ``_PARTICIPANT_BLOCK`` consecutive ones,
+mapped through ``oracle._fan_out``: on Linux one forked child on another
+CPU takes blocks from the far end.  Each participant draws every decision
+from its own ``random.Random(f"{seed}|participant|{participant_id}")``.  A
+block returns its picks as rank indices, which the parent maps back through
+each decision's ranked actions in participant order, so the bundle is the
+same on one CPU or many.
 
 All three files are decoded by ``_decode``: UTF-8, less one leading BOM;
 bytes that are not UTF-8 are refused with the line of the first bad byte.
@@ -55,15 +66,15 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from functools import partial
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, cycle, repeat
+from operator import getitem, itemgetter
 from pathlib import Path
 
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
 from .metrics import PredictionRecord, VoteCounts
-from .oracle import AgentSpec, value_oracle
+from .oracle import AgentSpec, _fan_out, value_oracle
 from .values import DecisionValues, OutcomeTriple, ranked
 
 MNK = "mnk"
@@ -76,6 +87,13 @@ PREDICTIONS_HEADER = ["participant_id", "treatment", "decision_id", "predicted_a
 _VALUES_HEADERS = (VALUES_HEADER, VALUES_HEADER + OUTCOME_COLUMNS)
 
 TRIPLE_CSV_TOLERANCE = 1e-6
+
+# generate_synthetic_experiment hands participants to _fan_out in blocks of
+# this many.  One participant's seeding and draws cost ~17 us, so a block is
+# ~35 ms of work, while a _fan_out item costs ~17 us plus ~0.2 ms to pickle
+# and unpickle a block of four decisions' picks: under 1% of the block.  The
+# two processes then finish within one block of each other.
+_PARTICIPANT_BLOCK = 2048
 
 
 class ActionManifest(Validated, namedtuple("ActionManifest", "experiment_id domain actions board")):
@@ -590,21 +608,22 @@ class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
         return cls(rank_probs=tuple(map(float, weights)))
 
     def _draw(self, values: DecisionValues):
-        """One decision's sampler, rng -> predicted action.  The pick is the
-        first rank whose cumulative weight exceeds rng.random() * total,
-        falling back to the last rank."""
-        order = values.actions
+        """One decision's sampler, rng -> the predicted action's index in
+        values.actions (0 is the agent's best).  The pick is the first rank
+        whose cumulative weight exceeds rng.random() * total, falling back
+        to the last rank."""
+        available = len(values.actions)
         if self.rank_probs is None:
-            return lambda rng: order[rng.randrange(len(order))]
-        probs = self.rank_probs[: len(order)]
+            return lambda rng: rng.randrange(available)
+        probs = self.rank_probs[:available]
         total = sum(probs)
         if total <= 0:
             raise ValidationError(
-                f"participant model has no mass on the {len(order)} available ranks"
+                f"participant model has no mass on the {available} available ranks"
             )
         cumulative = list(accumulate(probs))
         last = len(probs) - 1
-        return lambda rng: order[min(bisect_right(cumulative, rng.random() * total), last)]
+        return lambda rng: min(bisect_right(cumulative, rng.random() * total), last)
 
 
 def check_synthetic_design(agents, participants: int, treatments, decisions_per_agent: int) -> None:
@@ -678,17 +697,30 @@ def generate_synthetic_experiment(
             empties = board.empty_squares()
             board = apply_move(board, empties[opponent_rng.randrange(len(empties))])
 
-    draws = [(dv.decision_id, behavior._draw(dv)) for dv in decisions]
-    predictions: list[PredictionRecord] = []
-    for i in range(participants):
-        participant_id = f"p{i + 1:03d}"
-        treatment = treatments[i % len(treatments)]
-        participant_rng = random.Random(f"{seed}|participant|{participant_id}")
-        for decision_id, draw in draws:
-            predictions.append(
-                PredictionRecord(participant_id, treatment, decision_id, draw(participant_rng))
-            )
+    draws = [behavior._draw(dv) for dv in decisions]
 
+    def block_picks(start: int) -> list[int]:
+        """Rank indices for the block of participants from index start on,
+        participant by participant and, within one, decision by decision."""
+        picks = []
+        for i in range(start, min(start + _PARTICIPANT_BLOCK, participants)):
+            participant_rng = random.Random(f"{seed}|participant|p{i + 1:03d}")
+            picks += [draw(participant_rng) for draw in draws]
+        return picks
+
+    # One record per (participant, decision), participant by participant:
+    # the blocks' picks in order, each mapped back through its decision's
+    # ranks.  PredictionRecord is a plain named tuple, so tuple.__new__
+    # builds each one from its fields without a Python-level call.
+    ranks = chain.from_iterable(_fan_out(block_picks, range(0, participants, _PARTICIPANT_BLOCK)))
+    participant_ids = (f"p{i + 1:03d}" for i in range(participants))
+    fields = zip(
+        chain.from_iterable(map(repeat, participant_ids, repeat(len(decisions)))),
+        chain.from_iterable(map(repeat, cycle(treatments), repeat(len(decisions)))),
+        cycle([dv.decision_id for dv in decisions]),
+        map(getitem, cycle([dv.actions for dv in decisions]), ranks),
+    )
+    predictions = map(tuple.__new__, repeat(PredictionRecord), fields)
     return ExperimentBundle(
         manifest=make_mnk_manifest(
             config, experiment_id or f"synthetic-{config.m}x{config.n}k{config.k}-seed{seed}"

@@ -358,7 +358,9 @@ def _threads_and_cpu() -> tuple[int, int] | None:
 def _fan_out(fn, items) -> list:
     """[fn(x) for x in items], with the far half of the items given to one
     child forked onto another CPU of this process's affinity mask.  One
-    child only: the fan-out was measured on 2 CPUs only.
+    child only: the fan-out was measured on 2 CPUs only.  Two callers map
+    through it: sampled_outcome_triples (an item per root move) and
+    dataset.generate_synthetic_experiment (an item per block of participants).
 
     The child works from the far end and writes each (index, result) down a
     pipe as soon as it is done.  The parent sweeps the items front to back,

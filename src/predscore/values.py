@@ -46,7 +46,8 @@ class DecisionValues(
 
     entries maps action id -> scalar value; chosen is the action the agent
     took; outcomes optionally maps action id -> the :class:`OutcomeTriple`
-    its scalar was flattened from.
+    its scalar was flattened from.  The decision id and every action id are
+    non-empty, so that values.csv can hold the table.
 
     A named tuple of those four fields.  Unlike the other value types it
     has an instance dict, but only the cached rank order is stored there:
@@ -62,6 +63,8 @@ class DecisionValues(
     ):
         if not entries:
             raise ValidationError(f"decision {decision_id!r} has an empty value table")
+        if not decision_id or "" in entries:
+            raise ValidationError("decision_id and action must be non-empty")
         entries = dict(entries)
         outcomes = dict(outcomes or {}) or None  # an empty triple map is no triple map at all
         for action, value in entries.items():

@@ -636,6 +636,36 @@ class TestUnusableOutDir:
         assert str(out) in err
 
 
+class TestReportWrites:
+    """A report file is written under a temporary name and then renamed, so
+    a failure while its text is made leaves the old file, or none."""
+
+    @staticmethod
+    def failing_lines():
+        yield "participant_id,decision_id\n"
+        raise RuntimeError("scoring failed")
+
+    @pytest.mark.parametrize("old", [None, "old,report\n"], ids=["new-file", "existing-file"])
+    def test_a_failed_write_leaves_the_old_contents(self, tmp_path, capsys, old):
+        target = tmp_path / "samples.csv"
+        if old is not None:
+            target.write_text(old, encoding="utf-8")
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            cli._write(target, self.failing_lines())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["samples.csv"])
+        if old is not None:
+            assert target.read_text(encoding="utf-8") == old
+        assert capsys.readouterr().out == ""
+
+    def test_a_write_replaces_the_file_and_leaves_nothing_else(self, tmp_path, capsys):
+        target = tmp_path / "samples.csv"
+        target.write_text("old,report\n", encoding="utf-8")
+        cli._write(target, iter(["a,b\n", "1,2\n"]))
+        assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
+        assert target.read_text(encoding="utf-8") == "a,b\n1,2\n"
+        assert capsys.readouterr().out == f"wrote {target}\n"
+
+
 class TestGcState:
     """main pauses the cycle collector while a command runs and leaves it as
     it found it, whatever the exit."""

@@ -1,7 +1,13 @@
+import hashlib
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +36,8 @@ from predscore.metrics import PredictionRecord, score_dataset
 from predscore.oracle import AgentSpec, Mutation
 from predscore.rankoverlap import agent_ranklist, mrbo_ext, vote_ranklist
 from predscore.values import DecisionValues, OutcomeTriple
+
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
 
 def random_bundle(seed, with_outcomes=False):
@@ -663,13 +671,13 @@ class TestParticipantModel:
         dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
         rng = random.Random(0)
         model = ParticipantModel.always_best()
-        assert all(model._draw(dv)(rng) == "x" for _ in range(20))
+        assert all(dv.actions[model._draw(dv)(rng)] == "x" for _ in range(20))
 
     def test_truncates_to_available_ranks(self):
         dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
         model = ParticipantModel(rank_probs=(0.5, 0.25, 0.25))  # 3 ranks, 2 actions
         rng = random.Random(1)
-        picks = {model._draw(dv)(rng) for _ in range(50)}
+        picks = {dv.actions[model._draw(dv)(rng)] for _ in range(50)}
         assert picks == {"x", "y"}
 
 
@@ -717,7 +725,7 @@ class TestSamplingMatchesLinearScan:
                     with pytest.raises(ValidationError, match=str(exc)):
                         model._draw(dv)(b)
                     break
-                assert model._draw(dv)(b) == expected
+                assert dv.actions[model._draw(dv)(b)] == expected
             assert a.random() == b.random()
 
     def test_draws_on_cumulative_boundaries(self):
@@ -732,7 +740,7 @@ class TestSamplingMatchesLinearScan:
         model = ParticipantModel(rank_probs=(0.0, 0.25, 0.0, 0.25, 0.5))
         for value in (0.0, 0.25, 0.5, 0.75, 0.999):
             expected = reference_sample(model, dv, FixedRng(value))
-            assert model._draw(dv)(FixedRng(value)) == expected, value
+            assert dv.actions[model._draw(dv)(FixedRng(value))] == expected, value
 
     def test_no_mass_on_available_ranks(self):
         dv = DecisionValues("d", {"x": 1.0, "y": 0.5}, chosen="x")
@@ -753,6 +761,92 @@ class TestSamplingMatchesLinearScan:
                     (pid, treatment, dv.decision_id, reference_sample(behavior, dv, rng))
                 )
         assert [tuple(rec) for rec in bundle.predictions] == expected
+
+
+# The bundle of test_golden_outputs.BLOCKS: two full blocks of participants
+# and a partial one.
+BLOCKS_PARTICIPANTS = 4133
+BLOCKS_TREATMENTS = ("A", "B", "C")
+BLOCKS_BEHAVIOR = "0.5,0.2,0.1,0.08,0.07,0.05"  # simulate's default --behavior
+
+
+def generate_blocks():
+    return generate_synthetic_experiment(
+        BoardConfig(3, 3, 3), [AgentSpec()], BLOCKS_PARTICIPANTS, BLOCKS_TREATMENTS,
+        ParticipantModel.parse(BLOCKS_BEHAVIOR), seed=9,
+    )
+
+
+def blocks_golden() -> dict[str, str]:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["bundles"]["blocks"]
+
+
+FORKED_SIMULATE = """
+import hashlib, json, os, sys
+
+forks = []
+_fork = os.fork
+
+
+def counting_fork():
+    pid = _fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+
+os.fork = counting_fork
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+from predscore.cli import main
+
+argv = ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", sys.argv[3],
+        "--treatments", sys.argv[4], "--seed", "9", "--out-dir", sys.argv[2]]
+assert main(argv) == 0
+hashes = {name: hashlib.sha256(open(os.path.join(sys.argv[2], name), "rb").read()).hexdigest()
+          for name in ("predictions.csv", "values.csv")}
+print(json.dumps({"forks": len(forks), "hashes": hashes}))
+"""
+
+
+class TestParticipantBlocks:
+    def test_spans_full_blocks_and_a_partial_one(self):
+        assert 2 * dataset._PARTICIPANT_BLOCK < BLOCKS_PARTICIPANTS < 3 * dataset._PARTICIPANT_BLOCK
+
+    def test_predictions_match_per_participant_draws(self):
+        """Every participant draws each decision from its own Random, in
+        participant order, whatever block it fell in."""
+        behavior = ParticipantModel.parse(BLOCKS_BEHAVIOR)
+        bundle = generate_blocks()
+        draws = [(dv, behavior._draw(dv)) for dv in bundle.decisions]
+        expected = []
+        for i in range(BLOCKS_PARTICIPANTS):
+            pid = f"p{i + 1:03d}"
+            rng = random.Random(f"9|participant|{pid}")
+            treatment = BLOCKS_TREATMENTS[i % len(BLOCKS_TREATMENTS)]
+            for dv, draw in draws:
+                expected.append((pid, treatment, dv.decision_id, dv.actions[draw(rng)]))
+        assert [tuple(rec) for rec in bundle.predictions] == expected
+
+    def test_library_bundle_matches_recorded_hashes(self, tmp_path):
+        path = write_bundle(generate_blocks(), tmp_path / "b")
+        assert {name: hashlib.sha256((path / name).read_bytes()).hexdigest()
+                for name in blocks_golden()} == blocks_golden()
+
+    @pytest.mark.parametrize("cpus, forks", [(1, 0), (2, 1)])
+    def test_forked_blocks_write_the_recorded_bundle(self, tmp_path, cpus, forks):
+        """In a fresh interpreter, which holds no second thread, simulate
+        forks one child for its blocks when the mask has two CPUs, and
+        writes the same bytes either way."""
+        src = str(Path(dataset.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", FORKED_SIMULATE, str(cpus), str(tmp_path / "b"),
+             str(BLOCKS_PARTICIPANTS), ",".join(BLOCKS_TREATMENTS)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            encoding="utf-8", timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report == {"forks": forks, "hashes": blocks_golden()}
 
 
 class TestFourTowersFixture:

@@ -9,8 +9,9 @@ any changed report byte fails here.  stats_*.json is left out: its p-values
 go through libm and may differ in the last bit between platforms.
 
 Under "bundles" are the values.csv and predictions.csv that `simulate`
-writes for the seeded bundle and for a depth-limited, mutated two-agent
-run, so that a changed rollout draw fails by file name.
+writes for the seeded bundle, for a depth-limited, mutated two-agent run,
+and for a 4,133-participant run whose participants are drawn in several
+blocks, so that a changed rollout or participant draw fails by file name.
 
 To see which file differs, run this module; it prints the current hashes
 as JSON in the layout of golden_outputs.json.
@@ -36,6 +37,10 @@ SIMULATE = ["simulate", "--m", "9", "--n", "4", "--k", "4", "--participants", "8
 LIMITED = ["simulate", "--m", "9", "--n", "4", "--k", "4", "--participants", "12",
            "--treatments", "A,B", "--seed", "3", "--depth-limit", "5", "--mutation", "0.05",
            "--agents", "2"]
+# Two full blocks of participants and a partial one (dataset._PARTICIPANT_BLOCK
+# is 2048), so that simulate maps several blocks through oracle._fan_out.
+BLOCKS = ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4133",
+          "--treatments", "A,B,C", "--seed", "9"]
 DECISIONS = ("P1", "P2", "P3", "P4")
 BUNDLE_FILES = ("predictions.csv", "values.csv")
 
@@ -82,9 +87,11 @@ def current_hashes(root: Path) -> dict[str, dict]:
     doc = {name: report_hashes(bundle, root / f"report_{name}")
            for name, bundle in bundles.items()}
     assert main(LIMITED + ["--out-dir", str(root / "limited")]) == 0
+    assert main(BLOCKS + ["--out-dir", str(root / "blocks")]) == 0
     doc["bundles"] = {name: {f: sha256(path / f) for f in BUNDLE_FILES}
                       for name, path in (("seeded", bundles["seeded"]),
-                                         ("limited", root / "limited"))}
+                                         ("limited", root / "limited"),
+                                         ("blocks", root / "blocks"))}
     return doc
 
 
@@ -101,7 +108,7 @@ def test_outputs_match_recorded_hashes(hashes, bundle):
     assert changed == []
 
 
-@pytest.mark.parametrize("bundle", ["seeded", "limited"])
+@pytest.mark.parametrize("bundle", ["seeded", "limited", "blocks"])
 def test_simulated_bundle_matches_recorded_hashes(hashes, bundle):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["bundles"][bundle]
     assert sorted(hashes["bundles"][bundle]) == sorted(golden)

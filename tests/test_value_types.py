@@ -233,6 +233,18 @@ INVALID = [
      "decision 'd1': chosen action 'b' not in value table"),
     (partial(DecisionValues, "d1", {"a": 1.0}, "a", {"c": OutcomeTriple(1.0, 0.0, 0.0)}),
      UnknownActionError, "decision 'd1': outcome triples for unknown actions ['c']"),
+    # read_bundle refuses an empty id in values.csv with this message, so
+    # no value table, and no bundle, holds one
+    (partial(DecisionValues, "", {"a": 1.0}, "a"), ValidationError,
+     "decision_id and action must be non-empty"),
+    (partial(DecisionValues, "d1", {"a": 1.0, "": 0.5}, "a"), ValidationError,
+     "decision_id and action must be non-empty"),
+    (lambda: ExperimentBundle(ActionManifest("e", CUSTOM, (("a", "a"), ("b", "b"))),
+                              (DecisionValues("", {"a": 1.0}, "a"),), (), ("T",)),
+     ValidationError, "decision_id and action must be non-empty"),
+    (lambda: ExperimentBundle(ActionManifest("e", CUSTOM, (("a", "a"), ("", "b"))),
+                              (DecisionValues("d1", {"": 1.0}, ""),), (), ("T",)),
+     ValidationError, "decision_id and action must be non-empty"),
     (partial(GradeScale, ()), ValidationError, "grade scale needs at least one bin"),
     (partial(GradeScale, ((4, "A"),)), ValidationError,
      "final grade bin must be unbounded (threshold None)"),
