@@ -1,9 +1,10 @@
 """Action identifiers and their canonical ordering.
 
 Action ids are plain strings.  Board squares use the spreadsheet-like text
-form ``<letters><digits>`` ("F2" is column 5, row 1, both 0-based); the
-Four Towers domain uses the quadrant tags NE/NW/SE/SW; custom domains may
-use any unique strings.
+form ``<letters><digits>`` ("F2" is column 5, row 1, both 0-based), and
+only its canonical spelling is a square: upper case, no leading zero;
+the Four Towers domain uses the quadrant tags NE/NW/SE/SW; custom domains
+may use any unique strings.
 
 All tie-breaking in this package goes through :func:`canonical_key`:
 square-shaped ids sort by (column, row) and come first, every other id
@@ -20,7 +21,7 @@ from .errors import Validated, ValidationError
 
 QUADRANTS = ("NE", "NW", "SE", "SW")
 
-_SQUARE_RE = re.compile(r"^([A-Z]+)([0-9]+)$")
+_SQUARE_RE = re.compile(r"([A-Z]+)([1-9][0-9]*)")
 
 
 def column_label(col: int) -> str:
@@ -61,28 +62,24 @@ class SquareId(Validated, namedtuple("SquareId", "col row")):
 
     @classmethod
     def parse(cls, text: str) -> "SquareId":
-        match = _SQUARE_RE.match(text.upper())
-        if not match:
+        """The square of canonical text, as try_parse_square reads it."""
+        square = try_parse_square(text)
+        if square is None:
             raise ValidationError(f"not a square id: {text!r}")
-        letters, digits = match.groups()
-        row = int(digits)
-        if row == 0:
-            raise ValidationError(f"square rows are numbered from 1: {text!r}")
-        return cls(parse_column_label(letters), row - 1)
+        return square
 
 
 def try_parse_square(action: str) -> SquareId | None:
-    """Square id for strictly canonical text ("F2"), else None.
+    """Square id for strictly canonical text ("F2"), else None: upper-case
+    letters, then a row number from 1 without leading zeros, and nothing else.
 
     NE/NW/SE/SW never match (no digits), so quadrant ids fall through to
     plain string ordering.
     """
-    match = _SQUARE_RE.match(action)
+    match = _SQUARE_RE.fullmatch(action)
     if not match:
         return None
     letters, digits = match.groups()
-    if digits[0] == "0":
-        return None
     return SquareId(parse_column_label(letters), int(digits) - 1)
 
 

@@ -15,7 +15,6 @@ import argparse
 import gc
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .actions import SquareId
 from .board import BoardConfig
 from .dataset import (
     ParticipantModel,
+    _write_files,
     check_synthetic_design,
     generate_synthetic_experiment,
     read_bundle,
@@ -57,12 +57,6 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9.-]+", "_", text)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _parse_formats(text: str, allowed: set[str]) -> set[str]:
     formats = {f for f in text.split(",") if f}
     unknown = formats - allowed
@@ -73,21 +67,10 @@ def _parse_formats(text: str, allowed: set[str]) -> set[str]:
     return formats
 
 
-def _write(path: Path, text) -> None:
-    """Write text, a string or an iterable of strings, to path as UTF-8 and say so.
-
-    The text goes to a temporary file in the same directory, which then
-    replaces path, so an error while the text is made leaves path as it was.
-    """
-    staged = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(staged, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(staged, path)
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        raise
-    print(f"wrote {path}")
+def _write(out_dir, texts: dict) -> None:
+    """Write a command's report files, {name: text}, all or none, and say so."""
+    for path in _write_files(out_dir, texts):
+        print(f"wrote {path}")
 
 
 def _usage_error(exc) -> int:
@@ -126,7 +109,8 @@ def cmd_simulate(args) -> int:
     except ValidationError as exc:
         return _usage_error(exc)
 
-    out = _out_dir(args)  # an unusable out-dir fails here, before the games are played
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable out-dir fails before the games are played
     bundle = generate_synthetic_experiment(
         config=config,
         agents=agents,
@@ -154,20 +138,21 @@ def cmd_metrics(args) -> int:
     except ValidationError as exc:
         return _usage_error(exc)
     bundle = read_bundle(args.bundle)
-    out = _out_dir(args)
     counts = bundle.vote_counts()
     scores = score_table(bundle.values_by_decision())
     table = build_metrics_table(bundle, counts, scores, p=args.p)
+    texts = {}
     if "csv" in formats:
-        _write(out / "metrics.csv", render_metrics_csv(table))
+        texts["metrics.csv"] = render_metrics_csv(table)
     if "markdown" in formats:
-        _write(out / "metrics.md", render_metrics_markdown(table))
+        texts["metrics.md"] = render_metrics_markdown(table)
     distribution = grade_distribution(bundle, counts, scores)
-    _write(out / "grades.csv", render_grade_distribution_csv(distribution))
+    texts["grades.csv"] = render_grade_distribution_csv(distribution)
     for space, groups in zip(SPACES, participant_loss_sums(bundle.predictions, scores, *SPACES)):
-        _write(out / f"boxplot_l{space[0]}.csv", render_boxplot_csv(groups))
+        texts[f"boxplot_l{space[0]}.csv"] = render_boxplot_csv(groups)
         if "svg" in formats:
-            _write(out / f"boxplot_l{space[0]}.svg", render_boxplot_svg(groups))
+            texts[f"boxplot_l{space[0]}.svg"] = render_boxplot_svg(groups)
+    _write(args.out_dir, texts)
     if min(len(g.values) for g in groups) <= 1:
         print("notice: at least one treatment has a single participant; "
               "comparative statistics are omitted for such groups")
@@ -226,8 +211,8 @@ def cmd_stats(args) -> int:
     }
     if result.excluded:
         doc["excluded"] = list(result.excluded)
-    _write(_out_dir(args) / f"stats_{args.space}.json",
-           json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _write(args.out_dir,
+           {f"stats_{args.space}.json": json.dumps(doc, indent=2, allow_nan=False) + "\n"})
     return 0
 
 
@@ -252,19 +237,20 @@ def cmd_votes(args) -> int:
     counts = bundle.vote_counts()
     grids = {stem: vote_matrix(bundle, counts, args.decision, treatment)
              for stem, treatment, _ in stems.values()}
-    out = _out_dir(args)
+    texts = {}
     for stem, grid in grids.items():
-        _write(out / f"{stem}.csv", render_vote_matrix_csv(grid, bundle.manifest.board.m))
+        texts[f"{stem}.csv"] = render_vote_matrix_csv(grid, bundle.manifest.board.m)
         if "svg" in formats:
             chosen = bundle.values_by_decision()[args.decision].chosen  # vote_matrix refused any other
-            _write(out / f"{stem}.svg", render_vote_svg(grid, SquareId.parse(chosen)))
+            texts[f"{stem}.svg"] = render_vote_svg(grid, SquareId.parse(chosen))
+    _write(args.out_dir, texts)
     return 0
 
 
 def cmd_grade(args) -> int:
     bundle = read_bundle(args.bundle)
     scores = score_table(bundle.values_by_decision())
-    _write(_out_dir(args) / "samples.csv", render_samples_csv(bundle.predictions, scores))
+    _write(args.out_dir, {"samples.csv": render_samples_csv(bundle.predictions, scores)})
     return 0
 
 

@@ -84,7 +84,8 @@ class Mutation(Validated, namedtuple("Mutation", "seed magnitude")):
 
 class AgentSpec(Validated, namedtuple("AgentSpec", "oracle rollouts seed depth_limit mutation")):
     """How an agent values moves: the oracle kind, its rollouts, seed and
-    depth limit when sampled, and an optional value Mutation."""
+    optional depth limit when sampled (the exhaustive oracle plays every game
+    to its end, so it takes no depth limit), and an optional value Mutation."""
 
     __slots__ = ()
 
@@ -103,8 +104,12 @@ class AgentSpec(Validated, namedtuple("AgentSpec", "oracle rollouts seed depth_l
                 raise ValidationError("sampled oracle requires rollouts >= 1")
             if seed is None:
                 raise ValidationError("sampled oracle requires an explicit seed")
-        if depth_limit is not None and depth_limit < 1:
-            raise ValidationError(f"depth_limit must be >= 1, got {depth_limit}")
+        if depth_limit is not None:
+            if depth_limit < 1:
+                raise ValidationError(f"depth_limit must be >= 1, got {depth_limit}")
+            if oracle != SAMPLED:  # the exhaustive oracle plays every game out
+                raise ValidationError(f"depth_limit applies only to the {SAMPLED} oracle, "
+                                      f"not {oracle!r}")
         return super().__new__(cls, oracle, rollouts, seed, depth_limit, mutation)
 
 

@@ -41,6 +41,10 @@ class TestCanonicalKey:
     def test_leading_zero_rows_are_not_squares(self):
         assert try_parse_square("A01") is None
 
+    def test_a_trailing_newline_is_not_a_square(self):
+        assert try_parse_square("A1\n") is None
+        assert sorted(["A1\n", "B1"], key=canonical_key) == ["B1", "A1\n"]
+
     def test_square_text_matches_key(self):
         squares = [SquareId(c, r) for c in range(4) for r in range(3)]
         by_tuple = sorted(squares, key=lambda s: (s.col, s.row))

@@ -67,8 +67,9 @@ class TestSquareId:
         assert SquareId.parse("AA1") == SquareId(26, 0)
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "F", "2F", "F0"):
-            with pytest.raises(ValidationError):
+        """parse reads only canonical text: no lower case, leading zeros or trailing newline."""
+        for bad in ("", "F", "2F", "F0", "f2", "A01", "A1\n"):
+            with pytest.raises(ValidationError, match="^not a square id: "):
                 SquareId.parse(bad)
 
 

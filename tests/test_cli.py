@@ -12,7 +12,8 @@ import pytest
 
 from predscore import cli
 from predscore.cli import main
-from predscore.dataset import _csv_text, read_bundle, write_bundle
+from predscore.dataset import _csv_text, _write_files, read_bundle, write_bundle
+from predscore.errors import ValidationError
 from predscore.metrics import PredictionRecord, score_dataset, score_table
 from predscore.report import build_metrics_table, render_metrics_csv
 
@@ -96,6 +97,20 @@ class TestSimulate:
         assert "usage error" in err and "--oracle exhaustive" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("oracle", ["exhaustive", "auto"])
+    def test_depth_limit_on_the_exhaustive_oracle_exits_2(self, tmp_path, capsys, oracle):
+        """A 3x3 board has 9 squares, so auto picks the exhaustive oracle too."""
+        code = main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4",
+             "--treatments", "T", "--seed", "1", "--oracle", oracle, "--depth-limit", "1",
+             "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: depth_limit applies only to the sampled oracle, "
+                                "not 'exhaustive'\n")
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("participants, treatments, extra, error", [
         ("6", "A,A,B", [], "treatment 'A' is listed more than once"),
@@ -637,8 +652,9 @@ class TestUnusableOutDir:
 
 
 class TestReportWrites:
-    """A report file is written under a temporary name and then renamed, so
-    a failure while its text is made leaves the old file, or none."""
+    """A command's files are written under temporary names and renamed only
+    once all of them are written, so a failure while any text is made leaves
+    the old files, or none."""
 
     @staticmethod
     def failing_lines():
@@ -651,7 +667,7 @@ class TestReportWrites:
         if old is not None:
             target.write_text(old, encoding="utf-8")
         with pytest.raises(RuntimeError, match="scoring failed"):
-            cli._write(target, self.failing_lines())
+            cli._write(tmp_path, {"samples.csv": self.failing_lines()})
         assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["samples.csv"])
         if old is not None:
             assert target.read_text(encoding="utf-8") == old
@@ -660,10 +676,68 @@ class TestReportWrites:
     def test_a_write_replaces_the_file_and_leaves_nothing_else(self, tmp_path, capsys):
         target = tmp_path / "samples.csv"
         target.write_text("old,report\n", encoding="utf-8")
-        cli._write(target, iter(["a,b\n", "1,2\n"]))
+        cli._write(tmp_path, {"samples.csv": iter(["a,b\n", "1,2\n"])})
         assert [p.name for p in tmp_path.iterdir()] == ["samples.csv"]
         assert target.read_text(encoding="utf-8") == "a,b\n1,2\n"
         assert capsys.readouterr().out == f"wrote {target}\n"
+
+    def test_a_failed_second_text_leaves_the_first_target(self, tmp_path, capsys):
+        first = tmp_path / "metrics.csv"
+        first.write_text("old,metrics\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            cli._write(tmp_path, {"metrics.csv": "new,metrics\n",
+                                  "samples.csv": self.failing_lines()})
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+        assert first.read_text(encoding="utf-8") == "old,metrics\n"
+        assert capsys.readouterr().out == ""
+
+    def test_the_writer_makes_the_directory_and_returns_the_paths_in_order(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        paths = _write_files(out, {"z.csv": "z\n", "a.csv": iter(["a\n", "b\n"])})
+        assert paths == [out / "z.csv", out / "a.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "z.csv"]
+        assert [p.read_bytes() for p in paths] == [b"z\n", b"a\nb\n"]
+        assert capsys.readouterr().out == ""
+
+    def test_a_late_refusal_in_metrics_leaves_the_old_reports(self, tmp_path, capsys, monkeypatch):
+        bundle_dir = simulate(tmp_path)
+        out = tmp_path / "report"
+        names = ["metrics.csv", "metrics.md", "grades.csv", "boxplot_lv.csv", "boxplot_lv.svg",
+                 "boxplot_lr.csv", "boxplot_lr.svg"]
+        out.mkdir()
+        for name in names:
+            (out / name).write_text(f"old {name}\n", encoding="utf-8")
+        rendered = []
+
+        def render_boxplot_svg(groups):  # the last render: the rank space's plot
+            rendered.append(groups)
+            if len(rendered) == 2:
+                raise ValidationError("cannot plot the rank space")
+            return "<svg/>\n"
+
+        monkeypatch.setattr(cli, "render_boxplot_svg", render_boxplot_svg)
+        capsys.readouterr()
+        code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(out),
+                     "--format", "csv,markdown,svg"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: cannot plot the rank space\n"
+        assert "wrote" not in captured.out
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            assert (out / name).read_text(encoding="utf-8") == f"old {name}\n"
+
+    def test_a_late_refusal_in_metrics_makes_no_out_dir(self, tmp_path, capsys, monkeypatch):
+        bundle_dir = simulate(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise ValidationError("no table")
+
+        monkeypatch.setattr(cli, "build_metrics_table", refuse)
+        code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no table\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestGcState:

@@ -129,6 +129,42 @@ class TestCsvRoundTrip:
         assert "".join(_csv_lines(header, rows, tails)) == expected
 
 
+class TestBundleWrites:
+    """write_bundle renames its three files over the old ones only once all
+    of them are written."""
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_a_crash_after_the_first_file_leaves_the_old_bundle(self, tmp_path, monkeypatch, error):
+        path = write_bundle(random_bundle(1), tmp_path / "b")
+        old = {p.name: p.read_bytes() for p in path.iterdir()}
+
+        def header_then_crash(predictions):
+            yield ",".join(dataset.PREDICTIONS_HEADER) + "\n"
+            raise error("interrupted")
+
+        monkeypatch.setattr(dataset, "serialize_predictions_csv", header_then_crash)
+        with pytest.raises(error, match="interrupted"):
+            write_bundle(random_bundle(2), path)
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == old  # and no .tmp file
+
+    def test_a_rewrite_replaces_every_file_and_leaves_nothing_else(self, tmp_path):
+        path = write_bundle(random_bundle(1), tmp_path / "b")
+        assert write_bundle(random_bundle(2), path) == path
+        assert sorted(p.name for p in path.iterdir()) == [
+            "manifest.json", "predictions.csv", "values.csv"]
+        assert read_bundle(path) == random_bundle(2)
+
+    def test_a_json_escaped_lone_surrogate_is_refused_on_read(self, tmp_path):
+        """manifest.json can spell a string that no CSV file can hold."""
+        path = write_bundle(random_bundle(1), tmp_path / "b")
+        doc = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        doc["experiment_id"] = "exp\udcff"
+        (path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read_bundle(path)
+        assert str(info.value) == "experiment id 'exp\\udcff' is not UTF-8"
+
+
 VALUES_4T = """decision_id,action,value,chosen
 DP1,NE,31.0,1
 DP1,NW,-28.0,0

@@ -262,6 +262,9 @@ INVALID = [
     (partial(AgentSpec, SAMPLED, rollouts=10), ValidationError,
      "sampled oracle requires an explicit seed"),
     (partial(AgentSpec, depth_limit=0), ValidationError, "depth_limit must be >= 1, got 0"),
+    # the exhaustive oracle would ignore it
+    (partial(AgentSpec, EXHAUSTIVE, depth_limit=2), ValidationError,
+     "depth_limit applies only to the sampled oracle, not 'exhaustive'"),
     (partial(ActionManifest, "e1", "chess", (("a", "a"),)), ValidationError,
      "unknown domain tag 'chess'"),
     (partial(ActionManifest, "e1", CUSTOM, ()), ValidationError,
@@ -299,6 +302,23 @@ INVALID = [
      "decision 'd9' values actions missing from the manifest: ['z']"),
     (_bundle(pending=(("d9", ("a", "b", "a")),)), ValidationError,
      "decision 'd9' lists an action more than once"),
+    # a lone surrogate cannot be written as UTF-8, so write_bundle would fail on it
+    (_bundle(predictions=(RECORD._replace(participant_id="p\udcff"),)), ValidationError,
+     "participant id 'p\\udcff' is not UTF-8"),
+    (_bundle(predictions=(RECORD._replace(treatment="U\udcff"),), treatments=("T", "U\udcff")),
+     ValidationError, "treatment 'U\\udcff' is not UTF-8"),
+    (_bundle(treatments=("T", "U\udcfe", "V\udcff")), ValidationError,  # the first is named
+     "treatment 'U\\udcfe' is not UTF-8"),
+    (_bundle(decisions=(DecisionValues("d\udcff", {"a": 1.0}, "a"),)), ValidationError,
+     "decision id 'd\\udcff' is not UTF-8"),
+    (_bundle(pending=(("d\udcff", ("a",)),)), ValidationError,
+     "decision id 'd\\udcff' is not UTF-8"),
+    (partial(ExperimentBundle, ActionManifest("e\udcff", CUSTOM, (("a", "Alpha"),)),
+             (), (), ("T",)), ValidationError, "experiment id 'e\\udcff' is not UTF-8"),
+    (partial(ExperimentBundle, ActionManifest("e1", CUSTOM, (("a\udcff", "Alpha"),)),
+             (), (), ("T",)), ValidationError, "action id 'a\\udcff' is not UTF-8"),
+    (partial(ExperimentBundle, ActionManifest("e1", CUSTOM, (("a", "Alpha\udcff"),)),
+             (), (), ("T",)), ValidationError, "action name 'Alpha\\udcff' is not UTF-8"),
     (lambda: _manifest_from_dict(_manifest_doc(treatments="AB")), ParseError,
      "malformed manifest.json: TypeError('treatments must be a list, got str')"),
     (lambda: _manifest_from_dict(
