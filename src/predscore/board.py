@@ -1,6 +1,8 @@
 """MNK game board: alternating placement, K-in-a-row win detection.
 
-Boards are immutable values.  The square grid is packed 2 bits per square
+Boards are immutable positions: the packed squares and the player to move,
+with no record of the moves that led there, so two move orders that reach
+one position give equal boards.  The square grid is packed 2 bits per square
 (0 empty, 1 agent piece, 2 opponent piece), which keeps states hashable and
 cheap to memoize; the packed form round-trips losslessly to the cell list.
 
@@ -58,9 +60,6 @@ class BoardConfig(Validated, namedtuple("BoardConfig", "m n k")):
     def index(self, sq: SquareId) -> int:
         return sq.row * self.m + sq.col
 
-    def in_bounds(self, sq: SquareId) -> bool:
-        return sq.col < self.m and sq.row < self.n
-
 
 class GameStatus(namedtuple("GameStatus", "state winner", defaults=(None,))):
     """state is ONGOING, WIN or DRAW; winner is the winning player or None."""
@@ -68,9 +67,9 @@ class GameStatus(namedtuple("GameStatus", "state winner", defaults=(None,))):
     __slots__ = ()
 
 
-class Board(namedtuple("Board", "config packed to_move history", defaults=(0, AGENT, ()))):
-    """A position on a config-shaped board: the packed squares, the player
-    to move, and history, the (player, SquareId) moves that led here."""
+class Board(namedtuple("Board", "config packed to_move", defaults=(0, AGENT))):
+    """A position on a config-shaped board: the packed squares and the
+    player to move."""
 
     __slots__ = ()
 
@@ -89,10 +88,6 @@ class Board(namedtuple("Board", "config packed to_move history", defaults=(0, AG
         return tuple(sq for sq in self.config.all_squares() if self.cell(sq) is None)
 
     @property
-    def move_count(self) -> int:
-        return len(self.history)
-
-    @property
     def piece_count(self) -> int:
         packed = self.packed
         count = 0
@@ -102,13 +97,9 @@ class Board(namedtuple("Board", "config packed to_move history", defaults=(0, AG
             packed >>= 2
         return count
 
-    @property
-    def is_full(self) -> bool:
-        return self.piece_count == self.config.squares
-
     @classmethod
     def from_cells(cls, config: BoardConfig, cells, to_move: str = AGENT) -> "Board":
-        """Build a board from an unpacked cell list (history left empty)."""
+        """Build a board from an unpacked cell list."""
         if len(cells) != config.squares:
             raise ValidationError(f"expected {config.squares} cells, got {len(cells)}")
         packed = 0
@@ -133,25 +124,15 @@ def new_game(config: BoardConfig) -> Board:
     return Board(config=config)
 
 
-def other_player(player: str) -> str:
-    return OPPONENT if player == AGENT else AGENT
-
-
 def apply_move(board: Board, sq: SquareId) -> Board:
     """Place the mover's piece on sq and flip the turn."""
-    if not board.config.in_bounds(sq):
-        raise ValidationError(
-            f"square {sq.text} out of bounds on a {board.config.m}x{board.config.n} board"
-        )
+    cfg = board.config
+    if sq.col >= cfg.m or sq.row >= cfg.n:
+        raise ValidationError(f"square {sq.text} out of bounds on a {cfg.m}x{cfg.n} board")
     if board.cell(sq) is not None:
         raise ValidationError(f"square {sq.text} is already occupied")
-    packed = board.packed | (_CELL_CODE[board.to_move] << (2 * board.config.index(sq)))
-    return Board(
-        config=board.config,
-        packed=packed,
-        to_move=other_player(board.to_move),
-        history=board.history + ((board.to_move, sq),),
-    )
+    packed = board.packed | (_CELL_CODE[board.to_move] << (2 * cfg.index(sq)))
+    return Board(cfg, packed, OPPONENT if board.to_move == AGENT else AGENT)
 
 
 @lru_cache(maxsize=None)
@@ -203,6 +184,6 @@ def game_status(board: Board) -> GameStatus:
         code = (packed >> (2 * idx)) & 3
         if code and _wins(packed, windows[code][idx]):
             return GameStatus(WIN, _CODE_CELL[code])
-    if board.is_full:
+    if board.piece_count == cfg.squares:
         return GameStatus(DRAW)
     return GameStatus(ONGOING)

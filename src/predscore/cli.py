@@ -22,6 +22,8 @@ from pathlib import Path
 from .actions import SquareId
 from .board import BoardConfig
 from .dataset import (
+    _DECIMAL,
+    _NON_FINITE,
     ParticipantModel,
     _write_files,
     check_synthetic_design,
@@ -51,6 +53,29 @@ from .report import (
 from .stats import DEFAULT_ALPHA, run_pipeline
 
 EPILOG = "exit codes: 0 success, 1 data error, 2 usage error"
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An ASCII integer literal: int() alone also takes "1_0", padding and
+    non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """An ASCII decimal literal, as values.csv numbers are read, or a nan or
+    inf spelling, which the flag's own range check refuses."""
+    if not (_DECIMAL.fullmatch(text) or _NON_FINITE.fullmatch(text)):
+        raise ValueError(text)
+    return float(text)
+
+
+# argparse names a flag's type by its reader: "invalid int value: '1_0'"
+_int.__name__, _float.__name__ = "int", "float"
 
 
 def _slug(text: str) -> str:
@@ -169,7 +194,9 @@ def cmd_stats(args) -> int:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
     bundle = read_bundle(args.bundle)
     scores = score_table(bundle.values_by_decision())
-    (groups,) = participant_loss_sums(bundle.predictions, scores, args.space)
+    (groups,) = participant_loss_sums(
+        bundle.predictions, scores, args.space, treatments=bundle.treatments
+    )
     result = run_pipeline(groups, alpha=args.alpha)
     labels = [g.label for g in groups] + [None]  # per-group gates, then levene
     gates_doc = []
@@ -263,21 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a synthetic experiment bundle", epilog=EPILOG)
-    sim.add_argument("--m", type=int, required=True, help="board columns")
-    sim.add_argument("--n", type=int, required=True, help="board rows")
-    sim.add_argument("--k", type=int, required=True, help="winning run length")
-    sim.add_argument("--participants", type=int, required=True)
+    sim.add_argument("--m", type=_int, required=True, help="board columns")
+    sim.add_argument("--n", type=_int, required=True, help="board rows")
+    sim.add_argument("--k", type=_int, required=True, help="winning run length")
+    sim.add_argument("--participants", type=_int, required=True)
     sim.add_argument("--treatments", required=True, help="comma-separated labels")
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--mutation", type=float, default=None, help="value-noise magnitude")
-    sim.add_argument("--agents", type=int, default=1, help="number of agents to play")
-    sim.add_argument("--decisions", type=int, default=4, help="decisions recorded per agent")
+    sim.add_argument("--seed", type=_int, required=True)
+    sim.add_argument("--mutation", type=_float, default=None, help="value-noise magnitude")
+    sim.add_argument("--agents", type=_int, default=1, help="number of agents to play")
+    sim.add_argument("--decisions", type=_int, default=4, help="decisions recorded per agent")
     sim.add_argument(
         "--oracle", choices=["auto", EXHAUSTIVE, SAMPLED], default="auto",
         help="value oracle backend (auto: exhaustive on tiny boards)",
     )
-    sim.add_argument("--rollouts", type=int, default=200, help="rollouts per square (sampled)")
-    sim.add_argument("--depth-limit", type=int, default=None, help="rollout depth limit in plies")
+    sim.add_argument("--rollouts", type=_int, default=200, help="rollouts per square (sampled)")
+    sim.add_argument("--depth-limit", type=_int, default=None, help="rollout depth limit in plies")
     sim.add_argument(
         "--behavior", default="0.5,0.2,0.1,0.08,0.07,0.05",
         help="'best', 'uniform', or comma-separated rank weights",
@@ -289,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--bundle", required=True)
     met.add_argument("--out-dir", default="report")
     met.add_argument("--format", default="csv", help="comma subset of csv,markdown,svg")
-    met.add_argument("--p", type=float, default=DEFAULT_PERSISTENCE, help="overlap persistence")
+    met.add_argument("--p", type=_float, default=DEFAULT_PERSISTENCE, help="overlap persistence")
     met.set_defaults(func=cmd_metrics)
 
     sta = sub.add_parser("stats", help="gated treatment comparison", epilog=EPILOG)
@@ -297,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sta.add_argument("--out-dir", default="report")
     sta.add_argument("--space", choices=SPACES, required=True,
                      help="sum each participant's loss in this space")
-    sta.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="gate threshold")
+    sta.add_argument("--alpha", type=_float, default=DEFAULT_ALPHA, help="gate threshold")
     sta.set_defaults(func=cmd_stats)
 
     vot = sub.add_parser("votes", help="vote heat maps for one decision", epilog=EPILOG)

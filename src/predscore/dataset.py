@@ -451,29 +451,30 @@ class _Lines(list):
 
 
 def _csv_lines(header: list[str], rows: list, tails: dict):
-    """The lines of ``_csv_text(header, [(*row, *tails[row[2]][row[3]]) for
-    row in rows])``, one at a time, for a list of rows of four strings whose
-    last two key a table of further fields: records keyed into a score table.
+    """The text of ``_csv_text(header, [(*row, *tails[row[2]][row[3]]) for
+    row in rows])``, a line at a time, for a list of rows of four strings
+    whose last two key a table of further fields: records keyed into a score
+    table.
 
-    No csv writer call is made per row.  The writer renders the header, each
-    tail from its two keys on, and each distinct first and second field once.
-    Whether every field is quoted is decided up front, by _csv_text's rule:
-    of the fields, only the ids can hold a "\r".
+    No csv writer call is made per row.  One writer pass renders the header,
+    each distinct first and second field, and each tail from its two keys on.
+    If that text holds a "\r", the rows go to _csv_text itself, so whether
+    every field is quoted follows from the fields that its text holds.
     """
     leading = list({*map(itemgetter(0), rows), *map(itemgetter(1), rows)})
-    quote_all = "\r" in "".join(chain(leading, tails, *tails.values()))
-
-    def render(batch) -> list[str]:
-        lines = _Lines()
-        _csv_writer(lines, quote_all).writerows(batch)
-        return lines
-
-    (head,) = render([header])
-    rendered = {k: dict(zip(table, render((k, j, *fields) for j, fields in table.items())))
-                for k, table in tails.items()}
-    # a second, empty field keeps an empty one from being written as a lone '""'
-    cells = {field: line.rpartition(",")[0]
-             for field, line in zip(leading, render(zip(leading, repeat(""))))}
+    lines = _Lines()
+    _csv_writer(lines, False).writerows(chain(
+        (header,),
+        # a second, empty field keeps an empty one from being written as a lone '""'
+        zip(leading, repeat("")),
+        ((k, j, *fields) for k, table in tails.items() for j, fields in table.items()),
+    ))
+    if "\r" in "".join(lines):
+        return (_csv_text(header, [(*row, *tails[row[2]][row[3]]) for row in rows]),)
+    it = iter(lines)
+    head = next(it)
+    cells = {field: next(it).rpartition(",")[0] for field in leading}
+    rendered = {k: {j: next(it) for j in table} for k, table in tails.items()}
     return chain((head,), (f"{cells[a]},{cells[b]},{rendered[k][j]}" for a, b, k, j in rows))
 
 

@@ -478,7 +478,7 @@ def value_oracle(board: Board, spec: AgentSpec, decision_id: str | None = None) 
         for action in sorted(entries, key=canonical_key):
             entries[action] += rng.uniform(-spec.mutation.magnitude, spec.mutation.magnitude)
     if decision_id is None:
-        decision_id = f"d{board.move_count + 1}"
+        decision_id = f"d{board.piece_count + 1}"
     return DecisionValues(
         decision_id=decision_id,
         entries=entries,

@@ -128,11 +128,12 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
 
 
 def participant_loss_sums(
-    predictions, scores: ScoreTable, *spaces: str
+    predictions, scores: ScoreTable, *spaces: str, treatments=()
 ) -> tuple[list[SampleGroup], ...]:
     """Per-treatment groups of each participant's summed loss across
     decisions, one list of groups per space asked for (value space sums LV,
-    rank space sums LR).
+    rank space sums LR).  A treatment in ``treatments`` that no record names
+    gets an empty group.
 
     One walk over the records, by participant and then decision, fills an
     LV and an LR total per (treatment, participant), so each treatment lists
@@ -143,7 +144,8 @@ def participant_loss_sums(
     for space in spaces:
         if space not in SPACES:
             raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
-    sums: dict[str, tuple[dict[str, float], dict[str, float]]] = {}  # treatment -> (LV, LR) totals
+    # treatment -> (LV, LR) totals
+    sums: dict[str, tuple[dict[str, float], dict[str, float]]] = {t: ({}, {}) for t in treatments}
     for pid, treatment, decision_id, predicted in _by_participant_and_decision(predictions):
         lvs, lrs = sums.get(treatment) or sums.setdefault(treatment, ({}, {}))
         lv, lr, _ = scores[decision_id][predicted]

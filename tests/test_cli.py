@@ -136,6 +136,24 @@ class TestSimulate:
 
 
 class TestFlagValidation:
+    @pytest.mark.parametrize("flag, text, kind", [
+        ("--participants", "1_0", "int"),
+        ("--participants", "\u0668", "int"),  # an Arabic-Indic digit
+        ("--seed", " 1", "int"),
+        ("--mutation", "1_0", "float"),
+        ("--mutation", " 0.5", "float"),
+        ("--mutation", "\u0660.\u0665", "float"),
+    ])
+    def test_a_number_that_is_not_an_ascii_literal_exits_2(
+        self, tmp_path, capsys, flag, text, kind
+    ):
+        # argparse reads every occurrence of a flag, so the repeated one is read too
+        with pytest.raises(SystemExit) as exc:
+            main(SIM_FLAGS + ["--out-dir", str(tmp_path / "x"), flag, text])
+        assert exc.value.code == 2
+        assert f"invalid {kind} value: {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_format_token_exits_2(self, tmp_path, capsys):
         bundle_dir = simulate(tmp_path)
         code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
@@ -170,7 +188,7 @@ class TestMetricsCmd:
         bundle = read_bundle(bundle_dir)
         scores = score_table(bundle.values_by_decision())
         expected = render_metrics_csv(build_metrics_table(bundle, bundle.vote_counts(), scores))
-        assert (report / "metrics.csv").read_text() == expected
+        assert (report / "metrics.csv").read_text(encoding="utf-8") == expected
         assert (report / "metrics.md").exists()
         assert (report / "grades.csv").exists()
         assert (report / "boxplot_lv.csv").exists()
@@ -180,7 +198,7 @@ class TestMetricsCmd:
         bundle_dir = simulate(tmp_path, extra=["--behavior", "best"])
         report = tmp_path / "report"
         assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(report)]) == 0
-        lines = (report / "metrics.csv").read_text().strip().splitlines()
+        lines = (report / "metrics.csv").read_text(encoding="utf-8").strip().splitlines()
         header = lines[0].split(",")
         for line in lines[1:]:
             cells = line.split(",")
@@ -210,7 +228,7 @@ class TestMetricsCmd:
 
     def test_malformed_bundle_exits_1(self, tmp_path, capsys):
         bundle_dir = simulate(tmp_path)
-        (bundle_dir / "values.csv").write_text("decision_id,action\n")
+        (bundle_dir / "values.csv").write_text("decision_id,action\n", encoding="utf-8")
         code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")])
         assert code == 1
         assert "error" in capsys.readouterr().err
@@ -237,7 +255,7 @@ class TestStatsCmd:
              "--space", "rank"]
         )
         assert code == 0
-        doc = json.loads((report / "stats_rank.json").read_text())
+        doc = json.loads((report / "stats_rank.json").read_text(encoding="utf-8"))
         assert [g["n"] for g in doc["groups"]] == [30, 30, 30, 30]
         levene = [g for g in doc["gates"] if g["test"] == "levene_median"]
         assert levene[0]["df"][0] == 3.0
@@ -312,7 +330,8 @@ class TestStatsCmd:
         def reject(token):
             raise AssertionError(f"non-strict JSON token {token}")
 
-        doc = json.loads((report / "stats_rank.json").read_text(), parse_constant=reject)
+        text = (report / "stats_rank.json").read_text(encoding="utf-8")
+        doc = json.loads(text, parse_constant=reject)
         assert doc["excluded"] == ["D"]
         shapiro = doc["gates"][:4]
         assert all(g["statistic"] is None and g["p_value"] == 0.0 and g["reason"] for g in shapiro)
@@ -320,6 +339,35 @@ class TestStatsCmd:
         assert doc["test_used"] == "kruskal_wallis"
         gate_ps = [g["p_value"] for g in doc["gates"]]
         assert (doc["test_used"] == "anova") == all(p >= doc["alpha"] for p in gate_ps)
+
+    def test_a_listed_treatment_without_participants_is_an_empty_group(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "listed"
+        assert main(
+            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
+             "--treatments", "A,B", "--seed", "3", "--behavior", "uniform",
+             "--out-dir", str(bundle_dir)]
+        ) == 0
+        manifest = bundle_dir / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["treatments"].append("C")
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        report = tmp_path / "r"
+        code = main(
+            ["stats", "--bundle", str(bundle_dir), "--out-dir", str(report), "--space", "rank"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "gate shapiro_wilk on group 'C': not computed (" in out
+        assert "warning: group 'C' has fewer than 2 observations" in out
+        doc = json.loads((report / "stats_rank.json").read_text(encoding="utf-8"))
+        assert doc["groups"] == [
+            {"label": "A", "n": 6}, {"label": "B", "n": 6}, {"label": "C", "n": 0}
+        ]
+        assert doc["excluded"] == ["C"]
+        assert doc["gates"][2]["group"] == "C" and doc["gates"][2]["statistic"] is None
+        assert doc["gates"][3]["df"] == [1.0, 10.0]  # levene on A and B only
+        assert doc["test_used"] == "kruskal_wallis"
 
 
     def test_levene_on_rounding_level_spread_is_infinite_in_both_spaces(self, tmp_path, capsys):
@@ -340,7 +388,7 @@ class TestStatsCmd:
             )
             assert code == 0
             assert "gate levene_median on groups: statistic=inf p=0\n" in capsys.readouterr().out
-            doc = json.loads((report / f"stats_{space}.json").read_text())
+            doc = json.loads((report / f"stats_{space}.json").read_text(encoding="utf-8"))
             levene = doc["gates"][4]
             assert levene["test"] == "levene_median"
             assert (levene["statistic"], levene["p_value"]) == (None, 0.0)
@@ -357,7 +405,7 @@ class TestVotesCmd:
         assert code == 0
         for treatment in ("NONE", "OTB"):
             csv_path = report / f"votes_P1_{treatment}.csv"
-            lines = csv_path.read_text().strip().splitlines()
+            lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
             assert len(lines) == 5  # header + 4 rows
             total = sum(
                 int(cell) for line in lines[1:] for cell in line.split(",")[1:]
@@ -394,7 +442,7 @@ class TestVotesCmd:
             ["votes", "--bundle", str(bundle_dir), "--out-dir", str(report),
              "--decision", "P1"]
         ) == 0
-        lines = (report / "votes_P1_all.csv").read_text().strip().splitlines()
+        lines = (report / "votes_P1_all.csv").read_text(encoding="utf-8").strip().splitlines()
         counts = [int(cell) for line in lines[1:] for cell in line.split(",")[1:]]
         assert sorted(counts)[-1] == 16
         assert sum(1 for c in counts if c) == 1
@@ -513,11 +561,11 @@ class TestUnvaluedPrediction:
         valued = bundle.values_by_decision()["P2"].entries
         occupied = sorted(set(bundle.manifest.action_ids) - set(valued))
         path = bundle_dir / "predictions.csv"
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         row = next(i for i, line in enumerate(lines) if line.split(",")[2] == "P2")
         participant = lines[row].split(",")[0]
         lines[row] = ",".join(lines[row].split(",")[:3] + [occupied[0]])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         paths = ["--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]
         assert main(command[:1] + paths + command[1:]) == 1
@@ -540,10 +588,10 @@ class TestRefusedBundleFiles:
     def test_stray_values_action_names_its_row(self, tmp_path, capsys):
         bundle_dir = self.small_bundle(tmp_path)
         path = bundle_dir / "values.csv"
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         row = [i for i, line in enumerate(lines) if line.startswith("P1,")][2]
         lines[row] = ",".join(["P1", "Z9"] + lines[row].split(",")[2:])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == (
@@ -558,9 +606,9 @@ class TestRefusedBundleFiles:
     def test_treatment_listed_twice_exits_1(self, tmp_path, capsys, command):
         bundle_dir = self.small_bundle(tmp_path)
         path = bundle_dir / "manifest.json"
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["treatments"] = ["A", "B", "A"]
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         report = tmp_path / "r"
         code = main([command[0], "--bundle", str(bundle_dir), "--out-dir", str(report),
@@ -574,9 +622,9 @@ class TestRefusedBundleFiles:
     def test_non_string_treatment_is_a_malformed_manifest(self, tmp_path, capsys):
         bundle_dir = self.small_bundle(tmp_path)
         path = bundle_dir / "manifest.json"
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         doc["treatments"] = [["A"], "B"]
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == (
@@ -589,7 +637,7 @@ class TestGradeCmd:
         bundle_dir = simulate(tmp_path)
         report = tmp_path / "g"
         assert main(["grade", "--bundle", str(bundle_dir), "--out-dir", str(report)]) == 0
-        lines = (report / "samples.csv").read_text().strip().splitlines()
+        lines = (report / "samples.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "participant_id,treatment,decision_id,predicted,lv,lr,grade"
         assert len(lines) == 1 + 16 * 4
 
@@ -611,11 +659,11 @@ class TestGradeCmd:
     def test_oversized_csv_field_exits_1(self, tmp_path, capsys, name):
         bundle_dir = simulate(tmp_path)
         path = bundle_dir / name
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         fields = lines[2].split(",")
         fields[1] = '"' + "x" * 200_000 + '"'
         lines[2] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = main(["grade", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "g")])
         err = capsys.readouterr().err
         assert code == 1
@@ -628,7 +676,7 @@ class TestUnusableOutDir:
     """An out-dir that cannot be made is a one-line error and exit 1."""
 
     def test_simulate_fails_before_playing(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "afile").write_text("")
+        (tmp_path / "afile").write_text("", encoding="utf-8")
         out = tmp_path / "afile" / "sub"
 
         def play(**kwargs):
@@ -643,7 +691,7 @@ class TestUnusableOutDir:
     def test_metrics_into_a_file(self, tmp_path, capsys):
         bundle_dir = simulate(tmp_path)
         out = tmp_path / "afile"
-        out.write_text("")
+        out.write_text("", encoding="utf-8")
         capsys.readouterr()
         assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
@@ -785,6 +833,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "predscore.cli"] + SIM_FLAGS + ["--out-dir", str(out)],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert result.returncode == 0, result.stderr
         assert (out / "manifest.json").exists()
@@ -794,6 +843,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "predscore.cli", "--help"],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert result.returncode == 0
         assert "exit codes" in result.stdout

@@ -35,6 +35,7 @@ from predscore.errors import ParseError, ValidationError
 from predscore.metrics import PredictionRecord, score_dataset
 from predscore.oracle import AgentSpec, Mutation
 from predscore.rankoverlap import agent_ranklist, mrbo_ext, vote_ranklist
+from predscore.report import SAMPLES_HEADER
 from predscore.values import DecisionValues, OutcomeTriple
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -114,19 +115,31 @@ class TestCsvRoundTrip:
         for name in ("manifest.json", "values.csv", "predictions.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("field", range(5))
     @pytest.mark.parametrize("text", ["", "x,y", 'x"y', "x\ny", "x\ry"])
     def test_streamed_lines_equal_the_csv_text(self, field, text):
         """_csv_lines renders as _csv_text, whichever one field of a row
-        holds a character that is quoted, or empties it."""
+        (one of its four, or the grade of its tail) holds a character that
+        is quoted, or empties it."""
         rows = [["P1", "A", "D1", "NE"], ["P2", "B", "D1", "SW"], ["P1", "A", "D2", "NE"]]
-        rows[1][field] = text
+        if field < 4:
+            rows[1][field] = text
         tails = {}
         for _, _, decision, action in rows:
             tails.setdefault(decision, {})[action] = (-1.5, 0.25, "good")
-        header = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
-        expected = _csv_text(header, [(*row, *tails[row[2]][row[3]]) for row in rows])
-        assert "".join(_csv_lines(header, rows, tails)) == expected
+        if field == 4:
+            tails["D1"]["SW"] = (-1.5, 0.25, text)
+        expected = _csv_text(SAMPLES_HEADER, [(*row, *tails[row[2]][row[3]]) for row in rows])
+        assert "".join(_csv_lines(SAMPLES_HEADER, rows, tails)) == expected
+
+    def test_a_tail_no_row_uses_leaves_the_fields_unquoted(self):
+        """As in _csv_text, only the fields that the text holds decide
+        whether every field is quoted."""
+        rows = [["P1", "A", "D1", "NE"]]
+        tails = {"D1": {"NE": (-1.5, 0.25, "good"), "SW": (0.0, 0, "x\ry")}}
+        text = "".join(_csv_lines(SAMPLES_HEADER, rows, tails))
+        assert text == _csv_text(SAMPLES_HEADER, [("P1", "A", "D1", "NE", -1.5, 0.25, "good")])
+        assert '"' not in text
 
 
 class TestBundleWrites:

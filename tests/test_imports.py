@@ -25,7 +25,8 @@ def loaded_by(statements: str) -> list[str]:
         f"print(json.dumps(sorted(set({HEAVY!r}) & (set(sys.modules) - before))))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        encoding="utf-8", check=True
     )
     return json.loads(result.stdout.splitlines()[-1])
 

@@ -396,6 +396,13 @@ class TestValueOracle:
         assert plain.outcomes == muted.outcomes
         assert plain.entries != muted.entries
 
+    def test_default_decision_id_counts_the_pieces(self):
+        played = play(TTT, ["A1", "B2", "C3"])
+        rebuilt = Board.from_cells(TTT, played.cells(), played.to_move)
+        assert value_oracle(played, AgentSpec()).decision_id == "d4"
+        assert value_oracle(rebuilt, AgentSpec()).decision_id == "d4"
+        assert value_oracle(new_game(TTT), AgentSpec()).decision_id == "d1"
+
     def test_game_over_rejected(self):
         board = new_game(TTT)
         for col in range(3):
@@ -442,7 +449,7 @@ class TestChooseAction:
         for seed in range(40):
             board = new_game(TTT)
             local = random.Random(seed)
-            while game_status(board).state == ONGOING and board.move_count < 6:
+            while game_status(board).state == ONGOING and board.piece_count < 6:
                 empties = board.empty_squares()
                 board = apply_move(board, empties[local.randrange(len(empties))])
             if game_status(board).state != ONGOING:

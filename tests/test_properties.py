@@ -466,7 +466,7 @@ def one_short_positions(draw):
     assume(lengths)
     moves = draw(st.sampled_from(lengths))
     board = _played(BoardConfig(m, n, k), draw(st.permutations(range(m * n))), moves)
-    assume(board.move_count == moves)
+    assume(board.piece_count == moves)
     held = board.cells()
     assert k - 1 in (held.count(AGENT), held.count(OPPONENT))
     return board

@@ -393,6 +393,7 @@ def test_package_import_leaves_scipy_unloaded():
         "print(sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        encoding="utf-8", check=True,
     )
     assert result.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -41,8 +41,8 @@ TYPES = {
     SquareId: (("col", "row"), lambda: SquareId(1, 2)),
     BoardConfig: (("m", "n", "k"), lambda: BoardConfig(4, 3, 3)),
     Board: (
-        ("config", "packed", "to_move", "history"),
-        lambda: Board(CFG, 1 << 8, OPPONENT, ((AGENT, SquareId(1, 1)),)),
+        ("config", "packed", "to_move"),
+        lambda: Board(CFG, 1 << 8, OPPONENT),
     ),
     GameStatus: (("state", "winner"), lambda: GameStatus(WIN, AGENT)),
     OutcomeTriple: (("win", "loss", "draw"), lambda: OutcomeTriple(0.5, 0.25, 0.25)),
@@ -157,7 +157,7 @@ def test_copies_and_pickles_round_trip(cls):
 def test_defaults():
     assert field_tuple(AgentSpec()) == (EXHAUSTIVE, None, None, None, None)
     assert field_tuple(GameStatus(WIN)) == (WIN, None)
-    assert field_tuple(Board(CFG)) == (CFG, 0, AGENT, ())
+    assert field_tuple(Board(CFG)) == (CFG, 0, AGENT)
     assert ActionManifest("e1", CUSTOM, (("a", "a"),)).board is None
     assert ExperimentBundle(MANIFEST, (), (), ("T",)).pending_decisions == ()
     assert ParticipantModel().rank_probs is None
