@@ -173,7 +173,7 @@ def cmd_metrics(args) -> int:
         texts["metrics.md"] = render_metrics_markdown(table)
     distribution = grade_distribution(bundle, counts, scores)
     texts["grades.csv"] = render_grade_distribution_csv(distribution)
-    for space, groups in zip(SPACES, participant_loss_sums(bundle.predictions, scores, *SPACES)):
+    for space, groups in participant_loss_sums(bundle, scores).items():
         texts[f"boxplot_l{space[0]}.csv"] = render_boxplot_csv(groups)
         if "svg" in formats:
             texts[f"boxplot_l{space[0]}.svg"] = render_boxplot_svg(groups)
@@ -194,9 +194,7 @@ def cmd_stats(args) -> int:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
     bundle = read_bundle(args.bundle)
     scores = score_table(bundle.values_by_decision())
-    (groups,) = participant_loss_sums(
-        bundle.predictions, scores, args.space, treatments=bundle.treatments
-    )
+    groups = participant_loss_sums(bundle, scores)[args.space]
     result = run_pipeline(groups, alpha=args.alpha)
     labels = [g.label for g in groups] + [None]  # per-group gates, then levene
     gates_doc = []
@@ -343,8 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each "--flag -x" written "--flag=-x" where -x reads as a
+    negative number.  argparse takes an argument that starts with "-" for an
+    option unless it looks like a negative number, and "-inf" and "-1e-3"
+    do not on every Python version."""
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and flag != "--" and "=" not in flag and arg.startswith("-")
+                and (_DECIMAL.fullmatch(arg) or _NON_FINITE.fullmatch(arg))):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_values(argv))
     gc_was_enabled = gc.isenabled()
     # Commands build hundreds of thousands of acyclic records: full collections would free nothing.
     gc.disable()

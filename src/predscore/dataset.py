@@ -392,10 +392,16 @@ def parse_values_csv(data) -> list[DecisionValues]:
             except ValidationError as exc:
                 raise refuse(str(exc), "win") from None
             outcomes.setdefault(decision_id, {})[action] = triple
+    decisions = []
     for decision_id, index in first.items():
         if decision_id not in chosen:
             raise _refusal(data, index, f"decision {decision_id!r} has no chosen action", "chosen")
-    return [DecisionValues(d, entries[d], chosen[d], outcomes.get(d)) for d in entries]
+        try:
+            decisions.append(DecisionValues(decision_id, entries[decision_id], chosen[decision_id],
+                                            outcomes.get(decision_id)))
+        except ValidationError as exc:  # a value spread that is not finite
+            raise _refusal(data, index, str(exc), "value") from None
+    return decisions
 
 
 def parse_predictions_csv(data) -> list[PredictionRecord]:

@@ -123,12 +123,16 @@ def weighted_mean(pairs) -> float:
     """Mean of (value, count) pairs, as fsum(expanded) / len(expanded) bit
     for bit: fsum rounds the sum, then the division rounds again.  (The
     exact rational mean, rounded once, differs in the last bit at times.)
+    A sum that overflows is refused.
     """
     pairs = list(pairs)
     total = sum(count for _, count in pairs)
     if not total or min(count for _, count in pairs) < 0:
         raise ValidationError("vote counts must be non-negative with a positive total")
-    return math.fsum(chain.from_iterable(repeat(x, count) for x, count in pairs)) / total
+    try:
+        return math.fsum(chain.from_iterable(repeat(x, count) for x, count in pairs)) / total
+    except OverflowError:
+        raise ValidationError("the vote-weighted sum overflows") from None
 
 
 def av_score(votes: dict[str, int], values: DecisionValues) -> float:

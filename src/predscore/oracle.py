@@ -14,8 +14,9 @@ backends:
 Both test for a win with the board module's k-window masks: a placed piece
 wins when its player owns every square of some k-window through it.
 
-The exhaustive memo maps (packed board, mover) to that board's own counts
-and nothing else, so every root of a shape can share it.  A board and its
+The exhaustive memo maps (packed board, mover) to that board's own counts,
+from the mover's side: (mover wins, mover losses, draws), and nothing
+else, so every root of a shape can share it.  A board and its
 mirror images have the same counts, and the states reachable from a root
 are closed under the symmetries that map the root onto itself (its
 stabilizer).  So each computed state is stored under all of its images by
@@ -50,7 +51,6 @@ from functools import lru_cache
 
 from .actions import SquareId, canonical_key
 from .board import (
-    _AGENT_CODE,
     _CELL_CODE,
     _CODE_CELL,
     ONGOING,
@@ -172,55 +172,6 @@ def _shape_memo(shape: tuple[int, int, int]) -> dict:
     return _memo[1]
 
 
-def _continuation(
-    multi: int, mover: int, empties: tuple[int, ...], place, windows, shifts, slot_mask, memo
-) -> tuple:
-    """Counts of (agent win, opponent win, draw) over the e! orderings of
-    the e empty squares, each played out from this state until a win.
-
-    A game that ends with a win on its first move accounts for (e-1)!
-    orderings, and a draw on the last square for one.  A child state's
-    counts are scaled by (e-1)! already, so they add in unchanged.  Under
-    uniform random play the outcome probabilities are the counts over e!.
-
-    multi holds the state's image under each symmetry of the root in one
-    slot of slot_mask's width, starting at the bit offsets in shifts; slot 0
-    is the state itself.  A move ORs in place[mover][square], which sets
-    the piece in every slot, and the window masks lie inside slot 0, so the
-    win test sees the state itself.  The memo is looked up by the state
-    and the result is stored under every image, since each has the same
-    counts.
-    """
-    hit = memo.get((multi & slot_mask, mover))
-    if hit is not None:
-        return hit
-    n_agent = n_opp = n_draw = 0
-    last = len(empties) == 1
-    immediate = math.factorial(len(empties) - 1)
-    other = mover ^ 3
-    placing = place[mover]
-    for i, idx in enumerate(empties):
-        child = multi | placing[idx]
-        if _wins(child, windows[mover][idx]):
-            if mover == _AGENT_CODE:
-                n_agent += immediate
-            else:
-                n_opp += immediate
-        elif last:
-            n_draw += 1
-        else:
-            sub = _continuation(
-                child, other, empties[:i] + empties[i + 1 :], place, windows, shifts, slot_mask, memo
-            )
-            n_agent += sub[0]
-            n_opp += sub[1]
-            n_draw += sub[2]
-    result = (n_agent, n_opp, n_draw)
-    for shift in shifts:
-        memo[(multi >> shift) & slot_mask, mover] = result
-    return result
-
-
 def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
     """Exact mover-perspective (win, loss, draw) for every legal move, as a
     triple of fractions.Fraction that sums to exactly 1.
@@ -245,9 +196,52 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
     size = 2 * cfg.squares
     shifts = tuple(range(0, size * len(perms), size))
     slot_mask = (1 << size) - 1
+
+    def continuation(multi: int, mover: int, squares: tuple[int, ...]) -> tuple[int, int, int]:
+        """Counts of (mover win, mover loss, draw) over the e! orderings of
+        the e empty squares (their indices), each played out from this state
+        until a win.
+
+        A game that ends with a win on its first move accounts for (e-1)!
+        orderings, and a draw on the last square for one.  A child state's
+        counts are scaled by (e-1)! already, so they add in unchanged, its
+        wins as this mover's losses.  Under uniform random play the outcome
+        probabilities are the counts over e!.
+
+        multi holds the state's image under each symmetry of the root in one
+        slot of slot_mask's width, starting at the bit offsets in shifts;
+        slot 0 is the state itself.  A move ORs in place[mover][square],
+        which sets the piece in every slot, and the window masks lie inside
+        slot 0, so the win test sees the state itself.  The memo is looked
+        up by the state and the result is stored under every image, since
+        each has the same counts.
+        """
+        hit = memo.get((multi & slot_mask, mover))
+        if hit is not None:
+            return hit
+        wins = losses = draws = 0
+        last = len(squares) == 1
+        immediate = math.factorial(len(squares) - 1)
+        other = mover ^ 3
+        placing, lines = place[mover], windows[mover]
+        for i, idx in enumerate(squares):
+            child = multi | placing[idx]
+            if _wins(child, lines[idx]):
+                wins += immediate
+            elif last:
+                draws += 1
+            else:
+                won, lost, drawn = continuation(child, other, squares[:i] + squares[i + 1 :])
+                wins += lost
+                losses += won
+                draws += drawn
+        result = (wins, losses, draws)
+        for shift in shifts:
+            memo[(multi >> shift) & slot_mask, mover] = result
+        return result
+
     multi = sum(board.packed << shift for shift in shifts)
     mover = _CELL_CODE[board.to_move]
-    other = mover ^ 3
     empty_idx = tuple(cfg.index(sq) for sq in empties)
     orderings = math.factorial(len(empties) - 1)
     out = {}
@@ -259,14 +253,8 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
         elif len(empties) == 1:
             counts = (0, 0, 1)
         else:
-            rest = empty_idx[:pos] + empty_idx[pos + 1 :]
-            n_agent, n_opp, n_draw = _continuation(
-                child, other, rest, place, windows, shifts, slot_mask, memo
-            )
-            if mover == _AGENT_CODE:
-                counts = (n_agent, n_opp, n_draw)
-            else:
-                counts = (n_opp, n_agent, n_draw)
+            won, lost, drawn = continuation(child, mover ^ 3, empty_idx[:pos] + empty_idx[pos + 1 :])
+            counts = (lost, won, drawn)
         out[sq] = tuple(Fraction(c, orderings) for c in counts)
     return out
 

@@ -28,9 +28,7 @@ from .metrics import (DEFAULT_GRADE_SCALE, GradeScale, ScoreTable, VoteCounts,
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
-VALUE_SPACE = "value"
-RANK_SPACE = "rank"
-SPACES = (VALUE_SPACE, RANK_SPACE)  # the order of each participant's (LV, LR) totals
+SPACES = ("value", "rank")  # the order of each participant's (LV, LR) totals
 SAMPLES_HEADER = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
 
 
@@ -128,12 +126,12 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
 
 
 def participant_loss_sums(
-    predictions, scores: ScoreTable, *spaces: str, treatments=()
-) -> tuple[list[SampleGroup], ...]:
-    """Per-treatment groups of each participant's summed loss across
-    decisions, one list of groups per space asked for (value space sums LV,
-    rank space sums LR).  A treatment in ``treatments`` that no record names
-    gets an empty group.
+    bundle: ExperimentBundle, scores: ScoreTable
+) -> dict[str, list[SampleGroup]]:
+    """Per space, one group per listed treatment, in sorted order, of each
+    participant's summed loss across decisions: value space sums LV, rank
+    space sums LR.  A listed treatment that no record names gets an empty
+    group.
 
     One walk over the records, by participant and then decision, fills an
     LV and an LR total per (treatment, participant), so each treatment lists
@@ -141,22 +139,16 @@ def participant_loss_sums(
     its losses in decision order, whatever the record order, so equal
     bundles give equal float sums.
     """
-    for space in spaces:
-        if space not in SPACES:
-            raise ValidationError(f"space must be {VALUE_SPACE!r} or {RANK_SPACE!r}, got {space!r}")
     # treatment -> (LV, LR) totals
-    sums: dict[str, tuple[dict[str, float], dict[str, float]]] = {t: ({}, {}) for t in treatments}
-    for pid, treatment, decision_id, predicted in _by_participant_and_decision(predictions):
-        lvs, lrs = sums.get(treatment) or sums.setdefault(treatment, ({}, {}))
+    sums = {t: ({}, {}) for t in sorted(bundle.treatments)}
+    for pid, treatment, decision_id, predicted in _by_participant_and_decision(bundle.predictions):
+        lvs, lrs = sums[treatment]
         lv, lr, _ = scores[decision_id][predicted]
         lvs[pid] = lvs.get(pid, 0.0) + lv
         lrs[pid] = lrs.get(pid, 0.0) + lr
-
-    def groups(field: int) -> list[SampleGroup]:
-        return [SampleGroup(label=treatment, values=tuple(totals[field].values()))
-                for treatment, totals in sorted(sums.items())]
-
-    return tuple(groups(SPACES.index(space)) for space in spaces)
+    return {space: [SampleGroup(label=t, values=tuple(totals[field].values()))
+                    for t, totals in sums.items()]
+            for field, space in enumerate(SPACES)}
 
 
 def render_samples_csv(predictions, scores: ScoreTable):

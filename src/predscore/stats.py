@@ -195,6 +195,17 @@ _SW_PI6 = 1.90985931710274  # 6/pi
 _SW_STQR = 1.04719755119660  # asin(sqrt(3/4))
 
 
+def _finite_sum(values, test_name: str) -> float:
+    """math.fsum of values, refused when it, or a value, overflows."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise ValidationError(f"{test_name}: a sum overflows; the values are too large")
+    return total
+
+
 def shapiro_wilk(sample) -> TestResult:
     """W statistic and p-value for the null of normality, 3 <= n <= 5000."""
     x = sorted(float(v) for v in sample)
@@ -228,9 +239,9 @@ def shapiro_wilk(sample) -> TestResult:
             fac = math.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 * a1))
             weights = [a1] + [-v / fac for v in m[1:]]
 
-    mean = math.fsum(x) / n
-    ssq = math.fsum((v - mean) ** 2 for v in x)
-    b = math.fsum(w * (x[n - 1 - i] - x[i]) for i, w in enumerate(weights))
+    mean = _finite_sum(x, SHAPIRO_WILK) / n
+    ssq = _finite_sum(((v - mean) ** 2 for v in x), SHAPIRO_WILK)
+    b = _finite_sum((w * (x[n - 1 - i] - x[i]) for i, w in enumerate(weights)), SHAPIRO_WILK)
     w_stat = min(b * b / ssq, 1.0)
 
     if n == 3:
@@ -276,15 +287,17 @@ def _f_oneway(samples: list[list[float]], test_name: str) -> TestResult:
         raise ValidationError(f"{test_name} needs at least 2 observations per group")
     if total_n <= g:
         raise ValidationError(f"{test_name} needs more observations than groups")
-    grand = math.fsum(math.fsum(s) for s in samples) / total_n
-    means = [math.fsum(s) / len(s) for s in samples]
-    ssb = math.fsum(n * (m - grand) ** 2 for n, m in zip(sizes, means))
-    ssw = math.fsum(math.fsum((v - m) ** 2 for v in s) for s, m in zip(samples, means))
+    grand = _finite_sum((math.fsum(s) for s in samples), test_name) / total_n
+    means = [math.fsum(s) / len(s) for s in samples]  # each group's sum was taken for grand
+    ssb = _finite_sum((n * (m - grand) ** 2 for n, m in zip(sizes, means)), test_name)
+    ssw = _finite_sum((math.fsum((v - m) ** 2 for v in s) for s, m in zip(samples, means)),
+                      test_name)
     df = (float(g - 1), float(total_n - g))
     # A sum of squares within its own rounding error counts as zero: values
     # equal in exact arithmetic can leave ~eps * |v| behind once a mean is
     # taken off, so the bound scales with the data rather than being fixed.
-    rounding = (4 * math.ulp(1.0)) ** 2 * math.fsum(v * v for s in samples for v in s)
+    squares = _finite_sum((v * v for s in samples for v in s), test_name)
+    rounding = (4 * math.ulp(1.0)) ** 2 * squares
     if ssb <= rounding and ssw <= rounding:
         raise DegenerateDataError(
             f"{test_name}: zero within- and between-group variance; F is undefined"

@@ -47,7 +47,9 @@ class DecisionValues(
     entries maps action id -> scalar value; chosen is the action the agent
     took; outcomes optionally maps action id -> the :class:`OutcomeTriple`
     its scalar was flattened from.  The decision id and every action id are
-    non-empty, so that values.csv can hold the table.
+    non-empty, so that values.csv can hold the table.  The values are finite
+    and so is their spread, the largest minus the smallest, so no loss in
+    value overflows.
 
     A named tuple of those four fields.  Unlike the other value types it
     has an instance dict, but only the cached rank order is stored there:
@@ -72,6 +74,10 @@ class DecisionValues(
                 raise ValidationError(
                     f"decision {decision_id!r}: value for {action!r} is not finite"
                 )
+        lo, hi = min(entries.values()), max(entries.values())
+        if not math.isfinite(hi - lo):  # every loss in value is a difference of two values
+            raise ValidationError(f"decision {decision_id!r}: value spread from {lo!r} to {hi!r} "
+                                  "is not finite")
         if chosen not in entries:
             raise UnknownActionError(
                 f"decision {decision_id!r}: chosen action {chosen!r} not in value table"

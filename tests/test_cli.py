@@ -34,6 +34,39 @@ def simulate(tmp_path, name="bundle", extra=()):
     return out
 
 
+def listed_unpredicted_treatment(tmp_path):
+    """A 12-participant bundle over treatments A and B whose manifest also
+    lists treatment C, which no prediction names."""
+    bundle_dir = tmp_path / "listed"
+    assert main(
+        ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
+         "--treatments", "A,B", "--seed", "3", "--behavior", "uniform",
+         "--out-dir", str(bundle_dir)]
+    ) == 0
+    manifest = bundle_dir / "manifest.json"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["treatments"].append("C")
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    return bundle_dir
+
+
+def overflowing_bundle(tmp_path, others=None):
+    """A 12-participant 3x3 bundle whose decision P1 values its chosen
+    action at 1e308, and every other action at ``others`` if given."""
+    bundle_dir = tmp_path / "overflow"
+    assert main(
+        ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
+         "--treatments", "A,B", "--seed", "1", "--out-dir", str(bundle_dir)]
+    ) == 0
+    values = bundle_dir / "values.csv"
+    rows = list(csv.reader(values.read_text(encoding="utf-8").splitlines()))
+    for row in rows:
+        if row[0] == "P1":
+            row[2] = "1e308" if row[3] == "1" else others or row[2]
+    values.write_text(_csv_text(rows[0], rows[1:]), encoding="utf-8")
+    return bundle_dir
+
+
 def assert_identical_dirs(a, b):
     comparison = filecmp.dircmp(a, b)
     assert not comparison.left_only and not comparison.right_only
@@ -154,6 +187,26 @@ class TestFlagValidation:
         assert f"invalid {kind} value: {text!r}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["metrics", "--bundle", "b", "--p", "-inf"], "--p must be in (0, 1), got -inf"),
+        (["metrics", "--bundle", "b", "--p", "-1e-3"], "--p must be in (0, 1), got -0.001"),
+        (["stats", "--bundle", "b", "--space", "rank", "--alpha", "-Infinity"],
+         "--alpha must be in (0, 1), got -inf"),
+        (SIM_FLAGS + ["--mutation", "-1e-3"], "mutation magnitude must be >= 0, got -0.001"),
+        (SIM_FLAGS + ["--mutation", "-.5E+1"], "mutation magnitude must be >= 0, got -5.0"),
+    ], ids=["p-inf", "p-exponent", "alpha-infinity", "mutation-exponent", "mutation-dot"])
+    def test_a_negative_number_reaches_the_flags_range_check(self, tmp_path, capsys, argv, message):
+        """argparse would take "-inf" or "-1e-3" for an option on some or all
+        of Python 3.10-3.13, and exit with "expected one argument"."""
+        assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_a_negative_seed_reads_as_a_value(self, tmp_path):
+        a = simulate(tmp_path, "a", extra=["--seed", "-1"])  # the last --seed is read
+        assert_identical_dirs(a, simulate(tmp_path, "b", extra=["--seed=-1"]))
+        assert read_bundle(a).manifest.experiment_id.endswith("seed-1")
+
     def test_bad_format_token_exits_2(self, tmp_path, capsys):
         bundle_dir = simulate(tmp_path)
         code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
@@ -193,6 +246,19 @@ class TestMetricsCmd:
         assert (report / "grades.csv").exists()
         assert (report / "boxplot_lv.csv").exists()
         assert (report / "boxplot_lr.svg").exists()
+
+    def test_a_listed_treatment_without_predictions_is_refused(self, tmp_path, capsys):
+        """metrics needs every listed treatment in every decision's overlap,
+        so it refuses before any loss is summed; stats reports n = 0."""
+        bundle_dir = listed_unpredicted_treatment(tmp_path)
+        capsys.readouterr()
+        argv = ["--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]
+        assert main(["metrics", *argv]) == 1
+        assert capsys.readouterr().err == "error: treatment 'C' has no predictions for decision 'P1'\n"
+        assert not (tmp_path / "r").exists()
+        assert main(["stats", *argv, "--space", "value"]) == 0
+        doc = json.loads((tmp_path / "r" / "stats_value.json").read_text(encoding="utf-8"))
+        assert doc["groups"][2] == {"label": "C", "n": 0}
 
     def test_all_correct_bundle_scores_perfectly(self, tmp_path):
         bundle_dir = simulate(tmp_path, extra=["--behavior", "best"])
@@ -271,8 +337,7 @@ class TestStatsCmd:
 
         bundle = read_bundle(bundle_dir)
         scores = score_table(bundle.values_by_decision())
-        (groups,) = participant_loss_sums(bundle.predictions, scores, "rank")
-        direct = run_pipeline(groups)
+        direct = run_pipeline(participant_loss_sums(bundle, scores)["rank"])
         assert doc["test_used"] == direct.test_used
         assert doc["comparison"]["statistic"] == direct.comparison.statistic
         assert doc["comparison"]["p_value"] == direct.comparison.p_value
@@ -341,16 +406,7 @@ class TestStatsCmd:
         assert (doc["test_used"] == "anova") == all(p >= doc["alpha"] for p in gate_ps)
 
     def test_a_listed_treatment_without_participants_is_an_empty_group(self, tmp_path, capsys):
-        bundle_dir = tmp_path / "listed"
-        assert main(
-            ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
-             "--treatments", "A,B", "--seed", "3", "--behavior", "uniform",
-             "--out-dir", str(bundle_dir)]
-        ) == 0
-        manifest = bundle_dir / "manifest.json"
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-        doc["treatments"].append("C")
-        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        bundle_dir = listed_unpredicted_treatment(tmp_path)
         capsys.readouterr()
         report = tmp_path / "r"
         code = main(
@@ -670,6 +726,32 @@ class TestGradeCmd:
         assert err.startswith(f"error: malformed {name}: field larger than field limit")
         assert "(row 3)" in err
         assert "Traceback" not in err
+
+
+class TestOverflowingLosses:
+    """Losses near the float range are refused with one error line, never
+    a traceback or an inf in a report."""
+
+    @pytest.mark.parametrize("command, message", [
+        (["metrics"], "the vote-weighted sum overflows"),
+        (["stats", "--space", "value"], "levene_median: a sum overflows; the values are too large"),
+    ])
+    def test_a_sum_that_overflows_exits_1(self, tmp_path, capsys, command, message):
+        bundle_dir = overflowing_bundle(tmp_path)
+        capsys.readouterr()
+        code = main([*command, "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command", [["grade"], ["metrics"], ["stats", "--space", "rank"]])
+    def test_a_value_spread_that_is_not_finite_exits_1(self, tmp_path, capsys, command):
+        bundle_dir = overflowing_bundle(tmp_path, others="-1e308")
+        capsys.readouterr()
+        code = main([*command, "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")])
+        assert (code, capsys.readouterr().err) == (
+            1, "error: decision 'P1': value spread from -1e+308 to 1e+308 is not finite "
+               "(row 2, column 'value')\n")
+        assert not (tmp_path / "r").exists()
 
 
 class TestUnusableOutDir:

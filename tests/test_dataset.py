@@ -248,6 +248,14 @@ class TestParseValues:
             parse_values_csv(VALUES_4T.replace("31.0", text))
         assert (err.value.row, err.value.column) == (2, "value")
 
+    def test_value_spread_that_is_not_finite_rejected_at_the_decisions_first_row(self):
+        text = VALUES_4T.replace("31.0", "1e308").replace("-313.0", "-1e308")
+        with pytest.raises(ParseError, match="decision 'DP1': value spread from -1e[+]308 to "
+                                             "1e[+]308 is not finite") as err:
+            parse_values_csv(text)
+        assert (err.value.row, err.value.column) == (2, "value")
+        parse_values_csv(VALUES_4T.replace("31.0", "1e308"))  # a finite spread is read
+
     def test_bad_header_rejected(self):
         with pytest.raises(ParseError):
             parse_values_csv(b"foo,bar\n1,2\n")

@@ -16,6 +16,7 @@ from predscore.metrics import (
     loss_in_value,
     score_dataset,
     score_table,
+    weighted_mean,
 )
 from predscore.values import DecisionValues
 
@@ -68,6 +69,13 @@ class TestLossInValue:
         dv = table_36(0.3, 0.2)
         with pytest.raises(UnknownActionError):
             loss_in_value(dv, "Z9")
+
+
+class TestWeightedMean:
+    def test_sum_that_overflows_is_refused(self):
+        assert weighted_mean([(1e308, 1), (0.5, 3)]) == 1e308 / 4
+        with pytest.raises(ValidationError, match="the vote-weighted sum overflows"):
+            weighted_mean([(1e308, 2), (0.5, 1)])
 
 
 class TestLossInRank:
@@ -368,8 +376,9 @@ class TestScoredViews:
             for treatment, by_label in per_treatment.items():
                 for label, count in by_label.items():
                     assert count == counts.get((decision_id, treatment, label), 0)
+        groups_by_space = participant_loss_sums(bundle, scores)
         for space, per_treatment in sums.items():
-            (groups,) = participant_loss_sums(bundle.predictions, scores, space)
+            groups = groups_by_space[space]
             assert [g.label for g in groups] == sorted(per_treatment)
             for g in groups:
                 per = per_treatment[g.label]

@@ -180,13 +180,12 @@ def stabilizer_size(board):
 
 
 def brute_force_counts(m, n, k, packed, mover):
-    """(agent win, opponent win, draw) counts over every ordering of the
+    """(mover win, mover loss, draw) counts over every ordering of the
     empty squares, from the brute-force per-first-move fractions."""
     cells = tuple((packed >> (2 * i)) & 3 for i in range(m * n))
     triples = brute_force_triples(m, n, k, cells, mover)
     per_first = math.factorial(len(triples) - 1)
-    mine, theirs, draw = (sum(t[j] for t in triples.values()) * per_first for j in range(3))
-    counts = (mine, theirs, draw) if mover == 1 else (theirs, mine, draw)
+    counts = tuple(sum(t[j] for t in triples.values()) * per_first for j in range(3))
     assert all(c.denominator == 1 for c in counts)
     return tuple(int(c) for c in counts)
 

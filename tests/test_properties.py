@@ -57,6 +57,7 @@ from predscore.metrics import (  # noqa: E402
     av_score,
     loss_in_rank,
     loss_in_value,
+    score_table,
     weighted_mean,
 )
 from predscore.oracle import _board_key, sampled_outcome_triples  # noqa: E402
@@ -271,12 +272,12 @@ def test_refused_values_record_reports_its_start_line(data):
 
 
 @functools.cache
-def _simulated_files() -> dict[str, bytes]:
+def _simulated_files(participants: int = 6) -> dict[str, bytes]:
     """The three files of a small simulated bundle, made through the CLI."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp) / "b"
-        argv = ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "6",
-                "--treatments", "A,B", "--seed", "1", "--out-dir", str(out)]
+        argv = ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants",
+                str(participants), "--treatments", "A,B", "--seed", "1", "--out-dir", str(out)]
         assert main(argv) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -294,6 +295,18 @@ JSON_VALUES = (0, 3, -1, 1.5, "", "x", [], ["A"], {}, {"id": "A1"}, None, True)
 FIELD_TEXTS = st.text(st.sampled_from(list('aP1.-,"\n\r é')), max_size=6) | st.sampled_from(
     ["nan", "inf", "1e400", "-0", "0", "1", "2", "P1", "P9", "A1", "Z9", "B"]
 )
+
+
+def _with_p1_values(files: dict[str, bytes], chosen: str, others: str | None = None):
+    """The files with decision P1's chosen value, and its other values if
+    others is given, replaced: ("values.csv", files)."""
+    lines = files["values.csv"].decode().split("\n")
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if fields[0] == "P1":
+            fields[2] = chosen if fields[3] == "1" else others or fields[2]
+            lines[i] = ",".join(fields)
+    return "values.csv", {**files, "values.csv": "\n".join(lines).encode()}
 
 
 def _with_invalid_utf8(files: dict[str, bytes], name: str, at: int) -> dict[str, bytes]:
@@ -348,10 +361,13 @@ COMMANDS = (
 @PROPERTY
 @given(corrupted_bundles())
 @example(("manifest.json", _with_invalid_utf8(_simulated_files(), "manifest.json", 40)))
+@example(_with_p1_values(_simulated_files(12), "1e308"))  # sums of losses overflow
+@example(_with_p1_values(_simulated_files(12), "1e308", "-1e308"))  # and each loss
 def test_cli_answers_a_corrupted_bundle_with_at_most_one_error_line(corruption):
     """Every command exits 0 or 1 with at most one "error:" line and no
     traceback; a bundle that read_bundle refuses is refused by every command
-    with the same message, and a refused CSV change names its row."""
+    with the same message, and a refused CSV change names its row.  Every
+    loss of a bundle that read_bundle accepts is finite."""
     changed, files = corruption
     with tempfile.TemporaryDirectory() as tmp:
         bundle = Path(tmp) / "b"
@@ -359,10 +375,13 @@ def test_cli_answers_a_corrupted_bundle_with_at_most_one_error_line(corruption):
         for name, data in files.items():
             (bundle / name).write_bytes(data)
         try:
-            read_bundle(bundle)
+            accepted = read_bundle(bundle)
             refusal = None
         except PredscoreError as exc:
             refusal = exc
+        else:
+            scores = score_table(accepted.values_by_decision())
+            assert all(math.isfinite(lv) for table in scores.values() for lv, _, _ in table.values())
         if refusal is not None and changed.endswith(".csv"):
             assert getattr(refusal, "row", None) is not None, refusal
         for command in COMMANDS:

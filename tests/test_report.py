@@ -7,6 +7,8 @@ import pytest
 from predscore.actions import SquareId
 from predscore.board import BoardConfig
 from predscore.dataset import (
+    CUSTOM,
+    ActionManifest,
     ExperimentBundle,
     ParticipantModel,
     _csv_text,
@@ -18,6 +20,7 @@ from predscore.oracle import AgentSpec
 from predscore.values import DecisionValues
 from predscore.report import (
     SAMPLES_HEADER,
+    SPACES,
     build_metrics_table,
     five_number_summary,
     grade_distribution,
@@ -118,30 +121,28 @@ class TestGradeDistribution:
 
 class TestLossSums:
     def test_group_sizes(self, bundle):
-        (groups,) = participant_loss_sums(bundle.predictions, score(bundle), "value")
+        groups = participant_loss_sums(bundle, score(bundle))["value"]
         assert [g.label for g in groups] == ["BTW", "NONE", "OTB", "STT"]
         assert all(len(g.values) == 6 for g in groups)
 
     def test_rank_space_sums_are_integers(self, bundle):
-        (groups,) = participant_loss_sums(bundle.predictions, score(bundle), "rank")
-        for g in groups:
+        for g in participant_loss_sums(bundle, score(bundle))["rank"]:
             assert all(v == int(v) for v in g.values)
 
-    def test_one_walk_gives_each_space_as_asked(self, bundle):
-        scores = score(bundle)
-        (by_value,) = participant_loss_sums(bundle.predictions, scores, "value")
-        (by_rank,) = participant_loss_sums(bundle.predictions, scores, "rank")
+    def test_one_walk_gives_both_spaces(self, bundle):
+        by_space = participant_loss_sums(bundle, score(bundle))
+        assert tuple(by_space) == SPACES == ("value", "rank")
+        by_value, by_rank = by_space.values()
+        assert [g.label for g in by_value] == [g.label for g in by_rank]
+        assert [len(g.values) for g in by_value] == [len(g.values) for g in by_rank]
         assert by_value != by_rank
-        assert participant_loss_sums(bundle.predictions, scores, "value", "rank") == (
-            by_value, by_rank
-        )
-        assert participant_loss_sums(bundle.predictions, scores, "rank", "value") == (
-            by_rank, by_value
-        )
 
-    def test_bad_space_rejected(self, bundle):
-        with pytest.raises(ValidationError):
-            participant_loss_sums(bundle.predictions, score(bundle), "time")
+    def test_a_listed_treatment_that_no_record_names_is_an_empty_group(self, bundle):
+        listed = bundle._replace(treatments=(*bundle.treatments, "ALL"))
+        for space, groups in participant_loss_sums(listed, score(bundle)).items():
+            assert [g.label for g in groups] == ["ALL", "BTW", "NONE", "OTB", "STT"]
+            assert groups[0].values == ()
+            assert groups[1:] == participant_loss_sums(bundle, score(bundle))[space]
 
     @staticmethod
     def per_sample_loss_sums(samples, space):
@@ -166,8 +167,8 @@ class TestLossSums:
         records = list(bundle.predictions)
         rng = random.Random(5)
         for _ in range(5):
-            (groups,) = participant_loss_sums(records, score(bundle), space)
-            assert [(g.label, g.values) for g in groups] == expected
+            groups = participant_loss_sums(bundle._replace(predictions=records), score(bundle))
+            assert [(g.label, g.values) for g in groups[space]] == expected
             records = rng.sample(records, len(records))
 
 
@@ -195,11 +196,21 @@ class TestRecordOrder:
     ]
 
     @classmethod
-    def scores(cls):
+    def tables(cls):
         tables = dict(cls.VALUES)
         for d in ("P3", "P11", "P20"):
             tables[d] = tables["P1"]._replace(decision_id=d)
-        return score_table(tables)
+        return tables
+
+    @classmethod
+    def scores(cls):
+        return score_table(cls.tables())
+
+    @classmethod
+    def bundle(cls, records):
+        actions = tuple((a, a) for a in "abcd")
+        return ExperimentBundle(ActionManifest("order", CUSTOM, actions),
+                                tuple(cls.tables().values()), tuple(records), ("A", "B"))
 
     @staticmethod
     def reference_sums(records, scores, field):
@@ -232,7 +243,7 @@ class TestRecordOrder:
         records = list(self.RECORDS)
         for _ in range(20):
             records = rng.sample(records, len(records))
-            by_value, by_rank = participant_loss_sums(records, scores, "value", "rank")
+            by_value, by_rank = participant_loss_sums(self.bundle(records), scores).values()
             assert [(g.label, g.values) for g in by_value] == expected[0]
             assert [(g.label, g.values) for g in by_rank] == expected[1]
             assert "".join(render_samples_csv(records, scores)) == expected_csv
@@ -330,7 +341,6 @@ class TestSvg:
         assert "#d62728" in a  # chosen-square outline
 
     def test_boxplot_svg_renders(self, bundle):
-        (groups,) = participant_loss_sums(bundle.predictions, score(bundle), "value")
-        svg = render_boxplot_svg(groups)
+        svg = render_boxplot_svg(participant_loss_sums(bundle, score(bundle))["value"])
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 4

@@ -311,6 +311,27 @@ class TestGatesThatCannotBeComputed:
             run_pipeline([[1.0] * 4, [1.0] * 5])
 
 
+class TestSumsThatOverflow:
+    """A sum that overflows is refused where it is taken, never returned as
+    inf or nan."""
+
+    @pytest.mark.parametrize("build, test", [
+        (lambda: shapiro_wilk([1e308, 1.5e308, 0.0, 1.7e308]), SHAPIRO_WILK),
+        (lambda: shapiro_wilk([1e200, 0.0, 1.0]), SHAPIRO_WILK),  # a square overflows
+        (lambda: anova_oneway([[1e308, 1.5e308], [0.0, 1.0]]), ANOVA),
+        (lambda: anova_oneway([[1e155, 1e155], [1e155, 1e155 * (1 + 2**-52)]]), ANOVA),
+        (lambda: levene_median([[0.0, 1.7e308, 1.7e308], [0.0, 1e-3, 2e-3]]), "levene_median"),
+    ], ids=["shapiro_sum", "shapiro_square", "anova_sum", "anova_squares", "levene"])
+    def test_refused(self, build, test):
+        with pytest.raises(ValidationError, match=f"^{test}: a sum overflows"):
+            build()
+
+    def test_pipeline_refuses_instead_of_raising_overflow_error(self):
+        groups = [[1e308, 1.5e308, 0.0, 1.7e308], [0.0, 1.0, 2.0, 4.0]]
+        with pytest.raises(ValidationError, match="a sum overflows"):
+            run_pipeline(groups)
+
+
 def _mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40

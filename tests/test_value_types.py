@@ -229,6 +229,8 @@ INVALID = [
      "decision 'd1' has an empty value table"),
     (partial(DecisionValues, "d1", {"a": math.inf}, "a"), ValidationError,
      "decision 'd1': value for 'a' is not finite"),
+    (partial(DecisionValues, "d1", {"a": 1e308, "b": -1e308}, "a"), ValidationError,
+     "decision 'd1': value spread from -1e+308 to 1e+308 is not finite"),
     (partial(DecisionValues, "d1", {"a": 1.0}, "b"), UnknownActionError,
      "decision 'd1': chosen action 'b' not in value table"),
     (partial(DecisionValues, "d1", {"a": 1.0}, "a", {"c": OutcomeTriple(1.0, 0.0, 0.0)}),
