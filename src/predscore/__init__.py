@@ -47,6 +47,7 @@ from .metrics import (
     GradeScale,
     MetricSample,
     PredictionRecord,
+    Predictions,
     ar_score,
     av_score,
     discretized_loss_in_rank,

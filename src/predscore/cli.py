@@ -194,7 +194,7 @@ def cmd_stats(args) -> int:
         return _usage_error(f"--alpha must be in (0, 1), got {args.alpha}")
     bundle = read_bundle(args.bundle)
     scores = score_table(bundle.values_by_decision())
-    groups = participant_loss_sums(bundle, scores)[args.space]
+    groups = participant_loss_sums(bundle, scores, (args.space,))[args.space]
     result = run_pipeline(groups, alpha=args.alpha)
     labels = [g.label for g in groups] + [None]  # per-group gates, then levene
     gates_doc = []
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_negative_values(argv))
     gc_was_enabled = gc.isenabled()
-    # Commands build hundreds of thousands of acyclic records: full collections would free nothing.
+    # Commands build hundreds of thousands of acyclic objects: full collections would free nothing.
     gc.disable()
     try:
         return args.func(args)

@@ -53,11 +53,16 @@ it starts, and ``_record_line`` is the only code that finds it: it reads the
 text a second time, and only once a record is refused, so no parse loop
 counts lines.
 
-predictions.csv is the one large file, so its parser keeps nothing beside
-the records but one dict interning every field string: the records of a
-participant share one id string, and likewise for treatments, decisions and
-actions.  ExperimentBundle finds a repeated (participant, decision) with one
-small integer per participant, a bit per valued decision.
+predictions.csv is the one large file.  Its parser fills the four columns
+of a :class:`predscore.metrics.Predictions` in chunks of ``_CHUNK`` rows
+and keeps nothing beside them but one dict interning every field string:
+the predictions of a participant share one id string, and likewise for
+treatments, decisions and actions.  generate_synthetic_experiment builds
+the same columns without a parse.  ExperimentBundle walks the columns, and
+finds a repeated (participant, decision) with one small integer per
+participant, a bit per valued decision.  No code in this module builds a
+PredictionRecord: write_bundle, vote_counts and samples.csv read the
+columns too.
 """
 
 from __future__ import annotations
@@ -73,14 +78,14 @@ from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import contextmanager
 from functools import partial
-from itertools import accumulate, chain, cycle, repeat
-from operator import getitem, itemgetter
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import getitem
 from pathlib import Path
 
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
-from .metrics import PredictionRecord, VoteCounts
+from .metrics import Predictions, VoteCounts
 from .oracle import AgentSpec, _fan_out, value_oracle
 from .values import DecisionValues, OutcomeTriple, ranked
 
@@ -101,6 +106,13 @@ TRIPLE_CSV_TOLERANCE = 1e-6
 # and unpickle a block of four decisions' picks: under 1% of the block.  The
 # two processes then finish within one block of each other.
 _PARTICIPANT_BLOCK = 2048
+
+# parse_predictions_csv moves rows into its columns this many at a time.  A
+# chunk of 1,024 rows holds ~0.3 MB of row lists; the columns grow by the
+# list's over-allocation, so parsing 80k rows peaks at ~1.2 times what it
+# keeps, where chunks of 4,096 rows and a final copy of the columns peak
+# at ~1.9 times.
+_CHUNK = 1024
 
 
 class ActionManifest(Validated, namedtuple("ActionManifest", "experiment_id domain actions board")):
@@ -173,6 +185,9 @@ class ExperimentBundle(
     pending_decisions are the decisions that exist in the design but whose
     value tables are not yet supplied, as (decision id, action ids) pairs.
 
+    predictions is a :class:`predscore.metrics.Predictions`; any other
+    iterable of four-field records is stored as one.
+
     A ValidationError refusing a record carries ``column``, the CSV column at
     fault, and either ``index``, a prediction's position in ``predictions``,
     or ``key``, the (decision, action) of a values row."""
@@ -183,10 +198,11 @@ class ExperimentBundle(
         cls,
         manifest: ActionManifest,
         decisions: tuple[DecisionValues, ...],
-        predictions: tuple[PredictionRecord, ...],
+        predictions,
         treatments: tuple[str, ...],
         pending_decisions: tuple[tuple[str, tuple[str, ...]], ...] = (),
     ):
+        predictions = Predictions.of(predictions)
         known_actions = set(manifest.action_ids)
         all_ids = [dv.decision_id for dv in decisions] + [did for did, _ in pending_decisions]
         if len(set(all_ids)) != len(all_ids):
@@ -211,7 +227,9 @@ class ExperimentBundle(
         bits = {decision_id: 1 << i for i, decision_id in enumerate(valued)}
         treatment_set = set(treatments)
         predicted_by: dict[str, int] = {}  # participant id -> one bit per decision it predicts
-        for index, (participant_id, treatment, decision_id, predicted) in enumerate(predictions):
+        for index, (participant_id, treatment, decision_id, predicted) in enumerate(
+            zip(*predictions.columns)
+        ):
             if not participant_id or not treatment:
                 column = "treatment" if participant_id else "participant_id"
                 message = f"{column} must be non-empty"
@@ -258,7 +276,8 @@ class ExperimentBundle(
         predictions.  Every listed treatment and valued decision has a cell,
         empty where nobody in that treatment predicted that decision."""
         counts = {(t, dv.decision_id): {} for t in self.treatments for dv in self.decisions}
-        for (t, d, action), votes in Counter(map(itemgetter(1, 2, 3), self.predictions)).items():
+        _, treatments, decision_ids, predicted = self.predictions.columns
+        for (t, d, action), votes in Counter(zip(treatments, decision_ids, predicted)).items():
             counts[(t, d)][action] = votes
         return counts
 
@@ -404,22 +423,30 @@ def parse_values_csv(data) -> list[DecisionValues]:
     return decisions
 
 
-def parse_predictions_csv(data) -> list[PredictionRecord]:
-    """Decode predictions.csv into records, checking only the header and four
-    fields per record; ExperimentBundle checks what the fields say.  Equal
-    strings are interned through one dict, so every record of a participant
-    holds the same id string, and likewise for the other fields.
+def parse_predictions_csv(data) -> Predictions:
+    """Decode predictions.csv into Predictions, checking only the header and
+    four fields per record; ExperimentBundle checks what the fields say.
+    Each field string is interned through one dict, so every prediction of
+    a participant holds the same id string, and likewise for the other
+    columns.  Records reach the columns a chunk of ``_CHUNK`` at a time.
     """
     interned: dict[str, str] = {}
     intern = interned.setdefault
-    records = []
+    columns = ([], [], [], [])
+    chunk = []
     with _records(data, "predictions.csv", (PREDICTIONS_HEADER,)) as (_, rows):
-        for row in rows:
-            if len(row) != 4:
-                raise _refusal(data, len(records), f"expected 4 fields, got {len(row)}")
-            p, t, d, a = row
-            records.append(PredictionRecord(intern(p, p), intern(t, t), intern(d, d), intern(a, a)))
-    return records
+        while True:
+            # a row without four fields is refused before the rows after it are read
+            for row in islice(rows, _CHUNK):
+                if len(row) != 4:
+                    raise _refusal(data, len(columns[0]) + len(chunk),
+                                   f"expected 4 fields, got {len(row)}")
+                chunk.append(row)
+            if not chunk:
+                return Predictions(columns)
+            for column, fields in zip(columns, zip(*chunk)):
+                column.extend(map(intern, fields, fields))
+            chunk.clear()
 
 
 def _fmt(value: float) -> str:
@@ -456,18 +483,20 @@ class _Lines(list):
     write = list.append
 
 
-def _csv_lines(header: list[str], rows: list, tails: dict):
-    """The text of ``_csv_text(header, [(*row, *tails[row[2]][row[3]]) for
-    row in rows])``, a line at a time, for a list of rows of four strings
-    whose last two key a table of further fields: records keyed into a score
-    table.
+def _csv_lines(header: list[str], columns, order, tails: dict):
+    """The text of ``_csv_text(header, rows)``, a line at a time, where row
+    i is ``(a[i], b[i], c[i], d[i], *tails[c[i]][d[i]])`` for the four
+    string columns ``a, b, c, d`` and each position i of ``order``: the
+    columns of Predictions keyed into a score table.
 
-    No csv writer call is made per row.  One writer pass renders the header,
-    each distinct first and second field, and each tail from its two keys on.
-    If that text holds a "\r", the rows go to _csv_text itself, so whether
+    No csv writer call and no row tuple is made per row.  One writer pass
+    renders the header, each distinct string of the first two columns, and
+    each tail from its two keys on; each line is then three lookups.  If
+    that text holds a "\r", the rows go to _csv_text itself, so whether
     every field is quoted follows from the fields that its text holds.
     """
-    leading = list({*map(itemgetter(0), rows), *map(itemgetter(1), rows)})
+    first, second, third, fourth = columns
+    leading = list(set(first).union(second))
     lines = _Lines()
     _csv_writer(lines, False).writerows(chain(
         (header,),
@@ -476,12 +505,14 @@ def _csv_lines(header: list[str], rows: list, tails: dict):
         ((k, j, *fields) for k, table in tails.items() for j, fields in table.items()),
     ))
     if "\r" in "".join(lines):
-        return (_csv_text(header, [(*row, *tails[row[2]][row[3]]) for row in rows]),)
+        return (_csv_text(header, [(first[i], second[i], third[i], fourth[i],
+                                    *tails[third[i]][fourth[i]]) for i in order]),)
     it = iter(lines)
     head = next(it)
     cells = {field: next(it).rpartition(",")[0] for field in leading}
     rendered = {k: {j: next(it) for j in table} for k, table in tails.items()}
-    return chain((head,), (f"{cells[a]},{cells[b]},{rendered[k][j]}" for a, b, k, j in rows))
+    return chain((head,), (f"{cells[first[i]]},{cells[second[i]]},{rendered[third[i]][fourth[i]]}"
+                           for i in order))
 
 
 def serialize_values_csv(decisions) -> str:
@@ -505,8 +536,22 @@ def serialize_values_csv(decisions) -> str:
     return _csv_text(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []), rows)
 
 
+class _Rows:
+    """The rows of equal-length columns, zip(*columns), each time they are
+    iterated: what _csv_text writes, and writes again if it must quote."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
 def serialize_predictions_csv(predictions) -> str:
-    return _csv_text(PREDICTIONS_HEADER, tuple(predictions))
+    """predictions.csv for a Predictions or an iterable of records."""
+    return _csv_text(PREDICTIONS_HEADER, _Rows(Predictions.of(predictions).columns))
 
 
 def manifest_to_dict(bundle: ExperimentBundle) -> dict:
@@ -610,7 +655,7 @@ def read_bundle(path) -> ExperimentBundle:
     values = (path / "values.csv").read_bytes()
     decisions = parse_values_csv(values)
     data = (path / "predictions.csv").read_bytes()
-    predictions = tuple(parse_predictions_csv(data))
+    predictions = parse_predictions_csv(data)
     try:
         return ExperimentBundle(manifest, tuple(decisions), predictions, treatments, pending)
     except ValidationError as exc:
@@ -766,25 +811,25 @@ def generate_synthetic_experiment(
             picks += [draw(participant_rng) for draw in draws]
         return picks
 
-    # One record per (participant, decision), participant by participant:
+    # One prediction per (participant, decision), participant by participant:
     # the blocks' picks in order, each mapped back through its decision's
-    # ranks.  PredictionRecord is a plain named tuple, so tuple.__new__
-    # builds each one from its fields without a Python-level call.
+    # ranks.  The columns are built whole, and share the strings they repeat.
     ranks = chain.from_iterable(_fan_out(block_picks, range(0, participants, _PARTICIPANT_BLOCK)))
+    per_participant = len(decisions)
     participant_ids = (f"p{i + 1:03d}" for i in range(participants))
-    fields = zip(
-        chain.from_iterable(map(repeat, participant_ids, repeat(len(decisions)))),
-        chain.from_iterable(map(repeat, cycle(treatments), repeat(len(decisions)))),
-        cycle([dv.decision_id for dv in decisions]),
-        map(getitem, cycle([dv.actions for dv in decisions]), ranks),
+    columns = (
+        list(chain.from_iterable(map(repeat, participant_ids, repeat(per_participant)))),
+        list(chain.from_iterable(map(repeat, islice(cycle(treatments), participants),
+                                     repeat(per_participant)))),
+        [dv.decision_id for dv in decisions] * participants,
+        list(map(getitem, cycle([dv.actions for dv in decisions]), ranks)),
     )
-    predictions = map(tuple.__new__, repeat(PredictionRecord), fields)
     return ExperimentBundle(
         manifest=make_mnk_manifest(
             config, experiment_id or f"synthetic-{config.m}x{config.n}k{config.k}-seed{seed}"
         ),
         decisions=tuple(decisions),
-        predictions=tuple(predictions),
+        predictions=Predictions(columns),
         treatments=treatments,
     )
 

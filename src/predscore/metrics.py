@@ -13,20 +13,25 @@ group's vote count for one decision: action -> number of predictions.
 
 A score depends only on the (decision, action) pair, so :func:`score_table`
 scores each pair once and every per-prediction score is a lookup in it.
-Predictions and their scores are immutable named tuples
-(:class:`PredictionRecord`, :class:`MetricSample`): a bundle holds hundreds
-of thousands of records, and a tuple is one small object built in one call.
-Like any tuple they compare equal to a plain tuple of the same fields.
-:func:`score_dataset` is the per-record view for library callers; the CLI
-reads the score table and the vote counts directly.
+A bundle's predictions are :class:`Predictions`: four equal-length columns
+of interned strings (participant, treatment, decision, predicted action),
+one list each, so a prediction costs four list slots and no object of its
+own.  Every per-prediction walk in the package reads the columns, in the
+order of :func:`_by_participant_and_decision`.  Read as a sequence,
+Predictions yields one :class:`PredictionRecord` at a time: that view, and
+:func:`score_dataset`'s :class:`MetricSample` list, are for library
+callers, and no CLI command builds either.  Records and samples are
+immutable named tuples, so like any tuple they compare equal to a plain
+tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
+from collections.abc import Sequence
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .errors import UnknownActionError, Validated, ValidationError
 from .values import DecisionValues
@@ -91,6 +96,67 @@ class MetricSample(
     are the loss in value and in rank, grade the predicted rank's letter."""
 
     __slots__ = ()
+
+
+class Predictions(Sequence):
+    """A read-only sequence of :class:`PredictionRecord`, stored as four
+    equal-length lists: ``columns`` is (participant ids, treatments,
+    decision ids, predicted actions), and item i of each list is a field of
+    prediction i.  Its length reads the columns; only indexing and
+    iteration build records, one at a time.  Two Predictions are equal when
+    their columns are; one equals a tuple or list of records when it holds
+    the same records in the same order.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns=((), (), (), ())):
+        columns = tuple(c if type(c) is list else list(c) for c in columns)
+        if len(columns) != 4 or len(set(map(len, columns))) > 1:
+            raise ValidationError("predictions need four columns of one length")
+        self._columns = columns
+
+    @classmethod
+    def of(cls, predictions) -> Predictions:
+        """predictions itself if it is a Predictions, else the columns of
+        an iterable of four-field records."""
+        if isinstance(predictions, cls):
+            return predictions
+        records = tuple(predictions)
+        if any(len(record) != 4 for record in records):
+            raise ValidationError("a prediction has four fields: participant_id, treatment, "
+                                  "decision_id and predicted")
+        return cls(zip(*records)) if records else cls()
+
+    @property
+    def columns(self) -> tuple[list[str], list[str], list[str], list[str]]:
+        return self._columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(column[index] for column in self._columns)
+        return PredictionRecord(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(PredictionRecord._make, zip(*self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, Predictions):
+            return self._columns == other._columns
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # the columns are lists
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._columns!r})"
+
+    def __reduce__(self):  # every pickle protocol, as for a tuple
+        return type(self), (self._columns,)
 
 
 def loss_in_value(values: DecisionValues, predicted: str) -> float:
@@ -164,28 +230,35 @@ def score_table(
     }
 
 
-def _by_participant_and_decision(predictions) -> list[PredictionRecord]:
-    """The records sorted by (participant, decision), keeping input order
-    among equal pairs: two stable sorts, so no key tuple is built.  Every
-    per-record walk, here and in the report module, takes this order."""
-    ordered = sorted(predictions, key=itemgetter(2))
-    ordered.sort(key=itemgetter(0))
-    return ordered
+def _by_participant_and_decision(predictions: Predictions) -> array:
+    """The positions of the predictions sorted by (participant, decision),
+    keeping input order among equal pairs: two stable sorts of one list of
+    positions, so no key tuple is built.  The sorted positions are kept as
+    an array of C ints, 4 bytes each, not as a list of int objects.  Every
+    per-prediction walk, here and in the report module, takes this order."""
+    participant_ids, _, decision_ids, _ = predictions.columns
+    order = sorted(range(len(predictions)), key=decision_ids.__getitem__)
+    order.sort(key=participant_ids.__getitem__)
+    return array("I", order)
 
 
 def score_dataset(
-    predictions: list[PredictionRecord],
+    predictions,
     value_tables: dict[str, DecisionValues],
     scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> list[MetricSample]:
-    """Every prediction with its scores, ordered by (participant, decision):
-    a per-record view over :func:`score_table`."""
+    """Every prediction, a Predictions or an iterable of records, with its
+    scores, ordered by (participant, decision): a per-record view over
+    :func:`score_table`."""
+    predictions = Predictions.of(predictions)
     scores = score_table(value_tables, scale)
+    participant_ids, treatments, decision_ids, predicted = predictions.columns
     samples = []
-    for pid, treatment, d, action in _by_participant_and_decision(predictions):
+    for i in _by_participant_and_decision(predictions):
+        pid, d, action = participant_ids[i], decision_ids[i], predicted[i]
         if d not in scores:
             raise ValidationError(f"no value table for decision {d!r} (prediction by {pid!r})")
         if action not in scores[d]:
             raise UnknownActionError(f"decision {d!r}: unknown action {action!r}")
-        samples.append(MetricSample(pid, d, treatment, action, *scores[d][action]))
+        samples.append(MetricSample(pid, d, treatments[i], action, *scores[d][action]))
     return samples

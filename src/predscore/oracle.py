@@ -46,6 +46,7 @@ import contextlib
 import math
 import os
 import random
+import sys
 from collections import namedtuple
 from functools import lru_cache
 
@@ -69,6 +70,9 @@ SAMPLED = "sampled"
 EXHAUSTIVE_LIMIT = 12
 
 
+_MAX_MAGNITUDE = sys.float_info.max / 2
+
+
 class Mutation(Validated, namedtuple("Mutation", "seed magnitude")):
     """Seeded value-noise perturbation applied to flattened values."""
 
@@ -79,6 +83,9 @@ class Mutation(Validated, namedtuple("Mutation", "seed magnitude")):
             raise ValidationError(f"mutation magnitude must be finite, got {magnitude}")
         if magnitude < 0:
             raise ValidationError(f"mutation magnitude must be >= 0, got {magnitude}")
+        if magnitude > _MAX_MAGNITUDE:  # uniform(-M, M) takes 2 * M, which must stay finite
+            raise ValidationError(
+                f"mutation magnitude must be <= {_MAX_MAGNITUDE!r}, got {magnitude}")
         return super().__new__(cls, seed, magnitude)
 
 

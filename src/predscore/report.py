@@ -1,13 +1,14 @@
 """Report tables and figures built from a bundle.
 
-Every table reads two small structures instead of the records: the
+Every table reads two small structures instead of the predictions: the
 bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts; only the
-per-participant loss sums and the rows of samples.csv walk the records, by
-participant and then decision (metrics._by_participant_and_decision), looking
-each score up.  Everything renders to CSV, markdown or SVG deterministically
+per-participant loss sums and the rows of samples.csv walk the predictions'
+columns, by participant and then decision
+(metrics._by_participant_and_decision), looking each score up.  No record is
+built for either.  Everything renders to CSV, markdown or SVG deterministically
 so outputs are golden-file friendly.  CSV is quoted as the bundle files are,
 by :func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
 breaks in ids, and SVG the markup characters in labels.
@@ -23,7 +24,7 @@ from itertools import chain
 from .actions import SquareId, column_label
 from .dataset import MNK, ExperimentBundle, _csv_lines, _csv_text
 from .errors import ValidationError
-from .metrics import (DEFAULT_GRADE_SCALE, GradeScale, ScoreTable, VoteCounts,
+from .metrics import (DEFAULT_GRADE_SCALE, GradeScale, Predictions, ScoreTable, VoteCounts,
                       _by_participant_and_decision, weighted_mean)
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
@@ -126,34 +127,47 @@ def render_grade_distribution_csv(distribution, scale: GradeScale = DEFAULT_GRAD
 
 
 def participant_loss_sums(
-    bundle: ExperimentBundle, scores: ScoreTable
+    bundle: ExperimentBundle, scores: ScoreTable, spaces=SPACES
 ) -> dict[str, list[SampleGroup]]:
-    """Per space, one group per listed treatment, in sorted order, of each
-    participant's summed loss across decisions: value space sums LV, rank
-    space sums LR.  A listed treatment that no record names gets an empty
-    group.
+    """For each of spaces, one group per listed treatment, in sorted order,
+    of each participant's summed loss across decisions: value space sums
+    LV, rank space sums LR.  A listed treatment that no prediction names
+    gets an empty group.
 
-    One walk over the records, by participant and then decision, fills an
-    LV and an LR total per (treatment, participant), so each treatment lists
-    its participants in sorted order.  Each total starts from 0.0 and adds
-    its losses in decision order, whatever the record order, so equal
-    bundles give equal float sums.
+    Each space is one walk over the predictions' columns, by participant
+    and then decision, so each treatment lists its participants in sorted
+    order.  Each total starts from 0.0 and adds its losses in decision
+    order, whatever the order of the predictions, so equal bundles give
+    equal float sums.  A total that overflows is refused with the
+    participant, the treatment and the space; only the spaces asked for are
+    summed, so it refuses only those.
     """
-    # treatment -> (LV, LR) totals
-    sums = {t: ({}, {}) for t in sorted(bundle.treatments)}
-    for pid, treatment, decision_id, predicted in _by_participant_and_decision(bundle.predictions):
-        lvs, lrs = sums[treatment]
-        lv, lr, _ = scores[decision_id][predicted]
-        lvs[pid] = lvs.get(pid, 0.0) + lv
-        lrs[pid] = lrs.get(pid, 0.0) + lr
-    return {space: [SampleGroup(label=t, values=tuple(totals[field].values()))
-                    for t, totals in sums.items()]
-            for field, space in enumerate(SPACES)}
+    participant_ids, treatments, decision_ids, predicted = bundle.predictions.columns
+    order = _by_participant_and_decision(bundle.predictions)
+    groups = {}
+    for space in spaces:
+        field = SPACES.index(space)
+        losses = {d: {a: row[field] for a, row in table.items()} for d, table in scores.items()}
+        sums = {t: {} for t in sorted(bundle.treatments)}
+        for i in order:
+            totals, pid = sums[treatments[i]], participant_ids[i]
+            totals[pid] = totals.get(pid, 0.0) + losses[decision_ids[i]][predicted[i]]
+        for t, totals in sums.items():
+            for pid, total in totals.items():
+                if not math.isfinite(total):
+                    raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
+                                          f"in treatment {t!r} overflows")
+        groups[space] = [SampleGroup(label=t, values=tuple(totals.values()))
+                         for t, totals in sums.items()]
+    return groups
 
 
 def render_samples_csv(predictions, scores: ScoreTable):
-    """The lines of samples.csv: each prediction with its (LV, LR, grade)."""
-    return _csv_lines(SAMPLES_HEADER, _by_participant_and_decision(predictions), scores)
+    """The lines of samples.csv: each prediction, of a Predictions or an
+    iterable of records, with its (LV, LR, grade)."""
+    predictions = Predictions.of(predictions)
+    return _csv_lines(SAMPLES_HEADER, predictions.columns,
+                      _by_participant_and_decision(predictions), scores)
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:

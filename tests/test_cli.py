@@ -14,8 +14,9 @@ from predscore import cli
 from predscore.cli import main
 from predscore.dataset import _csv_text, _write_files, read_bundle, write_bundle
 from predscore.errors import ValidationError
-from predscore.metrics import PredictionRecord, score_dataset, score_table
+from predscore.metrics import MetricSample, PredictionRecord, score_dataset, score_table
 from predscore.report import build_metrics_table, render_metrics_csv
+from test_golden_outputs import make_bundles
 
 SIM_FLAGS = [
     "simulate",
@@ -50,9 +51,10 @@ def listed_unpredicted_treatment(tmp_path):
     return bundle_dir
 
 
-def overflowing_bundle(tmp_path, others=None):
-    """A 12-participant 3x3 bundle whose decision P1 values its chosen
-    action at 1e308, and every other action at ``others`` if given."""
+def overflowing_bundle(tmp_path, others=None, decisions=("P1",)):
+    """A 12-participant 3x3 bundle whose decisions (P1 unless given) value
+    their chosen action at 1e308, and every other action at ``others`` if
+    given."""
     bundle_dir = tmp_path / "overflow"
     assert main(
         ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
@@ -61,7 +63,7 @@ def overflowing_bundle(tmp_path, others=None):
     values = bundle_dir / "values.csv"
     rows = list(csv.reader(values.read_text(encoding="utf-8").splitlines()))
     for row in rows:
-        if row[0] == "P1":
+        if row[0] in decisions:
             row[2] = "1e308" if row[3] == "1" else others or row[2]
     values.write_text(_csv_text(rows[0], rows[1:]), encoding="utf-8")
     return bundle_dir
@@ -201,6 +203,19 @@ class TestFlagValidation:
         assert main(argv + ["--out-dir", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "x").exists()
+
+    def test_a_mutation_whose_noise_span_overflows_exits_2(self, tmp_path, capsys):
+        """uniform(-M, M) computes 2 * M, so M above half the largest float
+        is a bad flag, refused before the out-dir is made; M at that bound
+        is played."""
+        out = tmp_path / "x"
+        assert main(SIM_FLAGS + ["--mutation", "9e307", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: mutation magnitude must be <= 8.988465674311579e+307, got 9e+307\n")
+        assert not out.exists()
+        assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "2",
+                     "--treatments", "A", "--seed", "1", "--mutation", repr(sys.float_info.max / 2),
+                     "--out-dir", str(out)]) == 0
 
     def test_a_negative_seed_reads_as_a_value(self, tmp_path):
         a = simulate(tmp_path, "a", extra=["--seed", "-1"])  # the last --seed is read
@@ -743,6 +758,29 @@ class TestOverflowingLosses:
         assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
         assert not (tmp_path / "r").exists()
 
+    def test_a_loss_sum_that_overflows_is_refused_only_in_its_own_space(self, tmp_path, capsys):
+        """Two losses near 1e308 in one participant's row sum to inf in value
+        space: stats --space value names the participant, the treatment and
+        the space, and stats --space rank, whose losses are unchanged, writes
+        what it writes for the bundle before the values were raised."""
+        plain = tmp_path / "plain"
+        assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
+                     "--treatments", "A,B", "--seed", "1", "--out-dir", str(plain)]) == 0
+        bundle_dir = overflowing_bundle(tmp_path, decisions=("P1", "P2"))
+        capsys.readouterr()
+        base = ["--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]
+        assert main(["stats", "--space", "value", *base]) == 1
+        assert capsys.readouterr().err == (
+            "error: the value-space loss sum of participant 'p003' in treatment 'A' overflows\n")
+        assert not (tmp_path / "r").exists()
+        assert main(["stats", "--space", "rank", *base]) == 0
+        assert main(["stats", "--space", "rank", "--bundle", str(plain),
+                     "--out-dir", str(tmp_path / "plain_r")]) == 0
+        out = capsys.readouterr().out
+        assert "selected test: anova" in out
+        assert ((tmp_path / "r" / "stats_rank.json").read_bytes()
+                == (tmp_path / "plain_r" / "stats_rank.json").read_bytes())
+
     @pytest.mark.parametrize("command", [["grade"], ["metrics"], ["stats", "--space", "rank"]])
     def test_a_value_spread_that_is_not_finite_exits_1(self, tmp_path, capsys, command):
         bundle_dir = overflowing_bundle(tmp_path, others="-1e308")
@@ -868,6 +906,37 @@ class TestReportWrites:
         assert code == 1
         assert capsys.readouterr().err == "error: no table\n"
         assert not (tmp_path / "r").exists()
+
+
+class TestNoRecordIsBuilt:
+    """Every command reads the predictions' columns: with PredictionRecord
+    and MetricSample made to raise, each command exits 0, on a simulated
+    bundle and on the golden shuffled bundle, whose rows are out of order
+    and one of whose participants is in two treatments."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_records(self, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError(f"a {cls.__name__} was built")
+
+        for record_type in (PredictionRecord, MetricSample):
+            monkeypatch.setattr(record_type, "__new__", refuse)
+            monkeypatch.setattr(record_type, "_make", classmethod(refuse))
+        with pytest.raises(AssertionError, match="a PredictionRecord was built"):
+            PredictionRecord("p1", "T", "P1", "A1")
+
+    @pytest.mark.parametrize("source", ["simulated", "shuffled"])
+    def test_every_command_reads_the_columns(self, tmp_path, capsys, source):
+        if source == "simulated":
+            bundle_dir = simulate(tmp_path)
+        else:
+            bundle_dir = make_bundles(tmp_path)["shuffled"]
+        base = ["--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r")]
+        for argv in (["metrics", "--format", "csv,markdown,svg"],
+                     ["stats", "--space", "value"], ["stats", "--space", "rank"],
+                     ["votes", "--decision", "P1", "--group-by", "treatment", "--format", "csv,svg"],
+                     ["grade"]):
+            assert main([*argv, *base]) == 0, capsys.readouterr().err
 
 
 class TestGcState:

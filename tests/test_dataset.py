@@ -118,9 +118,9 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("field", range(5))
     @pytest.mark.parametrize("text", ["", "x,y", 'x"y', "x\ny", "x\ry"])
     def test_streamed_lines_equal_the_csv_text(self, field, text):
-        """_csv_lines renders as _csv_text, whichever one field of a row
-        (one of its four, or the grade of its tail) holds a character that
-        is quoted, or empties it."""
+        """_csv_lines renders as _csv_text, in the order given, whichever
+        one field of a row (one of its four, or the grade of its tail) holds
+        a character that is quoted, or empties it."""
         rows = [["P1", "A", "D1", "NE"], ["P2", "B", "D1", "SW"], ["P1", "A", "D2", "NE"]]
         if field < 4:
             rows[1][field] = text
@@ -129,15 +129,18 @@ class TestCsvRoundTrip:
             tails.setdefault(decision, {})[action] = (-1.5, 0.25, "good")
         if field == 4:
             tails["D1"]["SW"] = (-1.5, 0.25, text)
-        expected = _csv_text(SAMPLES_HEADER, [(*row, *tails[row[2]][row[3]]) for row in rows])
-        assert "".join(_csv_lines(SAMPLES_HEADER, rows, tails)) == expected
+        columns = [list(column) for column in zip(*rows)]
+        for order in (range(3), (2, 0, 1)):
+            expected = _csv_text(SAMPLES_HEADER, [(*rows[i], *tails[rows[i][2]][rows[i][3]])
+                                                  for i in order])
+            assert "".join(_csv_lines(SAMPLES_HEADER, columns, order, tails)) == expected
 
     def test_a_tail_no_row_uses_leaves_the_fields_unquoted(self):
         """As in _csv_text, only the fields that the text holds decide
         whether every field is quoted."""
         rows = [["P1", "A", "D1", "NE"]]
         tails = {"D1": {"NE": (-1.5, 0.25, "good"), "SW": (0.0, 0, "x\ry")}}
-        text = "".join(_csv_lines(SAMPLES_HEADER, rows, tails))
+        text = "".join(_csv_lines(SAMPLES_HEADER, [list(c) for c in zip(*rows)], [0], tails))
         assert text == _csv_text(SAMPLES_HEADER, [("P1", "A", "D1", "NE", -1.5, 0.25, "good")])
         assert '"' not in text
 
@@ -574,8 +577,10 @@ class TestParsePredictions:
 
 class TestParseMemory:
     def test_peak_is_the_records(self):
-        """Parsing 80k rows peaks at no more than 1.5 times the memory the
-        records keep: the duplicate check and the line source stay small."""
+        """Parsing 80k rows keeps at most 64 bytes a prediction (four list
+        slots and the interned strings; a record per prediction kept ~100)
+        and peaks at no more than 1.5 times what it keeps: the chunks of
+        rows and the line source stay small."""
         squares = [sq.text for sq in BoardConfig(9, 4, 4).all_squares()]
         treatments = ("NONE", "STT", "OTB", "BTW", "STT+OTB", "OTB+BTW", "STT+BTW", "ALL")
         rows = ["participant_id,treatment,decision_id,predicted_action"]
@@ -591,6 +596,7 @@ class TestParseMemory:
         finally:
             tracemalloc.stop()
         assert len(records) == 80_000
+        assert kept <= 64 * 80_000
         assert peak <= 1.5 * kept
 
 
@@ -940,7 +946,7 @@ class TestBundleValidation:
             ExperimentBundle(
                 manifest=bundle.manifest,
                 decisions=bundle.decisions,
-                predictions=bundle.predictions + (bad,),
+                predictions=(*bundle.predictions, bad),
                 treatments=bundle.treatments,
             )
 
@@ -953,7 +959,7 @@ class TestBundleValidation:
             ExperimentBundle(
                 manifest=bundle.manifest,
                 decisions=bundle.decisions,
-                predictions=bundle.predictions + (bad,),
+                predictions=(*bundle.predictions, bad),
                 treatments=bundle.treatments,
             )
 
@@ -962,7 +968,7 @@ class TestBundleValidation:
         bad = PredictionRecord("p", "unlisted", bundle.decisions[0].decision_id, "act0")
         with pytest.raises(ValidationError) as err:
             ExperimentBundle(
-                bundle.manifest, bundle.decisions, bundle.predictions + (bad,), bundle.treatments
+                bundle.manifest, bundle.decisions, (*bundle.predictions, bad), bundle.treatments
             )
         assert type(err.value) is ValidationError
         assert (err.value.index, err.value.column) == (len(bundle.predictions), "treatment")

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from predscore.metrics import (
     GradeScale,
     MetricSample,
     PredictionRecord,
+    Predictions,
     ar_score,
     av_score,
     discretized_loss_in_rank,
@@ -162,6 +164,36 @@ class TestRecords:
             sample.lv = 0.0
         with pytest.raises(AttributeError):
             rec.extra = 1
+
+
+class TestPredictions:
+    RECORDS = (PredictionRecord("p1", "T", "P1", "A1"), PredictionRecord("p2", "U", "P1", "B1"),
+               PredictionRecord("p1", "T", "P2", "A1"))
+
+    def test_columns_read_as_the_records(self):
+        predictions = Predictions.of(self.RECORDS)
+        assert predictions.columns == (["p1", "p2", "p1"], ["T", "U", "T"], ["P1", "P1", "P2"],
+                                       ["A1", "B1", "A1"])
+        assert len(predictions) == 3 and predictions == self.RECORDS == tuple(predictions)
+        assert predictions == list(self.RECORDS) and predictions != self.RECORDS[:2]
+        assert predictions[-1] == self.RECORDS[-1] and type(predictions[0]) is PredictionRecord
+        assert predictions[1:] == Predictions.of(self.RECORDS[1:])
+        assert Predictions.of(predictions) is predictions
+        assert Predictions.of(()) == Predictions() == ()
+
+    @pytest.mark.parametrize("protocol", [0, 2, 5])
+    def test_pickles_on_every_protocol(self, protocol):
+        predictions = Predictions.of(self.RECORDS)
+        assert pickle.loads(pickle.dumps(predictions, protocol)) == predictions
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Predictions((["p1"], ["T"], ["P1"], [])), "four columns of one length"),
+        (lambda: Predictions((["p1"], ["T"], ["P1"])), "four columns of one length"),
+        (lambda: Predictions.of([("p1", "T", "P1")]), "a prediction has four fields"),
+    ])
+    def test_malformed_columns_are_refused(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
 
 class TestGroupScores:

@@ -137,6 +137,24 @@ class TestLossSums:
         assert [len(g.values) for g in by_value] == [len(g.values) for g in by_rank]
         assert by_value != by_rank
 
+    def test_only_the_spaces_asked_for_are_summed(self, bundle):
+        both = participant_loss_sums(bundle, score(bundle))
+        for space in SPACES:
+            assert participant_loss_sums(bundle, score(bundle), (space,)) == {space: both[space]}
+
+    def test_an_overflowing_total_is_refused_in_its_space_only(self):
+        values = DecisionValues("P1", {"a": 1e308, "b": 0.0}, "a")
+        tables = (values, values._replace(decision_id="P2"))
+        bundle = ExperimentBundle(
+            ActionManifest("big", CUSTOM, (("a", "a"), ("b", "b"))), tables,
+            [PredictionRecord("p1", "T", d, a) for d, a in (("P1", "a"), ("P2", "a"))]
+            + [PredictionRecord("p2", "T", d, "b") for d in ("P1", "P2")], ("T",))
+        scores = score_table(bundle.values_by_decision())
+        assert participant_loss_sums(bundle, scores, ("rank",))["rank"][0].values == (0.0, 2.0)
+        with pytest.raises(ValidationError, match="^the value-space loss sum of participant 'p2' "
+                                                  "in treatment 'T' overflows$"):
+            participant_loss_sums(bundle, scores)
+
     def test_a_listed_treatment_that_no_record_names_is_an_empty_group(self, bundle):
         listed = bundle._replace(treatments=(*bundle.treatments, "ALL"))
         for space, groups in participant_loss_sums(listed, score(bundle)).items():

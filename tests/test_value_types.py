@@ -259,6 +259,8 @@ INVALID = [
     (partial(Mutation, 1, -0.5), ValidationError, "mutation magnitude must be >= 0, got -0.5"),
     (partial(Mutation, 1, math.nan), ValidationError, "mutation magnitude must be finite, got nan"),
     (partial(Mutation, 1, math.inf), ValidationError, "mutation magnitude must be finite, got inf"),
+    (partial(Mutation, 1, 9e307), ValidationError,  # uniform(-M, M) would take 2 * M = inf
+     "mutation magnitude must be <= 8.988465674311579e+307, got 9e+307"),
     (partial(AgentSpec, oracle="minimax"), ValidationError, "unknown oracle kind 'minimax'"),
     (partial(AgentSpec, SAMPLED, seed=1), ValidationError, "sampled oracle requires rollouts >= 1"),
     (partial(AgentSpec, SAMPLED, rollouts=10), ValidationError,
