@@ -46,7 +46,6 @@ from .metrics import (
     DEFAULT_GRADE_SCALE,
     GradeScale,
     MetricSample,
-    PredictionRecord,
     Predictions,
     ar_score,
     av_score,

@@ -23,10 +23,11 @@ itself: header and field counts, and in values.csv numbers, duplicate keys
 and chosen flags.  DecisionValues refuses an empty decision or action id;
 parse_values_csv meets such a record before it can build one, and refuses
 it there only to name its row.  ExperimentBundle checks how the parts
-relate and every rule on a prediction: every decision's actions are in the
-manifest, and every prediction has a participant and a treatment, names a
-valued decision, an action it values and a listed treatment, and is its
-participant's only one for that decision.  It also refuses any string it
+relate and every rule on a prediction: its predictions are a Predictions,
+every decision's actions are in the manifest, and every prediction has a
+participant and a treatment, names a valued decision, an action it values
+and a listed treatment, and is its participant's only one for that
+decision.  It also refuses any id that is not a string, and any string it
 would write that is not UTF-8 text (one holding a lone surrogate), with
 one join per kind of string, so a bundle the library builds always reads
 back, and read_bundle adds the row of a refused record.
@@ -60,9 +61,8 @@ the predictions of a participant share one id string, and likewise for
 treatments, decisions and actions.  generate_synthetic_experiment builds
 the same columns without a parse.  ExperimentBundle walks the columns, and
 finds a repeated (participant, decision) with one small integer per
-participant, a bit per valued decision.  No code in this module builds a
-PredictionRecord: write_bundle, vote_counts and samples.csv read the
-columns too.
+participant, a bit per valued decision.  write_bundle, vote_counts and
+samples.csv read the columns too.
 """
 
 from __future__ import annotations
@@ -166,10 +166,15 @@ def _refuse_repeated(treatments) -> None:
 
 
 def _refuse_unencodable(kind: str, texts) -> None:
-    """Refuse the first of texts, all strings, that UTF-8 cannot encode: one
-    holding a lone surrogate, which no file can hold.  One join checks all of
-    them, so 100k participant ids cost about 2 ms."""
-    joined = "".join(texts)
+    """Refuse the first of texts that is not a string, or else the first
+    that UTF-8 cannot encode: one holding a lone surrogate, which no file
+    can hold.  One join checks all of them, so 100k participant ids cost
+    about 2 ms."""
+    try:
+        joined = "".join(texts)
+    except TypeError:  # the join names only the position of the first non-string
+        text = next(t for t in texts if not isinstance(t, str))
+        raise ValidationError(f"{kind} {text!r} is not a string") from None
     try:
         joined.encode("utf-8")
     except UnicodeEncodeError as exc:  # the first text holding the first bad character
@@ -185,8 +190,8 @@ class ExperimentBundle(
     pending_decisions are the decisions that exist in the design but whose
     value tables are not yet supplied, as (decision id, action ids) pairs.
 
-    predictions is a :class:`predscore.metrics.Predictions`; any other
-    iterable of four-field records is stored as one.
+    predictions is a :class:`predscore.metrics.Predictions`, and nothing
+    else is accepted.
 
     A ValidationError refusing a record carries ``column``, the CSV column at
     fault, and either ``index``, a prediction's position in ``predictions``,
@@ -198,11 +203,14 @@ class ExperimentBundle(
         cls,
         manifest: ActionManifest,
         decisions: tuple[DecisionValues, ...],
-        predictions,
+        predictions: Predictions,
         treatments: tuple[str, ...],
         pending_decisions: tuple[tuple[str, tuple[str, ...]], ...] = (),
     ):
-        predictions = Predictions.of(predictions)
+        if not isinstance(predictions, Predictions):
+            raise ValidationError(
+                f"predictions must be a Predictions, got {type(predictions).__name__}"
+            )
         known_actions = set(manifest.action_ids)
         all_ids = [dv.decision_id for dv in decisions] + [did for did, _ in pending_decisions]
         if len(set(all_ids)) != len(all_ids):
@@ -227,9 +235,7 @@ class ExperimentBundle(
         bits = {decision_id: 1 << i for i, decision_id in enumerate(valued)}
         treatment_set = set(treatments)
         predicted_by: dict[str, int] = {}  # participant id -> one bit per decision it predicts
-        for index, (participant_id, treatment, decision_id, predicted) in enumerate(
-            zip(*predictions.columns)
-        ):
+        for index, (participant_id, treatment, decision_id, predicted) in enumerate(predictions):
             if not participant_id or not treatment:
                 column = "treatment" if participant_id else "participant_id"
                 message = f"{column} must be non-empty"
@@ -536,22 +542,9 @@ def serialize_values_csv(decisions) -> str:
     return _csv_text(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []), rows)
 
 
-class _Rows:
-    """The rows of equal-length columns, zip(*columns), each time they are
-    iterated: what _csv_text writes, and writes again if it must quote."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns):
-        self.columns = columns
-
-    def __iter__(self):
-        return zip(*self.columns)
-
-
-def serialize_predictions_csv(predictions) -> str:
-    """predictions.csv for a Predictions or an iterable of records."""
-    return _csv_text(PREDICTIONS_HEADER, _Rows(Predictions.of(predictions).columns))
+def serialize_predictions_csv(predictions: Predictions) -> str:
+    """The text of predictions.csv."""
+    return _csv_text(PREDICTIONS_HEADER, predictions)
 
 
 def manifest_to_dict(bundle: ExperimentBundle) -> dict:
@@ -862,7 +855,7 @@ def load_four_towers_fixture() -> ExperimentBundle:
     return ExperimentBundle(
         manifest=manifest,
         decisions=(dp1,),
-        predictions=(),
+        predictions=Predictions(),
         treatments=FOUR_TOWERS_TREATMENTS,
         pending_decisions=tuple((did, QUADRANTS) for did in FOUR_TOWERS_DECISIONS[1:]),
     )

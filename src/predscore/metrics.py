@@ -17,12 +17,10 @@ A bundle's predictions are :class:`Predictions`: four equal-length columns
 of interned strings (participant, treatment, decision, predicted action),
 one list each, so a prediction costs four list slots and no object of its
 own.  Every per-prediction walk in the package reads the columns, in the
-order of :func:`_by_participant_and_decision`.  Read as a sequence,
-Predictions yields one :class:`PredictionRecord` at a time: that view, and
-:func:`score_dataset`'s :class:`MetricSample` list, are for library
-callers, and no CLI command builds either.  Records and samples are
-immutable named tuples, so like any tuple they compare equal to a plain
-tuple of the same fields.
+order of :func:`_by_participant_and_decision`.  :func:`score_dataset`'s
+:class:`MetricSample` list is for library callers, and no CLI command
+builds one.  Samples are immutable named tuples, so like any tuple they
+compare equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Sequence
 from itertools import chain, repeat
 
 from .errors import UnknownActionError, Validated, ValidationError
@@ -81,14 +78,6 @@ class GradeScale(Validated, namedtuple("GradeScale", "bins")):
 DEFAULT_GRADE_SCALE = GradeScale(((4, "A"), (8, "B"), (12, "C"), (16, "D"), (None, "F")))
 
 
-class PredictionRecord(
-    namedtuple("PredictionRecord", "participant_id treatment decision_id predicted")
-):
-    """One participant's predicted action for one decision."""
-
-    __slots__ = ()
-
-
 class MetricSample(
     namedtuple("MetricSample", "participant_id decision_id treatment predicted lv lr grade")
 ):
@@ -98,65 +87,36 @@ class MetricSample(
     __slots__ = ()
 
 
-class Predictions(Sequence):
-    """A read-only sequence of :class:`PredictionRecord`, stored as four
-    equal-length lists: ``columns`` is (participant ids, treatments,
-    decision ids, predicted actions), and item i of each list is a field of
-    prediction i.  Its length reads the columns; only indexing and
-    iteration build records, one at a time.  Two Predictions are equal when
-    their columns are; one equals a tuple or list of records when it holds
-    the same records in the same order.
+class Predictions:
+    """A bundle's predictions, stored as four equal-length lists:
+    ``columns`` is (participant ids, treatments, decision ids, predicted
+    actions), and item i of each list is a field of prediction i.  Its
+    length reads the columns, iterating it yields each prediction as a
+    plain 4-tuple, and two Predictions are equal when their columns are.
+    Like a list, it is unhashable.
     """
 
-    __slots__ = ("_columns",)
+    columns: tuple[list[str], list[str], list[str], list[str]]
 
     def __init__(self, columns=((), (), (), ())):
         columns = tuple(c if type(c) is list else list(c) for c in columns)
         if len(columns) != 4 or len(set(map(len, columns))) > 1:
             raise ValidationError("predictions need four columns of one length")
-        self._columns = columns
-
-    @classmethod
-    def of(cls, predictions) -> Predictions:
-        """predictions itself if it is a Predictions, else the columns of
-        an iterable of four-field records."""
-        if isinstance(predictions, cls):
-            return predictions
-        records = tuple(predictions)
-        if any(len(record) != 4 for record in records):
-            raise ValidationError("a prediction has four fields: participant_id, treatment, "
-                                  "decision_id and predicted")
-        return cls(zip(*records)) if records else cls()
-
-    @property
-    def columns(self) -> tuple[list[str], list[str], list[str], list[str]]:
-        return self._columns
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return type(self)(column[index] for column in self._columns)
-        return PredictionRecord(*(column[index] for column in self._columns))
+        return len(self.columns[0])
 
     def __iter__(self):
-        return map(PredictionRecord._make, zip(*self._columns))
+        return zip(*self.columns)
 
     def __eq__(self, other):
         if isinstance(other, Predictions):
-            return self._columns == other._columns
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
+            return self.columns == other.columns
         return NotImplemented
 
-    __hash__ = None  # the columns are lists
-
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._columns!r})"
-
-    def __reduce__(self):  # every pickle protocol, as for a tuple
-        return type(self), (self._columns,)
+        return f"{type(self).__name__}({self.columns!r})"
 
 
 def loss_in_value(values: DecisionValues, predicted: str) -> float:
@@ -243,14 +203,12 @@ def _by_participant_and_decision(predictions: Predictions) -> array:
 
 
 def score_dataset(
-    predictions,
+    predictions: Predictions,
     value_tables: dict[str, DecisionValues],
     scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> list[MetricSample]:
-    """Every prediction, a Predictions or an iterable of records, with its
-    scores, ordered by (participant, decision): a per-record view over
-    :func:`score_table`."""
-    predictions = Predictions.of(predictions)
+    """Every prediction with its scores, ordered by (participant,
+    decision): a per-prediction view over :func:`score_table`."""
     scores = score_table(value_tables, scale)
     participant_ids, treatments, decision_ids, predicted = predictions.columns
     samples = []

@@ -5,12 +5,12 @@ bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts; only the
-per-participant loss sums and the rows of samples.csv walk the predictions'
-columns, by participant and then decision
-(metrics._by_participant_and_decision), looking each score up.  No record is
-built for either.  Everything renders to CSV, markdown or SVG deterministically
-so outputs are golden-file friendly.  CSV is quoted as the bundle files are,
-by :func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
+per-participant loss sums and the rows of samples.csv walk the columns of
+the bundle's :class:`predscore.metrics.Predictions`, by participant and then
+decision (metrics._by_participant_and_decision), looking each score up.
+Everything renders to CSV, markdown or SVG deterministically so outputs
+are golden-file friendly.  CSV is quoted as the bundle files are, by
+:func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
 breaks in ids, and SVG the markup characters in labels.
 """
 
@@ -162,10 +162,8 @@ def participant_loss_sums(
     return groups
 
 
-def render_samples_csv(predictions, scores: ScoreTable):
-    """The lines of samples.csv: each prediction, of a Predictions or an
-    iterable of records, with its (LV, LR, grade)."""
-    predictions = Predictions.of(predictions)
+def render_samples_csv(predictions: Predictions, scores: ScoreTable):
+    """The lines of samples.csv: each prediction with its (LV, LR, grade)."""
     return _csv_lines(SAMPLES_HEADER, predictions.columns,
                       _by_participant_and_decision(predictions), scores)
 

@@ -10,11 +10,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from prediction_rows import predictions_of
 from predscore import cli
 from predscore.cli import main
 from predscore.dataset import _csv_text, _write_files, read_bundle, write_bundle
 from predscore.errors import ValidationError
-from predscore.metrics import MetricSample, PredictionRecord, score_dataset, score_table
+from predscore.metrics import MetricSample, score_dataset, score_table
 from predscore.report import build_metrics_table, render_metrics_csv
 from test_golden_outputs import make_bundles
 
@@ -561,12 +562,12 @@ class TestHostileIds:
         bundle = read_bundle(plain)
         names = {dv.decision_id: f"{dv.decision_id}{text}" for dv in bundle.decisions}
         names.update({t: f"{t}{text}" for t in bundle.treatments})
-        names.update({r.participant_id: f"{r.participant_id}{text}" for r in bundle.predictions})
+        names.update({p: f"{p}{text}" for p in bundle.predictions.columns[0]})
         bundle = bundle._replace(
             decisions=tuple(dv._replace(decision_id=names[dv.decision_id])
                             for dv in bundle.decisions),
-            predictions=tuple(PredictionRecord(names[p], names[t], names[d], a)
-                              for p, t, d, a in bundle.predictions),
+            predictions=predictions_of((names[p], names[t], names[d], a)
+                                       for p, t, d, a in bundle.predictions),
             treatments=tuple(names[t] for t in bundle.treatments),
         )
         write_bundle(bundle, tmp_path / "hostile")
@@ -603,8 +604,8 @@ class TestHostileIds:
              for s in samples],
         )
         assert (report / "samples.csv").read_bytes() == expected.encode("utf-8")
-        assert {row[0] for row in _read_csv(report / "samples.csv")[1:]} == {
-            r.participant_id for r in bundle.predictions}
+        assert {row[0] for row in _read_csv(report / "samples.csv")[1:]} == set(
+            bundle.predictions.columns[0])
 
         markdown = (report / "metrics.md").read_text(encoding="utf-8").splitlines()
         assert len(markdown) == 2 + len(treatments)
@@ -718,7 +719,7 @@ class TestGradeCmd:
         assert main(["grade", "--bundle", str(bundle_dir), "--out-dir", str(report)]) == 0
         bundle = read_bundle(bundle_dir)
         lines = ["participant_id,treatment,decision_id,predicted,lv,lr,grade"]
-        for s in score_dataset(list(bundle.predictions), bundle.values_by_decision()):
+        for s in score_dataset(bundle.predictions, bundle.values_by_decision()):
             lines.append(
                 f"{s.participant_id},{s.treatment},{s.decision_id},{s.predicted},"
                 f"{s.lv!r},{s.lr},{s.grade}"
@@ -909,8 +910,8 @@ class TestReportWrites:
 
 
 class TestNoRecordIsBuilt:
-    """Every command reads the predictions' columns: with PredictionRecord
-    and MetricSample made to raise, each command exits 0, on a simulated
+    """Every command reads the predictions' columns and the score table:
+    with MetricSample made to raise, each command exits 0, on a simulated
     bundle and on the golden shuffled bundle, whose rows are out of order
     and one of whose participants is in two treatments."""
 
@@ -919,11 +920,10 @@ class TestNoRecordIsBuilt:
         def refuse(cls, *args, **kwargs):
             raise AssertionError(f"a {cls.__name__} was built")
 
-        for record_type in (PredictionRecord, MetricSample):
-            monkeypatch.setattr(record_type, "__new__", refuse)
-            monkeypatch.setattr(record_type, "_make", classmethod(refuse))
-        with pytest.raises(AssertionError, match="a PredictionRecord was built"):
-            PredictionRecord("p1", "T", "P1", "A1")
+        monkeypatch.setattr(MetricSample, "__new__", refuse)
+        monkeypatch.setattr(MetricSample, "_make", classmethod(refuse))
+        with pytest.raises(AssertionError, match="a MetricSample was built"):
+            MetricSample("p1", "P1", "T", "A1", 0.0, 0, "A")
 
     @pytest.mark.parametrize("source", ["simulated", "shuffled"])
     def test_every_command_reads_the_columns(self, tmp_path, capsys, source):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from prediction_rows import predictions_of
 from predscore.actions import QUADRANTS
 from predscore import dataset
 from predscore.board import BoardConfig
@@ -32,7 +33,7 @@ from predscore.dataset import (
     write_bundle,
 )
 from predscore.errors import ParseError, ValidationError
-from predscore.metrics import PredictionRecord, score_dataset
+from predscore.metrics import Predictions, score_dataset
 from predscore.oracle import AgentSpec, Mutation
 from predscore.rankoverlap import agent_ranklist, mrbo_ext, vote_ranklist
 from predscore.report import SAMPLES_HEADER
@@ -68,20 +69,15 @@ def random_bundle(seed, with_outcomes=False):
             )
         )
     treatments = tuple(f"T{i}" for i in range(rng.randint(1, 3)))
-    predictions = []
-    for i in range(rng.randint(0, 12)):
-        predictions.append(
-            PredictionRecord(
-                participant_id=f"p{i:03d}",
-                treatment=treatments[i % len(treatments)],
-                decision_id=rng.choice(decisions).decision_id,
-                predicted=rng.choice(action_ids),
-            )
-        )
+    predictions = predictions_of(
+        (f"p{i:03d}", treatments[i % len(treatments)], rng.choice(decisions).decision_id,
+         rng.choice(action_ids))
+        for i in range(rng.randint(0, 12))
+    )
     return ExperimentBundle(
         manifest=manifest,
         decisions=tuple(decisions),
-        predictions=tuple(predictions),
+        predictions=predictions,
         treatments=treatments,
     )
 
@@ -98,7 +94,7 @@ class TestCsvRoundTrip:
             bundle = random_bundle(seed)
             text = serialize_predictions_csv(bundle.predictions)
             parsed = parse_predictions_csv(text.encode())
-            assert tuple(parsed) == bundle.predictions
+            assert parsed == bundle.predictions
 
     def test_bundle_directory_round_trip(self, tmp_path):
         for seed in range(8):
@@ -333,7 +329,7 @@ class TestParsePredictions:
         """read_bundle on a bundle whose predictions.csv is ``text``: each of
         decision_ids values A1 and B1 only, and T is its one treatment."""
         values = tuple(DecisionValues(d, {"A1": 1.0, "B1": 0.0}, "A1") for d in decision_ids)
-        path = write_bundle(ExperimentBundle(self.manifest(), values, (), ("T",)), tmp_path)
+        path = write_bundle(ExperimentBundle(self.manifest(), values, Predictions(), ("T",)), tmp_path)
         (path / "predictions.csv").write_text(text, encoding="utf-8")
         return read_bundle(path)
 
@@ -423,7 +419,7 @@ class TestParsePredictions:
 
     def test_empty_file_with_header(self):
         text = "participant_id,treatment,decision_id,predicted_action\n"
-        assert parse_predictions_csv(text) == []
+        assert parse_predictions_csv(text) == Predictions()
 
     def test_blank_line_counts_toward_row_numbers(self, tmp_path):
         text = (
@@ -484,12 +480,11 @@ class TestParsePredictions:
             "p02,OTB,P1,A1\n"
             "p02,OTB,P2,A1\n"
         )
-        first, *rest = parse_predictions_csv(text)
-        for rec in rest:
-            assert rec.treatment is first.treatment
-            assert rec.predicted is first.predicted
-        assert rest[1].decision_id is first.decision_id
-        assert rest[0].decision_id is rest[2].decision_id
+        _, treatments, decision_ids, predicted = parse_predictions_csv(text).columns
+        assert all(t is treatments[0] for t in treatments)
+        assert all(a is predicted[0] for a in predicted)
+        assert decision_ids[2] is decision_ids[0]
+        assert decision_ids[1] is decision_ids[3]
 
     @staticmethod
     def outcome(data):
@@ -539,10 +534,10 @@ class TestParsePredictions:
             f"p{i:05d},T,P{d},A1\n" for d in range(1, 4) for i in range(5)
         )
         for data in (text, text.encode()):
-            records = parse_predictions_csv(data)
+            participant_ids = parse_predictions_csv(data).columns[0]
             first = {}
-            for rec in records:
-                assert rec.participant_id is first.setdefault(rec.participant_id, rec.participant_id)
+            for pid in participant_ids:
+                assert pid is first.setdefault(pid, pid)
             assert len(first) == 5
 
     @pytest.mark.parametrize(
@@ -570,7 +565,7 @@ class TestParsePredictions:
         from_str = self.outcome(text)
         assert self.outcome(text.encode()) == from_str
         if refused_row is None:
-            assert from_str[0].participant_id == "p1"
+            assert from_str.columns[0][0] == "p1"
         else:
             assert self.refusal(tmp_path, text)[1] == refused_row
 
@@ -627,7 +622,7 @@ class TestSyntheticGeneration:
 
     def test_always_best_scores_zero_everywhere(self):
         bundle = generate_small(behavior=ParticipantModel.always_best())
-        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        samples = score_dataset(bundle.predictions, bundle.values_by_decision())
         assert samples
         assert all(s.lr == 0 and s.lv == 0.0 for s in samples)
 
@@ -638,7 +633,7 @@ class TestSyntheticGeneration:
         )
         for dv in bundle.decisions:
             group = Counter(
-                r.predicted for r in bundle.predictions if r.decision_id == dv.decision_id
+                predicted for _, _, d, predicted in bundle.predictions if d == dv.decision_id
             )
             score = mrbo_ext(vote_ranklist(group), agent_ranklist(dv))
             assert score == pytest.approx(1.0, abs=1e-12)
@@ -654,7 +649,7 @@ class TestSyntheticGeneration:
             seed=42,
             decisions_per_agent=4,
         )
-        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        samples = score_dataset(bundle.predictions, bundle.values_by_decision())
         assert len(samples) == 10_000
         # Only the first decision offers all 36 actions; later boards have
         # fewer empty squares, so restrict to P1.
@@ -941,35 +936,32 @@ class TestFourTowersFixture:
 class TestBundleValidation:
     def test_prediction_for_unknown_decision_rejected(self):
         bundle = random_bundle(1)
-        bad = PredictionRecord("p", bundle.treatments[0], "nope", bundle.manifest.action_ids[0])
+        bad = ("p", bundle.treatments[0], "nope", bundle.manifest.action_ids[0])
         with pytest.raises(ValidationError):
             ExperimentBundle(
                 manifest=bundle.manifest,
                 decisions=bundle.decisions,
-                predictions=(*bundle.predictions, bad),
+                predictions=predictions_of([*bundle.predictions, bad]),
                 treatments=bundle.treatments,
             )
 
     def test_prediction_for_unknown_action_rejected(self):
         bundle = random_bundle(1)
-        bad = PredictionRecord(
-            "p", bundle.treatments[0], bundle.decisions[0].decision_id, "nope"
-        )
+        bad = ("p", bundle.treatments[0], bundle.decisions[0].decision_id, "nope")
         with pytest.raises(ValidationError):
             ExperimentBundle(
                 manifest=bundle.manifest,
                 decisions=bundle.decisions,
-                predictions=(*bundle.predictions, bad),
+                predictions=predictions_of([*bundle.predictions, bad]),
                 treatments=bundle.treatments,
             )
 
     def test_refusal_carries_the_record_position_and_column(self):
         bundle = random_bundle(1)
-        bad = PredictionRecord("p", "unlisted", bundle.decisions[0].decision_id, "act0")
+        bad = ("p", "unlisted", bundle.decisions[0].decision_id, "act0")
         with pytest.raises(ValidationError) as err:
-            ExperimentBundle(
-                bundle.manifest, bundle.decisions, (*bundle.predictions, bad), bundle.treatments
-            )
+            ExperimentBundle(bundle.manifest, bundle.decisions,
+                             predictions_of([*bundle.predictions, bad]), bundle.treatments)
         assert type(err.value) is ValidationError
         assert (err.value.index, err.value.column) == (len(bundle.predictions), "treatment")
 

@@ -5,11 +5,11 @@ from collections import Counter
 
 import pytest
 
+from prediction_rows import predictions_of
 from predscore.errors import UnknownActionError, ValidationError
 from predscore.metrics import (
     GradeScale,
     MetricSample,
-    PredictionRecord,
     Predictions,
     ar_score,
     av_score,
@@ -143,9 +143,6 @@ def votes(*predicted):
 
 class TestRecords:
     def test_keyword_construction_and_field_order(self):
-        rec = PredictionRecord(participant_id="p1", treatment="T", decision_id="P1", predicted="A1")
-        assert PredictionRecord._fields == ("participant_id", "treatment", "decision_id", "predicted")
-        assert rec == PredictionRecord("p1", "T", "P1", "A1") == ("p1", "T", "P1", "A1")
         sample = MetricSample(
             participant_id="p1", decision_id="P1", treatment="T", predicted="A1",
             lv=0.25, lr=2, grade="A",
@@ -156,40 +153,38 @@ class TestRecords:
         assert tuple(sample) == ("p1", "P1", "T", "A1", 0.25, 2, "A")
 
     def test_fields_cannot_be_assigned(self):
-        rec = PredictionRecord("p1", "T", "P1", "A1")
         sample = MetricSample("p1", "P1", "T", "A1", 0.25, 2, "A")
-        with pytest.raises(AttributeError):
-            rec.treatment = "U"
         with pytest.raises(AttributeError):
             sample.lv = 0.0
         with pytest.raises(AttributeError):
-            rec.extra = 1
+            sample.extra = 1
 
 
 class TestPredictions:
-    RECORDS = (PredictionRecord("p1", "T", "P1", "A1"), PredictionRecord("p2", "U", "P1", "B1"),
-               PredictionRecord("p1", "T", "P2", "A1"))
+    ROWS = (("p1", "T", "P1", "A1"), ("p2", "U", "P1", "B1"), ("p1", "T", "P2", "A1"))
 
-    def test_columns_read_as_the_records(self):
-        predictions = Predictions.of(self.RECORDS)
+    def test_columns_iterate_as_plain_tuples(self):
+        predictions = predictions_of(self.ROWS)
         assert predictions.columns == (["p1", "p2", "p1"], ["T", "U", "T"], ["P1", "P1", "P2"],
                                        ["A1", "B1", "A1"])
-        assert len(predictions) == 3 and predictions == self.RECORDS == tuple(predictions)
-        assert predictions == list(self.RECORDS) and predictions != self.RECORDS[:2]
-        assert predictions[-1] == self.RECORDS[-1] and type(predictions[0]) is PredictionRecord
-        assert predictions[1:] == Predictions.of(self.RECORDS[1:])
-        assert Predictions.of(predictions) is predictions
-        assert Predictions.of(()) == Predictions() == ()
+        assert len(predictions) == 3 and tuple(predictions) == self.ROWS
+        assert all(type(row) is tuple for row in predictions)
+        assert predictions == predictions_of(self.ROWS) != predictions_of(self.ROWS[:2])
+        assert predictions != self.ROWS and predictions != list(self.ROWS)
+        assert predictions_of(()) == Predictions() and not Predictions()
+        with pytest.raises(TypeError):
+            predictions[0]
+        with pytest.raises(TypeError):
+            hash(predictions)
 
     @pytest.mark.parametrize("protocol", [0, 2, 5])
     def test_pickles_on_every_protocol(self, protocol):
-        predictions = Predictions.of(self.RECORDS)
+        predictions = predictions_of(self.ROWS)
         assert pickle.loads(pickle.dumps(predictions, protocol)) == predictions
 
     @pytest.mark.parametrize("build, message", [
         (lambda: Predictions((["p1"], ["T"], ["P1"], [])), "four columns of one length"),
         (lambda: Predictions((["p1"], ["T"], ["P1"])), "four columns of one length"),
-        (lambda: Predictions.of([("p1", "T", "P1")]), "a prediction has four fields"),
     ])
     def test_malformed_columns_are_refused(self, build, message):
         with pytest.raises(ValidationError, match=message):
@@ -263,33 +258,29 @@ class TestScoreDataset:
             for d in range(decisions):
                 dv = tables[f"P{d + 1}"]
                 predictions.append(
-                    PredictionRecord(
-                        participant_id=f"p{i:03d}",
-                        treatment="T" + str(i % 4),
-                        decision_id=dv.decision_id,
-                        predicted=rng.choice(list(dv.entries)),
-                    )
+                    (f"p{i:03d}", "T" + str(i % 4), dv.decision_id, rng.choice(list(dv.entries)))
                 )
         return tables, predictions
 
     def test_sample_count(self):
         tables, predictions = self.tables_and_predictions()
-        samples = score_dataset(predictions, tables)
+        samples = score_dataset(predictions_of(predictions), tables)
         assert len(samples) == 86 * 4
 
     def test_empty_input(self):
-        assert score_dataset([], {}) == []
+        assert score_dataset(Predictions(), {}) == []
 
     def test_deterministic_order(self):
         tables, predictions = self.tables_and_predictions(participants=5)
         rng = random.Random(1)
         shuffled = predictions[:]
         rng.shuffle(shuffled)
-        assert score_dataset(shuffled, tables) == score_dataset(predictions, tables)
+        assert (score_dataset(predictions_of(shuffled), tables)
+                == score_dataset(predictions_of(predictions), tables))
 
     def test_treatment_partition(self):
         tables, predictions = self.tables_and_predictions(participants=12)
-        samples = score_dataset(predictions, tables)
+        samples = score_dataset(predictions_of(predictions), tables)
         by_treatment = {}
         for s in samples:
             by_treatment.setdefault(s.treatment, []).append(s)
@@ -300,11 +291,11 @@ class TestScoreDataset:
         tables, predictions = self.tables_and_predictions(participants=2)
         del tables["P1"]
         with pytest.raises(ValidationError):
-            score_dataset(predictions, tables)
+            score_dataset(predictions_of(predictions), tables)
 
     def test_unknown_action_rejected(self):
         tables, _ = self.tables_and_predictions(participants=1)
-        bad = [PredictionRecord("p0", "T", "P1", "nope")]
+        bad = predictions_of([("p0", "T", "P1", "nope")])
         with pytest.raises(UnknownActionError):
             score_dataset(bad, tables)
 
@@ -365,8 +356,8 @@ class TestScoredViews:
             DecisionValues("D2", {"a": 2.0, "b": 2.0, "c": 2.0, "d": 1.5, "e": 1.5}, chosen="a"),
         )
         rng = random.Random(41)
-        predictions = tuple(
-            PredictionRecord(f"p{i:02d}", "T" + str(i % 3), dv.decision_id, rng.choice(actions))
+        predictions = predictions_of(
+            (f"p{i:02d}", "T" + str(i % 3), dv.decision_id, rng.choice(actions))
             for i in reversed(range(30))
             for dv in reversed(tables)
         )
@@ -382,25 +373,25 @@ class TestScoredViews:
 
         bundle = self.bundle()
         tables = bundle.values_by_decision()
-        samples = score_dataset(list(bundle.predictions), tables, self.SCALE)
-        ordered = sorted(bundle.predictions, key=lambda r: (r.participant_id, r.decision_id))
+        samples = score_dataset(bundle.predictions, tables, self.SCALE)
+        ordered = sorted(bundle.predictions, key=lambda row: (row[0], row[2]))
         assert len(samples) == len(ordered)
         counts = {}
         sums = {"value": {}, "rank": {}}
-        for s, rec in zip(samples, ordered):
-            dv = tables[rec.decision_id]
-            lv = loss_in_value(dv, rec.predicted)
-            lr = loss_in_rank(dv, rec.predicted)
-            grade = discretized_loss_in_rank(dv, rec.predicted, self.SCALE)
+        for s, (pid, treatment, decision_id, predicted) in zip(samples, ordered):
+            dv = tables[decision_id]
+            lv = loss_in_value(dv, predicted)
+            lr = loss_in_rank(dv, predicted)
+            grade = discretized_loss_in_rank(dv, predicted, self.SCALE)
             assert (s.participant_id, s.decision_id, s.treatment, s.predicted) == (
-                rec.participant_id, rec.decision_id, rec.treatment, rec.predicted
+                pid, decision_id, treatment, predicted
             )
             assert (s.lv, s.lr, s.grade) == (lv, lr, grade)
-            key = (rec.decision_id, rec.treatment, grade)
+            key = (decision_id, treatment, grade)
             counts[key] = counts.get(key, 0) + 1
             for space, loss in (("value", lv), ("rank", float(lr))):
-                per = sums[space].setdefault(rec.treatment, {})
-                per[rec.participant_id] = per.get(rec.participant_id, 0.0) + loss
+                per = sums[space].setdefault(treatment, {})
+                per[pid] = per.get(pid, 0.0) + loss
 
         scores = score_table(tables, self.SCALE)
         distribution = grade_distribution(bundle, bundle.vote_counts(), scores, self.SCALE)

@@ -355,6 +355,26 @@ class TestSampledOracle:
         triples = sampled_outcome_triples(board, rollouts=25, seed=1)
         assert triples[SquareId(2, 0)] == (1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("board", [
+        new_game(TTT),
+        new_game(BoardConfig(4, 3, 3)),
+        new_game(BoardConfig(3, 4, 3)),
+        new_game(BoardConfig(4, 3, 4)),
+        play(TTT, ["B2", "A1"]),
+    ], ids=["3x3k3", "4x3k3", "3x4k3", "4x3k4", "3x3k3-two-plies"])
+    def test_agrees_with_the_exact_oracle_within_sampling_noise(self, board, seed):
+        """Each sampled fraction lies within five standard errors of the
+        exact probability p, sqrt(p(1-p)/R), so it equals p where p is 0 or 1."""
+        rollouts = 2000
+        exact = exact_outcome_triples(board)
+        sampled = sampled_outcome_triples(board, rollouts, seed)
+        assert sampled.keys() == exact.keys()
+        for square, triple in exact.items():
+            for estimate, fraction in zip(sampled[square], triple):
+                p = float(fraction)
+                assert abs(estimate - p) <= 5 * math.sqrt(p * (1 - p) / rollouts), (square, p)
+
     def test_depth_limit_counts_as_draw(self):
         board = new_game(BoardConfig(5, 5, 4))
         triples = sampled_outcome_triples(board, rollouts=30, seed=2, depth_limit=1)

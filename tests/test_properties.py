@@ -26,6 +26,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bruteforce import reference_rollout_counts  # noqa: E402
+from prediction_rows import predictions_of  # noqa: E402
 from predscore.actions import SquareId  # noqa: E402
 from predscore.board import (  # noqa: E402
     AGENT,
@@ -53,7 +54,7 @@ from predscore.dataset import (  # noqa: E402
 )
 from predscore.errors import ParseError, PredscoreError  # noqa: E402
 from predscore.metrics import (  # noqa: E402
-    PredictionRecord,
+    Predictions,
     av_score,
     loss_in_rank,
     loss_in_value,
@@ -100,19 +101,17 @@ def bundles(draw):
     )
     treatments = tuple(draw(st.lists(IDS, min_size=1, max_size=3, unique=True)))
     participants = draw(st.lists(IDS, max_size=6, unique=True))
-    predictions = []
+    rows = []
     for participant in participants:
         for dv in decisions:
             if draw(st.booleans()):
-                predictions.append(
-                    PredictionRecord(
-                        participant,
-                        draw(st.sampled_from(treatments)),
-                        dv.decision_id,
-                        draw(st.sampled_from(dv.actions)),
-                    )
-                )
-    return ExperimentBundle(manifest, tuple(decisions), tuple(predictions), treatments, pending)
+                rows.append((
+                    participant,
+                    draw(st.sampled_from(treatments)),
+                    dv.decision_id,
+                    draw(st.sampled_from(dv.actions)),
+                ))
+    return ExperimentBundle(manifest, tuple(decisions), predictions_of(rows), treatments, pending)
 
 
 @PROPERTY
@@ -121,7 +120,7 @@ def test_parse_inverts_serialize(bundle):
     assert tuple(parse_values_csv(serialize_values_csv(bundle.decisions).encode())) == (
         bundle.decisions
     )
-    assert tuple(parse_predictions_csv(serialize_predictions_csv(bundle.predictions))) == (
+    assert parse_predictions_csv(serialize_predictions_csv(bundle.predictions)) == (
         bundle.predictions
     )
 
@@ -148,7 +147,7 @@ def test_refused_record_reports_its_start_line(data):
     base = ExperimentBundle(
         ActionManifest("exp", CUSTOM, (("A1", "A1"), ("B1", "B1"), ("C1", "C1"))),
         (values,),
-        (),
+        Predictions(),
         ("T",),
     )
     # Participant ids with line breaks make a record span several lines.
@@ -225,7 +224,7 @@ def test_refused_values_record_reports_its_start_line(data):
     base = ExperimentBundle(
         ActionManifest("exp", CUSTOM, (("A1", "A1"), ("B1", "B1"), ("C1", "C1"))),
         (DecisionValues("P1", {"A1": 1.0}, "A1"),),
-        (),
+        Predictions(),
         ("T",),
     )
     # Decision ids with line breaks make a record span several lines.

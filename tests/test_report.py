@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from prediction_rows import predictions_of
 from predscore.actions import SquareId
 from predscore.board import BoardConfig
 from predscore.dataset import (
@@ -15,7 +16,7 @@ from predscore.dataset import (
     generate_synthetic_experiment,
 )
 from predscore.errors import ValidationError
-from predscore.metrics import PredictionRecord, score_dataset, score_table
+from predscore.metrics import score_dataset, score_table
 from predscore.oracle import AgentSpec
 from predscore.values import DecisionValues
 from predscore.report import (
@@ -66,7 +67,7 @@ class TestMetricsTable:
         assert table.columns[-1] == "mrbo_P4"
 
     def test_cells_recomputable_from_library(self, bundle):
-        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        samples = score_dataset(bundle.predictions, bundle.values_by_decision())
         table = metrics_table(bundle)
         for treatment, cells in table.rows:
             mine = [s.lv for s in samples if s.treatment == treatment]
@@ -147,8 +148,8 @@ class TestLossSums:
         tables = (values, values._replace(decision_id="P2"))
         bundle = ExperimentBundle(
             ActionManifest("big", CUSTOM, (("a", "a"), ("b", "b"))), tables,
-            [PredictionRecord("p1", "T", d, a) for d, a in (("P1", "a"), ("P2", "a"))]
-            + [PredictionRecord("p2", "T", d, "b") for d in ("P1", "P2")], ("T",))
+            predictions_of([("p1", "T", "P1", "a"), ("p1", "T", "P2", "a"),
+                            ("p2", "T", "P1", "b"), ("p2", "T", "P2", "b")]), ("T",))
         scores = score_table(bundle.values_by_decision())
         assert participant_loss_sums(bundle, scores, ("rank",))["rank"][0].values == (0.0, 2.0)
         with pytest.raises(ValidationError, match="^the value-space loss sum of participant 'p2' "
@@ -180,12 +181,13 @@ class TestLossSums:
     def test_sums_equal_per_sample_reference_in_any_order(self, bundle, space):
         """Totals add in (participant, decision) order, the order of
         score_dataset's samples, however the records are ordered."""
-        samples = score_dataset(list(bundle.predictions), bundle.values_by_decision())
+        samples = score_dataset(bundle.predictions, bundle.values_by_decision())
         expected = self.per_sample_loss_sums(samples, space)
         records = list(bundle.predictions)
         rng = random.Random(5)
         for _ in range(5):
-            groups = participant_loss_sums(bundle._replace(predictions=records), score(bundle))
+            groups = participant_loss_sums(
+                bundle._replace(predictions=predictions_of(records)), score(bundle))
             assert [(g.label, g.values) for g in groups[space]] == expected
             records = rng.sample(records, len(records))
 
@@ -203,7 +205,7 @@ class TestRecordOrder:
     }
     # p1 is listed under two treatments; p10 sorts before p2.
     RECORDS = [
-        PredictionRecord(pid, treatment, d, action)
+        (pid, treatment, d, action)
         for pid, treatment, plan in [
             ("p1", "A", {"P1": "c", "P2": "b", "P10": "d"}),
             ("p1", "B", {"P11": "c", "P3": "b", "P20": "d"}),
@@ -228,7 +230,7 @@ class TestRecordOrder:
     def bundle(cls, records):
         actions = tuple((a, a) for a in "abcd")
         return ExperimentBundle(ActionManifest("order", CUSTOM, actions),
-                                tuple(cls.tables().values()), tuple(records), ("A", "B"))
+                                tuple(cls.tables().values()), predictions_of(records), ("A", "B"))
 
     @staticmethod
     def reference_sums(records, scores, field):
@@ -254,8 +256,7 @@ class TestRecordOrder:
         expected = {field: self.reference_sums(self.RECORDS, scores, field) for field in (0, 1)}
         # p1's totals differ from the sums in values.csv order
         assert expected[0][0][1][0] == expected[0][1][1][0] != 0.2 + 0.1 + 0.3
-        rows = [(*r, *scores[r.decision_id][r.predicted])
-                for r in sorted(self.RECORDS, key=lambda r: (r.participant_id, r.decision_id))]
+        rows = [(*r, *scores[r[2]][r[3]]) for r in sorted(self.RECORDS, key=lambda r: (r[0], r[2]))]
         expected_csv = _csv_text(SAMPLES_HEADER, rows)
         rng = random.Random(11)
         records = list(self.RECORDS)
@@ -264,7 +265,7 @@ class TestRecordOrder:
             by_value, by_rank = participant_loss_sums(self.bundle(records), scores).values()
             assert [(g.label, g.values) for g in by_value] == expected[0]
             assert [(g.label, g.values) for g in by_rank] == expected[1]
-            assert "".join(render_samples_csv(records, scores)) == expected_csv
+            assert "".join(render_samples_csv(predictions_of(records), scores)) == expected_csv
 
 
 class TestFiveNumber:
@@ -299,7 +300,7 @@ class TestVotes:
     def test_matrix_conserves_votes(self, bundle):
         grid = vote_matrix(bundle, bundle.vote_counts(), "P1")
         total = sum(v for row in grid for v in row)
-        assert total == sum(1 for r in bundle.predictions if r.decision_id == "P1")
+        assert total == sum(1 for _, _, d, _ in bundle.predictions if d == "P1")
 
     def test_matrix_shape(self, bundle):
         grid = vote_matrix(bundle, bundle.vote_counts(), "P1")
@@ -328,7 +329,7 @@ class TestVotes:
         counts = bundle.vote_counts()
         cells = [(t, dv.decision_id) for t in bundle.treatments for dv in bundle.decisions]
         assert list(counts) == cells
-        expected = Counter((r.treatment, r.decision_id, r.predicted) for r in bundle.predictions)
+        expected = Counter((t, d, a) for _, t, d, a in bundle.predictions)
         flat = {(t, d, a): n for (t, d), votes in counts.items() for a, n in votes.items()}
         assert flat == expected
 
@@ -341,9 +342,9 @@ class TestVotes:
     def test_counts_match_per_prediction_reference(self, bundle):
         for treatment in (None, *bundle.treatments):
             expected = [[0] * 9 for _ in range(4)]
-            for rec in bundle.predictions:
-                if rec.decision_id == "P2" and treatment in (None, rec.treatment):
-                    sq = SquareId.parse(rec.predicted)
+            for _, t, d, predicted in bundle.predictions:
+                if d == "P2" and treatment in (None, t):
+                    sq = SquareId.parse(predicted)
                     expected[sq.row][sq.col] += 1
             assert vote_matrix(bundle, bundle.vote_counts(), "P2", treatment) == expected
 

@@ -13,6 +13,7 @@ from functools import partial
 
 import pytest
 
+from prediction_rows import predictions_of
 from predscore.actions import SquareId
 from predscore.board import AGENT, OPPONENT, WIN, Board, BoardConfig, GameStatus
 from predscore.dataset import (
@@ -24,7 +25,7 @@ from predscore.dataset import (
     _manifest_from_dict,
 )
 from predscore.errors import ParseError, UnknownActionError, ValidationError
-from predscore.metrics import GradeScale, MetricSample, PredictionRecord
+from predscore.metrics import GradeScale, MetricSample, Predictions
 from predscore.oracle import EXHAUSTIVE, SAMPLED, AgentSpec, Mutation
 from predscore.report import MetricsTable
 from predscore.stats import ANOVA, PipelineResult, SampleGroup
@@ -51,10 +52,6 @@ TYPES = {
         lambda: DecisionValues("d1", {"a": 0.5, "b": -0.5}, "a", {"a": OutcomeTriple(0.5, 0.0, 0.5)}),
     ),
     GradeScale: (("bins",), lambda: GradeScale(((4, "A"), (None, "F")))),
-    PredictionRecord: (
-        ("participant_id", "treatment", "decision_id", "predicted"),
-        lambda: PredictionRecord("p1", "T", "d1", "b"),
-    ),
     MetricSample: (
         ("participant_id", "decision_id", "treatment", "predicted", "lv", "lr", "grade"),
         lambda: MetricSample("p1", "d1", "T", "b", 1.0, 1, "A"),
@@ -72,7 +69,7 @@ TYPES = {
     ExperimentBundle: (
         ("manifest", "decisions", "predictions", "treatments", "pending_decisions"),
         lambda: ExperimentBundle(
-            MANIFEST, (VALUES,), (PredictionRecord("p1", "T", "d1", "b"),), ("T",),
+            MANIFEST, (VALUES,), predictions_of([("p1", "T", "d1", "b")]), ("T",),
             (("d2", ("a", "b")),),
         ),
     ),
@@ -159,7 +156,7 @@ def test_defaults():
     assert field_tuple(GameStatus(WIN)) == (WIN, None)
     assert field_tuple(Board(CFG)) == (CFG, 0, AGENT)
     assert ActionManifest("e1", CUSTOM, (("a", "a"),)).board is None
-    assert ExperimentBundle(MANIFEST, (), (), ("T",)).pending_decisions == ()
+    assert ExperimentBundle(MANIFEST, (), Predictions(), ("T",)).pending_decisions == ()
     assert ParticipantModel().rank_probs is None
     assert DecisionValues("d1", {"a": 1.0}, "a").outcomes is None
     assert RESULT.reason is None
@@ -182,8 +179,7 @@ def test_named_tuples_equal_plain_tuples_of_their_fields():
     assert VALUES == field_tuple(VALUES)
 
 
-@pytest.mark.parametrize("obj", [PredictionRecord("p1", "T", "d1", "b"),
-                                 MetricSample("p1", "d1", "T", "b", 1.0, 1, "A"),
+@pytest.mark.parametrize("obj", [MetricSample("p1", "d1", "T", "b", 1.0, 1, "A"),
                                  SquareId(1, 2), OutcomeTriple(1.0, 0.0, 0.0)],
                          ids=lambda obj: type(obj).__name__)
 def test_records_built_by_the_hundred_thousand_have_no_instance_dict(obj):
@@ -199,11 +195,11 @@ def test_decision_values_cache_their_rank_order():
     assert pickle.loads(pickle.dumps(dv)).actions == ("b", "c", "a")
 
 
-def _bundle(decisions=(VALUES,), predictions=(), treatments=("T",), pending=()):
-    return partial(ExperimentBundle, MANIFEST, decisions, predictions, treatments, pending)
+def _bundle(decisions=(VALUES,), rows=(), treatments=("T",), pending=()):
+    return partial(ExperimentBundle, MANIFEST, decisions, predictions_of(rows), treatments, pending)
 
 
-RECORD = PredictionRecord("p1", "T", "d1", "a")
+RECORD = ("p1", "T", "d1", "a")
 
 
 def _manifest_doc(**fields):
@@ -242,10 +238,10 @@ INVALID = [
     (partial(DecisionValues, "d1", {"a": 1.0, "": 0.5}, "a"), ValidationError,
      "decision_id and action must be non-empty"),
     (lambda: ExperimentBundle(ActionManifest("e", CUSTOM, (("a", "a"), ("b", "b"))),
-                              (DecisionValues("", {"a": 1.0}, "a"),), (), ("T",)),
+                              (DecisionValues("", {"a": 1.0}, "a"),), Predictions(), ("T",)),
      ValidationError, "decision_id and action must be non-empty"),
     (lambda: ExperimentBundle(ActionManifest("e", CUSTOM, (("a", "a"), ("", "b"))),
-                              (DecisionValues("d1", {"": 1.0}, ""),), (), ("T",)),
+                              (DecisionValues("d1", {"": 1.0}, ""),), Predictions(), ("T",)),
      ValidationError, "decision_id and action must be non-empty"),
     (partial(GradeScale, ()), ValidationError, "grade scale needs at least one bin"),
     (partial(GradeScale, ((4, "A"),)), ValidationError,
@@ -287,29 +283,34 @@ INVALID = [
      "treatment 'T' is listed more than once"),
     (_bundle(decisions=(DecisionValues("d1", {"z": 1.0}, "z"),)), ValidationError,
      "decision 'd1' values actions missing from the manifest: ['z']"),
-    (_bundle(predictions=(PredictionRecord("p1", "T", "d9", "a"),)), ValidationError,
+    (_bundle(rows=[("p1", "T", "d9", "a")]), ValidationError,
      "prediction by 'p1' references unknown decision 'd9'"),
-    (_bundle(predictions=(PredictionRecord("p1", "T", "d1", "z"),)), ValidationError,
+    (_bundle(rows=[("p1", "T", "d1", "z")]), ValidationError,
      "prediction by 'p1' references unknown action 'z'"),
-    (_bundle(predictions=(PredictionRecord("p1", "U", "d1", "a"),)), ValidationError,
+    (_bundle(rows=[("p1", "U", "d1", "a")]), ValidationError,
      "prediction by 'p1' has unlisted treatment 'U'"),
     (_bundle(decisions=(DecisionValues("d1", {"a": 1.0}, "a"),),
-                     predictions=(PredictionRecord("p1", "T", "d1", "b"),)), ValidationError,
+             rows=[("p1", "T", "d1", "b")]), ValidationError,
      "prediction by 'p1' references action 'b', which decision 'd1' does not value"),
-    (_bundle(predictions=(RECORD, RECORD)), ValidationError,
+    (_bundle(rows=[RECORD, RECORD]), ValidationError,
      "duplicate prediction by 'p1' for decision 'd1'"),
-    (_bundle(predictions=(RECORD._replace(participant_id=""),)), ValidationError,
+    (_bundle(rows=[("", "T", "d1", "a")]), ValidationError,
      "participant_id must be non-empty"),
-    (_bundle(predictions=(RECORD._replace(treatment=""),)), ValidationError,
+    (_bundle(rows=[("p1", "", "d1", "a")]), ValidationError,
      "treatment must be non-empty"),
+    # predictions are a Predictions, and no other container is read as one
+    (partial(ExperimentBundle, MANIFEST, (VALUES,), [RECORD], ("T",)), ValidationError,
+     "predictions must be a Predictions, got list"),
+    (partial(ExperimentBundle, MANIFEST, (VALUES,), (), ("T",)), ValidationError,
+     "predictions must be a Predictions, got tuple"),
     (_bundle(pending=(("d9", ("z",)),)), ValidationError,
      "decision 'd9' values actions missing from the manifest: ['z']"),
     (_bundle(pending=(("d9", ("a", "b", "a")),)), ValidationError,
      "decision 'd9' lists an action more than once"),
     # a lone surrogate cannot be written as UTF-8, so write_bundle would fail on it
-    (_bundle(predictions=(RECORD._replace(participant_id="p\udcff"),)), ValidationError,
+    (_bundle(rows=[("p\udcff", "T", "d1", "a")]), ValidationError,
      "participant id 'p\\udcff' is not UTF-8"),
-    (_bundle(predictions=(RECORD._replace(treatment="U\udcff"),), treatments=("T", "U\udcff")),
+    (_bundle(rows=[("p1", "U\udcff", "d1", "a")], treatments=("T", "U\udcff")),
      ValidationError, "treatment 'U\\udcff' is not UTF-8"),
     (_bundle(treatments=("T", "U\udcfe", "V\udcff")), ValidationError,  # the first is named
      "treatment 'U\\udcfe' is not UTF-8"),
@@ -318,11 +319,21 @@ INVALID = [
     (_bundle(pending=(("d\udcff", ("a",)),)), ValidationError,
      "decision id 'd\\udcff' is not UTF-8"),
     (partial(ExperimentBundle, ActionManifest("e\udcff", CUSTOM, (("a", "Alpha"),)),
-             (), (), ("T",)), ValidationError, "experiment id 'e\\udcff' is not UTF-8"),
+             (), Predictions(), ("T",)), ValidationError, "experiment id 'e\\udcff' is not UTF-8"),
     (partial(ExperimentBundle, ActionManifest("e1", CUSTOM, (("a\udcff", "Alpha"),)),
-             (), (), ("T",)), ValidationError, "action id 'a\\udcff' is not UTF-8"),
+             (), Predictions(), ("T",)), ValidationError, "action id 'a\\udcff' is not UTF-8"),
     (partial(ExperimentBundle, ActionManifest("e1", CUSTOM, (("a", "Alpha\udcff"),)),
-             (), (), ("T",)), ValidationError, "action name 'Alpha\\udcff' is not UTF-8"),
+             (), Predictions(), ("T",)), ValidationError,
+     "action name 'Alpha\\udcff' is not UTF-8"),
+    # an id of another type would stop the UTF-8 check's join with a TypeError
+    (_bundle(rows=[(5, "T", "d1", "a")]), ValidationError, "participant id 5 is not a string"),
+    (_bundle(rows=[("p1", b"T", "d1", "a")], treatments=("T", b"T")), ValidationError,
+     "treatment b'T' is not a string"),
+    (_bundle(decisions=(DecisionValues(1, {"a": 1.0}, "a"),)), ValidationError,
+     "decision id 1 is not a string"),
+    (_bundle(pending=(((2,), ("a",)),)), ValidationError, "decision id (2,) is not a string"),
+    (partial(ExperimentBundle, ActionManifest("e1", CUSTOM, ((None, "Alpha"),)),
+             (), Predictions(), ("T",)), ValidationError, "action id None is not a string"),
     (lambda: _manifest_from_dict(_manifest_doc(treatments="AB")), ParseError,
      "malformed manifest.json: TypeError('treatments must be a list, got str')"),
     (lambda: _manifest_from_dict(
@@ -361,15 +372,15 @@ def test_validation_errors_are_unchanged(build, exc, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("predictions, index, column", [
+@pytest.mark.parametrize("rows, index, column", [
     ((RECORD, RECORD), 1, "participant_id"),
-    ((RECORD, RECORD._replace(predicted="b"), RECORD._replace(treatment="")), 1, "participant_id"),
+    ((RECORD, ("p1", "T", "d1", "b"), ("p1", "", "d1", "a")), 1, "participant_id"),
 ], ids=["same-record-twice", "duplicate-before-empty-treatment"])
-def test_refused_prediction_is_tagged_with_its_own_index(predictions, index, column):
+def test_refused_prediction_is_tagged_with_its_own_index(rows, index, column):
     """A refused prediction's index is its own position, so a repeat is
     named, not the record it repeats."""
     with pytest.raises(ValidationError) as info:
-        _bundle(predictions=predictions)()
+        _bundle(rows=rows)()
     assert (info.value.index, info.value.column) == (index, column)
 
 
