@@ -11,7 +11,7 @@ from pathlib import Path
 import predscore
 
 HEAVY = ("dataclasses", "typing", "statistics", "fractions", "decimal", "scipy", "numpy",
-         "pickle", "signal")
+         "pickle", "signal", "hashlib")
 
 
 def loaded_by(statements: str) -> list[str]:

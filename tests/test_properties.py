@@ -13,10 +13,12 @@ import functools
 import io
 import json
 import math
+import os
 import random
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,6 +39,7 @@ from predscore.board import (  # noqa: E402
     game_status,
     new_game,
 )
+from predscore import dataset  # noqa: E402
 from predscore.cli import main  # noqa: E402
 from predscore.dataset import (  # noqa: E402
     CUSTOM,
@@ -130,6 +133,24 @@ def test_parse_inverts_serialize(bundle):
 def test_read_bundle_inverts_write_bundle(bundle):
     with tempfile.TemporaryDirectory() as tmp:
         assert read_bundle(write_bundle(bundle, Path(tmp) / "b")) == bundle
+
+
+@PROPERTY
+@given(bundles())
+def test_read_bundle_reads_alike_with_no_cache_on_a_miss_and_on_a_hit(bundle):
+    """The parse cache, used here for every size, changes no bundle read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_bundle(bundle, Path(tmp) / "b")
+        uncached = read_bundle(path)
+        cache = Path(tmp) / "cache"
+        with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(cache)), \
+                mock.patch.object(dataset, "_CACHE_MIN_BYTES", 0):
+            missed = read_bundle(path)
+            [entry] = (cache / "predscore").iterdir()
+            hit = read_bundle(path)
+        assert uncached == missed == hit == bundle
+        assert [list(map(type, c)) for c in hit.predictions.columns] == [
+            [str] * len(bundle.predictions)] * 4
 
 
 def _record_text(fields) -> str:

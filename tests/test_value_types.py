@@ -334,6 +334,18 @@ INVALID = [
     (_bundle(pending=(((2,), ("a",)),)), ValidationError, "decision id (2,) is not a string"),
     (partial(ExperimentBundle, ActionManifest("e1", CUSTOM, ((None, "Alpha"),)),
              (), Predictions(), ("T",)), ValidationError, "action id None is not a string"),
+    # an unhashable id stops a lookup with a TypeError, and is named the same way
+    (_bundle(rows=[(["p1"], "T", "d1", "a")]), ValidationError,
+     "participant id ['p1'] is not a string"),
+    (_bundle(rows=[("p1", ["T"], "d1", "a")]), ValidationError, "treatment ['T'] is not a string"),
+    (_bundle(rows=[("p1", "T", ["d1"], "a")]), ValidationError,
+     "decision id ['d1'] is not a string"),
+    (_bundle(rows=[("p1", "T", "d1", ["a"])]), ValidationError,
+     "predicted action ['a'] is not a string"),
+    (_bundle(rows=[RECORD, ("p2", "T", "d1", {"a"})]), ValidationError,
+     "predicted action {'a'} is not a string"),
+    (_bundle(treatments=(["U"],)), ValidationError, "treatment ['U'] is not a string"),
+    (_bundle(treatments=("T", {"U": 1})), ValidationError, "treatment {'U': 1} is not a string"),
     (lambda: _manifest_from_dict(_manifest_doc(treatments="AB")), ParseError,
      "malformed manifest.json: TypeError('treatments must be a list, got str')"),
     (lambda: _manifest_from_dict(
