@@ -25,17 +25,19 @@ parse_values_csv meets such a record before it can build one, and refuses
 it there only to name its row.  Names are checked first, before any rule
 hashes one, by the type that holds them: ActionManifest its experiment id,
 action ids and action names, and ExperimentBundle its treatments, decision
-ids and pending decisions' action ids.  Each refuses a name that is not a
-string, and one that is not UTF-8 text (one holding a lone surrogate), with
-one join per kind of name, so a bundle the library builds always reads
-back.  ExperimentBundle then checks how the parts relate and every rule on
-a prediction: its predictions are a Predictions, every decision's actions
-are in the manifest, and every prediction has a participant and a
-treatment, names a valued decision, an action it values and a listed
-treatment, and is its participant's only one for that decision.  Its
-participant ids are known only after that walk, so they are checked last;
-a prediction field that is not a string is named where a lookup fails on
-it.  read_bundle adds the row of a refused record.
+ids and the action ids of its valued and pending decisions.  Each refuses
+an id that is not a string, and a name that is not UTF-8 text (one holding
+a lone surrogate), with one join per kind of name, so a bundle the library
+builds always reads back.  An experiment id or an action name need not be
+a string, but an action name must be hashable.  ExperimentBundle then
+checks how the parts relate and every rule on a prediction: its
+predictions are a Predictions, every decision's actions are in the
+manifest, and every prediction has a participant and a treatment, names a
+valued decision, an action it values and a listed treatment, and is its
+participant's only one for that decision.  Its participant ids are known
+only after that walk, so they are checked last; a prediction field that is
+not a string is named where a lookup fails on it.  read_bundle adds the
+row of a refused record.
 A simulated design (agents, participants, treatment labels, decisions per
 agent) is checked by ``check_synthetic_design`` alone, which both
 generate_synthetic_experiment and ``predscore simulate`` call before any
@@ -69,24 +71,34 @@ finds a repeated (participant, decision) with one small integer per
 participant, a bit per valued decision.  write_bundle, vote_counts and
 samples.csv read the columns too.
 
-A predictions.csv of at least ``_CACHE_MIN_BYTES`` (1 MiB) is parsed once
-per content: read_bundle keeps its four columns as marshal data in the
-user's cache directory, ``$XDG_CACHE_HOME/predscore`` or else
-``~/.cache/predscore``, and a later read of the same bytes loads them
-instead of parsing.  The cache replaces parse_predictions_csv and nothing
-else: every read still runs ExperimentBundle's full check on the columns.
-An entry's name is a SHA-256 over a format tag, ``sys.version``, the source
-of this module and the bytes of predictions.csv, so an edit to the parser
-or the file misses.  An entry holds each column as one marshal record and
-ends with a SHA-256 of those records, checked on every load; an entry that
-will not load is parsed again and rewritten.  Entries are read only from
-that directory, never from a bundle or beside one, and only while the
-directory is the effective user's and writable by no one else; any
-``OSError`` there, or no home directory, means the file is parsed as it
-is below the threshold, with no message.  An entry is written only for a
-bundle ExperimentBundle accepts, after the file's bytes are released,
-through ``_write_files``, and the newest ``_CACHE_ENTRIES`` entries by mtime
-are kept; a hit refreshes its entry's mtime.
+A predictions.csv of at least ``_CACHE_MIN_BYTES`` (1 MiB) is parsed and
+checked once per content: read_bundle keeps its four columns as marshal
+data, with their (participant, decision) order, in the user's cache
+directory, ``$XDG_CACHE_HOME/predscore`` or else ``~/.cache/predscore``,
+and a later read of the same bytes loads them instead of parsing, checking
+and sorting.  An entry's name is a SHA-256 over a format tag, ``sys.version``, the name and
+bytes of every module of this package, sorted by name, and the bytes of
+manifest.json, values.csv and predictions.csv, each part length-prefixed.
+An entry is written only once ExperimentBundle has accepted the bundle, so
+a hit shows that this code accepted these bytes, and the bundle is built
+from the entry without ExperimentBundle's rules, as Python trusts a
+hash-checked ``.pyc`` (PEP 552): every read of bytes that this code has not
+accepted runs the full check, and an edit to any of the three files or to
+any module misses.  ExperimentBundle reads no environment variable, locale
+or file; a rule that comes to read one must add it to the key.  A hit still
+decodes manifest.json and parses values.csv, which are small, with their
+own refusals.  The vouch reaches as far as the directory rule below: an
+entry forged by the same user is trusted, as a forged ``.pyc`` would be.
+An entry holds each column as one marshal record and the order as one
+record of ``array("I")`` bytes, and ends with a SHA-256 of those records,
+checked on every load; an entry that will not load is read in full again
+and rewritten.  Entries are read only from that directory, never from a
+bundle or beside one, and only while the directory is the effective
+user's and writable by no one else; any ``OSError`` there, no home
+directory, or no source file to hash (a zip or a sourceless install) means
+the bundle is read as it is below the threshold, with no message.  An entry is written after the file's bytes are released, through
+``_write_files``, and the newest ``_CACHE_ENTRIES`` entries by mtime are
+kept; a hit refreshes its entry's mtime.
 """
 
 from __future__ import annotations
@@ -100,6 +112,7 @@ import os
 import random
 import re
 import sys
+from array import array
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -111,7 +124,7 @@ from pathlib import Path
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
-from .metrics import Predictions, VoteCounts
+from .metrics import Predictions, VoteCounts, _by_participant_and_decision
 from .oracle import AgentSpec, _fan_out, value_oracle
 from .values import DecisionValues, OutcomeTriple, ranked
 
@@ -145,7 +158,7 @@ _CHUNK = 1024
 # README-sized one parses in milliseconds and would only pay for the hash.
 _CACHE_MIN_BYTES = 1 << 20
 _CACHE_ENTRIES = 8
-_CACHE_TAG = b"predscore predictions columns 1"
+_CACHE_TAG = b"predscore accepted bundle 2"
 _CACHE_SUFFIX = ".columns"
 _DIGEST_BYTES = 32
 
@@ -175,6 +188,11 @@ class ActionManifest(Validated, namedtuple("ActionManifest", "experiment_id doma
         _refuse_unencodable("experiment id", [t for t in (experiment_id,) if isinstance(t, str)])
         _refuse_unencodable("action id", ids)
         _refuse_unencodable("action name", [n for n in names if isinstance(n, str)])
+        for name in names:  # any hashable name is taken, so an unhashable one is named
+            try:
+                hash(name)
+            except TypeError:
+                raise ValidationError(f"action name {name!r} is not hashable") from None
         if len(set(ids)) != len(ids):
             raise ValidationError("manifest action ids must be unique")
         if len(set(names)) != len(names):
@@ -257,7 +275,8 @@ class ExperimentBundle(
         # checked its own, and participant ids are known only after the loop.
         _refuse_unencodable("treatment", treatments)
         _refuse_unencodable("decision id", all_ids)
-        _refuse_unencodable("action id", [a for _, actions in pending_decisions for a in actions])
+        _refuse_unencodable("action id", [a for dv in decisions for a in dv.entries]
+                            + [a for _, actions in pending_decisions for a in actions])
         if len(set(all_ids)) != len(all_ids):
             raise ValidationError("duplicate decision ids in bundle")
         _refuse_repeated(treatments)
@@ -691,19 +710,27 @@ def read_bundle(path) -> ExperimentBundle:
     for name in ("manifest.json", "values.csv", "predictions.csv"):
         if not (path / name).exists():
             raise ParseError(f"no {name} in {path}")
+    manifest_json = (path / "manifest.json").read_bytes()
     try:
-        doc = json.loads(_decode((path / "manifest.json").read_bytes()))
+        doc = json.loads(_decode(manifest_json))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed manifest.json: {exc}") from None
     manifest, treatments, pending = _manifest_from_dict(doc)
     values = (path / "values.csv").read_bytes()
-    decisions = parse_values_csv(values)
+    decisions = tuple(parse_values_csv(values))
     data = (path / "predictions.csv").read_bytes()
-    entry = _cache_entry(data) if len(data) >= _CACHE_MIN_BYTES else None
+    entry = (_cache_entry((manifest_json, values, data)) if len(data) >= _CACHE_MIN_BYTES
+             else None)
     cached = None if entry is None else _load_entry(entry)
-    predictions = parse_predictions_csv(data) if cached is None else cached
+    if cached is not None:
+        # The entry was written for these bytes once this code accepted them.
+        predictions, order = cached
+        predictions._order = order
+        return tuple.__new__(ExperimentBundle,
+                             (manifest, decisions, predictions, treatments, pending))
+    predictions = parse_predictions_csv(data)
     try:
-        bundle = ExperimentBundle(manifest, tuple(decisions), predictions, treatments, pending)
+        bundle = ExperimentBundle(manifest, decisions, predictions, treatments, pending)
     except ValidationError as exc:
         column = getattr(exc, "column", None)  # set only on a refused record
         if column is None:
@@ -713,9 +740,10 @@ def read_bundle(path) -> ExperimentBundle:
                 index = [row[:2] for row in records].index(list(exc.key))
             raise _refusal(values, index, str(exc), column) from None
         raise _refusal(data, exc.index, str(exc), column) from None
-    del data  # released first, so that writing the entry adds nothing to the peak
-    if entry is not None and cached is None:
-        _store_entry(entry, predictions.columns)
+    del data  # released first, so that sorting and writing the entry add nothing to the peak
+    if entry is not None:  # the entry stores the order, and the command reading it uses it
+        order = predictions._order = _by_participant_and_decision(predictions)
+        _store_entry(entry, predictions.columns, order)
     return bundle
 
 
@@ -733,33 +761,40 @@ def _sha256(data=b""):
     return sha256(data)
 
 
-def _cache_entry(data: bytes) -> Path | None:
-    """The path of the cache entry for predictions.csv bytes ``data``, or
-    None where no cache directory can be used: there is no home directory,
-    the directory cannot be made, or it is not the effective user's alone."""
+def _cache_entry(files) -> Path | None:
+    """The path of the cache entry for a bundle whose manifest.json,
+    values.csv and predictions.csv hold the bytes ``files``, or None where
+    no cache directory can be used: there is no home directory, the
+    directory cannot be made, or it is not the effective user's alone."""
     try:
         base = os.environ.get("XDG_CACHE_HOME")
         directory = (Path(base) if base and os.path.isabs(base)
                      else Path.home() / ".cache") / "predscore"
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         info = directory.stat()
-        source = Path(__file__).read_bytes()
+        # the code a hit vouches for: every module of the package, by name
+        modules = sorted(Path(__file__).parent.glob("*.py"))
+        if Path(__file__) not in modules:  # no source to hash: a zip or a sourceless install
+            return None
+        sources = [part for module in modules
+                   for part in (module.name.encode(), module.read_bytes())]
     except (OSError, RuntimeError):  # Path.home() raises RuntimeError when there is no home
         return None
     # anyone else who could write here could hand us marshal data
     if info.st_uid != os.geteuid() or info.st_mode & 0o022:
         return None
     key = _sha256()
-    for part in (_CACHE_TAG, sys.version.encode(), source, data):
+    for part in (_CACHE_TAG, sys.version.encode(), *sources, *files):
         key.update(len(part).to_bytes(8, "little"))
         key.update(part)
     return directory / f"{key.hexdigest()}{_CACHE_SUFFIX}"
 
 
-def _load_entry(entry: Path) -> Predictions | None:
-    """The Predictions stored at entry, refreshing its mtime, or None if it
-    is missing, unreadable, fails its digest or is not four columns of one
-    length."""
+def _load_entry(entry: Path) -> tuple[Predictions, array] | None:
+    """The Predictions stored at entry and their (participant, decision)
+    order, refreshing the entry's mtime, or None if it is missing,
+    unreadable, fails its digest, or is not four columns of one length and
+    an order of that length."""
     try:
         blob = entry.read_bytes()
         os.utime(entry)
@@ -768,26 +803,30 @@ def _load_entry(entry: Path) -> Predictions | None:
     body = memoryview(blob)[:-_DIGEST_BYTES]
     if _sha256(body).digest() != blob[-_DIGEST_BYTES:]:
         return None
-    columns, offset = [], 0
+    records, offset = [], 0
+    while offset < len(body):
+        size = int.from_bytes(body[offset:offset + 8], "little")
+        records.append(body[offset + 8:offset + 8 + size])
+        offset += 8 + size
+    order = array("I")
     try:
-        while offset < len(body):
-            size = int.from_bytes(body[offset:offset + 8], "little")
-            offset += 8
-            columns.append(marshal.loads(body[offset:offset + size]))
-            offset += size
-        return Predictions(columns)
+        *columns, order_bytes = records
+        predictions = Predictions(map(marshal.loads, columns))
+        order.frombytes(order_bytes)
     except (EOFError, ValueError, TypeError, ValidationError):
         return None
+    return (predictions, order) if len(order) == len(predictions) else None
 
 
-def _store_entry(entry: Path, columns) -> None:
-    """Write columns to entry, then keep the newest _CACHE_ENTRIES entries.
-    Each column is one length-prefixed marshal record, made only as the
-    writer reaches it, and a SHA-256 of the records ends the entry."""
+def _store_entry(entry: Path, columns, order: array) -> None:
+    """Write columns and their order to entry, then keep the newest
+    _CACHE_ENTRIES entries.  Each column is one length-prefixed marshal
+    record, made only as the writer reaches it, the order one length-prefixed
+    record of its array bytes, and a SHA-256 of the records ends the entry."""
     def pieces():
         digest = _sha256()
-        for column in columns:
-            record = marshal.dumps(column)
+        records = chain(map(marshal.dumps, columns), (order.tobytes(),))
+        for record in records:
             for piece in (len(record).to_bytes(8, "little"), record):
                 digest.update(piece)
                 yield piece

@@ -97,9 +97,15 @@ class Predictions:
     length reads the columns, iterating it yields each prediction as a
     plain 4-tuple, and two Predictions are equal when their columns are.
     Like a list, it is unhashable.
+
+    ``_order`` is the order of :func:`_by_participant_and_decision` where
+    :func:`predscore.dataset.read_bundle` attached it: only read_bundle
+    sets it, on a Predictions it made itself, and ``__init__`` never
+    copies it, so a Predictions built from any columns sorts afresh.
     """
 
     columns: tuple[list[str], list[str], list[str], list[str]]
+    _order: array | None = None
 
     def __init__(self, columns=((), (), (), ())):
         columns = tuple(c if type(c) is list else list(c) for c in columns)
@@ -198,7 +204,11 @@ def _by_participant_and_decision(predictions: Predictions) -> array:
     keeping input order among equal pairs: two stable sorts of one list of
     positions, so no key tuple is built.  The sorted positions are kept as
     an array of C ints, 4 bytes each, not as a list of int objects.  Every
-    per-prediction walk, here and in the report module, takes this order."""
+    per-prediction walk, here and in the report module, takes this order.
+    The order that read_bundle attached to predictions, computed from these
+    same columns by this function, is returned with no sort."""
+    if predictions._order is not None:
+        return predictions._order
     participant_ids, _, decision_ids, _ = predictions.columns
     order = sorted(range(len(predictions)), key=decision_ids.__getitem__)
     order.sort(key=participant_ids.__getitem__)

@@ -141,31 +141,41 @@ def participant_loss_sums(
     LV, rank space sums LR.  A listed treatment that no prediction names
     gets an empty group.
 
-    Each space is one walk over the predictions' columns, by participant
-    and then decision, so each treatment lists its participants in sorted
-    order.  Each total starts from 0.0 and adds its losses in decision
-    order, whatever the order of the predictions, so equal bundles give
-    equal float sums.  A total that overflows is refused with the
-    participant, the treatment and the space; only the spaces asked for are
-    summed, so it refuses only those.
+    One walk over the predictions' columns, by participant and then
+    decision, sums every space asked for, so each treatment lists its
+    participants in sorted order.  Each total starts from 0.0 and adds its
+    losses in decision order, whatever the order of the predictions, so
+    equal bundles give equal float sums.  A total that overflows is refused
+    with the participant, the treatment and the space; only the spaces
+    asked for are summed, so it refuses only those.
     """
     participant_ids, treatments, decision_ids, predicted = bundle.predictions.columns
     order = _by_participant_and_decision(bundle.predictions)
-    groups = {}
-    for space in spaces:
-        field = SPACES.index(space)
-        losses = {d: {a: row[field] for a, row in table.items()} for d, table in scores.items()}
-        sums = {t: {} for t in sorted(bundle.treatments)}
+    # space -> treatment -> participant id -> total
+    sums = {space: {t: {} for t in sorted(bundle.treatments)} for space in spaces}
+    if len(sums) == 2:  # each prediction adds its LV and its LR
+        both = {t: (totals, sums["rank"][t]) for t, totals in sums["value"].items()}
         for i in order:
-            totals, pid = sums[treatments[i]], participant_ids[i]
-            totals[pid] = totals.get(pid, 0.0) + losses[decision_ids[i]][predicted[i]]
-        for t, totals in sums.items():
+            (value_totals, rank_totals), pid = both[treatments[i]], participant_ids[i]
+            lv, lr, _ = scores[decision_ids[i]][predicted[i]]
+            value_totals[pid] = value_totals.get(pid, 0.0) + lv
+            rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
+    else:
+        for space, by_treatment in sums.items():
+            field = SPACES.index(space)
+            losses = {d: {a: row[field] for a, row in table.items()} for d, table in scores.items()}
+            for i in order:
+                totals, pid = by_treatment[treatments[i]], participant_ids[i]
+                totals[pid] = totals.get(pid, 0.0) + losses[decision_ids[i]][predicted[i]]
+    groups = {}
+    for space, by_treatment in sums.items():
+        for t, totals in by_treatment.items():
             for pid, total in totals.items():
                 if not math.isfinite(total):
                     raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
                                           f"in treatment {t!r} overflows")
         groups[space] = [SampleGroup(label=t, values=tuple(totals.values()))
-                         for t, totals in sums.items()]
+                         for t, totals in by_treatment.items()]
     return groups
 
 

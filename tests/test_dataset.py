@@ -176,6 +176,20 @@ class TestBundleWrites:
             read_bundle(path)
         assert str(info.value) == "experiment id 'exp\\udcff' is not UTF-8"
 
+    def test_an_action_name_that_is_a_json_list_is_named_on_read(self, tmp_path):
+        """An action name need not be a string, but a set must hash it."""
+        path = write_bundle(random_bundle(1), tmp_path / "b")
+        doc = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+        doc["actions"][0]["name"] = ["x"]
+        (path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            read_bundle(path)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == "action name ['x'] is not hashable"
+        doc["actions"][0]["name"] = 5  # a hashable name that is not a string reads as before
+        (path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert read_bundle(path).manifest.actions[0][1] == 5
+
 
 VALUES_4T = """decision_id,action,value,chosen
 DP1,NE,31.0,1

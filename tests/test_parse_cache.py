@@ -1,16 +1,20 @@
-"""read_bundle's parse cache: the columns of a large predictions.csv are
-kept under the user's cache directory, keyed by content, and loaded on a
-later read of the same bytes.  Each test lowers the size threshold to 0,
-so that the small bundles here are cached too."""
+"""read_bundle's parse cache: the columns of a large predictions.csv, and
+their (participant, decision) order, are kept under the user's cache
+directory, keyed by the bundle's three files and the package's source, and
+loaded on a later read of the same bytes without the bundle's per-prediction
+rules.  Each test lowers the size threshold to 0, so that the small bundles
+here are cached too."""
 
+import marshal
 import os
 import pwd
+import shutil
 from pathlib import Path
 
 import pytest
 
 from prediction_rows import predictions_of
-from predscore import dataset
+from predscore import dataset, metrics
 from predscore.dataset import (
     CUSTOM,
     ActionManifest,
@@ -52,6 +56,10 @@ def parses(monkeypatch) -> list:
     return calls
 
 
+def _refused(*args, **kwargs):
+    raise AssertionError("called on a cache hit")
+
+
 def _entries(cache: Path) -> list[Path]:
     return sorted(cache.glob("*.columns"))
 
@@ -66,6 +74,48 @@ def test_a_miss_writes_one_entry_and_a_hit_loads_it(tmp_path, cache, parses):
     assert len(parses) == 1 and len(_entries(cache)) == 1 and not _leftovers(cache)
     assert read_bundle(path) == first == _bundle()
     assert len(parses) == 1 and len(_entries(cache)) == 1
+
+
+def test_a_miss_runs_every_rule_and_a_hit_none(tmp_path, cache, monkeypatch):
+    """ExperimentBundle's rules run once, on the miss that writes the entry.
+    A hit builds the bundle from the entry: with those rules and the
+    (participant, decision) sort made to fail, it still reads, and the
+    order it attaches is the one every walk takes."""
+    expected = _bundle()
+    path = write_bundle(expected, tmp_path / "b")
+    checks = []
+    check = ExperimentBundle.__new__
+
+    def counted(cls, *args, **kwargs):
+        checks.append(args)
+        return check(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentBundle, "__new__", counted)
+    missed = read_bundle(path)
+    assert len(checks) == 1 and len(_entries(cache)) == 1
+    monkeypatch.setattr(ExperimentBundle, "__new__", _refused)
+    monkeypatch.setattr(metrics, "sorted", _refused, raising=False)
+    hit = read_bundle(path)
+    assert type(hit) is ExperimentBundle and hit == expected
+    order = metrics._by_participant_and_decision(hit.predictions)
+    assert order is hit.predictions._order
+    assert order == missed.predictions._order
+
+
+def test_a_miss_after_an_edit_runs_every_rule(tmp_path, cache, monkeypatch, parses):
+    """values.csv edited under an entry for the old bundle: the read misses,
+    and its refusal is the one an uncached read gives."""
+    path = write_bundle(_bundle(), tmp_path / "b")
+    read_bundle(path)
+    values = path / "values.csv"
+    values.write_text("".join(line for line in values.read_text(encoding="utf-8").splitlines(True)
+                              if not line.startswith("d2,c,")), encoding="utf-8")
+    refused = _refusal(path)
+    assert refused == ("prediction by 'p1' references action 'c', which decision 'd2' does not "
+                       "value (row 5, column 'predicted_action')", 5, "predicted_action")
+    assert len(parses) == 2 and len(_entries(cache)) == 1
+    monkeypatch.setattr(dataset, "_CACHE_MIN_BYTES", 1 << 40)
+    assert _refusal(path) == refused
 
 
 def test_the_directory_is_the_users_alone(tmp_path, cache):
@@ -159,8 +209,13 @@ def _no_home(cache: Path, monkeypatch) -> None:
         Path.home()
 
 
-@pytest.mark.parametrize("make", [_read_only, _group_writable, _foreign, _no_home],
-                         ids=["read-only", "group-writable", "foreign-owned", "no-home"])
+def _no_source(cache: Path, monkeypatch) -> None:
+    """The package as a zip would hold it: no module is a file to hash."""
+    monkeypatch.setattr(dataset, "__file__", str(cache.parent / "app.pyz" / "predscore" / "dataset.py"))
+
+
+@pytest.mark.parametrize("make", [_read_only, _group_writable, _foreign, _no_home, _no_source],
+                         ids=["read-only", "group-writable", "foreign-owned", "no-home", "no-source"])
 def test_an_unusable_directory_reads_as_uncached(tmp_path, cache, monkeypatch, capfd, make):
     path = write_bundle(_bundle(), tmp_path / "b")
     make(cache, monkeypatch)
@@ -171,23 +226,56 @@ def test_an_unusable_directory_reads_as_uncached(tmp_path, cache, monkeypatch, c
         assert list(cache.iterdir()) == []
 
 
-def test_an_edited_file_or_parser_misses(tmp_path, cache, monkeypatch, parses):
+@pytest.mark.parametrize("name", ["manifest.json", "values.csv", "predictions.csv"])
+def test_an_edited_file_or_format_tag_misses(tmp_path, cache, monkeypatch, parses, name):
     path = write_bundle(_bundle(), tmp_path / "b")
     read_bundle(path)
-    with open(path / "predictions.csv", "a", encoding="utf-8") as fh:
-        fh.write("\n")  # a blank line: the same predictions from other bytes
+    with open(path / name, "a", encoding="utf-8") as fh:
+        fh.write("\n")  # a blank line: the same bundle from other bytes
     assert read_bundle(path) == _bundle()
     assert len(parses) == 2 and len(_entries(cache)) == 2
 
-    edited = tmp_path / "dataset.py"
-    edited.write_bytes(Path(dataset.__file__).read_bytes() + b"# edited\n")
-    monkeypatch.setattr(dataset, "__file__", str(edited))
+    monkeypatch.setattr(dataset, "_CACHE_TAG", dataset._CACHE_TAG + b"+")
     read_bundle(path)
     assert len(parses) == 3 and len(_entries(cache)) == 3
 
-    monkeypatch.setattr(dataset, "_CACHE_TAG", dataset._CACHE_TAG + b"+")
+
+MODULES = sorted(p.name for p in Path(dataset.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_an_edited_module_misses(tmp_path, cache, monkeypatch, parses, module):
+    """The key covers every module of the package: here the package is a
+    copy, read through the path of its dataset.py."""
+    package = tmp_path / "predscore"
+    package.mkdir()
+    for name in MODULES:
+        shutil.copyfile(Path(dataset.__file__).parent / name, package / name)
+    monkeypatch.setattr(dataset, "__file__", str(package / "dataset.py"))
+    path = write_bundle(_bundle(), tmp_path / "b")
     read_bundle(path)
-    assert len(parses) == 4 and len(_entries(cache)) == 4
+    read_bundle(path)
+    assert len(parses) == 1
+    with open(package / module, "a", encoding="utf-8") as fh:
+        fh.write("# edited\n")
+    read_bundle(path)
+    assert len(parses) == 2 and len(_entries(cache)) == 2
+
+
+def test_an_entry_in_the_old_format_is_read_again_and_rewritten(tmp_path, cache, parses):
+    """The format before the order record was four column records and
+    their digest.  At the key of this format such an entry does not load,
+    so the bundle is read in full and the entry rewritten."""
+    path = write_bundle(_bundle(), tmp_path / "b")
+    read_bundle(path)
+    [entry] = _entries(cache)
+    good = entry.read_bytes()
+    records = b"".join(len(record).to_bytes(8, "little") + record
+                       for record in map(marshal.dumps, _bundle().predictions.columns))
+    entry.write_bytes(records + dataset._sha256(records).digest())
+    assert read_bundle(path) == _bundle()
+    assert len(parses) == 2 and _entries(cache) == [entry] and entry.read_bytes() == good
+    assert dataset._CACHE_TAG != b"predscore predictions columns 1"  # so old keys miss too
 
 
 def test_the_newest_entries_are_kept(tmp_path, cache, parses):

@@ -151,6 +151,12 @@ def test_read_bundle_reads_alike_with_no_cache_on_a_miss_and_on_a_hit(bundle):
         assert uncached == missed == hit == bundle
         assert [list(map(type, c)) for c in hit.predictions.columns] == [
             [str] * len(bundle.predictions)] * 4
+        # the order a read attaches is the (participant, decision) sort, made afresh
+        participant_ids, _, decision_ids, _ = bundle.predictions.columns
+        order = sorted(range(len(bundle.predictions)),
+                       key=lambda i: (participant_ids[i], decision_ids[i]))
+        assert uncached.predictions._order is None
+        assert list(missed.predictions._order) == list(hit.predictions._order) == order
 
 
 def _record_text(fields) -> str:

@@ -352,6 +352,13 @@ INVALID = [
      "decision id ['d2'] is not a string"),
     (partial(ActionManifest, "e1", CUSTOM, ((["a"], "Alpha"),)), ValidationError,
      "action id ['a'] is not a string"),
+    (_bundle(decisions=(DecisionValues("d1", {5: 1.0, "z": 2.0}, "z"),)), ValidationError,
+     "action id 5 is not a string"),
+    # an action name need not be a string, but it must be hashable
+    (partial(ActionManifest, "e1", CUSTOM, (("a", ["x"]),)), ValidationError,
+     "action name ['x'] is not hashable"),
+    (partial(ActionManifest, "e1", CUSTOM, (("a", "Alpha"), ("b", ("x", ["y"])))),
+     ValidationError, "action name ('x', ['y']) is not hashable"),
     (partial(DecisionValues, "d1", {"a": 1.0}, ["a"]), UnknownActionError,
      "decision 'd1': chosen action ['a'] not in value table"),
     (partial(GradeScale, ((4, ["A"]), (None, "F"))), ValidationError,
