@@ -68,35 +68,44 @@ the predictions of a participant share one id string, and likewise for
 treatments, decisions and actions.  generate_synthetic_experiment builds
 the same columns without a parse.  ExperimentBundle walks the columns, and
 finds a repeated (participant, decision) with one small integer per
-participant, a bit per valued decision.  write_bundle, vote_counts and
-samples.csv read the columns too.
+participant, a bit per valued decision.  write_bundle, vote_counts, the
+loss sums and samples.csv read the columns too.
 
 A predictions.csv of at least ``_CACHE_MIN_BYTES`` (1 MiB) is parsed and
 checked once per content: read_bundle keeps its four columns as marshal
-data, with their (participant, decision) order, in the user's cache
-directory, ``$XDG_CACHE_HOME/predscore`` or else ``~/.cache/predscore``,
-and a later read of the same bytes loads them instead of parsing, checking
-and sorting.  An entry's name is a SHA-256 over a format tag, ``sys.version``, the name and
-bytes of every module of this package, sorted by name, and the bytes of
-manifest.json, values.csv and predictions.csv, each part length-prefixed.
-An entry is written only once ExperimentBundle has accepted the bundle, so
-a hit shows that this code accepted these bytes, and the bundle is built
-from the entry without ExperimentBundle's rules, as Python trusts a
-hash-checked ``.pyc`` (PEP 552): every read of bytes that this code has not
-accepted runs the full check, and an edit to any of the three files or to
-any module misses.  ExperimentBundle reads no environment variable, locale
-or file; a rule that comes to read one must add it to the key.  A hit still
-decodes manifest.json and parses values.csv, which are small, with their
-own refusals.  The vouch reaches as far as the directory rule below: an
-entry forged by the same user is trusted, as a forged ``.pyc`` would be.
-An entry holds each column as one marshal record and the order as one
-record of ``array("I")`` bytes, and ends with a SHA-256 of those records,
-checked on every load; an entry that will not load is read in full again
-and rewritten.  Entries are read only from that directory, never from a
-bundle or beside one, and only while the directory is the effective
-user's and writable by no one else; any ``OSError`` there, no home
-directory, or no source file to hash (a zip or a sourceless install) means
-the bundle is read as it is below the threshold, with no message.  An entry is written after the file's bytes are released, through
+data, with their (participant, decision) order, their vote tally and each
+participant's loss totals in both spaces, in the user's cache directory,
+``$XDG_CACHE_HOME/predscore`` or else ``~/.cache/predscore``, and a later
+read of the same bytes loads them instead of parsing, checking, sorting,
+counting and summing.  An entry's name is a BLAKE2b-256 hash (SHA-256 where
+the interpreter has no ``_blake2``) over a format tag, ``sys.version``, the
+name and bytes of every module of this package, sorted by name, and the
+bytes of manifest.json, values.csv and predictions.csv, each part
+length-prefixed.  An entry is written only once ExperimentBundle has
+accepted the bundle, so a hit shows that this code accepted these bytes,
+and the bundle is built from the entry without ExperimentBundle's rules, as
+Python trusts a hash-checked ``.pyc`` (PEP 552): every read of bytes that
+this code has not accepted runs the full check, and an edit to any of the
+three files or to any module misses.  The vouch covers whatever this code
+computes from those bytes alone, so the order, the tally and the totals,
+which the miss made from the accepted columns and values, are stored too;
+the Predictions read_bundle returns carries them, and each is used only
+while it holds (see :mod:`predscore.metrics`).  ExperimentBundle reads no
+environment variable, locale or file; a rule that comes to read one must
+add it to the key.  A hit still decodes manifest.json and parses
+values.csv, which are small, with their own refusals.  The vouch reaches as
+far as the directory rule below: an entry forged by the same user is
+trusted, as a forged ``.pyc`` would be.  An entry holds each column, the
+tally and the totals as one marshal record each, the order and each
+treatment's totals as ``array`` bytes, and ends with a hash of those
+records by the same function as its name, checked on every load; an entry
+that will not load is read in full again and rewritten.  Entries are read
+only from that directory, never from a bundle or beside one, and only
+while the directory is the effective user's and writable by no one else;
+any ``OSError`` there, no home directory, or no source file to hash (a zip
+or a sourceless install) means the bundle is read as it is below the
+threshold, with no message.  An entry is written after the file's bytes and
+the summing walk's per-participant dicts are released, through
 ``_write_files``, and the newest ``_CACHE_ENTRIES`` entries by mtime are
 kept; a hit refreshes its entry's mtime.
 """
@@ -124,7 +133,8 @@ from pathlib import Path
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
-from .metrics import Predictions, VoteCounts, _by_participant_and_decision
+from .metrics import (SPACES, Predictions, VoteCounts, _by_participant_and_decision, _loss_pairs,
+                      _participant_totals, _vote_tally, score_table)
 from .oracle import AgentSpec, _fan_out, value_oracle
 from .values import DecisionValues, OutcomeTriple, ranked
 
@@ -158,7 +168,7 @@ _CHUNK = 1024
 # README-sized one parses in milliseconds and would only pay for the hash.
 _CACHE_MIN_BYTES = 1 << 20
 _CACHE_ENTRIES = 8
-_CACHE_TAG = b"predscore accepted bundle 2"
+_CACHE_TAG = b"predscore accepted bundle 3"
 _CACHE_SUFFIX = ".columns"
 _DIGEST_BYTES = 32
 
@@ -346,8 +356,7 @@ class ExperimentBundle(
         predictions.  Every listed treatment and valued decision has a cell,
         empty where nobody in that treatment predicted that decision."""
         counts = {(t, dv.decision_id): {} for t in self.treatments for dv in self.decisions}
-        _, treatments, decision_ids, predicted = self.predictions.columns
-        for (t, d, action), votes in Counter(zip(treatments, decision_ids, predicted)).items():
+        for (t, d, action), votes in _vote_tally(self.predictions).items():
             counts[(t, d)][action] = votes
         return counts
 
@@ -574,13 +583,13 @@ def _csv_lines(header: list[str], columns, order, tails: dict):
         zip(leading, repeat("")),
         ((k, j, *fields) for k, table in tails.items() for j, fields in table.items()),
     ))
-    if "\r" in "".join(lines):
+    if any(map(str.__contains__, lines, repeat("\r"))):
         return (_csv_text(header, [(first[i], second[i], third[i], fourth[i],
                                     *tails[third[i]][fourth[i]]) for i in order]),)
-    it = iter(lines)
-    head = next(it)
-    cells = {field: next(it).rpartition(",")[0] for field in leading}
-    rendered = {k: {j: next(it) for j in table} for k, table in tails.items()}
+    lines.reverse()  # each line is popped, and so released, as its cell is taken
+    head = lines.pop()
+    cells = {field: lines.pop().rpartition(",")[0] for field in leading}
+    rendered = {k: {j: lines.pop() for j in table} for k, table in tails.items()}
     return chain((head,), (f"{cells[first[i]]},{cells[second[i]]},{rendered[third[i]][fourth[i]]}"
                            for i in order))
 
@@ -724,10 +733,11 @@ def read_bundle(path) -> ExperimentBundle:
     cached = None if entry is None else _load_entry(entry)
     if cached is not None:
         # The entry was written for these bytes once this code accepted them.
-        predictions, order = cached
-        predictions._order = order
-        return tuple.__new__(ExperimentBundle,
-                             (manifest, decisions, predictions, treatments, pending))
+        predictions, predictions._order, predictions._votes, totals = cached
+        bundle = tuple.__new__(ExperimentBundle,
+                               (manifest, decisions, predictions, treatments, pending))
+        predictions._totals = _loss_pairs(score_table(bundle.values_by_decision())), totals
+        return bundle
     predictions = parse_predictions_csv(data)
     try:
         bundle = ExperimentBundle(manifest, decisions, predictions, treatments, pending)
@@ -740,25 +750,40 @@ def read_bundle(path) -> ExperimentBundle:
                 index = [row[:2] for row in records].index(list(exc.key))
             raise _refusal(values, index, str(exc), column) from None
         raise _refusal(data, exc.index, str(exc), column) from None
-    del data  # released first, so that sorting and writing the entry add nothing to the peak
-    if entry is not None:  # the entry stores the order, and the command reading it uses it
+    del data  # released first, so that the reductions and the entry add nothing to the peak
+    if entry is not None:  # the entry stores them, and the command reading it uses them
         order = predictions._order = _by_participant_and_decision(predictions)
-        _store_entry(entry, predictions.columns, order)
+        votes = predictions._votes = _vote_tally(predictions)
+        scores = score_table(bundle.values_by_decision())
+        sums = _participant_totals(predictions, scores, sorted(treatments))
+        # treatment -> (value totals, rank totals), in walk order, for each treatment with totals
+        totals = {t: tuple(array("d", sums[space][t].values()) for space in SPACES)
+                  for t in sums["value"] if sums["value"][t]}
+        del sums  # the per-participant dicts go before the entry is written
+        predictions._totals = _loss_pairs(scores), totals
+        _store_entry(entry, predictions.columns, order, votes, totals)
     return bundle
 
 
-def _sha256(data=b""):
-    """A SHA-256 hash object.  The interpreter's own implementation comes
-    first, as in the random module: hashlib loads OpenSSL's libcrypto, which
-    adds ~3.7 MB to the peak RSS of a command that reads the bundle."""
+def _content_hash(data=b""):
+    """A hash object with a digest of _DIGEST_BYTES: BLAKE2b-256 from the
+    interpreter's own _blake2 module, which hashes a large predictions.csv
+    about three times as fast as the interpreter's SHA-256.  Where there is
+    no _blake2, SHA-256, the interpreter's own implementation first, as in
+    the random module: hashlib loads OpenSSL's libcrypto, which adds ~3.7 MB
+    to the peak RSS of a command that reads the bundle."""
     try:
-        from _sha2 import sha256  # Python 3.12 and later
+        from _blake2 import blake2b
     except ImportError:
         try:
-            from _sha256 import sha256
+            from _sha2 import sha256  # Python 3.12 and later
         except ImportError:
-            from hashlib import sha256
-    return sha256(data)
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        return sha256(data)
+    return blake2b(data, digest_size=_DIGEST_BYTES)
 
 
 def _cache_entry(files) -> Path | None:
@@ -783,49 +808,69 @@ def _cache_entry(files) -> Path | None:
     # anyone else who could write here could hand us marshal data
     if info.st_uid != os.geteuid() or info.st_mode & 0o022:
         return None
-    key = _sha256()
+    key = _content_hash()
     for part in (_CACHE_TAG, sys.version.encode(), *sources, *files):
         key.update(len(part).to_bytes(8, "little"))
         key.update(part)
     return directory / f"{key.hexdigest()}{_CACHE_SUFFIX}"
 
 
-def _load_entry(entry: Path) -> tuple[Predictions, array] | None:
-    """The Predictions stored at entry and their (participant, decision)
-    order, refreshing the entry's mtime, or None if it is missing,
-    unreadable, fails its digest, or is not four columns of one length and
-    an order of that length."""
+def _load_entry(entry: Path) -> tuple | None:
+    """(predictions, order, votes, totals) as _store_entry stored them, each
+    as read_bundle attaches it, refreshing the entry's mtime, or None if the
+    entry is missing, unreadable or fails its digest, or if its records are
+    not of the shapes _store_entry writes: four columns of one length, an
+    order of that length, a vote tally that sums to it, and for each
+    treatment that the tally names, value and rank totals of one length,
+    one per participant, so at least one and at most its predictions."""
     try:
         blob = entry.read_bytes()
         os.utime(entry)
     except OSError:
         return None
     body = memoryview(blob)[:-_DIGEST_BYTES]
-    if _sha256(body).digest() != blob[-_DIGEST_BYTES:]:
+    if _content_hash(body).digest() != blob[-_DIGEST_BYTES:]:
         return None
     records, offset = [], 0
     while offset < len(body):
         size = int.from_bytes(body[offset:offset + 8], "little")
         records.append(body[offset + 8:offset + 8 + size])
         offset += 8 + size
-    order = array("I")
-    try:
-        *columns, order_bytes = records
-        predictions = Predictions(map(marshal.loads, columns))
-        order.frombytes(order_bytes)
-    except (EOFError, ValueError, TypeError, ValidationError):
+    if len(records) != 7:
         return None
-    return (predictions, order) if len(order) == len(predictions) else None
+    order, predicted = array("I"), Counter()  # treatment -> its predictions
+    try:
+        predictions = Predictions(map(marshal.loads, records[:4]))
+        order.frombytes(records[4])
+        votes, totals = map(marshal.loads, records[5:])
+        for (treatment, _, _), count in votes.items():
+            predicted[treatment] += count
+        # the totals are read in place, as doubles, from the bytes marshal made
+        totals = {t: tuple(memoryview(b).cast("d") for b in pair) for t, pair in totals.items()}
+    except (EOFError, ValueError, TypeError, AttributeError, ValidationError):
+        return None
+    if (len(order) == len(predictions) == predicted.total() and predicted.keys() == totals.keys()
+            and all(0 < len(value) == len(rank) <= predicted[t]
+                    for t, (value, rank) in totals.items())):
+        return predictions, order, votes, totals
+    return None
 
 
-def _store_entry(entry: Path, columns, order: array) -> None:
-    """Write columns and their order to entry, then keep the newest
-    _CACHE_ENTRIES entries.  Each column is one length-prefixed marshal
-    record, made only as the writer reaches it, the order one length-prefixed
-    record of its array bytes, and a SHA-256 of the records ends the entry."""
+def _store_entry(entry: Path, columns, order: array, votes, totals) -> None:
+    """Write columns, their order, their vote tally and their loss totals
+    to entry, then keep the newest _CACHE_ENTRIES entries.  Each column is
+    one length-prefixed marshal record, made only as the writer reaches it,
+    the order one record of its array bytes, the tally one marshal record
+    of (treatment, decision, action) -> votes, and the totals one marshal
+    record of treatment -> (value totals, rank totals) as array bytes.  A
+    hash of the records by _content_hash ends the entry."""
     def pieces():
-        digest = _sha256()
-        records = chain(map(marshal.dumps, columns), (order.tobytes(),))
+        digest = _content_hash()
+        records = chain(map(marshal.dumps, columns), (
+            order.tobytes(),
+            marshal.dumps(dict(votes)),
+            marshal.dumps({t: tuple(a.tobytes() for a in pair) for t, pair in totals.items()}),
+        ))
         for record in records:
             for piece in (len(record).to_bytes(8, "little"), record):
                 digest.update(piece)

@@ -17,7 +17,15 @@ A bundle's predictions are :class:`Predictions`: four equal-length columns
 of interned strings (participant, treatment, decision, predicted action),
 one list each, so a prediction costs four list slots and no object of its
 own.  Every per-prediction walk in the package reads the columns, in the
-order of :func:`_by_participant_and_decision`.  :func:`score_dataset`'s
+order of :func:`_by_participant_and_decision`.  Two reductions of a bundle
+are made here and nowhere else: :func:`_vote_tally` counts the predictions
+of each (treatment, decision, action), and :func:`_participant_totals`, the
+one walk that sums each participant's losses, gives the per-participant
+totals of both loss spaces, the value space summing LV and the rank space
+LR.  :func:`predscore.dataset.read_bundle` stores the order and both
+reductions with a cached bundle and attaches them to the Predictions it
+returns, and each function returns the attached result where it is valid.
+:func:`score_dataset`'s
 :class:`MetricSample` list is for library callers, and no CLI command
 builds one.  Samples are immutable named tuples, so like any tuple they
 compare equal to a plain tuple of the same fields.
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import chain, repeat
 
 from .errors import UnknownActionError, Validated, ValidationError
@@ -98,14 +106,19 @@ class Predictions:
     plain 4-tuple, and two Predictions are equal when their columns are.
     Like a list, it is unhashable.
 
-    ``_order`` is the order of :func:`_by_participant_and_decision` where
-    :func:`predscore.dataset.read_bundle` attached it: only read_bundle
-    sets it, on a Predictions it made itself, and ``__init__`` never
-    copies it, so a Predictions built from any columns sorts afresh.
+    ``_order``, ``_votes`` and ``_totals`` are what
+    :func:`predscore.dataset.read_bundle` attached: the order of
+    :func:`_by_participant_and_decision`, the tally of :func:`_vote_tally`,
+    and the totals of :func:`_participant_totals` with the (LV, LR) table
+    they were summed from (see :func:`_attached_totals`).  Only read_bundle
+    sets them, on a Predictions it made itself, and ``__init__`` never
+    copies them, so a Predictions built from any columns walks afresh.
     """
 
     columns: tuple[list[str], list[str], list[str], list[str]]
     _order: array | None = None
+    _votes: dict[tuple[str, str, str], int] | None = None
+    _totals: tuple[dict, dict[str, tuple]] | None = None  # tuple: value and rank totals
 
     def __init__(self, columns=((), (), (), ())):
         columns = tuple(c if type(c) is list else list(c) for c in columns)
@@ -148,6 +161,8 @@ def discretized_loss_in_rank(
     """Letter grade of the predicted action's rank."""
     return scale.grade(values.rank(predicted))
 
+
+SPACES = ("value", "rank")  # the loss spaces, in the order of each participant's (LV, LR) totals
 
 # decision -> action -> (LV, LR, grade), and (treatment, decision) -> {action: votes}
 ScoreTable = dict[str, dict[str, tuple[float, int, str]]]
@@ -213,6 +228,79 @@ def _by_participant_and_decision(predictions: Predictions) -> array:
     order = sorted(range(len(predictions)), key=decision_ids.__getitem__)
     order.sort(key=participant_ids.__getitem__)
     return array("I", order)
+
+
+def _vote_tally(predictions: Predictions) -> dict[tuple[str, str, str], int]:
+    """(treatment, decision, action) -> the number of predictions naming
+    it, in first-seen order.  The tally read_bundle attached to predictions,
+    counted from these same columns by this function, is returned with no
+    walk."""
+    if predictions._votes is not None:
+        return predictions._votes
+    _, treatments, decision_ids, predicted = predictions.columns
+    return Counter(zip(treatments, decision_ids, predicted))
+
+
+def _loss_pairs(scores: ScoreTable) -> dict[str, dict[str, tuple]]:
+    """decision -> action -> (LV, LR): all of a score table that a loss
+    total reads."""
+    return {d: {a: row[:2] for a, row in table.items()} for d, table in scores.items()}
+
+
+def _participant_totals(
+    predictions: Predictions, scores: ScoreTable, labels, spaces=SPACES
+) -> dict[str, dict[str, dict[str, float]]]:
+    """space -> treatment -> participant id -> total, for each of spaces
+    and each treatment of labels: each participant's summed loss across
+    decisions, LV in value space and LR in rank space.
+
+    One walk over the columns, by participant and then decision, sums every
+    space asked for, so each treatment lists its participants in sorted
+    order.  Each total starts from 0.0 and adds its losses in decision
+    order, whatever the order of the predictions, so equal bundles give
+    equal float sums.  Totals are not checked here: one may overflow."""
+    participant_ids, treatments, decision_ids, predicted = predictions.columns
+    order = _by_participant_and_decision(predictions)
+    sums = {space: {t: {} for t in labels} for space in spaces}
+    if len(sums) == 2:  # each prediction adds its LV and its LR
+        both = {t: (totals, sums["rank"][t]) for t, totals in sums["value"].items()}
+        for i in order:
+            (value_totals, rank_totals), pid = both[treatments[i]], participant_ids[i]
+            lv, lr, _ = scores[decision_ids[i]][predicted[i]]
+            value_totals[pid] = value_totals.get(pid, 0.0) + lv
+            rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
+    else:
+        for space, by_treatment in sums.items():
+            field = SPACES.index(space)
+            losses = {d: {a: row[field] for a, row in table.items()} for d, table in scores.items()}
+            for i in order:
+                totals, pid = by_treatment[treatments[i]], participant_ids[i]
+                totals[pid] = totals.get(pid, 0.0) + losses[decision_ids[i]][predicted[i]]
+    return sums
+
+
+def _attached_totals(predictions: Predictions, scores: ScoreTable, labels, spaces=SPACES):
+    """space -> treatment -> totals, for each of spaces and each treatment
+    of labels, from the totals read_bundle attached to predictions, or None
+    where they might differ from :func:`_participant_totals`' walk.  They
+    are used only when scores hold the (LV, LR) pairs they were summed
+    from, and when every total asked for is finite, so an overflow is
+    refused by the walk, which names the participant.  A treatment of
+    labels with no totals gets none, as the walk gives it.  Every treatment
+    with totals is among labels, the treatments of a bundle that
+    ExperimentBundle accepted with these predictions."""
+    if predictions._totals is None or not set(spaces) <= set(SPACES):
+        return None
+    losses, by_treatment = predictions._totals
+    if _loss_pairs(scores) != losses:
+        return None
+    totals = {space: {t: by_treatment[t][SPACES.index(space)] if t in by_treatment else ()
+                      for t in labels}
+              for space in spaces}
+    # every total is finite if their sum is; a sum that overflows only costs the walk
+    if all(math.isfinite(sum(values)) for by_label in totals.values() for values in by_label.values()):
+        return totals
+    return None
 
 
 def score_dataset(

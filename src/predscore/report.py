@@ -4,10 +4,13 @@ Every table reads two small structures instead of the predictions: the
 bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
-modified overlap and vote matrices are sums over the counts; only the
-per-participant loss sums and the rows of samples.csv walk the columns of
-the bundle's :class:`predscore.metrics.Predictions`, by participant and then
-decision (metrics._by_participant_and_decision), looking each score up.
+modified overlap and vote matrices are sums over the counts.  The
+per-participant loss sums read the totals that a cached read attached to
+the bundle's :class:`predscore.metrics.Predictions` where they hold for the
+scores given (metrics._attached_totals), and otherwise walk the columns
+(metrics._participant_totals).  The rows of samples.csv always walk them, by
+participant and then decision (metrics._by_participant_and_decision),
+looking each score up.
 Everything renders to CSV, markdown or SVG deterministically so outputs
 are golden-file friendly.  CSV is quoted as the bundle files are, by
 :func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
@@ -24,12 +27,12 @@ from itertools import chain
 from .actions import SquareId, column_label
 from .dataset import MNK, ExperimentBundle, _csv_lines, _csv_text
 from .errors import ValidationError
-from .metrics import (DEFAULT_GRADE_SCALE, GradeScale, Predictions, ScoreTable, VoteCounts,
-                      _by_participant_and_decision, weighted_mean)
+from .metrics import (DEFAULT_GRADE_SCALE, SPACES, GradeScale, Predictions, ScoreTable, VoteCounts,
+                      _attached_totals, _by_participant_and_decision, _participant_totals,
+                      weighted_mean)
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
-SPACES = ("value", "rank")  # the order of each participant's (LV, LR) totals
 SAMPLES_HEADER = ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"]
 
 
@@ -141,42 +144,26 @@ def participant_loss_sums(
     LV, rank space sums LR.  A listed treatment that no prediction names
     gets an empty group.
 
-    One walk over the predictions' columns, by participant and then
-    decision, sums every space asked for, so each treatment lists its
-    participants in sorted order.  Each total starts from 0.0 and adds its
-    losses in decision order, whatever the order of the predictions, so
-    equal bundles give equal float sums.  A total that overflows is refused
-    with the participant, the treatment and the space; only the spaces
-    asked for are summed, so it refuses only those.
+    Each treatment lists its participants in sorted order, and each total
+    adds its losses in decision order, whatever the order of the
+    predictions (see :func:`predscore.metrics._participant_totals`).  A
+    total that overflows is refused with the participant, the treatment and
+    the space; only the spaces asked for are summed, so it refuses only
+    those.
     """
-    participant_ids, treatments, decision_ids, predicted = bundle.predictions.columns
-    order = _by_participant_and_decision(bundle.predictions)
-    # space -> treatment -> participant id -> total
-    sums = {space: {t: {} for t in sorted(bundle.treatments)} for space in spaces}
-    if len(sums) == 2:  # each prediction adds its LV and its LR
-        both = {t: (totals, sums["rank"][t]) for t, totals in sums["value"].items()}
-        for i in order:
-            (value_totals, rank_totals), pid = both[treatments[i]], participant_ids[i]
-            lv, lr, _ = scores[decision_ids[i]][predicted[i]]
-            value_totals[pid] = value_totals.get(pid, 0.0) + lv
-            rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
-    else:
-        for space, by_treatment in sums.items():
-            field = SPACES.index(space)
-            losses = {d: {a: row[field] for a, row in table.items()} for d, table in scores.items()}
-            for i in order:
-                totals, pid = by_treatment[treatments[i]], participant_ids[i]
-                totals[pid] = totals.get(pid, 0.0) + losses[decision_ids[i]][predicted[i]]
-    groups = {}
-    for space, by_treatment in sums.items():
-        for t, totals in by_treatment.items():
-            for pid, total in totals.items():
-                if not math.isfinite(total):
-                    raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
-                                          f"in treatment {t!r} overflows")
-        groups[space] = [SampleGroup(label=t, values=tuple(totals.values()))
-                         for t, totals in by_treatment.items()]
-    return groups
+    labels = sorted(bundle.treatments)
+    totals = _attached_totals(bundle.predictions, scores, labels, spaces)
+    if totals is None:
+        totals = _participant_totals(bundle.predictions, scores, labels, spaces)
+        for space, by_treatment in totals.items():
+            for t, by_participant in by_treatment.items():
+                for pid, total in by_participant.items():
+                    if not math.isfinite(total):
+                        raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
+                                              f"in treatment {t!r} overflows")
+                by_treatment[t] = by_participant.values()
+    return {space: [SampleGroup(label=t, values=tuple(values)) for t, values in by_treatment.items()]
+            for space, by_treatment in totals.items()}
 
 
 def render_samples_csv(predictions: Predictions, scores: ScoreTable):

@@ -52,12 +52,9 @@ def test_statistics_and_fractions_load_on_first_use():
     assert loaded_by(statements) == ["decimal", "fractions", "statistics"]
 
 
-def test_scoring_commands_load_no_heavy_module(tmp_path):
-    """metrics, stats, votes and grade score from float tables and vote
-    counts, so none of them loads fractions or decimal.  Each group here has
-    two participants, too few for the Shapiro-Wilk gate, whose normal
-    quantiles come from statistics and so load both by design (see the
-    test above)."""
+def _scoring_statements(tmp_path) -> str:
+    """Statements that run metrics, stats, votes and grade on a simulated
+    4-participant bundle, in that order."""
     from predscore.cli import main
 
     bundle, report = str(tmp_path / "bundle"), str(tmp_path / "report")
@@ -69,8 +66,28 @@ def test_scoring_commands_load_no_heavy_module(tmp_path):
         ["votes", "--decision", "P1", "--group-by", "treatment", "--format", "csv,svg"],
         ["grade"],
     ]
-    statements = "from predscore.cli import main\n" + "".join(
+    return "".join(
         f"assert main({cmd[:1] + ['--bundle', bundle, '--out-dir', report] + cmd[1:]!r}) == 0\n"
         for cmd in commands
     )
+
+
+def test_scoring_commands_load_no_heavy_module(tmp_path):
+    """metrics, stats, votes and grade score from float tables and vote
+    counts, so none of them loads fractions or decimal.  Each group here has
+    two participants, too few for the Shapiro-Wilk gate, whose normal
+    quantiles come from statistics and so load both by design (see the
+    test above)."""
+    statements = "from predscore.cli import main\n" + _scoring_statements(tmp_path)
     assert loaded_by(statements) == []
+
+
+def test_scoring_commands_on_a_cached_bundle_load_no_heavy_module(tmp_path):
+    """The same commands with the threshold lowered, so that the bundle is
+    cached, run twice: the first misses and writes the entry, and every
+    later one hits it.  Hashing the key and the entry loads no hashlib."""
+    statements = ("from predscore.cli import main\n"
+                  "import predscore.dataset\n"
+                  "predscore.dataset._CACHE_MIN_BYTES = 0\n" + _scoring_statements(tmp_path) * 2)
+    assert loaded_by(statements) == []
+    assert len(list((Path(os.environ["XDG_CACHE_HOME"]) / "predscore").glob("*.columns"))) == 1

@@ -1,9 +1,10 @@
-"""read_bundle's parse cache: the columns of a large predictions.csv, and
-their (participant, decision) order, are kept under the user's cache
-directory, keyed by the bundle's three files and the package's source, and
-loaded on a later read of the same bytes without the bundle's per-prediction
-rules.  Each test lowers the size threshold to 0, so that the small bundles
-here are cached too."""
+"""read_bundle's parse cache: the columns of a large predictions.csv, their
+(participant, decision) order, their vote tally and each participant's
+loss totals are kept under the user's cache directory, keyed by the
+bundle's three files and the package's source, and loaded on a later read
+of the same bytes without the bundle's per-prediction rules or walks.  Each
+test lowers the size threshold to 0, so that the small bundles here are
+cached too."""
 
 import marshal
 import os
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from prediction_rows import predictions_of
-from predscore import dataset, metrics
+from predscore import dataset, metrics, report
+from predscore.cli import main
 from predscore.dataset import (
     CUSTOM,
     ActionManifest,
@@ -22,7 +24,9 @@ from predscore.dataset import (
     read_bundle,
     write_bundle,
 )
-from predscore.errors import ParseError
+from predscore.errors import ParseError, ValidationError
+from predscore.metrics import score_table
+from predscore.report import participant_loss_sums
 from predscore.values import DecisionValues
 
 ROWS = [(f"p{i}", "AB"[i % 2], d, "abc"[(i + j) % 3])
@@ -263,19 +267,26 @@ def test_an_edited_module_misses(tmp_path, cache, monkeypatch, parses, module):
 
 
 def test_an_entry_in_the_old_format_is_read_again_and_rewritten(tmp_path, cache, parses):
-    """The format before the order record was four column records and
-    their digest.  At the key of this format such an entry does not load,
-    so the bundle is read in full and the entry rewritten."""
+    """The first format was four column records and their digest, the
+    second added the order record.  At the key of this format, and with a
+    digest that matches, neither loads, so the bundle is read in full and
+    the entry rewritten."""
     path = write_bundle(_bundle(), tmp_path / "b")
     read_bundle(path)
     [entry] = _entries(cache)
     good = entry.read_bytes()
-    records = b"".join(len(record).to_bytes(8, "little") + record
-                       for record in map(marshal.dumps, _bundle().predictions.columns))
-    entry.write_bytes(records + dataset._sha256(records).digest())
-    assert read_bundle(path) == _bundle()
-    assert len(parses) == 2 and _entries(cache) == [entry] and entry.read_bytes() == good
-    assert dataset._CACHE_TAG != b"predscore predictions columns 1"  # so old keys miss too
+    columns = list(map(marshal.dumps, _bundle().predictions.columns))
+    order = metrics._by_participant_and_decision(_bundle().predictions).tobytes()
+    for old in (columns, columns + [order]):
+        records = b"".join(len(record).to_bytes(8, "little") + record for record in old)
+        entry.write_bytes(records + dataset._content_hash(records).digest())
+        parsed = len(parses)
+        assert read_bundle(path) == _bundle()
+        assert len(parses) == parsed + 1 and _entries(cache) == [entry]
+        assert entry.read_bytes() == good
+    # so old keys miss too
+    assert dataset._CACHE_TAG not in (b"predscore predictions columns 1",
+                                      b"predscore accepted bundle 2")
 
 
 def test_the_newest_entries_are_kept(tmp_path, cache, parses):
@@ -301,3 +312,118 @@ def test_the_newest_entries_are_kept(tmp_path, cache, parses):
         assert len(_entries(cache)) == min(i + 1, dataset._CACHE_ENTRIES)
     assert len(parses) == len(paths)
     assert _entries(cache) == sorted([made[0]] + made[3:])
+
+
+def _uncached(path) -> ExperimentBundle:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "_CACHE_MIN_BYTES", 1 << 40)
+        return read_bundle(path)
+
+
+def _hit(path) -> ExperimentBundle:
+    read_bundle(path)
+    bundle = read_bundle(path)
+    assert bundle.predictions._totals is not None
+    return bundle
+
+
+def test_a_hit_counts_and_sums_with_no_walk(tmp_path, cache, monkeypatch):
+    """On a hit, the vote counts and every space's loss sums come from the
+    entry: with the tally's Counter and the summing walk made to fail, they
+    equal an uncached read's."""
+    path = write_bundle(_bundle(), tmp_path / "b")
+    uncached = _uncached(path)
+    scores = score_table(uncached.values_by_decision())
+    all_spaces = (("value", "rank"), ("rank", "value"), ("value",), ("rank",), ())
+    expected = [uncached.vote_counts()] + [participant_loss_sums(uncached, scores, spaces)
+                                           for spaces in all_spaces]
+    hit = _hit(path)
+    monkeypatch.setattr(metrics, "Counter", _refused)
+    monkeypatch.setattr(report, "_participant_totals", _refused)
+    assert [hit.vote_counts()] + [participant_loss_sums(hit, scores, spaces)
+                                  for spaces in all_spaces] == expected
+
+
+def _changed_value(bundle: ExperimentBundle) -> ExperimentBundle:
+    """bundle with the value of d1's action b changed, so its LV changes."""
+    first, *rest = bundle.decisions
+    changed = first._replace(entries={**first.entries, "b": 0.25})
+    return bundle._replace(decisions=(changed, *rest))
+
+
+def _listed(bundle: ExperimentBundle) -> ExperimentBundle:
+    return bundle._replace(treatments=(*bundle.treatments, "ALL"))
+
+
+@pytest.mark.parametrize("change", [_changed_value, _listed], ids=["decisions", "treatments"])
+def test_loss_sums_on_a_changed_hit_equal_an_uncached_read(tmp_path, cache, change):
+    """A bundle read from a hit, then given other decisions or another
+    listed treatment, sums as the same change to an uncached read."""
+    path = write_bundle(_bundle(), tmp_path / "b")
+    uncached, hit = change(_uncached(path)), change(_hit(path))
+    scores = score_table(uncached.values_by_decision())
+    for spaces in (("value", "rank"), ("value",), ("rank",)):
+        assert (participant_loss_sums(hit, scores, spaces)
+                == participant_loss_sums(uncached, scores, spaces))
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["lv", "lr"])
+def test_loss_sums_from_other_scores_equal_an_uncached_read(tmp_path, cache, field):
+    """Totals summed from one score table are not used for another."""
+    path = write_bundle(_bundle(), tmp_path / "b")
+    uncached, hit = _uncached(path), _hit(path)
+    scores = score_table(uncached.values_by_decision())
+    row = list(scores["d1"]["b"])
+    row[field] += 1
+    scores["d1"]["b"] = tuple(row)
+    for spaces in (("value", "rank"), ("value",), ("rank",)):
+        assert (participant_loss_sums(hit, scores, spaces)
+                == participant_loss_sums(uncached, scores, spaces))
+
+
+def test_an_overflowing_total_on_a_hit_is_refused_as_uncached(tmp_path, cache):
+    """p2's value-space total overflows: a hit refuses it with the uncached
+    message, naming the participant, and still sums the rank space."""
+    values = DecisionValues("P1", {"a": 1e308, "b": 0.0}, "a")
+    bundle = ExperimentBundle(
+        ActionManifest("big", CUSTOM, (("a", "a"), ("b", "b"))),
+        (values, values._replace(decision_id="P2")),
+        predictions_of([("p1", "T", "P1", "a"), ("p1", "T", "P2", "a"),
+                        ("p2", "T", "P1", "b"), ("p2", "T", "P2", "b")]), ("T",))
+    path = write_bundle(bundle, tmp_path / "b")
+    uncached, hit = _uncached(path), _hit(path)
+    scores = score_table(uncached.values_by_decision())
+    message = "^the value-space loss sum of participant 'p2' in treatment 'T' overflows$"
+    for read in (uncached, hit):
+        with pytest.raises(ValidationError, match=message):
+            participant_loss_sums(read, scores)
+        with pytest.raises(ValidationError, match=message):
+            participant_loss_sums(read, scores, ("value",))
+        assert participant_loss_sums(read, scores, ("rank",))["rank"][0].values == (0.0, 2.0)
+
+
+def test_commands_that_hit_an_entry_a_votes_miss_wrote_write_what_they_write_uncached(
+        tmp_path, cache, monkeypatch, parses, capsys):
+    """votes misses and writes the entry; metrics and stats then hit it,
+    and every file they write equals an uncached run's."""
+    bundle = str(tmp_path / "bundle")
+    assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "12",
+                 "--treatments", "A,B", "--seed", "1", "--out-dir", bundle]) == 0
+    commands = [
+        ["votes", "--decision", "P1", "--group-by", "treatment", "--format", "csv,svg"],
+        ["metrics", "--format", "csv,markdown,svg"],
+        ["stats", "--space", "value"],
+        ["stats", "--space", "rank"],
+    ]
+    outputs = {}
+    for run, threshold in (("cached", 0), ("uncached", 1 << 40)):
+        monkeypatch.setattr(dataset, "_CACHE_MIN_BYTES", threshold)
+        for i, command in enumerate(commands):
+            out = tmp_path / run / str(i)
+            assert main([command[0], "--bundle", bundle, "--out-dir", str(out), *command[1:]]) == 0
+            outputs.setdefault(run, {}).update(
+                {(i, p.name): p.read_bytes() for p in sorted(out.iterdir())})
+            if run == "cached":  # the first command's miss parsed, and wrote the one entry
+                assert len(parses) == 1 and len(_entries(cache)) == 1
+    assert outputs["cached"] == outputs["uncached"]
+    assert len(outputs["cached"]) == 4 + 7 + 2

@@ -66,6 +66,7 @@ from predscore.metrics import (  # noqa: E402
 )
 from predscore.oracle import _board_key, sampled_outcome_triples  # noqa: E402
 from predscore.rankoverlap import mrbo_ext  # noqa: E402
+from predscore.report import participant_loss_sums  # noqa: E402
 from predscore.stats import kruskal_wallis  # noqa: E402
 from predscore.values import DecisionValues, OutcomeTriple  # noqa: E402
 
@@ -157,6 +158,18 @@ def test_read_bundle_reads_alike_with_no_cache_on_a_miss_and_on_a_hit(bundle):
                        key=lambda i: (participant_ids[i], decision_ids[i]))
         assert uncached.predictions._order is None
         assert list(missed.predictions._order) == list(hit.predictions._order) == order
+        # the vote counts and loss sums a read attaches are those a walk gives, in its order
+        scores = score_table(bundle.values_by_decision())
+
+        def reductions(read):
+            counts = [(cell, list(votes.items())) for cell, votes in read.vote_counts().items()]
+            return counts, [participant_loss_sums(read, scores, spaces)
+                            for spaces in (("value", "rank"), ("value",), ("rank",))]
+
+        assert uncached.predictions._votes is uncached.predictions._totals is None
+        for read in (missed, hit):
+            assert read.predictions._votes is not None and read.predictions._totals is not None
+            assert reductions(read) == reductions(uncached)
 
 
 def _record_text(fields) -> str:
