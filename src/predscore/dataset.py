@@ -90,24 +90,27 @@ three files or to any module misses.  The vouch covers whatever this code
 computes from those bytes alone, so the order, the tally and the totals,
 which the miss made from the accepted columns and values, are stored too;
 the Predictions read_bundle returns carries them, and each is used only
-while it holds (see :mod:`predscore.metrics`).  ExperimentBundle reads no
-environment variable, locale or file; a rule that comes to read one must
-add it to the key.  A hit still decodes manifest.json and parses
-values.csv, which are small, with their own refusals.  The vouch reaches as
-far as the directory rule below: an entry forged by the same user is
-trusted, as a forged ``.pyc`` would be.  An entry holds each column, the
-tally and the totals as one marshal record each, the order and each
-treatment's totals as ``array`` bytes, and ends with a hash of those
-records by the same function as its name, checked on every load; an entry
-that will not load is read in full again and rewritten.  Entries are read
-only from that directory, never from a bundle or beside one, and only
-while the directory is the effective user's and writable by no one else;
-any ``OSError`` there, no home directory, or no source file to hash (a zip
-or a sourceless install) means the bundle is read as it is below the
-threshold, with no message.  An entry is written after the file's bytes and
-the summing walk's per-participant dicts are released, through
-``_write_files``, and the newest ``_CACHE_ENTRIES`` entries by mtime are
-kept; a hit refreshes its entry's mtime.
+while it holds (see :mod:`predscore.metrics`).  The miss sums the totals
+with the same function as an uncached read, and a bundle with a total that
+overflows, which that function refuses, gets no totals and no entry: it is
+read in full every time, and refused as it is without a cache.
+ExperimentBundle reads no environment variable, locale or file; a rule
+that comes to read one must add it to the key.  A hit still decodes
+manifest.json and parses values.csv, which are small, with their own
+refusals.  The vouch reaches as far as the directory rule below: an entry
+forged by the same user is trusted, as a forged ``.pyc`` would be.  An
+entry holds each column, the tally and the totals as one marshal record
+each, the order and each treatment's totals as ``array`` bytes, and ends
+with a hash of those records by the same function as its name, checked on
+every load; an entry that will not load is read in full again and
+rewritten.  Entries are read only from that directory, never from a bundle
+or beside one, and only while the directory is the effective user's and
+writable by no one else; any ``OSError`` there, no home directory, or no
+source file to hash (a zip or a sourceless install) means the bundle is
+read as it is below the threshold, with no message.  An entry is written
+after the file's bytes and the summing walk's per-participant dicts are
+released, through ``_write_files``, and the newest ``_CACHE_ENTRIES``
+entries by mtime are kept; a hit refreshes its entry's mtime.
 """
 
 from __future__ import annotations
@@ -755,9 +758,12 @@ def read_bundle(path) -> ExperimentBundle:
         order = predictions._order = _by_participant_and_decision(predictions)
         votes = predictions._votes = _vote_tally(predictions)
         scores = score_table(bundle.values_by_decision())
-        sums = _participant_totals(predictions, scores, sorted(treatments))
+        try:
+            sums = _participant_totals(predictions, scores, sorted(treatments))
+        except ValidationError:  # a total overflows: no totals and no entry
+            return bundle
         # treatment -> (value totals, rank totals), in walk order, for each treatment with totals
-        totals = {t: tuple(array("d", sums[space][t].values()) for space in SPACES)
+        totals = {t: tuple(array("d", sums[space][t]) for space in SPACES)
                   for t in sums["value"] if sums["value"][t]}
         del sums  # the per-participant dicts go before the entry is written
         predictions._totals = _loss_pairs(scores), totals

@@ -22,10 +22,12 @@ are made here and nowhere else: :func:`_vote_tally` counts the predictions
 of each (treatment, decision, action), and :func:`_participant_totals`, the
 one walk that sums each participant's losses, gives the per-participant
 totals of both loss spaces, the value space summing LV and the rank space
-LR.  :func:`predscore.dataset.read_bundle` stores the order and both
-reductions with a cached bundle and attaches them to the Predictions it
-returns, and each function returns the attached result where it is valid.
-:func:`score_dataset`'s
+LR, and is the one place that refuses a total that overflows.
+:func:`predscore.dataset.read_bundle` stores the order and both reductions
+with a cached bundle and attaches them to the Predictions it returns, and
+each function returns the attached result where it is valid.  A bundle
+with a total that overflows gets no stored or attached totals, so every
+sum of its totals walks.  :func:`score_dataset`'s
 :class:`MetricSample` list is for library callers, and no CLI command
 builds one.  Samples are immutable named tuples, so like any tuple they
 compare equal to a plain tuple of the same fields.
@@ -109,10 +111,10 @@ class Predictions:
     ``_order``, ``_votes`` and ``_totals`` are what
     :func:`predscore.dataset.read_bundle` attached: the order of
     :func:`_by_participant_and_decision`, the tally of :func:`_vote_tally`,
-    and the totals of :func:`_participant_totals` with the (LV, LR) table
-    they were summed from (see :func:`_attached_totals`).  Only read_bundle
-    sets them, on a Predictions it made itself, and ``__init__`` never
-    copies them, so a Predictions built from any columns walks afresh.
+    and the totals of :func:`_participant_totals`, every one finite, with
+    the (LV, LR) table they were summed from.  Only read_bundle sets them,
+    on a Predictions it made itself, and ``__init__`` never copies them, so
+    a Predictions built from any columns walks afresh.
     """
 
     columns: tuple[list[str], list[str], list[str], list[str]]
@@ -249,58 +251,43 @@ def _loss_pairs(scores: ScoreTable) -> dict[str, dict[str, tuple]]:
 
 def _participant_totals(
     predictions: Predictions, scores: ScoreTable, labels, spaces=SPACES
-) -> dict[str, dict[str, dict[str, float]]]:
-    """space -> treatment -> participant id -> total, for each of spaces
+) -> dict[str, dict]:
+    """space -> treatment -> its participants' totals, for each of spaces
     and each treatment of labels: each participant's summed loss across
-    decisions, LV in value space and LR in rank space.
+    decisions, LV in value space and LR in rank space.  A treatment of
+    labels that no prediction names gets no totals.
 
-    One walk over the columns, by participant and then decision, sums every
-    space asked for, so each treatment lists its participants in sorted
+    The totals read_bundle attached to predictions are returned with no
+    walk when scores hold the (LV, LR) pairs they were summed from; they
+    are finite, as read_bundle attaches only totals that pass the check
+    below.  Otherwise one walk over the columns, by participant and then decision,
+    sums both spaces, so each treatment lists its participants in sorted
     order.  Each total starts from 0.0 and adds its losses in decision
     order, whatever the order of the predictions, so equal bundles give
-    equal float sums.  Totals are not checked here: one may overflow."""
-    participant_ids, treatments, decision_ids, predicted = predictions.columns
-    order = _by_participant_and_decision(predictions)
-    sums = {space: {t: {} for t in labels} for space in spaces}
-    if len(sums) == 2:  # each prediction adds its LV and its LR
-        both = {t: (totals, sums["rank"][t]) for t, totals in sums["value"].items()}
-        for i in order:
-            (value_totals, rank_totals), pid = both[treatments[i]], participant_ids[i]
-            lv, lr, _ = scores[decision_ids[i]][predicted[i]]
+    equal float sums.  A total that overflows is refused in a space asked
+    for, the first by space, then treatment, then participant, with the
+    participant, the treatment and the space."""
+    losses = _loss_pairs(scores)
+    if predictions._totals is not None and predictions._totals[0] == losses:
+        by_treatment = predictions._totals[1]
+    else:
+        participant_ids, treatments, decision_ids, predicted = predictions.columns
+        sums = {t: ({}, {}) for t in labels}
+        for i in _by_participant_and_decision(predictions):
+            (value_totals, rank_totals), pid = sums[treatments[i]], participant_ids[i]
+            lv, lr = losses[decision_ids[i]][predicted[i]]
             value_totals[pid] = value_totals.get(pid, 0.0) + lv
             rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
-    else:
-        for space, by_treatment in sums.items():
-            field = SPACES.index(space)
-            losses = {d: {a: row[field] for a, row in table.items()} for d, table in scores.items()}
-            for i in order:
-                totals, pid = by_treatment[treatments[i]], participant_ids[i]
-                totals[pid] = totals.get(pid, 0.0) + losses[decision_ids[i]][predicted[i]]
-    return sums
-
-
-def _attached_totals(predictions: Predictions, scores: ScoreTable, labels, spaces=SPACES):
-    """space -> treatment -> totals, for each of spaces and each treatment
-    of labels, from the totals read_bundle attached to predictions, or None
-    where they might differ from :func:`_participant_totals`' walk.  They
-    are used only when scores hold the (LV, LR) pairs they were summed
-    from, and when every total asked for is finite, so an overflow is
-    refused by the walk, which names the participant.  A treatment of
-    labels with no totals gets none, as the walk gives it.  Every treatment
-    with totals is among labels, the treatments of a bundle that
-    ExperimentBundle accepted with these predictions."""
-    if predictions._totals is None or not set(spaces) <= set(SPACES):
-        return None
-    losses, by_treatment = predictions._totals
-    if _loss_pairs(scores) != losses:
-        return None
-    totals = {space: {t: by_treatment[t][SPACES.index(space)] if t in by_treatment else ()
-                      for t in labels}
-              for space in spaces}
-    # every total is finite if their sum is; a sum that overflows only costs the walk
-    if all(math.isfinite(sum(values)) for by_label in totals.values() for values in by_label.values()):
-        return totals
-    return None
+        for space in spaces:
+            for t, pair in sums.items():
+                for pid, total in pair[SPACES.index(space)].items():
+                    if not math.isfinite(total):
+                        raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
+                                              f"in treatment {t!r} overflows")
+        by_treatment = {t: tuple(totals.values() for totals in pair) for t, pair in sums.items()}
+    return {space: {t: by_treatment[t][SPACES.index(space)] if t in by_treatment else ()
+                    for t in labels}
+            for space in spaces}
 
 
 def score_dataset(

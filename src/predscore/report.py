@@ -5,12 +5,12 @@ bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts.  The
-per-participant loss sums read the totals that a cached read attached to
-the bundle's :class:`predscore.metrics.Predictions` where they hold for the
-scores given (metrics._attached_totals), and otherwise walk the columns
-(metrics._participant_totals).  The rows of samples.csv always walk them, by
-participant and then decision (metrics._by_participant_and_decision),
-looking each score up.
+per-participant loss sums come from metrics._participant_totals, which
+reads the totals that a cached read attached to the bundle's
+:class:`predscore.metrics.Predictions` where they hold for the scores
+given, and otherwise walks the columns and refuses a total that overflows.
+The rows of samples.csv always walk them, by participant and then decision
+(metrics._by_participant_and_decision), looking each score up.
 Everything renders to CSV, markdown or SVG deterministically so outputs
 are golden-file friendly.  CSV is quoted as the bundle files are, by
 :func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
@@ -28,8 +28,7 @@ from .actions import SquareId, column_label
 from .dataset import MNK, ExperimentBundle, _csv_lines, _csv_text
 from .errors import ValidationError
 from .metrics import (DEFAULT_GRADE_SCALE, SPACES, GradeScale, Predictions, ScoreTable, VoteCounts,
-                      _attached_totals, _by_participant_and_decision, _participant_totals,
-                      weighted_mean)
+                      _by_participant_and_decision, _participant_totals, weighted_mean)
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
@@ -148,21 +147,10 @@ def participant_loss_sums(
     adds its losses in decision order, whatever the order of the
     predictions (see :func:`predscore.metrics._participant_totals`).  A
     total that overflows is refused with the participant, the treatment and
-    the space; only the spaces asked for are summed, so it refuses only
-    those.
+    the space, in the spaces asked for only.
     """
-    labels = sorted(bundle.treatments)
-    totals = _attached_totals(bundle.predictions, scores, labels, spaces)
-    if totals is None:
-        totals = _participant_totals(bundle.predictions, scores, labels, spaces)
-        for space, by_treatment in totals.items():
-            for t, by_participant in by_treatment.items():
-                for pid, total in by_participant.items():
-                    if not math.isfinite(total):
-                        raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
-                                              f"in treatment {t!r} overflows")
-                by_treatment[t] = by_participant.values()
-    return {space: [SampleGroup(label=t, values=tuple(values)) for t, values in by_treatment.items()]
+    totals = _participant_totals(bundle.predictions, scores, sorted(bundle.treatments), spaces)
+    return {space: [SampleGroup(label=t, values=values) for t, values in by_treatment.items()]
             for space, by_treatment in totals.items()}
 
 

@@ -37,9 +37,9 @@ class SampleGroup(Validated, namedtuple("SampleGroup", "label values")):
     __slots__ = ()
 
     def __new__(cls, label: str, values: tuple[float, ...]):
-        if any(not math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise ValidationError(f"group {label!r} contains non-finite values")
-        return super().__new__(cls, label, tuple(float(v) for v in values))
+        return super().__new__(cls, label, tuple(map(float, values)))
 
 
 class TestResult(Validated, namedtuple("TestResult", "test statistic df p_value reason")):

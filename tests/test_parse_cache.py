@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from prediction_rows import predictions_of
-from predscore import dataset, metrics, report
+from predscore import dataset, metrics
 from predscore.cli import main
 from predscore.dataset import (
     CUSTOM,
@@ -329,7 +329,7 @@ def _hit(path) -> ExperimentBundle:
 
 def test_a_hit_counts_and_sums_with_no_walk(tmp_path, cache, monkeypatch):
     """On a hit, the vote counts and every space's loss sums come from the
-    entry: with the tally's Counter and the summing walk made to fail, they
+    entry: with the tally's Counter and the walk's order made to fail, they
     equal an uncached read's."""
     path = write_bundle(_bundle(), tmp_path / "b")
     uncached = _uncached(path)
@@ -339,7 +339,7 @@ def test_a_hit_counts_and_sums_with_no_walk(tmp_path, cache, monkeypatch):
                                            for spaces in all_spaces]
     hit = _hit(path)
     monkeypatch.setattr(metrics, "Counter", _refused)
-    monkeypatch.setattr(report, "_participant_totals", _refused)
+    monkeypatch.setattr(metrics, "_by_participant_and_decision", _refused)
     assert [hit.vote_counts()] + [participant_loss_sums(hit, scores, spaces)
                                   for spaces in all_spaces] == expected
 
@@ -381,9 +381,10 @@ def test_loss_sums_from_other_scores_equal_an_uncached_read(tmp_path, cache, fie
                 == participant_loss_sums(uncached, scores, spaces))
 
 
-def test_an_overflowing_total_on_a_hit_is_refused_as_uncached(tmp_path, cache):
-    """p2's value-space total overflows: a hit refuses it with the uncached
-    message, naming the participant, and still sums the rank space."""
+def test_an_overflowing_large_bundle_leaves_no_entry(tmp_path, cache):
+    """p2's value-space total overflows: the bundle gets no entry and no
+    attached totals, so each read refuses p2 with the uncached message,
+    naming the participant, and still sums the rank space."""
     values = DecisionValues("P1", {"a": 1e308, "b": 0.0}, "a")
     bundle = ExperimentBundle(
         ActionManifest("big", CUSTOM, (("a", "a"), ("b", "b"))),
@@ -391,10 +392,12 @@ def test_an_overflowing_total_on_a_hit_is_refused_as_uncached(tmp_path, cache):
         predictions_of([("p1", "T", "P1", "a"), ("p1", "T", "P2", "a"),
                         ("p2", "T", "P1", "b"), ("p2", "T", "P2", "b")]), ("T",))
     path = write_bundle(bundle, tmp_path / "b")
-    uncached, hit = _uncached(path), _hit(path)
-    scores = score_table(uncached.values_by_decision())
     message = "^the value-space loss sum of participant 'p2' in treatment 'T' overflows$"
-    for read in (uncached, hit):
+    for _ in range(2):
+        read = read_bundle(path)
+        assert _entries(cache) == []
+        assert read.predictions._totals is None
+        scores = score_table(read.values_by_decision())
         with pytest.raises(ValidationError, match=message):
             participant_loss_sums(read, scores)
         with pytest.raises(ValidationError, match=message):
