@@ -47,8 +47,6 @@ from .metrics import (
     GradeScale,
     MetricSample,
     Predictions,
-    ar_score,
-    av_score,
     discretized_loss_in_rank,
     loss_in_rank,
     loss_in_value,

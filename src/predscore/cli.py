@@ -25,7 +25,6 @@ from .dataset import (
     _DECIMAL,
     _NON_FINITE,
     ParticipantModel,
-    _write_files,
     check_synthetic_design,
     generate_synthetic_experiment,
     read_bundle,
@@ -34,6 +33,7 @@ from .dataset import (
 from .errors import PredscoreError, ValidationError
 from .metrics import score_table
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
+from .osutil import write_files
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
     SPACES,
@@ -94,7 +94,7 @@ def _parse_formats(text: str, allowed: set[str]) -> set[str]:
 
 def _write(out_dir, texts: dict) -> None:
     """Write a command's report files, {name: text}, all or none, and say so."""
-    for path in _write_files(out_dir, texts):
+    for path in write_files(out_dir, texts):
         print(f"wrote {path}")
 
 

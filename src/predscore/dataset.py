@@ -13,10 +13,8 @@ All numbers serialize as shortest round-trip decimals, and every writer is
 deterministic, so identical bundles produce identical bytes.  ``_csv_text``
 is the one CSV encoding: it writes both CSV files and every report CSV, and
 ``_csv_lines`` streams its lines for the one large report, samples.csv.
-``_write_files`` is the one function that writes a file: write_bundle and
-every report command hand it all their texts at once, and it renames them
-over their targets only once all are written, so a failure or an interrupt
-leaves the old files, never a bundle that is half old and half new.
+write_bundle writes its three files through ``osutil.write_files``, all or
+none.
 
 Each fact is checked in one layer.  The parsers check what a file says by
 itself: header and field counts, and in values.csv numbers, duplicate keys
@@ -34,7 +32,8 @@ checks how the parts relate and every rule on a prediction: its
 predictions are a Predictions, every decision's actions are in the
 manifest, and every prediction has a participant and a treatment, names a
 valued decision, an action it values and a listed treatment, and is its
-participant's only one for that decision.  Its participant ids are known
+participant's only one for that decision; a prediction on a pending
+decision is refused as pending, not as unknown.  Its participant ids are known
 only after that walk, so they are checked last; a prediction field that is
 not a string is named where a lookup fails on it.  read_bundle adds the
 row of a refused record.
@@ -45,7 +44,7 @@ game is played.
 
 generate_synthetic_experiment plays the agents' games first, then samples
 the participants in blocks of ``_PARTICIPANT_BLOCK`` consecutive ones,
-mapped through ``oracle._fan_out``: on Linux one forked child on another
+mapped through ``osutil.fan_out``: on Linux one forked child on another
 CPU takes blocks from the far end.  Each participant draws every decision
 from its own ``random.Random(f"{seed}|participant|{participant_id}")``.  A
 block returns its picks as rank indices, which the parent maps back through
@@ -72,45 +71,7 @@ participant, a bit per valued decision.  write_bundle, vote_counts, the
 loss sums and samples.csv read the columns too.
 
 A predictions.csv of at least ``_CACHE_MIN_BYTES`` (1 MiB) is parsed and
-checked once per content: read_bundle keeps its four columns as marshal
-data, with their (participant, decision) order, their vote tally and each
-participant's loss totals in both spaces, in the user's cache directory,
-``$XDG_CACHE_HOME/predscore`` or else ``~/.cache/predscore``, and a later
-read of the same bytes loads them instead of parsing, checking, sorting,
-counting and summing.  An entry's name is a BLAKE2b-256 hash (SHA-256 where
-the interpreter has no ``_blake2``) over a format tag, ``sys.version``, the
-name and bytes of every module of this package, sorted by name, and the
-bytes of manifest.json, values.csv and predictions.csv, each part
-length-prefixed.  An entry is written only once ExperimentBundle has
-accepted the bundle, so a hit shows that this code accepted these bytes,
-and the bundle is built from the entry without ExperimentBundle's rules, as
-Python trusts a hash-checked ``.pyc`` (PEP 552): every read of bytes that
-this code has not accepted runs the full check, and an edit to any of the
-three files or to any module misses.  The vouch covers whatever this code
-computes from those bytes alone, so the order, the tally and the totals,
-which the miss made from the accepted columns and values, are stored too;
-the Predictions read_bundle returns carries them, and each is used only
-while it holds (see :mod:`predscore.metrics`).  The miss sums the totals
-with the same function as an uncached read, and a bundle with a total that
-overflows, which that function refuses, gets no totals and no entry: it is
-read in full every time, and refused as it is without a cache.
-ExperimentBundle reads no environment variable, locale or file; a rule
-that comes to read one must add it to the key.  A hit still decodes
-manifest.json and parses values.csv, which are small, with their own
-refusals.  The vouch reaches as far as the directory rule below: an entry
-forged by the same user is trusted, as a forged ``.pyc`` would be.  An
-entry holds each column, the tally and the totals as one marshal record
-each, the order and each treatment's totals as ``array`` bytes, and ends
-with a hash of those records by the same function as its name, checked on
-every load; an entry that will not load is read in full again and
-rewritten.  Entries are read only from that directory, never from a bundle
-or beside one, and only while the directory is the effective user's and
-writable by no one else; any ``OSError`` there, no home directory, or no
-source file to hash (a zip or a sourceless install) means the bundle is
-read as it is below the threshold, with no message.  An entry is written
-after the file's bytes and the summing walk's per-participant dicts are
-released, through ``_write_files``, and the newest ``_CACHE_ENTRIES``
-entries by mtime are kept; a hit refreshes its entry's mtime.
+checked once per content, through :mod:`predscore.parsecache`.
 """
 
 from __future__ import annotations
@@ -118,13 +79,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import marshal
 import math
-import os
 import random
 import re
-import sys
-from array import array
 from bisect import bisect_right
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -133,12 +90,13 @@ from itertools import accumulate, chain, cycle, islice, repeat
 from operator import getitem
 from pathlib import Path
 
+from . import parsecache
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
-from .metrics import (SPACES, Predictions, VoteCounts, _by_participant_and_decision, _loss_pairs,
-                      _participant_totals, _vote_tally, score_table)
-from .oracle import AgentSpec, _fan_out, value_oracle
+from .metrics import Predictions, VoteCounts, _vote_tally
+from .oracle import AgentSpec, value_oracle
+from .osutil import fan_out, write_files
 from .values import DecisionValues, OutcomeTriple, ranked
 
 MNK = "mnk"
@@ -152,9 +110,9 @@ _VALUES_HEADERS = (VALUES_HEADER, VALUES_HEADER + OUTCOME_COLUMNS)
 
 TRIPLE_CSV_TOLERANCE = 1e-6
 
-# generate_synthetic_experiment hands participants to _fan_out in blocks of
+# generate_synthetic_experiment hands participants to fan_out in blocks of
 # this many.  One participant's seeding and draws cost ~17 us, so a block is
-# ~35 ms of work, while a _fan_out item costs ~17 us plus ~0.2 ms to pickle
+# ~35 ms of work, while a fan_out item costs ~17 us plus ~0.2 ms to pickle
 # and unpickle a block of four decisions' picks: under 1% of the block.  The
 # two processes then finish within one block of each other.
 _PARTICIPANT_BLOCK = 2048
@@ -170,10 +128,6 @@ _CHUNK = 1024
 # 7.4 MB file parses in ~0.3 s and loads from its entry in ~0.03 s, while a
 # README-sized one parses in milliseconds and would only pay for the hash.
 _CACHE_MIN_BYTES = 1 << 20
-_CACHE_ENTRIES = 8
-_CACHE_TAG = b"predscore accepted bundle 3"
-_CACHE_SUFFIX = ".columns"
-_DIGEST_BYTES = 32
 
 
 class ActionManifest(Validated, namedtuple("ActionManifest", "experiment_id domain actions board")):
@@ -318,9 +272,10 @@ class ExperimentBundle(
                     column = "treatment" if participant_id else "participant_id"
                     message = f"{column} must be non-empty"
                 elif (entries := valued.get(decision_id)) is None:
-                    column = "decision_id"
-                    message = (f"prediction by {participant_id!r} references unknown decision "
-                               f"{decision_id!r}")
+                    column = "decision_id"  # a declared decision that is not valued is pending
+                    message = f"prediction by {participant_id!r} references " + (
+                        f"decision {decision_id!r}, which is pending: it has no value table"
+                        if decision_id in all_ids else f"unknown decision {decision_id!r}")
                 elif predicted not in entries:
                     column = "predicted_action"
                     if predicted in known_actions:
@@ -676,45 +631,13 @@ def _manifest_from_dict(doc: dict):
     return manifest, treatments, pending
 
 
-def _write_files(directory, texts: dict) -> list[Path]:
-    """Write each text, a string or an iterable of strings, to its file name
-    in directory as UTF-8, and return the paths written, in order.  A text
-    of bytes, or an iterable whose first item is bytes, is written as it is.
-
-    Every text goes to ``.<name>.<pid>.tmp`` in directory, and the files are
-    renamed over their targets only once all of them are written, so an error
-    while any text is made leaves every target as it was.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    staged = {}
-    try:
-        for name, text in texts.items():
-            staged[name] = directory / f".{name}.{os.getpid()}.tmp"
-            pieces = iter([text] if isinstance(text, (str, bytes)) else text)
-            first = next(pieces, "")
-            binary = isinstance(first, bytes)
-            with open(staged[name], "wb" if binary else "w",
-                      encoding=None if binary else "utf-8") as fh:
-                fh.write(first)
-                fh.writelines(pieces)
-        for name, temporary in staged.items():
-            os.replace(temporary, directory / name)
-    except BaseException:
-        for temporary in staged.values():
-            temporary.unlink(missing_ok=True)
-        raise
-    return [directory / name for name in texts]
-
-
 def write_bundle(bundle: ExperimentBundle, path) -> Path:
-    path = Path(path)
-    _write_files(path, {
+    write_files(path, {
         "manifest.json": json.dumps(manifest_to_dict(bundle), indent=2) + "\n",
         "values.csv": serialize_values_csv(bundle.decisions),
         "predictions.csv": serialize_predictions_csv(bundle.predictions),
     })
-    return path
+    return Path(path)
 
 
 def read_bundle(path) -> ExperimentBundle:
@@ -731,16 +654,11 @@ def read_bundle(path) -> ExperimentBundle:
     values = (path / "values.csv").read_bytes()
     decisions = tuple(parse_values_csv(values))
     data = (path / "predictions.csv").read_bytes()
-    entry = (_cache_entry((manifest_json, values, data)) if len(data) >= _CACHE_MIN_BYTES
+    entry = (parsecache.entry((manifest_json, values, data)) if len(data) >= _CACHE_MIN_BYTES
              else None)
-    cached = None if entry is None else _load_entry(entry)
-    if cached is not None:
+    if entry is not None and (predictions := parsecache.load(entry, decisions)) is not None:
         # The entry was written for these bytes once this code accepted them.
-        predictions, predictions._order, predictions._votes, totals = cached
-        bundle = tuple.__new__(ExperimentBundle,
-                               (manifest, decisions, predictions, treatments, pending))
-        predictions._totals = _loss_pairs(score_table(bundle.values_by_decision())), totals
-        return bundle
+        return tuple.__new__(ExperimentBundle, (manifest, decisions, predictions, treatments, pending))
     predictions = parse_predictions_csv(data)
     try:
         bundle = ExperimentBundle(manifest, decisions, predictions, treatments, pending)
@@ -753,144 +671,10 @@ def read_bundle(path) -> ExperimentBundle:
                 index = [row[:2] for row in records].index(list(exc.key))
             raise _refusal(values, index, str(exc), column) from None
         raise _refusal(data, exc.index, str(exc), column) from None
-    del data  # released first, so that the reductions and the entry add nothing to the peak
-    if entry is not None:  # the entry stores them, and the command reading it uses them
-        order = predictions._order = _by_participant_and_decision(predictions)
-        votes = predictions._votes = _vote_tally(predictions)
-        scores = score_table(bundle.values_by_decision())
-        try:
-            sums = _participant_totals(predictions, scores, sorted(treatments))
-        except ValidationError:  # a total overflows: no totals and no entry
-            return bundle
-        # treatment -> (value totals, rank totals), in walk order, for each treatment with totals
-        totals = {t: tuple(array("d", sums[space][t]) for space in SPACES)
-                  for t in sums["value"] if sums["value"][t]}
-        del sums  # the per-participant dicts go before the entry is written
-        predictions._totals = _loss_pairs(scores), totals
-        _store_entry(entry, predictions.columns, order, votes, totals)
+    del data  # released first, so that the cache's reductions and entry add nothing to the peak
+    if entry is not None:
+        parsecache.store(entry, bundle)
     return bundle
-
-
-def _content_hash(data=b""):
-    """A hash object with a digest of _DIGEST_BYTES: BLAKE2b-256 from the
-    interpreter's own _blake2 module, which hashes a large predictions.csv
-    about three times as fast as the interpreter's SHA-256.  Where there is
-    no _blake2, SHA-256, the interpreter's own implementation first, as in
-    the random module: hashlib loads OpenSSL's libcrypto, which adds ~3.7 MB
-    to the peak RSS of a command that reads the bundle."""
-    try:
-        from _blake2 import blake2b
-    except ImportError:
-        try:
-            from _sha2 import sha256  # Python 3.12 and later
-        except ImportError:
-            try:
-                from _sha256 import sha256
-            except ImportError:
-                from hashlib import sha256
-        return sha256(data)
-    return blake2b(data, digest_size=_DIGEST_BYTES)
-
-
-def _cache_entry(files) -> Path | None:
-    """The path of the cache entry for a bundle whose manifest.json,
-    values.csv and predictions.csv hold the bytes ``files``, or None where
-    no cache directory can be used: there is no home directory, the
-    directory cannot be made, or it is not the effective user's alone."""
-    try:
-        base = os.environ.get("XDG_CACHE_HOME")
-        directory = (Path(base) if base and os.path.isabs(base)
-                     else Path.home() / ".cache") / "predscore"
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        info = directory.stat()
-        # the code a hit vouches for: every module of the package, by name
-        modules = sorted(Path(__file__).parent.glob("*.py"))
-        if Path(__file__) not in modules:  # no source to hash: a zip or a sourceless install
-            return None
-        sources = [part for module in modules
-                   for part in (module.name.encode(), module.read_bytes())]
-    except (OSError, RuntimeError):  # Path.home() raises RuntimeError when there is no home
-        return None
-    # anyone else who could write here could hand us marshal data
-    if info.st_uid != os.geteuid() or info.st_mode & 0o022:
-        return None
-    key = _content_hash()
-    for part in (_CACHE_TAG, sys.version.encode(), *sources, *files):
-        key.update(len(part).to_bytes(8, "little"))
-        key.update(part)
-    return directory / f"{key.hexdigest()}{_CACHE_SUFFIX}"
-
-
-def _load_entry(entry: Path) -> tuple | None:
-    """(predictions, order, votes, totals) as _store_entry stored them, each
-    as read_bundle attaches it, refreshing the entry's mtime, or None if the
-    entry is missing, unreadable or fails its digest, or if its records are
-    not of the shapes _store_entry writes: four columns of one length, an
-    order of that length, a vote tally that sums to it, and for each
-    treatment that the tally names, value and rank totals of one length,
-    one per participant, so at least one and at most its predictions."""
-    try:
-        blob = entry.read_bytes()
-        os.utime(entry)
-    except OSError:
-        return None
-    body = memoryview(blob)[:-_DIGEST_BYTES]
-    if _content_hash(body).digest() != blob[-_DIGEST_BYTES:]:
-        return None
-    records, offset = [], 0
-    while offset < len(body):
-        size = int.from_bytes(body[offset:offset + 8], "little")
-        records.append(body[offset + 8:offset + 8 + size])
-        offset += 8 + size
-    if len(records) != 7:
-        return None
-    order, predicted = array("I"), Counter()  # treatment -> its predictions
-    try:
-        predictions = Predictions(map(marshal.loads, records[:4]))
-        order.frombytes(records[4])
-        votes, totals = map(marshal.loads, records[5:])
-        for (treatment, _, _), count in votes.items():
-            predicted[treatment] += count
-        # the totals are read in place, as doubles, from the bytes marshal made
-        totals = {t: tuple(memoryview(b).cast("d") for b in pair) for t, pair in totals.items()}
-    except (EOFError, ValueError, TypeError, AttributeError, ValidationError):
-        return None
-    if (len(order) == len(predictions) == predicted.total() and predicted.keys() == totals.keys()
-            and all(0 < len(value) == len(rank) <= predicted[t]
-                    for t, (value, rank) in totals.items())):
-        return predictions, order, votes, totals
-    return None
-
-
-def _store_entry(entry: Path, columns, order: array, votes, totals) -> None:
-    """Write columns, their order, their vote tally and their loss totals
-    to entry, then keep the newest _CACHE_ENTRIES entries.  Each column is
-    one length-prefixed marshal record, made only as the writer reaches it,
-    the order one record of its array bytes, the tally one marshal record
-    of (treatment, decision, action) -> votes, and the totals one marshal
-    record of treatment -> (value totals, rank totals) as array bytes.  A
-    hash of the records by _content_hash ends the entry."""
-    def pieces():
-        digest = _content_hash()
-        records = chain(map(marshal.dumps, columns), (
-            order.tobytes(),
-            marshal.dumps(dict(votes)),
-            marshal.dumps({t: tuple(a.tobytes() for a in pair) for t, pair in totals.items()}),
-        ))
-        for record in records:
-            for piece in (len(record).to_bytes(8, "little"), record):
-                digest.update(piece)
-                yield piece
-        yield digest.digest()
-
-    try:
-        _write_files(entry.parent, {entry.name: pieces()})
-        entries = sorted(entry.parent.glob(f"*{_CACHE_SUFFIX}"),
-                         key=lambda p: p.stat().st_mtime_ns, reverse=True)
-        for stale in entries[_CACHE_ENTRIES:]:
-            stale.unlink(missing_ok=True)
-    except OSError:
-        pass
 
 
 class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
@@ -1036,7 +820,7 @@ def generate_synthetic_experiment(
     # One prediction per (participant, decision), participant by participant:
     # the blocks' picks in order, each mapped back through its decision's
     # ranks.  The columns are built whole, and share the strings they repeat.
-    ranks = chain.from_iterable(_fan_out(block_picks, range(0, participants, _PARTICIPANT_BLOCK)))
+    ranks = chain.from_iterable(fan_out(block_picks, range(0, participants, _PARTICIPANT_BLOCK)))
     per_participant = len(decisions)
     participant_ids = (f"p{i + 1:03d}" for i in range(participants))
     columns = (

@@ -8,8 +8,8 @@ how close the agent judged it to the action it actually took:
                   value ordering (0 = predicted exactly)
   grade           the predicted action's rank discretized into letter bins
 
-plus two group-level averages (by value and by rank) weighted by one
-group's vote count for one decision: action -> number of predictions.
+and a group's mean of a score, weighted by the group's vote count for one
+decision (action -> number of predictions), is :func:`weighted_mean`.
 
 A score depends only on the (decision, action) pair, so :func:`score_table`
 scores each pair once and every per-prediction score is a lookup in it.
@@ -23,9 +23,10 @@ of each (treatment, decision, action), and :func:`_participant_totals`, the
 one walk that sums each participant's losses, gives the per-participant
 totals of both loss spaces, the value space summing LV and the rank space
 LR, and is the one place that refuses a total that overflows.
-:func:`predscore.dataset.read_bundle` stores the order and both reductions
-with a cached bundle and attaches them to the Predictions it returns, and
-each function returns the attached result where it is valid.  A bundle
+:mod:`predscore.parsecache` stores the order and both reductions with a
+cached bundle and attaches them to the Predictions that
+:func:`predscore.dataset.read_bundle` returns, and each function returns
+the attached result where it is valid.  A bundle
 with a total that overflows gets no stored or attached totals, so every
 sum of its totals walks.  :func:`score_dataset`'s
 :class:`MetricSample` list is for library callers, and no CLI command
@@ -108,13 +109,13 @@ class Predictions:
     plain 4-tuple, and two Predictions are equal when their columns are.
     Like a list, it is unhashable.
 
-    ``_order``, ``_votes`` and ``_totals`` are what
-    :func:`predscore.dataset.read_bundle` attached: the order of
+    ``_order``, ``_votes`` and ``_totals`` are what the parse cache,
+    :mod:`predscore.parsecache`, attached: the order of
     :func:`_by_participant_and_decision`, the tally of :func:`_vote_tally`,
     and the totals of :func:`_participant_totals`, every one finite, with
-    the (LV, LR) table they were summed from.  Only read_bundle sets them,
-    on a Predictions it made itself, and ``__init__`` never copies them, so
-    a Predictions built from any columns walks afresh.
+    the (LV, LR) table they were summed from.  Only the parse cache sets
+    them, on a Predictions that read_bundle made, and ``__init__`` never
+    copies them, so a Predictions built from any columns walks afresh.
     """
 
     columns: tuple[list[str], list[str], list[str], list[str]]
@@ -187,18 +188,6 @@ def weighted_mean(pairs) -> float:
         raise ValidationError("the vote-weighted sum overflows") from None
 
 
-def av_score(votes: dict[str, int], values: DecisionValues) -> float:
-    """Average of the agent's values weighted by one group's vote count
-    (action -> votes); equals the mean of V(predicted) across participants."""
-    return weighted_mean((values.value(action), count) for action, count in votes.items())
-
-
-def ar_score(votes: dict[str, int], values: DecisionValues) -> float:
-    """Vote-count-weighted average of ranks; >= 1, and 1.0 only when every
-    vote went to the top-ranked action."""
-    return weighted_mean((values.rank(action), count) for action, count in votes.items())
-
-
 def score_table(
     value_tables: dict[str, DecisionValues], scale: GradeScale = DEFAULT_GRADE_SCALE
 ) -> ScoreTable:
@@ -222,8 +211,8 @@ def _by_participant_and_decision(predictions: Predictions) -> array:
     positions, so no key tuple is built.  The sorted positions are kept as
     an array of C ints, 4 bytes each, not as a list of int objects.  Every
     per-prediction walk, here and in the report module, takes this order.
-    The order that read_bundle attached to predictions, computed from these
-    same columns by this function, is returned with no sort."""
+    The order that the parse cache attached to predictions, computed from
+    these same columns by this function, is returned with no sort."""
     if predictions._order is not None:
         return predictions._order
     participant_ids, _, decision_ids, _ = predictions.columns
@@ -234,9 +223,9 @@ def _by_participant_and_decision(predictions: Predictions) -> array:
 
 def _vote_tally(predictions: Predictions) -> dict[tuple[str, str, str], int]:
     """(treatment, decision, action) -> the number of predictions naming
-    it, in first-seen order.  The tally read_bundle attached to predictions,
-    counted from these same columns by this function, is returned with no
-    walk."""
+    it, in first-seen order.  The tally the parse cache attached to
+    predictions, counted from these same columns by this function, is
+    returned with no walk."""
     if predictions._votes is not None:
         return predictions._votes
     _, treatments, decision_ids, predicted = predictions.columns
@@ -257,9 +246,9 @@ def _participant_totals(
     decisions, LV in value space and LR in rank space.  A treatment of
     labels that no prediction names gets no totals.
 
-    The totals read_bundle attached to predictions are returned with no
-    walk when scores hold the (LV, LR) pairs they were summed from; they
-    are finite, as read_bundle attaches only totals that pass the check
+    The totals the parse cache attached to predictions are returned with
+    no walk when scores hold the (LV, LR) pairs they were summed from; they
+    are finite, as the parse cache attaches only totals that pass the check
     below.  Otherwise one walk over the columns, by participant and then decision,
     sums both spaces, so each treatment lists its participants in sorted
     order.  Each total starts from 0.0 and adds its losses in decision

@@ -31,7 +31,7 @@ A side cannot own a k-window before it holds k pieces, and the ply at
 which each side first does is fixed by the root's piece counts, so the
 plies before it skip the window test.  On Linux the root moves are
 shared with one forked worker on another CPU of the process's affinity
-mask (see _fan_out); each root move draws from its own Random, so equal
+mask (see osutil.fan_out); each root move draws from its own Random, so equal
 seeds give the same values on those versions, on one CPU or many.
 The exhaustive oracle stays in one process, for its memo.
 
@@ -42,9 +42,7 @@ to the unmutated agent.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import random
 import sys
 from collections import namedtuple
@@ -61,6 +59,7 @@ from .board import (
     game_status,
 )
 from .errors import Validated, ValidationError
+from .osutil import fan_out
 from .values import DecisionValues, OutcomeTriple, ranked
 
 EXHAUSTIVE = "exhaustive"
@@ -278,8 +277,8 @@ def sampled_outcome_triples(
 
     Each square draws its own RNG from (seed, board, square), so estimates
     are reproducible regardless of evaluation order, and the squares are
-    shared with a forked worker by :func:`_fan_out`.  Rollouts that hit the depth
-    limit count as draws.
+    shared with a forked worker by :func:`predscore.osutil.fan_out`.
+    Rollouts that hit the depth limit count as draws.
     """
     status = game_status(board)
     if status.state != ONGOING:
@@ -341,112 +340,7 @@ def sampled_outcome_triples(
             tally[winner] += 1
         return (tally[mover] / rollouts, tally[opponent] / rollouts, tally[0] / rollouts)
 
-    return dict(zip(empties, _fan_out(outcome, range(len(empties)))))
-
-
-def _threads_and_cpu() -> tuple[int, int] | None:
-    """This process's OS thread count, native threads (such as a BLAS pool)
-    included, and the CPU it last ran on; None where /proc cannot tell."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            fields = fh.read().rsplit(b")", 1)[1].split()
-    except OSError:
-        return None
-    return int(fields[17]), int(fields[36])
-
-
-def _fan_out(fn, items) -> list:
-    """[fn(x) for x in items], with the far half of the items given to one
-    child forked onto another CPU of this process's affinity mask.  One
-    child only: the fan-out was measured on 2 CPUs only.  Two callers map
-    through it: sampled_outcome_triples (an item per root move) and
-    dataset.generate_synthetic_experiment (an item per block of participants).
-
-    The child works from the far end and writes each (index, result) down a
-    pipe as soon as it is done.  The parent sweeps the items front to back,
-    takes each result that has arrived and computes the rest itself, so it
-    never waits: a starved child, a failed pipe or fork, or a child whose fn
-    raises changes no result, and the parent raises fn's error when it
-    reaches that item.  A result that arrives late is CPU time lost, which
-    shows on a machine with no idle CPU.  Then the child is killed and
-    reaped.  fn must be pure: what the child's call does besides returning
-    is lost.
-
-    The child leaves only when it is killed or the parent is gone: it waits
-    for end-of-file on a pipe whose write end only the parent holds.  So the
-    pid the parent kills is still its child, also where SIGCHLD is ignored.
-    It binds itself to the mask's CPUs other than the parent's, because the
-    kernel may leave a forked child on its parent's CPU for longer than a
-    call lasts.
-
-    It runs in process for fewer than 2 items, with one CPU in the mask,
-    without os.fork or os.sched_getaffinity (off Linux), and beside a second
-    thread, which fork() may deadlock in the child (CPython 3.12+ warns).
-    """
-    cpus = set()
-    if len(items) >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        cpus = os.sched_getaffinity(0)
-    stat = _threads_and_cpu() if len(cpus) >= 2 else None
-    if stat is None or stat[0] > 1:
-        return [fn(x) for x in items]
-
-    import pickle
-    import signal
-
-    missing = object()
-    results = [missing] * len(items)
-    pid = None
-    fds = []  # every pipe end the parent holds
-    try:
-        with contextlib.suppress(OSError):  # else the parent computes every item
-            hold = os.pipe()  # the child reads end-of-file from it before it leaves
-            fds += hold
-            read_fd, write_fd = os.pipe()
-            fds += (read_fd, write_fd)
-            pid = os.fork()
-        if pid is None:
-            return [fn(x) for x in items]
-        if pid == 0:
-            try:
-                try:
-                    os.close(hold[1])
-                    with contextlib.suppress(OSError):  # else left to the kernel
-                        os.sched_setaffinity(0, cpus - {stat[1]})
-                    for i in range(len(items) - 1, len(items) // 2 - 1, -1):
-                        payload = pickle.dumps((i, fn(items[i])), pickle.HIGHEST_PROTOCOL)
-                        frame = len(payload).to_bytes(4, "little") + payload
-                        while frame:
-                            frame = frame[os.write(write_fd, frame) :]
-                finally:
-                    os.close(write_fd)
-                    os.read(hold[0], 1)
-            finally:
-                os._exit(0)  # never return into the parent's frames
-        os.close(fds.pop())  # the write end: once the child closes its own, reads give b""
-        os.set_blocking(read_fd, False)
-        buffer = b""
-        for i, item in enumerate(items):
-            with contextlib.suppress(BlockingIOError):
-                buffer += os.read(read_fd, 1 << 16)
-            while len(buffer) >= 4:  # each frame: 4-byte length, then the pickle
-                end = 4 + int.from_bytes(buffer[:4], "little")
-                if len(buffer) < end:
-                    break
-                index, result = pickle.loads(buffer[4:end])
-                results[index] = result
-                buffer = buffer[end:]
-            if results[i] is missing:
-                results[i] = fn(item)
-        return results
-    finally:
-        if pid:
-            with contextlib.suppress(ProcessLookupError):  # killed from outside
-                os.kill(pid, signal.SIGKILL)
-        for fd in fds:
-            os.close(fd)
-        if pid:
-            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
-                os.waitpid(pid, 0)
+    return dict(zip(empties, fan_out(outcome, range(len(empties)))))
 
 
 def value_oracle(board: Board, spec: AgentSpec, decision_id: str | None = None) -> DecisionValues:

@@ -1,0 +1,207 @@
+"""The parse cache of :func:`predscore.dataset.read_bundle`.
+
+A predictions.csv of at least ``_CACHE_MIN_BYTES`` (1 MiB) is parsed and
+checked once per content: read_bundle keeps its four columns as marshal
+data, with their (participant, decision) order, their vote tally and each
+participant's loss totals in both spaces, in the user's cache directory,
+``$XDG_CACHE_HOME/predscore`` or else ``~/.cache/predscore``, and a later
+read of the same bytes loads them instead of parsing, checking, sorting,
+counting and summing.  An entry's name is a BLAKE2b-256 hash (SHA-256 where
+the interpreter has no ``_blake2``) over a format tag, ``sys.version``, the
+name and bytes of every module of this package, sorted by name, and the
+bytes of manifest.json, values.csv and predictions.csv, each part
+length-prefixed.  An entry is written only once ExperimentBundle has
+accepted the bundle, so a hit shows that this code accepted these bytes,
+and the bundle is built from the entry without ExperimentBundle's rules, as
+Python trusts a hash-checked ``.pyc`` (PEP 552): every read of bytes that
+this code has not accepted runs the full check, and an edit to any of the
+three files or to any module misses.  The vouch covers whatever this code
+computes from those bytes alone, so the order, the tally and the totals,
+which the miss made from the accepted columns and values, are stored too;
+the Predictions read_bundle returns carries them, and each is used only
+while it holds (see :mod:`predscore.metrics`).  The miss sums the totals
+with the same function as an uncached read, and a bundle with a total that
+overflows, which that function refuses, gets no totals and no entry: it is
+read in full every time, and refused as it is without a cache.
+ExperimentBundle reads no environment variable, locale or file; a rule
+that comes to read one must add it to the key.  A hit still decodes
+manifest.json and parses values.csv, which are small, with their own
+refusals.  The vouch reaches as far as the directory rule below: an entry
+forged by the same user is trusted, as a forged ``.pyc`` would be.  An
+entry holds each column, the tally and the totals as one marshal record
+each, the order and each treatment's totals as ``array`` bytes, and ends
+with a hash of those records by the same function as its name, checked on
+every load; an entry that will not load is read in full again and
+rewritten.  Entries are read only from that directory, never from a bundle
+or beside one, and only while the directory is the effective user's and
+writable by no one else; any ``OSError`` there, no home directory, or no
+source file to hash (a zip or a sourceless install) means the bundle is
+read as it is below the threshold, with no message.  An entry is written
+after the file's bytes and the summing walk's per-participant dicts are
+released, through ``osutil.write_files``, and the newest ``_CACHE_ENTRIES``
+entries by mtime are kept; a hit refreshes its entry's mtime.
+
+read_bundle calls :func:`entry`, :func:`load` and :func:`store`, and knows
+nothing of what an entry holds; ``_CACHE_MIN_BYTES`` and the choice of
+when to use the cache stay in :mod:`predscore.dataset`.
+"""
+
+import marshal
+import os
+import sys
+from array import array
+from collections import Counter
+from pathlib import Path
+
+from .errors import ValidationError
+from .metrics import (SPACES, Predictions, _by_participant_and_decision, _loss_pairs,
+                      _participant_totals, _vote_tally, score_table)
+from .osutil import write_files
+
+_CACHE_ENTRIES = 8
+_CACHE_TAG = b"predscore accepted bundle 3"
+_CACHE_SUFFIX = ".columns"
+_DIGEST_BYTES = 32
+
+
+def _content_hash(data=b""):
+    """A hash object with a digest of _DIGEST_BYTES: BLAKE2b-256 from the
+    interpreter's own _blake2 module, which hashes a large predictions.csv
+    about three times as fast as the interpreter's SHA-256.  Where there is
+    no _blake2, SHA-256, the interpreter's own implementation first, as in
+    the random module: hashlib loads OpenSSL's libcrypto, which adds ~3.7 MB
+    to the peak RSS of a command that reads the bundle."""
+    try:
+        from _blake2 import blake2b
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        return sha256(data)
+    return blake2b(data, digest_size=_DIGEST_BYTES)
+
+
+def entry(files) -> Path | None:
+    """The path of the cache entry for a bundle whose manifest.json,
+    values.csv and predictions.csv hold the bytes ``files``, or None where
+    no cache directory can be used: there is no home directory, the
+    directory cannot be made, or it is not the effective user's alone."""
+    try:
+        base = os.environ.get("XDG_CACHE_HOME")
+        directory = (Path(base) if base and os.path.isabs(base)
+                     else Path.home() / ".cache") / "predscore"
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = directory.stat()
+        # the code a hit vouches for: every module of the package, by name
+        modules = sorted(Path(__file__).parent.glob("*.py"))
+        if Path(__file__) not in modules:  # no source to hash: a zip or a sourceless install
+            return None
+        sources = [part for module in modules
+                   for part in (module.name.encode(), module.read_bytes())]
+    except (OSError, RuntimeError):  # Path.home() raises RuntimeError when there is no home
+        return None
+    # anyone else who could write here could hand us marshal data
+    if info.st_uid != os.geteuid() or info.st_mode & 0o022:
+        return None
+    key = _content_hash()
+    for part in (_CACHE_TAG, sys.version.encode(), *sources, *files):
+        key.update(len(part).to_bytes(8, "little"))
+        key.update(part)
+    return directory / f"{key.hexdigest()}{_CACHE_SUFFIX}"
+
+
+def load(entry: Path, decisions) -> Predictions | None:
+    """The Predictions that store wrote to entry, with its order, vote
+    tally and loss totals attached as ``_order``, ``_votes`` and
+    ``_totals``, the totals with the (LV, LR) pairs of decisions, refreshing
+    the entry's mtime; or None if the entry is missing, unreadable or fails
+    its digest, or if its records are not of the shapes store writes: four
+    columns of one length, an order of that length, a vote tally that sums
+    to it, and for each treatment that the tally names, value and rank
+    totals of one length, one per participant, so at least one and at most
+    its predictions."""
+    try:
+        blob = entry.read_bytes()
+        os.utime(entry)
+    except OSError:
+        return None
+    body = memoryview(blob)[:-_DIGEST_BYTES]
+    if _content_hash(body).digest() != blob[-_DIGEST_BYTES:]:
+        return None
+    records, offset = [], 0
+    while offset < len(body):
+        size = int.from_bytes(body[offset:offset + 8], "little")
+        records.append(body[offset + 8:offset + 8 + size])
+        offset += 8 + size
+    if len(records) != 7:
+        return None
+    order, predicted = array("I"), Counter()  # treatment -> its predictions
+    try:
+        predictions = Predictions(map(marshal.loads, records[:4]))
+        order.frombytes(records[4])
+        votes, totals = map(marshal.loads, records[5:])
+        for (treatment, _, _), count in votes.items():
+            predicted[treatment] += count
+        # the totals are read in place, as doubles, from the bytes marshal made
+        totals = {t: tuple(memoryview(b).cast("d") for b in pair) for t, pair in totals.items()}
+    except (EOFError, ValueError, TypeError, AttributeError, ValidationError):
+        return None
+    if not (len(order) == len(predictions) == predicted.total()
+            and predicted.keys() == totals.keys() and all(
+                0 < len(v) == len(r) <= predicted[t] for t, (v, r) in totals.items())):
+        return None
+    predictions._order, predictions._votes = order, votes
+    predictions._totals = _loss_pairs(score_table({dv.decision_id: dv for dv in decisions})), totals
+    return predictions
+
+
+def store(entry: Path, bundle) -> None:
+    """Attach the order, the vote tally and both spaces' loss totals to the
+    predictions of bundle, which ExperimentBundle has accepted, and write
+    them with the columns to entry, then keep the newest _CACHE_ENTRIES
+    entries.  A bundle with a total that overflows gets no totals and no
+    entry.  Each column is one length-prefixed marshal record, made only as
+    the writer reaches it, the order one record of its array bytes, the
+    tally one marshal record of (treatment, decision, action) -> votes, and
+    the totals one marshal record of treatment -> (value totals, rank
+    totals) as array bytes.  A hash of the records by _content_hash ends the
+    entry."""
+    predictions, scores = bundle.predictions, score_table(bundle.values_by_decision())
+    order = predictions._order = _by_participant_and_decision(predictions)
+    votes = predictions._votes = _vote_tally(predictions)
+    try:
+        sums = _participant_totals(predictions, scores, sorted(bundle.treatments))
+    except ValidationError:  # a total overflows: no totals and no entry
+        return
+    # treatment -> (value totals, rank totals), in walk order, for each treatment with totals
+    totals = {t: tuple(array("d", sums[space][t]) for space in SPACES)
+              for t in sums["value"] if sums["value"][t]}
+    del sums  # the per-participant dicts go before the entry is written
+    predictions._totals = _loss_pairs(scores), totals
+
+    def records():
+        yield from map(marshal.dumps, predictions.columns)
+        yield order.tobytes()
+        yield marshal.dumps(dict(votes))
+        yield marshal.dumps({t: tuple(a.tobytes() for a in pair) for t, pair in totals.items()})
+
+    def pieces():
+        digest = _content_hash()
+        for record in records():
+            for piece in (len(record).to_bytes(8, "little"), record):
+                digest.update(piece)
+                yield piece
+        yield digest.digest()
+
+    try:
+        write_files(entry.parent, {entry.name: pieces()})
+        entries = sorted(entry.parent.glob(f"*{_CACHE_SUFFIX}"),
+                         key=lambda p: p.stat().st_mtime_ns, reverse=True)
+        for stale in entries[_CACHE_ENTRIES:]:
+            stale.unlink(missing_ok=True)
+    except OSError:
+        pass

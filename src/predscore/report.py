@@ -6,9 +6,10 @@ score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts.  The
 per-participant loss sums come from metrics._participant_totals, which
-reads the totals that a cached read attached to the bundle's
-:class:`predscore.metrics.Predictions` where they hold for the scores
-given, and otherwise walks the columns and refuses a total that overflows.
+reads the totals that the parse cache (:mod:`predscore.parsecache`)
+attached to the bundle's :class:`predscore.metrics.Predictions` where they
+hold for the scores given, and otherwise walks the columns and refuses a
+total that overflows.
 The rows of samples.csv always walk them, by participant and then decision
 (metrics._by_participant_and_decision), looking each score up.
 Everything renders to CSV, markdown or SVG deterministically so outputs

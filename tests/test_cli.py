@@ -13,9 +13,10 @@ import pytest
 from prediction_rows import predictions_of
 from predscore import cli
 from predscore.cli import main
-from predscore.dataset import _csv_text, _write_files, read_bundle, write_bundle
+from predscore.dataset import _csv_text, read_bundle, write_bundle
 from predscore.errors import ValidationError
 from predscore.metrics import MetricSample, score_dataset, score_table
+from predscore.osutil import write_files
 from predscore.report import build_metrics_table, render_metrics_csv
 from test_golden_outputs import make_bundles
 
@@ -862,7 +863,7 @@ class TestReportWrites:
 
     def test_the_writer_makes_the_directory_and_returns_the_paths_in_order(self, tmp_path, capsys):
         out = tmp_path / "a" / "b"
-        paths = _write_files(out, {"z.csv": "z\n", "a.csv": iter(["a\n", "b\n"])})
+        paths = write_files(out, {"z.csv": "z\n", "a.csv": iter(["a\n", "b\n"])})
         assert paths == [out / "z.csv", out / "a.csv"]
         assert sorted(p.name for p in out.iterdir()) == ["a.csv", "z.csv"]
         assert [p.read_bytes() for p in paths] == [b"z\n", b"a\nb\n"]

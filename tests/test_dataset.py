@@ -949,6 +949,26 @@ class TestFourTowersFixture:
         bundle = load_four_towers_fixture()
         assert read_bundle(write_bundle(bundle, tmp_path / "ft")) == bundle
 
+    def test_a_prediction_on_a_pending_decision_is_refused_as_pending(self, tmp_path):
+        """DP2 is declared but has no value table yet: a prediction on it is
+        refused as pending, not as unknown, with the same column and row."""
+        bundle = load_four_towers_fixture()
+        rows = [("p1", "NONE", "DP1", "NE"), ("p1", "NONE", "DP2", "NE")]
+        message = ("prediction by 'p1' references decision 'DP2', which is pending: "
+                   "it has no value table")
+        with pytest.raises(ValidationError) as err:
+            ExperimentBundle(bundle.manifest, bundle.decisions, predictions_of(rows),
+                             bundle.treatments, bundle.pending_decisions)
+        assert str(err.value) == message
+        assert (err.value.index, err.value.column) == (1, "decision_id")
+        path = write_bundle(bundle, tmp_path / "ft")
+        with open(path / "predictions.csv", "a", encoding="utf-8") as fh:
+            fh.writelines(",".join(row) + "\n" for row in rows)
+        with pytest.raises(ParseError) as err:
+            read_bundle(path)
+        assert str(err.value) == f"{message} (row 3, column 'decision_id')"
+        assert (err.value.row, err.value.column) == (3, "decision_id")
+
 
 class TestBundleValidation:
     def test_prediction_for_unknown_decision_rejected(self):

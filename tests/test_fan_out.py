@@ -1,11 +1,11 @@
-"""oracle._fan_out spreads a list comprehension over forked children.
+"""osutil.fan_out spreads a list comprehension over forked children.
 
-_fan_out never forks beside a second thread, and this test process may hold
+fan_out never forks beside a second thread, and this test process may hold
 native threads (numpy's BLAS pool starts some once another test module has
 loaded scipy).  So every check that needs the forking path runs in a fresh
 interpreter, which sets the worker count by replacing os.sched_getaffinity,
 counts the forks and prints one JSON line.  No check offers more than 3
-CPUs, and _fan_out forks at most one child per call.
+CPUs, and fan_out forks at most one child per call.
 """
 
 import inspect
@@ -25,7 +25,8 @@ from predscore.oracle import sampled_outcome_triples
 
 PRELUDE = """
 import json, os, threading, time
-from predscore.oracle import _fan_out, sampled_outcome_triples
+from predscore.oracle import sampled_outcome_triples
+from predscore.osutil import fan_out
 
 forks = []
 _fork, _affinity = os.fork, os.sched_getaffinity
@@ -83,7 +84,7 @@ def test_equals_the_serial_list_for_1_to_3_workers():
             use_workers(workers)
             for count in (0, 1, 2, 50):
                 before = len(forks)
-                got = _fan_out(fn, list(range(count)))
+                got = fan_out(fn, list(range(count)))
                 rows.append([workers, count, got == [fn(x) for x in range(count)],
                              len(forks) - before, clean()])
         print(json.dumps(rows))
@@ -106,7 +107,7 @@ def test_results_computed_by_children_are_taken():
                 return (x * 7, None)
             return (x * 7, len(_affinity(0)))
 
-        got = _fan_out(fn, list(range(30)))
+        got = fan_out(fn, list(range(30)))
         print(json.dumps([[value for value, _ in got] == [x * 7 for x in range(30)],
                           [cpus for _, cpus in got if cpus is not None], len(CPUS),
                           len(forks), clean()]))
@@ -128,7 +129,7 @@ def test_a_sleeping_child_still_gives_the_whole_result():
             return x * 3
 
         start = time.perf_counter()
-        got = _fan_out(fn, list(range(50)))
+        got = fan_out(fn, list(range(50)))
         print(json.dumps([got == [x * 3 for x in range(50)], len(forks), clean(),
                           time.perf_counter() - start]))
     """)
@@ -153,12 +154,12 @@ def test_an_exception_in_fn_reaches_the_parent_with_its_type():
             use_workers(workers)
             for bad in (3, 37, 49):  # in the first and the last segment
                 try:
-                    _fan_out(fails_at(bad), list(range(50)))
+                    fan_out(fails_at(bad), list(range(50)))
                     rows.append([workers, bad, None, None, clean()])
                 except Exception as exc:
                     rows.append([workers, bad, type(exc).__name__, exc.args, clean()])
             # a child whose fn raises changes nothing: the parent computes its items
-            got = _fan_out(fails_at(37, only_in_children=True), list(range(50)))
+            got = fan_out(fails_at(37, only_in_children=True), list(range(50)))
             rows.append([workers, "children", got == [-x for x in range(50)], None, clean()])
         print(json.dumps(rows))
     """)
@@ -179,7 +180,7 @@ def test_a_failed_fork_leaves_the_result_whole():
             raise OSError("fork refused")
 
         os.fork = no_fork
-        got = _fan_out(lambda x: x + 1, list(range(20)))
+        got = fan_out(lambda x: x + 1, list(range(20)))
         print(json.dumps([got == list(range(1, 21)), clean()]))
     """)
     assert equal and clean
@@ -193,7 +194,7 @@ def test_ignored_sigchld_leaves_the_result_whole():
         signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         use_workers(2)
         rows = []
-        got = _fan_out(lambda x: x - 1, list(range(50)))
+        got = fan_out(lambda x: x - 1, list(range(50)))
         rows.append([got == [x - 1 for x in range(50)], len(forks), clean()])
 
         def fn(x):
@@ -202,7 +203,7 @@ def test_ignored_sigchld_leaves_the_result_whole():
             time.sleep(0.002)
             return x * 5
 
-        got = _fan_out(fn, list(range(50)))
+        got = fan_out(fn, list(range(50)))
         rows.append([got == [x * 5 for x in range(50)], len(forks), clean()])
         print(json.dumps(rows))
     """)
@@ -228,7 +229,7 @@ def test_a_child_waits_to_be_killed():
                     alive.append(False)
             return x
 
-        got = _fan_out(fn, list(range(20)))
+        got = fan_out(fn, list(range(20)))
         print(json.dumps([alive, got == list(range(20)), clean()]))
     """)
     assert alive == [True] and equal and clean
@@ -249,7 +250,7 @@ def test_refused_pipes_leave_the_result_whole():
                 return _pipe()
 
             os.pipe = pipe
-            got = _fan_out(lambda x: x + 2, list(range(20)))
+            got = fan_out(lambda x: x + 2, list(range(20)))
             os.pipe = _pipe
             rows.append([got == list(range(2, 22)), len(forks), clean()])
         print(json.dumps(rows))
@@ -265,7 +266,7 @@ def test_never_forks_beside_a_second_thread_or_without_fork():
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            rows.append(_fan_out(lambda x: x * 2, list(range(50))) == [x * 2 for x in range(50)])
+            rows.append(fan_out(lambda x: x * 2, list(range(50))) == [x * 2 for x in range(50)])
         finally:
             stop.set()
             thread.join(10)
@@ -273,10 +274,10 @@ def test_never_forks_beside_a_second_thread_or_without_fork():
         for name in ("sched_getaffinity", "fork"):
             saved = getattr(os, name)
             delattr(os, name)
-            rows.append(_fan_out(lambda x: x * 2, list(range(50))) == [x * 2 for x in range(50)])
+            rows.append(fan_out(lambda x: x * 2, list(range(50))) == [x * 2 for x in range(50)])
             setattr(os, name, saved)
         use_workers(1)
-        rows.append(_fan_out(lambda x: x * 2, list(range(50))) == [x * 2 for x in range(50)])
+        rows.append(fan_out(lambda x: x * 2, list(range(50))) == [x * 2 for x in range(50)])
         rows.append(len(forks))
         print(json.dumps(rows))
     """)

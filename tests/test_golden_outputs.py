@@ -38,7 +38,7 @@ LIMITED = ["simulate", "--m", "9", "--n", "4", "--k", "4", "--participants", "12
            "--treatments", "A,B", "--seed", "3", "--depth-limit", "5", "--mutation", "0.05",
            "--agents", "2"]
 # Two full blocks of participants and a partial one (dataset._PARTICIPANT_BLOCK
-# is 2048), so that simulate maps several blocks through oracle._fan_out.
+# is 2048), so that simulate maps several blocks through osutil.fan_out.
 BLOCKS = ["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4133",
           "--treatments", "A,B,C", "--seed", "9"]
 DECISIONS = ("P1", "P2", "P3", "P4")

@@ -2,6 +2,8 @@
 package must not load modules that only one code path uses.  Each check
 runs in a child process and counts only the modules the import itself adds."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -91,3 +93,17 @@ def test_scoring_commands_on_a_cached_bundle_load_no_heavy_module(tmp_path):
                   "predscore.dataset._CACHE_MIN_BYTES = 0\n" + _scoring_statements(tmp_path) * 2)
     assert loaded_by(statements) == []
     assert len(list((Path(os.environ["XDG_CACHE_HOME"]) / "predscore").glob("*.columns"))) == 1
+
+
+def test_every_name_the_layer_tracer_wraps_resolves():
+    """perfbench/layertrace.py looks each LAYERS name up on its predscore
+    module, so a function that moves to another module breaks a traced
+    benchmark run; the table is read from that file, not copied here."""
+    layertrace = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    [layers] = [ast.literal_eval(node.value) for node in ast.parse(layertrace.read_bytes()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]]
+    assert layers
+    for module, names in layers.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"predscore.{module}"), name))

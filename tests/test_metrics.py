@@ -11,8 +11,6 @@ from predscore.metrics import (
     GradeScale,
     MetricSample,
     Predictions,
-    ar_score,
-    av_score,
     discretized_loss_in_rank,
     loss_in_rank,
     loss_in_value,
@@ -191,14 +189,24 @@ class TestPredictions:
             build()
 
 
+def av(group, dv):
+    """A group's vote-weighted mean value (AV), as the package takes a mean."""
+    return weighted_mean((dv.value(a), n) for a, n in group.items())
+
+
+def ar(group, dv):
+    """A group's vote-weighted mean rank (AR)."""
+    return weighted_mean((dv.rank(a), n) for a, n in group.items())
+
+
 class TestGroupScores:
     def test_av_degenerate_group(self):
         dv = make_values("d", {"x": 0.5, "y": 0.1})
-        assert av_score(votes("x", "x", "x"), dv) == pytest.approx(0.5)
+        assert av(votes("x", "x", "x"), dv) == pytest.approx(0.5)
 
     def test_av_two_point_mean(self):
         dv = make_values("d", {"x": 0.2, "y": 0.4, "z": 0.0})
-        assert av_score(votes("x", "y"), dv) == pytest.approx(0.3)
+        assert av(votes("x", "y"), dv) == pytest.approx(0.3)
 
     def test_av_equals_mean_of_predicted_values(self):
         rng = random.Random(11)
@@ -207,44 +215,44 @@ class TestGroupScores:
             picks = [rng.choice(list(dv.entries)) for _ in range(rng.randint(1, 12))]
             group = votes(*picks)
             expected = sum(dv.value(a) for a in picks) / len(picks)
-            assert av_score(group, dv) == pytest.approx(expected)
+            assert av(group, dv) == pytest.approx(expected)
 
     def test_ar_all_best(self):
         dv = make_values("d", {"x": 0.5, "y": 0.1})
-        assert ar_score(votes("x", "x"), dv) == 1.0
+        assert ar(votes("x", "x"), dv) == 1.0
 
     def test_ar_two_point_mean(self):
         dv = make_values("d", {"x": 0.5, "y": 0.3, "z": 0.1})
-        assert ar_score(votes("x", "z"), dv) == pytest.approx(2.0)
+        assert ar(votes("x", "z"), dv) == pytest.approx(2.0)
 
     def test_ar_lower_bound(self):
         rng = random.Random(12)
         for _ in range(25):
             dv = random_values(rng)
             picks = [rng.choice(list(dv.entries)) for _ in range(rng.randint(1, 10))]
-            assert ar_score(votes(*picks), dv) >= 1.0
+            assert ar(votes(*picks), dv) >= 1.0
 
     def test_group_mean_lv_identity(self):
-        # mean per-participant loss = V(chosen) - av_score of the group
+        # mean per-participant loss = V(chosen) - AV of the group
         rng = random.Random(13)
         for _ in range(25):
             dv = random_values(rng)
             picks = [rng.choice(list(dv.entries)) for _ in range(rng.randint(1, 10))]
             group = votes(*picks)
             direct = sum(loss_in_value(dv, a) for a in picks) / len(picks)
-            assert direct == pytest.approx(dv.value(dv.chosen) - av_score(group, dv))
+            assert direct == pytest.approx(dv.value(dv.chosen) - av(group, dv))
 
     def test_empty_group_rejected(self):
         dv = make_values("d", {"x": 0.5})
         with pytest.raises(ValidationError):
-            av_score({}, dv)
+            av({}, dv)
         with pytest.raises(ValidationError):
-            ar_score({"x": 0}, dv)
+            ar({"x": 0}, dv)
 
     def test_negative_count_rejected(self):
         dv = make_values("d", {"x": 0.5, "y": 0.1})
         with pytest.raises(ValidationError):
-            av_score({"x": 2, "y": -1}, dv)
+            av({"x": 2, "y": -1}, dv)
 
 
 class TestScoreDataset:

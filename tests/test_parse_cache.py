@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from prediction_rows import predictions_of
-from predscore import dataset, metrics
+from predscore import dataset, metrics, osutil, parsecache
 from predscore.cli import main
 from predscore.dataset import (
     CUSTOM,
@@ -188,7 +188,7 @@ def _read_only(cache: Path, monkeypatch) -> None:
     if os.geteuid() == 0:  # root writes through the mode, so the refused write is made here
         def refused(file, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(file))
-        monkeypatch.setattr(dataset, "open", refused, raising=False)
+        monkeypatch.setattr(osutil, "open", refused, raising=False)
 
 
 def _group_writable(cache: Path, monkeypatch) -> None:
@@ -215,7 +215,8 @@ def _no_home(cache: Path, monkeypatch) -> None:
 
 def _no_source(cache: Path, monkeypatch) -> None:
     """The package as a zip would hold it: no module is a file to hash."""
-    monkeypatch.setattr(dataset, "__file__", str(cache.parent / "app.pyz" / "predscore" / "dataset.py"))
+    monkeypatch.setattr(parsecache, "__file__",
+                        str(cache.parent / "app.pyz" / "predscore" / "parsecache.py"))
 
 
 @pytest.mark.parametrize("make", [_read_only, _group_writable, _foreign, _no_home, _no_source],
@@ -239,23 +240,23 @@ def test_an_edited_file_or_format_tag_misses(tmp_path, cache, monkeypatch, parse
     assert read_bundle(path) == _bundle()
     assert len(parses) == 2 and len(_entries(cache)) == 2
 
-    monkeypatch.setattr(dataset, "_CACHE_TAG", dataset._CACHE_TAG + b"+")
+    monkeypatch.setattr(parsecache, "_CACHE_TAG", parsecache._CACHE_TAG + b"+")
     read_bundle(path)
     assert len(parses) == 3 and len(_entries(cache)) == 3
 
 
-MODULES = sorted(p.name for p in Path(dataset.__file__).parent.glob("*.py"))
+MODULES = sorted(p.name for p in Path(parsecache.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_an_edited_module_misses(tmp_path, cache, monkeypatch, parses, module):
     """The key covers every module of the package: here the package is a
-    copy, read through the path of its dataset.py."""
+    copy, read through the path of its parsecache.py."""
     package = tmp_path / "predscore"
     package.mkdir()
     for name in MODULES:
-        shutil.copyfile(Path(dataset.__file__).parent / name, package / name)
-    monkeypatch.setattr(dataset, "__file__", str(package / "dataset.py"))
+        shutil.copyfile(Path(parsecache.__file__).parent / name, package / name)
+    monkeypatch.setattr(parsecache, "__file__", str(package / "parsecache.py"))
     path = write_bundle(_bundle(), tmp_path / "b")
     read_bundle(path)
     read_bundle(path)
@@ -279,14 +280,14 @@ def test_an_entry_in_the_old_format_is_read_again_and_rewritten(tmp_path, cache,
     order = metrics._by_participant_and_decision(_bundle().predictions).tobytes()
     for old in (columns, columns + [order]):
         records = b"".join(len(record).to_bytes(8, "little") + record for record in old)
-        entry.write_bytes(records + dataset._content_hash(records).digest())
+        entry.write_bytes(records + parsecache._content_hash(records).digest())
         parsed = len(parses)
         assert read_bundle(path) == _bundle()
         assert len(parses) == parsed + 1 and _entries(cache) == [entry]
         assert entry.read_bytes() == good
     # so old keys miss too
-    assert dataset._CACHE_TAG not in (b"predscore predictions columns 1",
-                                      b"predscore accepted bundle 2")
+    assert parsecache._CACHE_TAG not in (b"predscore predictions columns 1",
+                                         b"predscore accepted bundle 2")
 
 
 def test_the_newest_entries_are_kept(tmp_path, cache, parses):
@@ -294,14 +295,14 @@ def test_the_newest_entries_are_kept(tmp_path, cache, parses):
     one entry.  Entries are given mtimes a second apart, and a hit on the
     oldest one makes it the newest."""
     paths = []
-    for i in range(dataset._CACHE_ENTRIES + 2):
+    for i in range(parsecache._CACHE_ENTRIES + 2):
         path = write_bundle(_bundle(), tmp_path / f"b{i}")
         with open(path / "predictions.csv", "a", encoding="utf-8") as fh:
             fh.write("\n" * i)
         paths.append(path)
     made = []
     for i, path in enumerate(paths):
-        if i == dataset._CACHE_ENTRIES:
+        if i == parsecache._CACHE_ENTRIES:
             read_bundle(paths[0])  # a hit
             assert len(parses) == i
         before = set(_entries(cache))
@@ -309,7 +310,7 @@ def test_the_newest_entries_are_kept(tmp_path, cache, parses):
         [entry] = set(_entries(cache)) - before
         os.utime(entry, (1e9 + i, 1e9 + i))
         made.append(entry)
-        assert len(_entries(cache)) == min(i + 1, dataset._CACHE_ENTRIES)
+        assert len(_entries(cache)) == min(i + 1, parsecache._CACHE_ENTRIES)
     assert len(parses) == len(paths)
     assert _entries(cache) == sorted([made[0]] + made[3:])
 

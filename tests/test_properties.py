@@ -58,7 +58,6 @@ from predscore.dataset import (  # noqa: E402
 from predscore.errors import ParseError, PredscoreError  # noqa: E402
 from predscore.metrics import (  # noqa: E402
     Predictions,
-    av_score,
     loss_in_rank,
     loss_in_value,
     score_table,
@@ -457,7 +456,8 @@ def test_mean_from_vote_counts_is_fsum_of_the_votes_over_their_number(entries, d
     cell = weighted_mean((loss_in_value(values, a), n) for a, n in votes.items())
     assert cell == math.fsum(lvs) / len(lvs)
     expanded = [values.value(a) for a, n in votes.items() for _ in range(n)]
-    assert av_score(votes, values) == math.fsum(expanded) / len(expanded)
+    assert weighted_mean((values.value(a), n) for a, n in votes.items()) == (
+        math.fsum(expanded) / len(expanded))
 
 
 def test_mean_rounds_the_sum_and_then_the_quotient():
