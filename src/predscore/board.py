@@ -5,12 +5,15 @@ with no record of the moves that led there, so two move orders that reach
 one position give equal boards.  The square grid is packed 2 bits per square
 (0 empty, 1 agent piece, 2 opponent piece), which keeps states hashable and
 cheap to memoize; the packed form round-trips losslessly to the cell list.
+``CELL_CODE`` maps a player to its code and ``CODE_CELL`` a code back.
 
 A player wins by owning every square of some k-window.  Each window is a
 pair of masks on the packed board (the window's cells, and the player's
 code on each of them), so testing the windows through a square is one AND
-and one compare per window, and the window table is built once per board
-shape.  game_status and both value oracles test wins this way.
+and one compare per window (:func:`wins`), and :func:`window_table` builds
+the windows once per board shape.  game_status and both value oracles in
+:mod:`predscore.oracle` test wins this way; the packed encoding is shared
+with that module, not exported from the package.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ AGENT = "agent"
 OPPONENT = "opponent"
 
 _AGENT_CODE, _OPPONENT_CODE = 1, 2  # an empty square is 0; code ^ 3 is the other player
-_CELL_CODE = {AGENT: _AGENT_CODE, OPPONENT: _OPPONENT_CODE}
-_CODE_CELL = {_AGENT_CODE: AGENT, _OPPONENT_CODE: OPPONENT}
+CELL_CODE = {AGENT: _AGENT_CODE, OPPONENT: _OPPONENT_CODE}
+CODE_CELL = {_AGENT_CODE: AGENT, _OPPONENT_CODE: OPPONENT}
 
 MAX_SQUARES = 10_000
 
@@ -76,12 +79,12 @@ class Board(namedtuple("Board", "config packed to_move", defaults=(0, AGENT))):
     def cell(self, sq: SquareId) -> str | None:
         """AGENT, OPPONENT or None for an empty square."""
         code = (self.packed >> (2 * self.config.index(sq))) & 3
-        return _CODE_CELL.get(code)
+        return CODE_CELL.get(code)
 
     def cells(self) -> tuple[str | None, ...]:
         """Unpacked square list, row-major (index = row * m + col)."""
         return tuple(
-            _CODE_CELL.get((self.packed >> (2 * i)) & 3) for i in range(self.config.squares)
+            CODE_CELL.get((self.packed >> (2 * i)) & 3) for i in range(self.config.squares)
         )
 
     def empty_squares(self) -> tuple[SquareId, ...]:
@@ -111,7 +114,7 @@ class Board(namedtuple("Board", "config packed to_move", defaults=(0, AGENT))):
                 agents += 1
             else:
                 opponents += 1
-            packed |= _CELL_CODE[cell] << (2 * i)
+            packed |= CELL_CODE[cell] << (2 * i)
         if abs(agents - opponents) > 1:
             raise ValidationError(
                 f"piece counts may differ by at most 1, got {agents} vs {opponents}"
@@ -131,12 +134,12 @@ def apply_move(board: Board, sq: SquareId) -> Board:
         raise ValidationError(f"square {sq.text} out of bounds on a {cfg.m}x{cfg.n} board")
     if board.cell(sq) is not None:
         raise ValidationError(f"square {sq.text} is already occupied")
-    packed = board.packed | (_CELL_CODE[board.to_move] << (2 * cfg.index(sq)))
+    packed = board.packed | (CELL_CODE[board.to_move] << (2 * cfg.index(sq)))
     return Board(cfg, packed, OPPONENT if board.to_move == AGENT else AGENT)
 
 
 @lru_cache(maxsize=None)
-def _window_table(m: int, n: int, k: int) -> dict:
+def window_table(m: int, n: int, k: int) -> dict:
     """Per player code, per square index: one (cells, pattern) mask pair
     for every k-window through that square, on the packed 2-bit board.
 
@@ -156,11 +159,11 @@ def _window_table(m: int, n: int, k: int) -> dict:
                     through[j][mask] = None  # with k=1 all four directions give one window
     return {
         code: tuple(tuple((mask * 3, mask * code) for mask in masks) for masks in through)
-        for code in _CODE_CELL
+        for code in CODE_CELL
     }
 
 
-def _wins(packed: int, windows) -> bool:
+def wins(packed: int, windows) -> bool:
     """True if some (cells, pattern) window is fully owned.  Passed the
     windows through the square just placed, this is a k-run through it."""
     for cells, pattern in windows:
@@ -178,12 +181,12 @@ def game_status(board: Board) -> GameStatus:
     of the lowest-index square that lies in an owned window.
     """
     cfg = board.config
-    windows = _window_table(cfg.m, cfg.n, cfg.k)
+    windows = window_table(cfg.m, cfg.n, cfg.k)
     packed = board.packed
     for idx in range(cfg.squares):
         code = (packed >> (2 * idx)) & 3
-        if code and _wins(packed, windows[code][idx]):
-            return GameStatus(WIN, _CODE_CELL[code])
+        if code and wins(packed, windows[code][idx]):
+            return GameStatus(WIN, CODE_CELL[code])
     if board.piece_count == cfg.squares:
         return GameStatus(DRAW)
     return GameStatus(ONGOING)

@@ -22,8 +22,8 @@ from pathlib import Path
 from .actions import SquareId
 from .board import BoardConfig
 from .dataset import (
-    _DECIMAL,
-    _NON_FINITE,
+    DECIMAL,
+    NON_FINITE,
     ParticipantModel,
     check_synthetic_design,
     generate_synthetic_experiment,
@@ -31,12 +31,11 @@ from .dataset import (
     write_bundle,
 )
 from .errors import PredscoreError, ValidationError
-from .metrics import score_table
+from .metrics import SPACES, score_table
 from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .osutil import write_files
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
-    SPACES,
     build_metrics_table,
     grade_distribution,
     participant_loss_sums,
@@ -69,7 +68,7 @@ def _int(text: str) -> int:
 def _float(text: str) -> float:
     """An ASCII decimal literal, as values.csv numbers are read, or a nan or
     inf spelling, which the flag's own range check refuses."""
-    if not (_DECIMAL.fullmatch(text) or _NON_FINITE.fullmatch(text)):
+    if not (DECIMAL.fullmatch(text) or NON_FINITE.fullmatch(text)):
         raise ValueError(text)
     return float(text)
 
@@ -350,7 +349,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     for arg in argv:
         flag = out[-1] if out else ""
         if (flag.startswith("--") and flag != "--" and "=" not in flag and arg.startswith("-")
-                and (_DECIMAL.fullmatch(arg) or _NON_FINITE.fullmatch(arg))):
+                and (DECIMAL.fullmatch(arg) or NON_FINITE.fullmatch(arg))):
             out[-1] = f"{flag}={arg}"
         else:
             out.append(arg)

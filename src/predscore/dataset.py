@@ -10,11 +10,11 @@ An experiment bundle is a directory of three files:
   predictions.csv   participant_id,treatment,decision_id,predicted_action
 
 All numbers serialize as shortest round-trip decimals, and every writer is
-deterministic, so identical bundles produce identical bytes.  ``_csv_text``
-is the one CSV encoding: it writes both CSV files and every report CSV, and
-``_csv_lines`` streams its lines for the one large report, samples.csv.
-write_bundle writes its three files through ``osutil.write_files``, all or
-none.
+deterministic, so identical bundles produce identical bytes.
+:func:`csv_text` is the one CSV encoding: it writes both CSV files and
+every report CSV, and :mod:`predscore.report` streams the one large report,
+samples.csv, line for line as csv_text would write it.  write_bundle writes
+its three files through ``osutil.write_files``, all or none.
 
 Each fact is checked in one layer.  The parsers check what a file says by
 itself: header and field counts, and in values.csv numbers, duplicate keys
@@ -94,7 +94,7 @@ from . import parsecache
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
 from .errors import ParseError, Validated, ValidationError
-from .metrics import Predictions, VoteCounts, _vote_tally
+from .metrics import Predictions, VoteCounts, vote_tally
 from .oracle import AgentSpec, value_oracle
 from .osutil import fan_out, write_files
 from .values import DecisionValues, OutcomeTriple, ranked
@@ -314,7 +314,7 @@ class ExperimentBundle(
         predictions.  Every listed treatment and valued decision has a cell,
         empty where nobody in that treatment predicted that decision."""
         counts = {(t, dv.decision_id): {} for t in self.treatments for dv in self.decisions}
-        for (t, d, action), votes in _vote_tally(self.predictions).items():
+        for (t, d, action), votes in vote_tally(self.predictions).items():
             counts[(t, d)][action] = votes
         return counts
 
@@ -386,18 +386,19 @@ def _records(data, name: str, headers):
             raise _refusal(data, None, f"malformed {name}: {exc}") from None
 
 
-# float() alone also takes "1_0", padding and non-ASCII digits.
-_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-_NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
+# The number grammar of values.csv, which the CLI's number flags share: float()
+# alone also takes "1_0", padding and non-ASCII digits.
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
 
 
 def _float_field(text: str, column: str, refuse) -> float:
     """An ASCII decimal literal as a finite float."""
-    if _DECIMAL.fullmatch(text):
+    if DECIMAL.fullmatch(text):
         value = float(text)
         if math.isfinite(value):
             return value
-    elif not _NON_FINITE.fullmatch(text):
+    elif not NON_FINITE.fullmatch(text):
         raise refuse(f"non-numeric {column} {text!r}", column)
     raise refuse(f"{column} must be finite, got {text!r}", column)
 
@@ -490,66 +491,22 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _csv_writer(out, quote_all: bool):
-    quoting = csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
-    return csv.writer(out, lineterminator="\n", quoting=quoting)
-
-
-def _csv_text(header: list[str], rows) -> str:
+def csv_text(header: list[str], rows) -> str:
     """CSV text with "\n" line ends from rows that can be iterated twice:
     the package's one CSV encoding, used by the bundle files and every report
     file.  The csv module quotes a field that holds a comma, a quote or a
     "\n", but can leave a bare "\r" unquoted, and its reader refuses one
     outside quotes, so text holding one is written again with every field
     quoted."""
-    for quote_all in (False, True):
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
         out = io.StringIO()
-        writer = _csv_writer(out, quote_all)
+        writer = csv.writer(out, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
         writer.writerows(rows)
         text = out.getvalue()
         if "\r" not in text:
             break
     return text
-
-
-class _Lines(list):
-    """A list for a csv writer to write to: each row it writes is one item."""
-
-    __slots__ = ()
-    write = list.append
-
-
-def _csv_lines(header: list[str], columns, order, tails: dict):
-    """The text of ``_csv_text(header, rows)``, a line at a time, where row
-    i is ``(a[i], b[i], c[i], d[i], *tails[c[i]][d[i]])`` for the four
-    string columns ``a, b, c, d`` and each position i of ``order``: the
-    columns of Predictions keyed into a score table.
-
-    No csv writer call and no row tuple is made per row.  One writer pass
-    renders the header, each distinct string of the first two columns, and
-    each tail from its two keys on; each line is then three lookups.  If
-    that text holds a "\r", the rows go to _csv_text itself, so whether
-    every field is quoted follows from the fields that its text holds.
-    """
-    first, second, third, fourth = columns
-    leading = list(set(first).union(second))
-    lines = _Lines()
-    _csv_writer(lines, False).writerows(chain(
-        (header,),
-        # a second, empty field keeps an empty one from being written as a lone '""'
-        zip(leading, repeat("")),
-        ((k, j, *fields) for k, table in tails.items() for j, fields in table.items()),
-    ))
-    if any(map(str.__contains__, lines, repeat("\r"))):
-        return (_csv_text(header, [(first[i], second[i], third[i], fourth[i],
-                                    *tails[third[i]][fourth[i]]) for i in order]),)
-    lines.reverse()  # each line is popped, and so released, as its cell is taken
-    head = lines.pop()
-    cells = {field: lines.pop().rpartition(",")[0] for field in leading}
-    rendered = {k: {j: lines.pop() for j in table} for k, table in tails.items()}
-    return chain((head,), (f"{cells[first[i]]},{cells[second[i]]},{rendered[third[i]][fourth[i]]}"
-                           for i in order))
 
 
 def serialize_values_csv(decisions) -> str:
@@ -570,12 +527,12 @@ def serialize_values_csv(decisions) -> str:
                 else:
                     row += [_fmt(triple.win), _fmt(triple.loss), _fmt(triple.draw)]
             rows.append(row)
-    return _csv_text(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []), rows)
+    return csv_text(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []), rows)
 
 
 def serialize_predictions_csv(predictions: Predictions) -> str:
     """The text of predictions.csv."""
-    return _csv_text(PREDICTIONS_HEADER, predictions)
+    return csv_text(PREDICTIONS_HEADER, predictions)
 
 
 def manifest_to_dict(bundle: ExperimentBundle) -> dict:
@@ -713,7 +670,7 @@ class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
         if text == "uniform":
             return cls.uniform()
         weights = text.split(",")
-        if not all(_DECIMAL.fullmatch(w) for w in weights):
+        if not all(DECIMAL.fullmatch(w) for w in weights):
             raise ValidationError(
                 f"behavior must be 'best', 'uniform' or comma-separated decimal weights, got {text!r}"
             )

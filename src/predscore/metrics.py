@@ -17,21 +17,23 @@ A bundle's predictions are :class:`Predictions`: four equal-length columns
 of interned strings (participant, treatment, decision, predicted action),
 one list each, so a prediction costs four list slots and no object of its
 own.  Every per-prediction walk in the package reads the columns, in the
-order of :func:`_by_participant_and_decision`.  Two reductions of a bundle
-are made here and nowhere else: :func:`_vote_tally` counts the predictions
-of each (treatment, decision, action), and :func:`_participant_totals`, the
+order of :func:`by_participant_and_decision`.  Two reductions of a bundle
+are made here and nowhere else: :func:`vote_tally` counts the predictions
+of each (treatment, decision, action), and :func:`participant_totals`, the
 one walk that sums each participant's losses, gives the per-participant
 totals of both loss spaces, the value space summing LV and the rank space
-LR, and is the one place that refuses a total that overflows.
-:mod:`predscore.parsecache` stores the order and both reductions with a
-cached bundle and attaches them to the Predictions that
-:func:`predscore.dataset.read_bundle` returns, and each function returns
-the attached result where it is valid.  A bundle
-with a total that overflows gets no stored or attached totals, so every
-sum of its totals walks.  :func:`score_dataset`'s
-:class:`MetricSample` list is for library callers, and no CLI command
-builds one.  Samples are immutable named tuples, so like any tuple they
-compare equal to a plain tuple of the same fields.
+LR, and is the one place that refuses a total that overflows.  These three
+are the package's shared reductions: :mod:`predscore.dataset`,
+:mod:`predscore.parsecache` and :mod:`predscore.report` call them, and
+the package does not export them.  :mod:`predscore.parsecache` stores the
+order and both reductions with a cached bundle and attaches them to the
+Predictions that :func:`predscore.dataset.read_bundle` returns, the totals
+with the score table they were summed from, and each function returns the
+attached result where it is valid.  A bundle with a total that overflows
+gets no stored or attached totals, so every sum of its totals walks.
+:func:`score_dataset`'s :class:`MetricSample` list is for library callers,
+and no CLI command builds one.  Samples are immutable named tuples, so
+like any tuple they compare equal to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ class Predictions:
 
     ``_order``, ``_votes`` and ``_totals`` are what the parse cache,
     :mod:`predscore.parsecache`, attached: the order of
-    :func:`_by_participant_and_decision`, the tally of :func:`_vote_tally`,
-    and the totals of :func:`_participant_totals`, every one finite, with
-    the (LV, LR) table they were summed from.  Only the parse cache sets
+    :func:`by_participant_and_decision`, the tally of :func:`vote_tally`,
+    and the totals of :func:`participant_totals`, every one finite, with
+    the score table they were summed from.  Only the parse cache sets
     them, on a Predictions that read_bundle made, and ``__init__`` never
     copies them, so a Predictions built from any columns walks afresh.
     """
@@ -121,7 +123,7 @@ class Predictions:
     columns: tuple[list[str], list[str], list[str], list[str]]
     _order: array | None = None
     _votes: dict[tuple[str, str, str], int] | None = None
-    _totals: tuple[dict, dict[str, tuple]] | None = None  # tuple: value and rank totals
+    _totals: tuple[ScoreTable, dict[str, tuple]] | None = None  # tuple: value and rank totals
 
     def __init__(self, columns=((), (), (), ())):
         columns = tuple(c if type(c) is list else list(c) for c in columns)
@@ -205,7 +207,7 @@ def score_table(
     }
 
 
-def _by_participant_and_decision(predictions: Predictions) -> array:
+def by_participant_and_decision(predictions: Predictions) -> array:
     """The positions of the predictions sorted by (participant, decision),
     keeping input order among equal pairs: two stable sorts of one list of
     positions, so no key tuple is built.  The sorted positions are kept as
@@ -221,7 +223,7 @@ def _by_participant_and_decision(predictions: Predictions) -> array:
     return array("I", order)
 
 
-def _vote_tally(predictions: Predictions) -> dict[tuple[str, str, str], int]:
+def vote_tally(predictions: Predictions) -> dict[tuple[str, str, str], int]:
     """(treatment, decision, action) -> the number of predictions naming
     it, in first-seen order.  The tally the parse cache attached to
     predictions, counted from these same columns by this function, is
@@ -232,13 +234,7 @@ def _vote_tally(predictions: Predictions) -> dict[tuple[str, str, str], int]:
     return Counter(zip(treatments, decision_ids, predicted))
 
 
-def _loss_pairs(scores: ScoreTable) -> dict[str, dict[str, tuple]]:
-    """decision -> action -> (LV, LR): all of a score table that a loss
-    total reads."""
-    return {d: {a: row[:2] for a, row in table.items()} for d, table in scores.items()}
-
-
-def _participant_totals(
+def participant_totals(
     predictions: Predictions, scores: ScoreTable, labels, spaces=SPACES
 ) -> dict[str, dict]:
     """space -> treatment -> its participants' totals, for each of spaces
@@ -247,7 +243,7 @@ def _participant_totals(
     labels that no prediction names gets no totals.
 
     The totals the parse cache attached to predictions are returned with
-    no walk when scores hold the (LV, LR) pairs they were summed from; they
+    no walk when scores is the score table they were summed from; they
     are finite, as the parse cache attaches only totals that pass the check
     below.  Otherwise one walk over the columns, by participant and then decision,
     sums both spaces, so each treatment lists its participants in sorted
@@ -256,15 +252,14 @@ def _participant_totals(
     equal float sums.  A total that overflows is refused in a space asked
     for, the first by space, then treatment, then participant, with the
     participant, the treatment and the space."""
-    losses = _loss_pairs(scores)
-    if predictions._totals is not None and predictions._totals[0] == losses:
+    if predictions._totals is not None and predictions._totals[0] == scores:
         by_treatment = predictions._totals[1]
     else:
         participant_ids, treatments, decision_ids, predicted = predictions.columns
         sums = {t: ({}, {}) for t in labels}
-        for i in _by_participant_and_decision(predictions):
+        for i in by_participant_and_decision(predictions):
             (value_totals, rank_totals), pid = sums[treatments[i]], participant_ids[i]
-            lv, lr = losses[decision_ids[i]][predicted[i]]
+            lv, lr, _ = scores[decision_ids[i]][predicted[i]]
             value_totals[pid] = value_totals.get(pid, 0.0) + lv
             rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
         for space in spaces:
@@ -289,7 +284,7 @@ def score_dataset(
     scores = score_table(value_tables, scale)
     participant_ids, treatments, decision_ids, predicted = predictions.columns
     samples = []
-    for i in _by_participant_and_decision(predictions):
+    for i in by_participant_and_decision(predictions):
         pid, d, action = participant_ids[i], decision_ids[i], predicted[i]
         if d not in scores:
             raise ValidationError(f"no value table for decision {d!r} (prediction by {pid!r})")

@@ -50,13 +50,13 @@ from functools import lru_cache
 
 from .actions import SquareId, canonical_key
 from .board import (
-    _CELL_CODE,
-    _CODE_CELL,
+    CELL_CODE,
+    CODE_CELL,
     ONGOING,
     Board,
-    _window_table,
-    _wins,
     game_status,
+    window_table,
+    wins,
 )
 from .errors import Validated, ValidationError
 from .osutil import fan_out
@@ -162,7 +162,7 @@ def _placements(perms: tuple[tuple[int, ...], ...]) -> dict:
             sum(code << (slot * size + 2 * perm[i]) for slot, perm in enumerate(perms))
             for i in range(len(perms[0]))
         )
-        for code in _CELL_CODE.values()
+        for code in CELL_CODE.values()
     }
 
 
@@ -194,7 +194,7 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
             f"(board has {len(empties)}); use the sampled oracle"
         )
     cfg = board.config
-    windows = _window_table(cfg.m, cfg.n, cfg.k)
+    windows = window_table(cfg.m, cfg.n, cfg.k)
     memo = _shape_memo((cfg.m, cfg.n, cfg.k))
     # The root's stabilizer; the root is its own image in every slot.
     perms = tuple(p for p in _symmetries(cfg.m, cfg.n) if _image(board.packed, p) == board.packed)
@@ -225,36 +225,36 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
         hit = memo.get((multi & slot_mask, mover))
         if hit is not None:
             return hit
-        wins = losses = draws = 0
+        victories = losses = draws = 0
         last = len(squares) == 1
         immediate = math.factorial(len(squares) - 1)
         other = mover ^ 3
         placing, lines = place[mover], windows[mover]
         for i, idx in enumerate(squares):
             child = multi | placing[idx]
-            if _wins(child, lines[idx]):
-                wins += immediate
+            if wins(child, lines[idx]):
+                victories += immediate
             elif last:
                 draws += 1
             else:
                 won, lost, drawn = continuation(child, other, squares[:i] + squares[i + 1 :])
-                wins += lost
+                victories += lost
                 losses += won
                 draws += drawn
-        result = (wins, losses, draws)
+        result = (victories, losses, draws)
         for shift in shifts:
             memo[(multi >> shift) & slot_mask, mover] = result
         return result
 
     multi = sum(board.packed << shift for shift in shifts)
-    mover = _CELL_CODE[board.to_move]
+    mover = CELL_CODE[board.to_move]
     empty_idx = tuple(cfg.index(sq) for sq in empties)
     orderings = math.factorial(len(empties) - 1)
     out = {}
     for pos, sq in enumerate(empties):
         idx = empty_idx[pos]
         child = multi | place[mover][idx]
-        if _wins(child, windows[mover][idx]):
+        if wins(child, windows[mover][idx]):
             counts = (orderings, 0, 0)
         elif len(empties) == 1:
             counts = (0, 0, 1)
@@ -286,8 +286,8 @@ def sampled_outcome_triples(
     if rollouts < 1:
         raise ValidationError("rollouts must be >= 1")
     cfg = board.config
-    windows = _window_table(cfg.m, cfg.n, cfg.k)
-    mover = _CELL_CODE[board.to_move]
+    windows = window_table(cfg.m, cfg.n, cfg.k)
+    mover = CELL_CODE[board.to_move]
     opponent = mover ^ 3
     empties = board.empty_squares()
     empty_idx = [cfg.index(sq) for sq in empties]
@@ -298,7 +298,7 @@ def sampled_outcome_triples(
     # the side's windows once it holds k pieces.  Before that the row holds
     # None: a side with fewer pieces cannot own a k-window.
     held = board.cells()
-    pieces = {mover: held.count(board.to_move) + 1, opponent: held.count(_CODE_CELL[opponent])}
+    pieces = {mover: held.count(board.to_move) + 1, opponent: held.count(CODE_CELL[opponent])}
     placing = {code: tuple(code << (2 * i) for i in range(cfg.squares)) for code in pieces}
     plies = len(empties) - 1 if depth_limit is None else min(depth_limit, len(empties) - 1)
     schedule = []
@@ -313,7 +313,7 @@ def sampled_outcome_triples(
     def outcome(pos: int) -> tuple[float, float, float]:
         idx = empty_idx[pos]
         first = board.packed | (mover << (2 * idx))
-        if _wins(first, windows[mover][idx]):
+        if wins(first, windows[mover][idx]):
             return (1.0, 0.0, 0.0)
         rest = empty_idx[:pos] + empty_idx[pos + 1 :]
         # Each pick draws what randrange(n) would (see the module docstring).

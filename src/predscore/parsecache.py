@@ -54,8 +54,8 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import ValidationError
-from .metrics import (SPACES, Predictions, _by_participant_and_decision, _loss_pairs,
-                      _participant_totals, _vote_tally, score_table)
+from .metrics import (SPACES, Predictions, by_participant_and_decision, participant_totals,
+                      score_table, vote_tally)
 from .osutil import write_files
 
 _CACHE_ENTRIES = 8
@@ -117,7 +117,7 @@ def entry(files) -> Path | None:
 def load(entry: Path, decisions) -> Predictions | None:
     """The Predictions that store wrote to entry, with its order, vote
     tally and loss totals attached as ``_order``, ``_votes`` and
-    ``_totals``, the totals with the (LV, LR) pairs of decisions, refreshing
+    ``_totals``, the totals with the score table of decisions, refreshing
     the entry's mtime; or None if the entry is missing, unreadable or fails
     its digest, or if its records are not of the shapes store writes: four
     columns of one length, an order of that length, a vote tally that sums
@@ -155,33 +155,33 @@ def load(entry: Path, decisions) -> Predictions | None:
                 0 < len(v) == len(r) <= predicted[t] for t, (v, r) in totals.items())):
         return None
     predictions._order, predictions._votes = order, votes
-    predictions._totals = _loss_pairs(score_table({dv.decision_id: dv for dv in decisions})), totals
+    predictions._totals = score_table({dv.decision_id: dv for dv in decisions}), totals
     return predictions
 
 
 def store(entry: Path, bundle) -> None:
-    """Attach the order, the vote tally and both spaces' loss totals to the
-    predictions of bundle, which ExperimentBundle has accepted, and write
-    them with the columns to entry, then keep the newest _CACHE_ENTRIES
-    entries.  A bundle with a total that overflows gets no totals and no
-    entry.  Each column is one length-prefixed marshal record, made only as
-    the writer reaches it, the order one record of its array bytes, the
-    tally one marshal record of (treatment, decision, action) -> votes, and
-    the totals one marshal record of treatment -> (value totals, rank
-    totals) as array bytes.  A hash of the records by _content_hash ends the
-    entry."""
+    """Attach the order, the vote tally and both spaces' loss totals, with
+    the score table they were summed from, to the predictions of bundle,
+    which ExperimentBundle has accepted, and write them with the columns to
+    entry, then keep the newest _CACHE_ENTRIES entries.  A bundle with a
+    total that overflows gets no totals and no entry.  Each column is one
+    length-prefixed marshal record, made only as the writer reaches it, the
+    order one record of its array bytes, the tally one marshal record of
+    (treatment, decision, action) -> votes, and the totals one marshal
+    record of treatment -> (value totals, rank totals) as array bytes.  A
+    hash of the records by _content_hash ends the entry."""
     predictions, scores = bundle.predictions, score_table(bundle.values_by_decision())
-    order = predictions._order = _by_participant_and_decision(predictions)
-    votes = predictions._votes = _vote_tally(predictions)
+    order = predictions._order = by_participant_and_decision(predictions)
+    votes = predictions._votes = vote_tally(predictions)
     try:
-        sums = _participant_totals(predictions, scores, sorted(bundle.treatments))
+        sums = participant_totals(predictions, scores, sorted(bundle.treatments))
     except ValidationError:  # a total overflows: no totals and no entry
         return
     # treatment -> (value totals, rank totals), in walk order, for each treatment with totals
     totals = {t: tuple(array("d", sums[space][t]) for space in SPACES)
               for t in sums["value"] if sums["value"][t]}
     del sums  # the per-participant dicts go before the entry is written
-    predictions._totals = _loss_pairs(scores), totals
+    predictions._totals = scores, totals
 
     def records():
         yield from map(marshal.dumps, predictions.columns)

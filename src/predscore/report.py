@@ -5,31 +5,34 @@ bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts.  The
-per-participant loss sums come from metrics._participant_totals, which
-reads the totals that the parse cache (:mod:`predscore.parsecache`)
+per-participant loss sums come from :func:`predscore.metrics.participant_totals`,
+which reads the totals that the parse cache (:mod:`predscore.parsecache`)
 attached to the bundle's :class:`predscore.metrics.Predictions` where they
-hold for the scores given, and otherwise walks the columns and refuses a
-total that overflows.
-The rows of samples.csv always walk them, by participant and then decision
-(metrics._by_participant_and_decision), looking each score up.
+were summed from the score table given, and otherwise walks the columns
+and refuses a total that overflows.
+The rows of samples.csv always walk them, in the order of
+:func:`predscore.metrics.by_participant_and_decision`, looking each score
+up, and this module streams them itself (``_csv_lines``).
 Everything renders to CSV, markdown or SVG deterministically so outputs
 are golden-file friendly.  CSV is quoted as the bundle files are, by
-:func:`predscore.dataset._csv_text`; markdown escapes the pipes and line
-breaks in ids, and SVG the markup characters in labels.
+:func:`predscore.dataset.csv_text`, which samples.csv matches line for
+line; markdown escapes the pipes and line breaks in ids, and SVG the
+markup characters in labels.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 
 from .actions import SquareId, column_label
-from .dataset import MNK, ExperimentBundle, _csv_lines, _csv_text
+from .dataset import MNK, ExperimentBundle, csv_text
 from .errors import ValidationError
 from .metrics import (DEFAULT_GRADE_SCALE, SPACES, GradeScale, Predictions, ScoreTable, VoteCounts,
-                      _by_participant_and_decision, _participant_totals, weighted_mean)
+                      by_participant_and_decision, participant_totals, weighted_mean)
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
@@ -83,7 +86,7 @@ def build_metrics_table(
 def render_metrics_csv(table: MetricsTable) -> str:
     rows = [(treatment, *cells, ";".join(best))
             for (treatment, cells), best in zip(table.rows, table.best_in_column())]
-    return _csv_text(["treatment", *table.columns, "best_in"], rows)
+    return csv_text(["treatment", *table.columns, "best_in"], rows)
 
 
 def _markdown_cell(text: str) -> str:
@@ -133,7 +136,7 @@ def render_grade_distribution_csv(distribution) -> str:
     rows = [(decision_id, treatment, *(counts[label] for label in labels))
             for decision_id, per_treatment in distribution.items()
             for treatment, counts in per_treatment.items()]
-    return _csv_text(["decision_id", "treatment", *labels], rows)
+    return csv_text(["decision_id", "treatment", *labels], rows)
 
 
 def participant_loss_sums(
@@ -146,19 +149,59 @@ def participant_loss_sums(
 
     Each treatment lists its participants in sorted order, and each total
     adds its losses in decision order, whatever the order of the
-    predictions (see :func:`predscore.metrics._participant_totals`).  A
+    predictions (see :func:`predscore.metrics.participant_totals`).  A
     total that overflows is refused with the participant, the treatment and
     the space, in the spaces asked for only.
     """
-    totals = _participant_totals(bundle.predictions, scores, sorted(bundle.treatments), spaces)
+    totals = participant_totals(bundle.predictions, scores, sorted(bundle.treatments), spaces)
     return {space: [SampleGroup(label=t, values=values) for t, values in by_treatment.items()]
             for space, by_treatment in totals.items()}
+
+
+class _Lines(list):
+    """A list for a csv writer to write to: each row it writes is one item."""
+
+    __slots__ = ()
+    write = list.append
+
+
+def _csv_lines(header: list[str], columns, order, tails: dict):
+    """The text of ``csv_text(header, rows)``, a line at a time, where row
+    i is ``(a[i], b[i], c[i], d[i], *tails[c[i]][d[i]])`` for the four
+    string columns ``a, b, c, d`` and each position i of ``order``: the
+    columns of Predictions keyed into a score table.
+
+    No csv writer call and no row tuple is made per row.  One writer pass,
+    in csv_text's unquoted form, renders the header, each distinct string
+    of the first two columns, and each tail from its two keys on; each line
+    is then three lookups.  If that text holds a "\r", the rows go to
+    csv_text itself, so whether every field is quoted follows from the
+    fields that its text holds.
+    """
+    first, second, third, fourth = columns
+    leading = list(set(first).union(second))
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows(chain(
+        (header,),
+        # a second, empty field keeps an empty one from being written as a lone '""'
+        zip(leading, repeat("")),
+        ((k, j, *fields) for k, table in tails.items() for j, fields in table.items()),
+    ))
+    if any(map(str.__contains__, lines, repeat("\r"))):
+        return (csv_text(header, [(first[i], second[i], third[i], fourth[i],
+                                   *tails[third[i]][fourth[i]]) for i in order]),)
+    lines.reverse()  # each line is popped, and so released, as its cell is taken
+    head = lines.pop()
+    cells = {field: lines.pop().rpartition(",")[0] for field in leading}
+    rendered = {k: {j: lines.pop() for j in table} for k, table in tails.items()}
+    return chain((head,), (f"{cells[first[i]]},{cells[second[i]]},{rendered[third[i]][fourth[i]]}"
+                           for i in order))
 
 
 def render_samples_csv(predictions: Predictions, scores: ScoreTable):
     """The lines of samples.csv: each prediction with its (LV, LR, grade)."""
     return _csv_lines(SAMPLES_HEADER, predictions.columns,
-                      _by_participant_and_decision(predictions), scores)
+                      by_participant_and_decision(predictions), scores)
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
@@ -166,7 +209,9 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
 
     The quartiles repeat numpy.percentile's default method operation for
     operation, so they match it bit for bit: index (n-1)*q with fraction t,
-    then b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.
+    then b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.  Where finite a
+    and b lie further apart than the float range, so that b - a overflows,
+    the quartile is a*(1-t) + b*t, which stays finite and between them.
     """
     if not values:
         raise ValidationError("empty sample")
@@ -177,13 +222,16 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
         lo = math.floor(idx)
         t = idx - lo
         a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
-        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+        if math.isinf(b - a) and math.isfinite(a) and math.isfinite(b):
+            quartiles.append(a * (1 - t) + b * t)
+        else:
+            quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return (ordered[0], *quartiles, ordered[-1])
 
 
 def render_boxplot_csv(groups: list[SampleGroup]) -> str:
     rows = [(g.label, len(g.values), *five_number_summary(g.values)) for g in groups]
-    return _csv_text(["treatment", "n", "min", "q1", "median", "q3", "max"], rows)
+    return csv_text(["treatment", "n", "min", "q1", "median", "q3", "max"], rows)
 
 
 def vote_matrix(
@@ -208,7 +256,7 @@ def vote_matrix(
 
 def render_vote_matrix_csv(grid: list[list[int]], m: int) -> str:
     rows = [(r + 1, *row) for r, row in enumerate(grid)]
-    return _csv_text(["row", *map(column_label, range(m))], rows)
+    return csv_text(["row", *map(column_label, range(m))], rows)
 
 
 # Fixed monotone blue ramp, light to dark, for vote heat maps.
@@ -287,13 +335,17 @@ def render_boxplot_svg(groups: list[SampleGroup]) -> str:
     summaries = [five_number_summary(g.values) for g in groups]
     lo = min(s[0] for s in summaries)
     hi = max(s[4] for s in summaries)
-    span = hi - lo or 1.0
+    # values further apart than the float range are placed by their halves,
+    # which are exact; any other plot multiplies by 1.0, which changes nothing
+    scale = 0.5 if math.isinf(hi - lo) else 1.0
+    top = hi * scale
+    span = top - lo * scale or 1.0
     box_w, gap, chart_h, margin = 60, 30, 240, 30
     width = margin * 2 + len(groups) * (box_w + gap)
     height = chart_h + margin * 2 + 20
 
     def sy(v: float) -> float:
-        return margin + (hi - v) / span * chart_h
+        return margin + (top - v * scale) / span * chart_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '

@@ -12,11 +12,11 @@ from predscore.board import (
     WIN,
     Board,
     BoardConfig,
-    _window_table,
-    _wins,
     apply_move,
     game_status,
     new_game,
+    window_table,
+    wins,
 )
 from predscore.errors import ValidationError
 
@@ -189,7 +189,7 @@ class TestWindowTable:
 
     @pytest.mark.parametrize("m,n,k", SHAPES)
     def test_wins_matches_run_scan(self, m, n, k):
-        table = _window_table(m, n, k)
+        table = window_table(m, n, k)
         rng = random.Random(f"{m}x{n}k{k}")
         for _ in range(150):
             cells = [rng.choice((0, 0, 1, 2)) for _ in range(m * n)]
@@ -197,11 +197,11 @@ class TestWindowTable:
             for idx in range(m * n):
                 for code in (1, 2):
                     expected = cells[idx] == code and longest_run_through(m, n, cells, idx) >= k
-                    assert _wins(packed, table[code][idx]) == expected, (cells, idx, code)
+                    assert wins(packed, table[code][idx]) == expected, (cells, idx, code)
 
     @pytest.mark.parametrize("m,n,k", SHAPES)
     def test_one_entry_per_distinct_window(self, m, n, k):
-        table = _window_table(m, n, k)
+        table = window_table(m, n, k)
         windows = {tuple(sorted(w)) for w in k_windows(m, n, k)}
         for idx in range(m * n):
             through = {w for w in windows if idx in w}

@@ -13,7 +13,7 @@ import pytest
 from prediction_rows import predictions_of
 from predscore import cli
 from predscore.cli import main
-from predscore.dataset import _csv_text, read_bundle, write_bundle
+from predscore.dataset import csv_text, read_bundle, write_bundle
 from predscore.errors import ValidationError
 from predscore.metrics import MetricSample, score_dataset, score_table
 from predscore.osutil import write_files
@@ -67,7 +67,7 @@ def overflowing_bundle(tmp_path, others=None, decisions=("P1",)):
     for row in rows:
         if row[0] in decisions:
             row[2] = "1e308" if row[3] == "1" else others or row[2]
-    values.write_text(_csv_text(rows[0], rows[1:]), encoding="utf-8")
+    values.write_text(csv_text(rows[0], rows[1:]), encoding="utf-8")
     return bundle_dir
 
 
@@ -599,7 +599,7 @@ class TestHostileIds:
             assert [row[0] for row in _read_csv(report / f"boxplot_l{space}.csv")[1:]] == treatments
 
         samples = score_dataset(bundle.predictions, bundle.values_by_decision())
-        expected = _csv_text(
+        expected = csv_text(
             ["participant_id", "treatment", "decision_id", "predicted", "lv", "lr", "grade"],
             [(s.participant_id, s.treatment, s.decision_id, s.predicted, s.lv, s.lr, s.grade)
              for s in samples],
@@ -792,6 +792,33 @@ class TestOverflowingLosses:
             1, "error: decision 'P1': value spread from -1e+308 to 1e+308 is not finite "
                "(row 2, column 'value')\n")
         assert not (tmp_path / "r").exists()
+
+    def test_finite_loss_sums_further_apart_than_the_float_range_plot(self, tmp_path):
+        """Treatment A's two value-space sums, -1.78e308 and 1.78e308, are
+        finite but lie further apart than the float range: its boxplot row
+        has finite, ordered quartiles and the chart no inf or nan."""
+        bundle_dir = tmp_path / "wide"
+        write_files(bundle_dir, {
+            "manifest.json": json.dumps({
+                "experiment_id": "wide", "domain": {"type": "custom"},
+                "actions": [{"id": "X", "name": "X"}, {"id": "Y", "name": "Y"}],
+                "treatments": ["A", "B"]}),
+            "values.csv": "decision_id,action,value,chosen\n"
+                          "P1,X,-8.9e307,1\nP1,Y,8.9e307,0\nP2,X,8.9e307,1\nP2,Y,-8.9e307,0\n",
+            "predictions.csv": "participant_id,treatment,decision_id,predicted_action\n"
+                               "p1,A,P1,Y\np1,A,P2,X\np2,A,P1,X\np2,A,P2,Y\n"
+                               "p3,B,P1,X\np3,B,P2,X\np4,B,P1,X\np4,B,P2,X\n",
+        })
+        report = tmp_path / "r"
+        assert main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(report),
+                     "--format", "csv,svg"]) == 0
+        rows = _read_csv(report / "boxplot_lv.csv")
+        assert rows[1][:2] == ["A", "2"]
+        low, q1, median, q3, high = map(float, rows[1][2:])
+        assert (low, high) == (-1.78e308, 1.78e308)
+        assert low <= q1 <= median <= q3 <= high
+        svg = (report / "boxplot_lv.svg").read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
 
 
 class TestUnusableOutDir:

@@ -20,8 +20,7 @@ from predscore.dataset import (
     ActionManifest,
     ExperimentBundle,
     ParticipantModel,
-    _csv_lines,
-    _csv_text,
+    csv_text,
     generate_synthetic_experiment,
     load_four_towers_fixture,
     make_mnk_manifest,
@@ -36,7 +35,7 @@ from predscore.errors import ParseError, ValidationError
 from predscore.metrics import Predictions, score_dataset
 from predscore.oracle import AgentSpec, Mutation
 from predscore.rankoverlap import agent_ranklist, mrbo_ext, vote_ranklist
-from predscore.report import SAMPLES_HEADER
+from predscore.report import SAMPLES_HEADER, _csv_lines
 from predscore.values import DecisionValues, OutcomeTriple
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -114,7 +113,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("field", range(5))
     @pytest.mark.parametrize("text", ["", "x,y", 'x"y', "x\ny", "x\ry"])
     def test_streamed_lines_equal_the_csv_text(self, field, text):
-        """_csv_lines renders as _csv_text, in the order given, whichever
+        """_csv_lines renders as csv_text, in the order given, whichever
         one field of a row (one of its four, or the grade of its tail) holds
         a character that is quoted, or empties it."""
         rows = [["P1", "A", "D1", "NE"], ["P2", "B", "D1", "SW"], ["P1", "A", "D2", "NE"]]
@@ -127,17 +126,17 @@ class TestCsvRoundTrip:
             tails["D1"]["SW"] = (-1.5, 0.25, text)
         columns = [list(column) for column in zip(*rows)]
         for order in (range(3), (2, 0, 1)):
-            expected = _csv_text(SAMPLES_HEADER, [(*rows[i], *tails[rows[i][2]][rows[i][3]])
+            expected = csv_text(SAMPLES_HEADER, [(*rows[i], *tails[rows[i][2]][rows[i][3]])
                                                   for i in order])
             assert "".join(_csv_lines(SAMPLES_HEADER, columns, order, tails)) == expected
 
     def test_a_tail_no_row_uses_leaves_the_fields_unquoted(self):
-        """As in _csv_text, only the fields that the text holds decide
+        """As in csv_text, only the fields that the text holds decide
         whether every field is quoted."""
         rows = [["P1", "A", "D1", "NE"]]
         tails = {"D1": {"NE": (-1.5, 0.25, "good"), "SW": (0.0, 0, "x\ry")}}
         text = "".join(_csv_lines(SAMPLES_HEADER, [list(c) for c in zip(*rows)], [0], tails))
-        assert text == _csv_text(SAMPLES_HEADER, [("P1", "A", "D1", "NE", -1.5, 0.25, "good")])
+        assert text == csv_text(SAMPLES_HEADER, [("P1", "A", "D1", "NE", -1.5, 0.25, "good")])
         assert '"' not in text
 
 

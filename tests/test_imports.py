@@ -107,3 +107,38 @@ def test_every_name_the_layer_tracer_wraps_resolves():
     for module, names in layers.items():
         for name in names:
             assert callable(getattr(importlib.import_module(f"predscore.{module}"), name))
+
+
+# The helpers one module of the package owns and others call: each has a
+# public name in its owner, and none is exported from the package.
+SHARED_HELPERS = {
+    "board": ("CELL_CODE", "CODE_CELL", "window_table", "wins"),
+    "dataset": ("DECIMAL", "NON_FINITE", "csv_text"),
+    "metrics": ("by_participant_and_decision", "participant_totals", "vote_tally"),
+    "osutil": ("fan_out", "write_files"),
+}
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name that starts with an underscore belongs to its own module, so
+    a reader of that module knows every caller of it; a helper that another
+    module calls is one of SHARED_HELPERS instead."""
+    package = Path(predscore.__file__).parent
+    crossings = [
+        f"{path.name}: from .{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_bytes()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not (alias.name.startswith("__")
+                                               and alias.name.endswith("__"))
+    ]
+    assert crossings == []
+
+
+def test_shared_helpers_are_owned_and_not_exported():
+    for module, names in SHARED_HELPERS.items():
+        owner = importlib.import_module(f"predscore.{module}")
+        for name in names:
+            assert hasattr(owner, name), (module, name)
+            assert name not in vars(predscore), name

@@ -101,7 +101,7 @@ def test_a_miss_runs_every_rule_and_a_hit_none(tmp_path, cache, monkeypatch):
     monkeypatch.setattr(metrics, "sorted", _refused, raising=False)
     hit = read_bundle(path)
     assert type(hit) is ExperimentBundle and hit == expected
-    order = metrics._by_participant_and_decision(hit.predictions)
+    order = metrics.by_participant_and_decision(hit.predictions)
     assert order is hit.predictions._order
     assert order == missed.predictions._order
 
@@ -277,7 +277,7 @@ def test_an_entry_in_the_old_format_is_read_again_and_rewritten(tmp_path, cache,
     [entry] = _entries(cache)
     good = entry.read_bytes()
     columns = list(map(marshal.dumps, _bundle().predictions.columns))
-    order = metrics._by_participant_and_decision(_bundle().predictions).tobytes()
+    order = metrics.by_participant_and_decision(_bundle().predictions).tobytes()
     for old in (columns, columns + [order]):
         records = b"".join(len(record).to_bytes(8, "little") + record for record in old)
         entry.write_bytes(records + parsecache._content_hash(records).digest())
@@ -340,7 +340,7 @@ def test_a_hit_counts_and_sums_with_no_walk(tmp_path, cache, monkeypatch):
                                            for spaces in all_spaces]
     hit = _hit(path)
     monkeypatch.setattr(metrics, "Counter", _refused)
-    monkeypatch.setattr(metrics, "_by_participant_and_decision", _refused)
+    monkeypatch.setattr(metrics, "by_participant_and_decision", _refused)
     assert [hit.vote_counts()] + [participant_loss_sums(hit, scores, spaces)
                                   for spaces in all_spaces] == expected
 

@@ -12,12 +12,13 @@ from predscore.dataset import (
     ActionManifest,
     ExperimentBundle,
     ParticipantModel,
-    _csv_text,
+    csv_text,
     generate_synthetic_experiment,
 )
 from predscore.errors import ValidationError
 from predscore.metrics import GradeScale, score_dataset, score_table
 from predscore.oracle import AgentSpec
+from predscore.stats import SampleGroup
 from predscore.values import DecisionValues
 from predscore.report import (
     SAMPLES_HEADER,
@@ -85,9 +86,9 @@ class TestMetricsTable:
 
     def test_csv_and_markdown_render(self, bundle):
         table = metrics_table(bundle)
-        csv_text = render_metrics_csv(table)
-        assert csv_text.startswith("treatment,mean_lv_all")
-        assert len(csv_text.strip().splitlines()) == 1 + len(table.rows)
+        text = render_metrics_csv(table)
+        assert text.startswith("treatment,mean_lv_all")
+        assert len(text.strip().splitlines()) == 1 + len(table.rows)
         md = render_metrics_markdown(table)
         assert md.count("|") > 10
         assert "**" in md  # best cells are bolded
@@ -270,7 +271,7 @@ class TestRecordOrder:
         # p1's totals differ from the sums in values.csv order
         assert expected[0][0][1][0] == expected[0][1][1][0] != 0.2 + 0.1 + 0.3
         rows = [(*r, *scores[r[2]][r[3]]) for r in sorted(self.RECORDS, key=lambda r: (r[0], r[2]))]
-        expected_csv = _csv_text(SAMPLES_HEADER, rows)
+        expected_csv = csv_text(SAMPLES_HEADER, rows)
         rng = random.Random(11)
         records = list(self.RECORDS)
         for _ in range(20):
@@ -287,6 +288,13 @@ class TestFiveNumber:
 
     def test_single_value(self):
         assert five_number_summary([2.5]) == (2.5, 2.5, 2.5, 2.5, 2.5)
+
+    @pytest.mark.parametrize("values", [[-1.7e308, 1.7e308], [-1.7e308, -1.7e308, 1.7e308, 1.7e308],
+                                        [-1e308, -1e308, 1e308]])
+    def test_values_further_apart_than_the_float_range_have_finite_ordered_quartiles(self, values):
+        summary = five_number_summary(values)
+        assert all(map(math.isfinite, summary)), summary
+        assert list(summary) == sorted(summary)
 
     def test_quartiles_match_numpy_bit_for_bit(self):
         np = pytest.importorskip("numpy")
@@ -329,8 +337,8 @@ class TestVotes:
 
     def test_single_square_votes(self, bundle):
         grid = vote_matrix(bundle, bundle.vote_counts(), "P1", "NONE")
-        csv_text = render_vote_matrix_csv(grid, 9)
-        lines = csv_text.strip().splitlines()
+        text = render_vote_matrix_csv(grid, 9)
+        lines = text.strip().splitlines()
         assert lines[0] == "row,A,B,C,D,E,F,G,H,I"
         assert len(lines) == 5
 
@@ -371,6 +379,11 @@ class TestSvg:
         assert a == b
         assert a.startswith("<svg")
         assert "#d62728" in a  # chosen-square outline
+
+    def test_boxplot_svg_of_values_further_apart_than_the_float_range(self):
+        svg = render_boxplot_svg([SampleGroup("A", (-1.78e308, 1.78e308)),
+                                  SampleGroup("B", (0.0, 0.0))])
+        assert "nan" not in svg and "inf" not in svg
 
     def test_boxplot_svg_renders(self, bundle):
         svg = render_boxplot_svg(participant_loss_sums(bundle, score(bundle))["value"])
