@@ -12,9 +12,10 @@ An experiment bundle is a directory of three files:
 All numbers serialize as shortest round-trip decimals, and every writer is
 deterministic, so identical bundles produce identical bytes.
 :func:`csv_text` is the one CSV encoding: it writes both CSV files and
-every report CSV, and :mod:`predscore.report` streams the one large report,
-samples.csv, line for line as csv_text would write it.  write_bundle writes
-its three files through ``osutil.write_files``, all or none.
+every report CSV but the one large report, samples.csv, which
+:mod:`predscore.report` streams itself, line for line as csv_text would
+write it.  write_bundle writes its three files through
+``osutil.write_files``, all or none.
 
 Each fact is checked in one layer.  The parsers check what a file says by
 itself: header and field counts, and in values.csv numbers, duplicate keys

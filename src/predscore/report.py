@@ -11,8 +11,9 @@ attached to the bundle's :class:`predscore.metrics.Predictions` where they
 were summed from the score table given, and otherwise walks the columns
 and refuses a total that overflows.
 The rows of samples.csv always walk them, in the order of
-:func:`predscore.metrics.by_participant_and_decision`, looking each score
-up, and this module streams them itself (``_csv_lines``).
+:func:`predscore.metrics.by_participant_and_decision`, and
+:func:`render_samples_csv` streams them itself, in one path: it renders
+each distinct cell once and each row as three lookups.
 Everything renders to CSV, markdown or SVG deterministically so outputs
 are golden-file friendly.  CSV is quoted as the bundle files are, by
 :func:`predscore.dataset.csv_text`, which samples.csv matches line for
@@ -32,7 +33,7 @@ from .actions import SquareId, column_label
 from .dataset import MNK, ExperimentBundle, csv_text
 from .errors import ValidationError
 from .metrics import (DEFAULT_GRADE_SCALE, SPACES, GradeScale, Predictions, ScoreTable, VoteCounts,
-                      by_participant_and_decision, participant_totals, weighted_mean)
+                      by_participant_and_decision, participant_totals, vote_tally, weighted_mean)
 from .rankoverlap import DEFAULT_PERSISTENCE, mrbo_table
 from .stats import SampleGroup
 
@@ -165,43 +166,40 @@ class _Lines(list):
     write = list.append
 
 
-def _csv_lines(header: list[str], columns, order, tails: dict):
-    """The text of ``csv_text(header, rows)``, a line at a time, where row
-    i is ``(a[i], b[i], c[i], d[i], *tails[c[i]][d[i]])`` for the four
-    string columns ``a, b, c, d`` and each position i of ``order``: the
-    columns of Predictions keyed into a score table.
+def render_samples_csv(predictions: Predictions, scores: ScoreTable):
+    """The lines of samples.csv, the header line first: each prediction
+    with its (LV, LR, grade), in the order of
+    :func:`predscore.metrics.by_participant_and_decision`, as
+    ``csv_text(SAMPLES_HEADER, rows)`` writes them.
 
-    No csv writer call and no row tuple is made per row.  One writer pass,
-    in csv_text's unquoted form, renders the header, each distinct string
-    of the first two columns, and each tail from its two keys on; each line
-    is then three lookups.  If that text holds a "\r", the rows go to
-    csv_text itself, so whether every field is quoted follows from the
-    fields that its text holds.
+    No csv writer call and no row tuple is made per row.  One writer pass
+    renders the header, each distinct participant id and treatment, and
+    the (decision, action, LV, LR, grade) tail of each pair that the
+    predictions name, as :func:`predscore.metrics.vote_tally` counts them;
+    each line is then three lookups.  Those cells hold the fields of
+    csv_text's text and nothing else, so they are rendered again with every
+    field quoted exactly when csv_text would quote them: when one holds a
+    "\r".
     """
-    first, second, third, fourth = columns
-    leading = list(set(first).union(second))
-    lines = _Lines()
-    csv.writer(lines, lineterminator="\n").writerows(chain(
-        (header,),
-        # a second, empty field keeps an empty one from being written as a lone '""'
-        zip(leading, repeat("")),
-        ((k, j, *fields) for k, table in tails.items() for j, fields in table.items()),
-    ))
-    if any(map(str.__contains__, lines, repeat("\r"))):
-        return (csv_text(header, [(first[i], second[i], third[i], fourth[i],
-                                   *tails[third[i]][fourth[i]]) for i in order]),)
+    ids, labels, decisions, actions = predictions.columns
+    order = by_participant_and_decision(predictions)  # a sort after the rendering peaks higher
+    leading = list(set(ids).union(labels))
+    named = {(d, a) for _, d, a in vote_tally(predictions)}
+    scored = {d: {a: f for a, f in table.items() if (d, a) in named} for d, table in scores.items()}
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        lines = _Lines()
+        csv.writer(lines, lineterminator="\n", quoting=quoting).writerows(chain(
+            # a second, empty field keeps an empty one from being written as a lone '""'
+            (SAMPLES_HEADER,), zip(leading, repeat("")),
+            ((d, a, *fields) for d, table in scored.items() for a, fields in table.items())))
+        if not any(map(str.__contains__, lines, repeat("\r"))):
+            break
     lines.reverse()  # each line is popped, and so released, as its cell is taken
     head = lines.pop()
     cells = {field: lines.pop().rpartition(",")[0] for field in leading}
-    rendered = {k: {j: lines.pop() for j in table} for k, table in tails.items()}
-    return chain((head,), (f"{cells[first[i]]},{cells[second[i]]},{rendered[third[i]][fourth[i]]}"
+    tails = {d: {a: lines.pop() for a in table} for d, table in scored.items()}
+    return chain((head,), (f"{cells[ids[i]]},{cells[labels[i]]},{tails[decisions[i]][actions[i]]}"
                            for i in order))
-
-
-def render_samples_csv(predictions: Predictions, scores: ScoreTable):
-    """The lines of samples.csv: each prediction with its (LV, LR, grade)."""
-    return _csv_lines(SAMPLES_HEADER, predictions.columns,
-                      by_participant_and_decision(predictions), scores)
 
 
 def five_number_summary(values) -> tuple[float, float, float, float, float]:
@@ -209,20 +207,22 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
 
     The quartiles repeat numpy.percentile's default method operation for
     operation, so they match it bit for bit: index (n-1)*q with fraction t,
-    then b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.  Where finite a
-    and b lie further apart than the float range, so that b - a overflows,
-    the quartile is a*(1-t) + b*t, which stays finite and between them.
+    then b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.  Where a and b
+    lie further apart than the float range, so that b - a overflows, the
+    quartile is a*(1-t) + b*t, which stays finite and between them.  A
+    sample that is empty or holds a non-finite value is refused, as
+    SampleGroup refuses one.
     """
-    if not values:
-        raise ValidationError("empty sample")
     ordered = [float(v) for v in sorted(values)]
+    if not ordered or not all(map(math.isfinite, ordered)):
+        raise ValidationError("sample contains non-finite values" if ordered else "empty sample")
     quartiles = []
     for q in (0.25, 0.5, 0.75):
         idx = (len(ordered) - 1) * q
         lo = math.floor(idx)
         t = idx - lo
         a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
-        if math.isinf(b - a) and math.isfinite(a) and math.isfinite(b):
+        if math.isinf(b - a):
             quartiles.append(a * (1 - t) + b * t)
         else:
             quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
@@ -239,12 +239,15 @@ def vote_matrix(
 ) -> list[list[int]]:
     """n-row by m-column grid of one decision's vote counts (row 1 first).
 
-    treatment None pools every group.
+    treatment None pools every group.  A decision with no value table is
+    refused, a pending one as pending.
     """
     if bundle.manifest.domain != MNK:
         raise ValidationError(f"vote matrices need an mnk bundle, not {bundle.manifest.domain!r}")
     if decision_id not in bundle.values_by_decision():
-        raise ValidationError(f"unknown decision {decision_id!r}")
+        raise ValidationError(f"decision {decision_id!r} is pending: it has no value table"
+                              if decision_id in dict(bundle.pending_decisions)
+                              else f"unknown decision {decision_id!r}")
     cfg = bundle.manifest.board
     grid = [[0] * cfg.m for _ in range(cfg.n)]
     for (t, d), votes in counts.items():

@@ -495,6 +495,23 @@ class TestVotesCmd:
         assert code == 1
         assert not (tmp_path / "v").exists()
 
+    def test_a_pending_decision_exits_1_naming_it_pending(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "b"
+        assert main(["simulate", "--m", "3", "--n", "3", "--k", "3", "--participants", "4",
+                     "--treatments", "A,B", "--seed", "1", "--out-dir", str(bundle_dir)]) == 0
+        manifest = bundle_dir / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["pending_decisions"] = [{"decision_id": "P9", "actions": ["A1", "B1"]}]
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        for decision, error in (("P9", "decision 'P9' is pending: it has no value table"),
+                                ("P10", "unknown decision 'P10'")):
+            code = main(["votes", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "v"),
+                         "--decision", decision])
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert not (tmp_path / "v").exists()
+
     def test_non_mnk_bundle_exits_1_naming_the_domain(self, tmp_path, capsys):
         from predscore.dataset import load_four_towers_fixture, write_bundle
 

@@ -35,7 +35,7 @@ from predscore.errors import ParseError, ValidationError
 from predscore.metrics import Predictions, score_dataset
 from predscore.oracle import AgentSpec, Mutation
 from predscore.rankoverlap import agent_ranklist, mrbo_ext, vote_ranklist
-from predscore.report import SAMPLES_HEADER, _csv_lines
+from predscore.report import SAMPLES_HEADER, render_samples_csv
 from predscore.values import DecisionValues, OutcomeTriple
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -113,31 +113,34 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("field", range(5))
     @pytest.mark.parametrize("text", ["", "x,y", 'x"y', "x\ny", "x\ry"])
     def test_streamed_lines_equal_the_csv_text(self, field, text):
-        """_csv_lines renders as csv_text, in the order given, whichever
-        one field of a row (one of its four, or the grade of its tail) holds
-        a character that is quoted, or empties it."""
+        """render_samples_csv renders as csv_text, in (participant,
+        decision) order whatever the input order, whichever one field of a
+        row (one of its four, or the grade of its score) holds a character
+        that is quoted, or empties it."""
         rows = [["P1", "A", "D1", "NE"], ["P2", "B", "D1", "SW"], ["P1", "A", "D2", "NE"]]
         if field < 4:
             rows[1][field] = text
-        tails = {}
+        scores = {}
         for _, _, decision, action in rows:
-            tails.setdefault(decision, {})[action] = (-1.5, 0.25, "good")
+            scores.setdefault(decision, {})[action] = (-1.5, 0.25, "good")
         if field == 4:
-            tails["D1"]["SW"] = (-1.5, 0.25, text)
-        columns = [list(column) for column in zip(*rows)]
+            scores["D1"]["SW"] = (-1.5, 0.25, text)
         for order in (range(3), (2, 0, 1)):
-            expected = csv_text(SAMPLES_HEADER, [(*rows[i], *tails[rows[i][2]][rows[i][3]])
-                                                  for i in order])
-            assert "".join(_csv_lines(SAMPLES_HEADER, columns, order, tails)) == expected
+            records = [rows[i] for i in order]
+            walked = sorted(records, key=lambda row: (row[0], row[2]))
+            expected = csv_text(SAMPLES_HEADER, [(*row, *scores[row[2]][row[3]]) for row in walked])
+            assert "".join(render_samples_csv(predictions_of(records), scores)) == expected
 
     def test_a_tail_no_row_uses_leaves_the_fields_unquoted(self):
         """As in csv_text, only the fields that the text holds decide
-        whether every field is quoted."""
-        rows = [["P1", "A", "D1", "NE"]]
-        tails = {"D1": {"NE": (-1.5, 0.25, "good"), "SW": (0.0, 0, "x\ry")}}
-        text = "".join(_csv_lines(SAMPLES_HEADER, [list(c) for c in zip(*rows)], [0], tails))
-        assert text == csv_text(SAMPLES_HEADER, [("P1", "A", "D1", "NE", -1.5, 0.25, "good")])
-        assert '"' not in text
+        whether every field is quoted: a "\r" in the grade or in the id of
+        an action that no prediction names quotes nothing."""
+        expected = csv_text(SAMPLES_HEADER, [("P1", "A", "D1", "NE", -1.5, 0.25, "good")])
+        for action, grade in (("SW", "x\ry"), ("S\rW", "good")):
+            scores = {"D1": {"NE": (-1.5, 0.25, "good"), action: (0.0, 0, grade)}}
+            text = "".join(render_samples_csv(predictions_of([("P1", "A", "D1", "NE")]), scores))
+            assert text == expected
+            assert '"' not in text
 
 
 class TestBundleWrites:

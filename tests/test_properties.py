@@ -48,6 +48,7 @@ from predscore.dataset import (  # noqa: E402
     VALUES_HEADER,
     ActionManifest,
     ExperimentBundle,
+    csv_text,
     parse_predictions_csv,
     parse_values_csv,
     read_bundle,
@@ -65,7 +66,7 @@ from predscore.metrics import (  # noqa: E402
 )
 from predscore.oracle import _board_key, sampled_outcome_triples  # noqa: E402
 from predscore.rankoverlap import mrbo_ext  # noqa: E402
-from predscore.report import participant_loss_sums  # noqa: E402
+from predscore.report import SAMPLES_HEADER, participant_loss_sums, render_samples_csv  # noqa: E402
 from predscore.stats import kruskal_wallis  # noqa: E402
 from predscore.values import DecisionValues, OutcomeTriple  # noqa: E402
 
@@ -458,6 +459,30 @@ def test_mean_from_vote_counts_is_fsum_of_the_votes_over_their_number(entries, d
     expanded = [values.value(a) for a, n in votes.items() for _ in range(n)]
     assert weighted_mean((values.value(a), n) for a, n in votes.items()) == (
         math.fsum(expanded) / len(expanded))
+
+
+@PROPERTY
+@given(st.data())
+def test_samples_csv_is_the_csv_text_of_its_rows(data):
+    """samples.csv is csv_text of each prediction's row in (participant,
+    decision) order, whatever the input order, and its first line is the
+    header alone, for ids, labels and grades that hold the characters CSV
+    quotes; actions that no prediction names may hold them too."""
+    decisions = data.draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    scores = {d: data.draw(st.dictionaries(IDS, st.tuples(VALUES, st.integers(0, 20), IDS),
+                                           min_size=1, max_size=4))
+              for d in decisions}
+    rows = []
+    for participant in data.draw(st.lists(IDS, max_size=5, unique=True)):
+        for d in data.draw(st.lists(st.sampled_from(decisions), unique=True)):
+            action = data.draw(st.sampled_from(sorted(scores[d])))
+            rows.append((participant, data.draw(IDS), d, action))
+    rows = data.draw(st.permutations(rows))
+    walked = sorted(rows, key=lambda row: (row[0], row[2]))
+    expected = csv_text(SAMPLES_HEADER, [(*row, *scores[row[2]][row[3]]) for row in walked])
+    lines = list(render_samples_csv(predictions_of(rows), scores))
+    assert "".join(lines) == expected
+    assert lines[0] == expected[:expected.index("\n") + 1]
 
 
 def test_mean_rounds_the_sum_and_then_the_quotient():

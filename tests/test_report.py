@@ -281,6 +281,18 @@ class TestRecordOrder:
             assert [(g.label, g.values) for g in by_rank] == expected[1]
             assert "".join(render_samples_csv(predictions_of(records), scores)) == expected_csv
 
+    @pytest.mark.parametrize("label", ["A", "A\rB"], ids=["plain", "carriage-return"])
+    def test_the_header_line_comes_first_and_alone(self, label):
+        """The first line is the header by itself, also where a "\r"
+        quotes every field."""
+        records = [(pid, label if t == "A" else t, d, a) for pid, t, d, a in self.RECORDS]
+        scores = self.scores()
+        rows = [(*r, *scores[r[2]][r[3]]) for r in sorted(records, key=lambda r: (r[0], r[2]))]
+        text = csv_text(SAMPLES_HEADER, rows)
+        lines = list(render_samples_csv(predictions_of(records), scores))
+        assert lines[0] == text[:text.index("\n") + 1]
+        assert "".join(lines) == text
+
 
 class TestFiveNumber:
     def test_known_quartiles(self):
@@ -295,6 +307,11 @@ class TestFiveNumber:
         summary = five_number_summary(values)
         assert all(map(math.isfinite, summary)), summary
         assert list(summary) == sorted(summary)
+
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [-math.inf, 1.0], [1.0, math.inf]])
+    def test_a_non_finite_value_is_refused(self, values):
+        with pytest.raises(ValidationError, match="^sample contains non-finite values$"):
+            five_number_summary(values)
 
     def test_quartiles_match_numpy_bit_for_bit(self):
         np = pytest.importorskip("numpy")
@@ -345,6 +362,15 @@ class TestVotes:
     def test_unknown_decision_rejected(self, bundle):
         with pytest.raises(ValidationError):
             vote_matrix(bundle, bundle.vote_counts(), "P9")
+
+    def test_a_pending_decision_is_refused_as_pending(self, bundle):
+        pending = ExperimentBundle(bundle.manifest, bundle.decisions, bundle.predictions,
+                                   bundle.treatments, (("P9", ("A1", "B1")),))
+        message = "^decision 'P9' is pending: it has no value table$"
+        with pytest.raises(ValidationError, match=message):
+            vote_matrix(pending, pending.vote_counts(), "P9")
+        with pytest.raises(ValidationError, match="^unknown decision 'P10'$"):
+            vote_matrix(pending, pending.vote_counts(), "P10")
 
     def test_vote_counts_hold_every_cell_and_every_prediction(self, bundle):
         counts = bundle.vote_counts()
