@@ -22,15 +22,17 @@ are made here and nowhere else: :func:`vote_tally` counts the predictions
 of each (treatment, decision, action), and :func:`participant_totals`, the
 one walk that sums each participant's losses, gives the per-participant
 totals of both loss spaces, the value space summing LV and the rank space
-LR, and is the one place that refuses a total that overflows.  These three
-are the package's shared reductions: :mod:`predscore.dataset`,
-:mod:`predscore.parsecache` and :mod:`predscore.report` call them, and
-the package does not export them.  :mod:`predscore.parsecache` stores the
-order and both reductions with a cached bundle and attaches them to the
-Predictions that :func:`predscore.dataset.read_bundle` returns, the totals
-with the score table they were summed from, and each function returns the
-attached result where it is valid.  A bundle with a total that overflows
-gets no stored or attached totals, so every sum of its totals walks.
+LR, as treatment -> (value totals, rank totals), and is the one place that
+refuses a total that overflows.  These three are the package's shared
+reductions: :mod:`predscore.dataset`, :mod:`predscore.parsecache` and
+:mod:`predscore.report` call them, and the package does not export them.
+:mod:`predscore.parsecache` stores the order and both reductions with a
+cached bundle and attaches them to the Predictions that
+:func:`predscore.dataset.read_bundle` returns, the totals as the walk
+returned them, with the score table they were summed from, and each
+function returns the attached result where it is valid: the totals where
+they were summed from the score table given and are finite in the spaces
+asked for.
 :func:`score_dataset`'s :class:`MetricSample` list is for library callers,
 and no CLI command builds one.  Samples are immutable named tuples, so
 like any tuple they compare equal to a plain tuple of the same fields.
@@ -114,10 +116,10 @@ class Predictions:
     ``_order``, ``_votes`` and ``_totals`` are what the parse cache,
     :mod:`predscore.parsecache`, attached: the order of
     :func:`by_participant_and_decision`, the tally of :func:`vote_tally`,
-    and the totals of :func:`participant_totals`, every one finite, with
-    the score table they were summed from.  Only the parse cache sets
-    them, on a Predictions that read_bundle made, and ``__init__`` never
-    copies them, so a Predictions built from any columns walks afresh.
+    and the totals of :func:`participant_totals`, with the score table
+    they were summed from.  Only the parse cache sets them, on a
+    Predictions that read_bundle made, and ``__init__`` never copies them,
+    so a Predictions built from any columns walks afresh.
     """
 
     columns: tuple[list[str], list[str], list[str], list[str]]
@@ -234,44 +236,42 @@ def vote_tally(predictions: Predictions) -> dict[tuple[str, str, str], int]:
     return Counter(zip(treatments, decision_ids, predicted))
 
 
-def participant_totals(
-    predictions: Predictions, scores: ScoreTable, labels, spaces=SPACES
-) -> dict[str, dict]:
-    """space -> treatment -> its participants' totals, for each of spaces
-    and each treatment of labels: each participant's summed loss across
-    decisions, LV in value space and LR in rank space.  A treatment of
-    labels that no prediction names gets no totals.
+def participant_totals(predictions: Predictions, scores: ScoreTable, spaces=SPACES) -> dict:
+    """treatment -> (value totals, rank totals), for each treatment that a
+    prediction names, in sorted order: each participant's summed loss
+    across decisions, LV in value space and LR in rank space, one total per
+    participant in sorted participant order.  Each is a sequence of
+    doubles: an ``array("d")`` from the walk, or, as the parse cache
+    attached them, a ``memoryview`` of format "d" over its entry's bytes.
 
     The totals the parse cache attached to predictions are returned with
-    no walk when scores is the score table they were summed from; they
-    are finite, as the parse cache attaches only totals that pass the check
-    below.  Otherwise one walk over the columns, by participant and then decision,
-    sums both spaces, so each treatment lists its participants in sorted
-    order.  Each total starts from 0.0 and adds its losses in decision
-    order, whatever the order of the predictions, so equal bundles give
-    equal float sums.  A total that overflows is refused in a space asked
-    for, the first by space, then treatment, then participant, with the
-    participant, the treatment and the space."""
-    if predictions._totals is not None and predictions._totals[0] == scores:
-        by_treatment = predictions._totals[1]
-    else:
-        participant_ids, treatments, decision_ids, predicted = predictions.columns
-        sums = {t: ({}, {}) for t in labels}
-        for i in by_participant_and_decision(predictions):
-            (value_totals, rank_totals), pid = sums[treatments[i]], participant_ids[i]
-            lv, lr, _ = scores[decision_ids[i]][predicted[i]]
-            value_totals[pid] = value_totals.get(pid, 0.0) + lv
-            rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
-        for space in spaces:
-            for t, pair in sums.items():
-                for pid, total in pair[SPACES.index(space)].items():
-                    if not math.isfinite(total):
-                        raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
-                                              f"in treatment {t!r} overflows")
-        by_treatment = {t: tuple(totals.values() for totals in pair) for t, pair in sums.items()}
-    return {space: {t: by_treatment[t][SPACES.index(space)] if t in by_treatment else ()
-                    for t in labels}
-            for space in spaces}
+    no walk when scores is the score table they were summed from and every
+    total in spaces is finite.  Otherwise one walk over the columns, by
+    participant and then decision, sums both spaces.  Each total starts
+    from 0.0 and adds its losses in decision order, whatever the order of
+    the predictions, so equal bundles give equal float sums.  A total that
+    overflows is refused in a space asked for, the first by space, then
+    treatment, then participant, with the participant, the treatment and
+    the space."""
+    fields = [SPACES.index(space) for space in spaces]
+    attached = predictions._totals
+    if attached is not None and attached[0] == scores and all(
+            all(map(math.isfinite, pair[f])) for f in fields for pair in attached[1].values()):
+        return attached[1]
+    participant_ids, treatments, decision_ids, predicted = predictions.columns
+    sums = {t: ({}, {}) for t in sorted(set(treatments))}
+    for i in by_participant_and_decision(predictions):
+        (value_totals, rank_totals), pid = sums[treatments[i]], participant_ids[i]
+        lv, lr, _ = scores[decision_ids[i]][predicted[i]]
+        value_totals[pid] = value_totals.get(pid, 0.0) + lv
+        rank_totals[pid] = rank_totals.get(pid, 0.0) + lr
+    for space, f in zip(spaces, fields):
+        for t, pair in sums.items():
+            for pid, total in pair[f].items():
+                if not math.isfinite(total):
+                    raise ValidationError(f"the {space}-space loss sum of participant {pid!r} "
+                                          f"in treatment {t!r} overflows")
+    return {t: tuple(array("d", totals.values()) for totals in pair) for t, pair in sums.items()}
 
 
 def score_dataset(

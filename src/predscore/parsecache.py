@@ -20,9 +20,10 @@ computes from those bytes alone, so the order, the tally and the totals,
 which the miss made from the accepted columns and values, are stored too;
 the Predictions read_bundle returns carries them, and each is used only
 while it holds (see :mod:`predscore.metrics`).  The miss sums the totals
-with the same function as an uncached read, and a bundle with a total that
-overflows, which that function refuses, gets no totals and no entry: it is
-read in full every time, and refused as it is without a cache.
+with the same function as an uncached read, and stores them as that
+function returns them, a total that overflows included: that function
+refuses such a total when a space that holds it is asked for, on a hit as
+without a cache.
 ExperimentBundle reads no environment variable, locale or file; a rule
 that comes to read one must add it to the key.  A hit still decodes
 manifest.json and parses values.csv, which are small, with their own
@@ -37,9 +38,9 @@ or beside one, and only while the directory is the effective user's and
 writable by no one else; any ``OSError`` there, no home directory, or no
 source file to hash (a zip or a sourceless install) means the bundle is
 read as it is below the threshold, with no message.  An entry is written
-after the file's bytes and the summing walk's per-participant dicts are
-released, through ``osutil.write_files``, and the newest ``_CACHE_ENTRIES``
-entries by mtime are kept; a hit refreshes its entry's mtime.
+after the file's bytes are released, through ``osutil.write_files``, and
+the newest ``_CACHE_ENTRIES`` entries by mtime are kept; a hit refreshes
+its entry's mtime.
 
 read_bundle calls :func:`entry`, :func:`load` and :func:`store`, and knows
 nothing of what an entry holds; ``_CACHE_MIN_BYTES`` and the choice of
@@ -54,8 +55,8 @@ from collections import Counter
 from pathlib import Path
 
 from .errors import ValidationError
-from .metrics import (SPACES, Predictions, by_participant_and_decision, participant_totals,
-                      score_table, vote_tally)
+from .metrics import (Predictions, by_participant_and_decision, participant_totals, score_table,
+                      vote_tally)
 from .osutil import write_files
 
 _CACHE_ENTRIES = 8
@@ -163,8 +164,7 @@ def store(entry: Path, bundle) -> None:
     """Attach the order, the vote tally and both spaces' loss totals, with
     the score table they were summed from, to the predictions of bundle,
     which ExperimentBundle has accepted, and write them with the columns to
-    entry, then keep the newest _CACHE_ENTRIES entries.  A bundle with a
-    total that overflows gets no totals and no entry.  Each column is one
+    entry, then keep the newest _CACHE_ENTRIES entries.  Each column is one
     length-prefixed marshal record, made only as the writer reaches it, the
     order one record of its array bytes, the tally one marshal record of
     (treatment, decision, action) -> votes, and the totals one marshal
@@ -173,14 +173,7 @@ def store(entry: Path, bundle) -> None:
     predictions, scores = bundle.predictions, score_table(bundle.values_by_decision())
     order = predictions._order = by_participant_and_decision(predictions)
     votes = predictions._votes = vote_tally(predictions)
-    try:
-        sums = participant_totals(predictions, scores, sorted(bundle.treatments))
-    except ValidationError:  # a total overflows: no totals and no entry
-        return
-    # treatment -> (value totals, rank totals), in walk order, for each treatment with totals
-    totals = {t: tuple(array("d", sums[space][t]) for space in SPACES)
-              for t in sums["value"] if sums["value"][t]}
-    del sums  # the per-participant dicts go before the entry is written
+    totals = participant_totals(predictions, scores, ())  # no space asked for: none refused
     predictions._totals = scores, totals
 
     def records():

@@ -5,11 +5,12 @@ bundle's vote counts, (treatment, decision) -> {action: votes}, and the
 score table of :func:`predscore.metrics.score_table`, decision -> action ->
 (LV, LR, grade).  Mean LV and LR per treatment per decision, grade counts,
 modified overlap and vote matrices are sums over the counts.  The
-per-participant loss sums come from :func:`predscore.metrics.participant_totals`,
-which reads the totals that the parse cache (:mod:`predscore.parsecache`)
-attached to the bundle's :class:`predscore.metrics.Predictions` where they
-were summed from the score table given, and otherwise walks the columns
-and refuses a total that overflows.
+per-participant loss sums pick each listed treatment's totals from
+:func:`predscore.metrics.participant_totals`, which reads the totals that
+the parse cache (:mod:`predscore.parsecache`) attached to the bundle's
+:class:`predscore.metrics.Predictions` where they were summed from the
+score table given and are finite in the spaces asked for, and otherwise
+walks the columns and refuses a total that overflows.
 The rows of samples.csv always walk them, in the order of
 :func:`predscore.metrics.by_participant_and_decision`, and
 :func:`render_samples_csv` streams them itself, in one path: it renders
@@ -145,18 +146,19 @@ def participant_loss_sums(
 ) -> dict[str, list[SampleGroup]]:
     """For each of spaces, one group per listed treatment, in sorted order,
     of each participant's summed loss across decisions: value space sums
-    LV, rank space sums LR.  A listed treatment that no prediction names
-    gets an empty group.
+    LV, rank space sums LR.  Each group picks its treatment's totals for
+    the space from :func:`predscore.metrics.participant_totals`, and a
+    listed treatment that no prediction names gets an empty group.
 
     Each treatment lists its participants in sorted order, and each total
     adds its losses in decision order, whatever the order of the
-    predictions (see :func:`predscore.metrics.participant_totals`).  A
-    total that overflows is refused with the participant, the treatment and
-    the space, in the spaces asked for only.
+    predictions.  A total that overflows is refused with the participant,
+    the treatment and the space, in the spaces asked for only.
     """
-    totals = participant_totals(bundle.predictions, scores, sorted(bundle.treatments), spaces)
-    return {space: [SampleGroup(label=t, values=values) for t, values in by_treatment.items()]
-            for space, by_treatment in totals.items()}
+    totals = participant_totals(bundle.predictions, scores, spaces)
+    return {space: [SampleGroup(t, totals.get(t, ((), ()))[SPACES.index(space)])
+                    for t in sorted(bundle.treatments)]
+            for space in spaces}
 
 
 class _Lines(list):
@@ -209,13 +211,14 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
     operation, so they match it bit for bit: index (n-1)*q with fraction t,
     then b - (b-a)*(1-t) when t >= 0.5, else a + (b-a)*t.  Where a and b
     lie further apart than the float range, so that b - a overflows, the
-    quartile is a*(1-t) + b*t, which stays finite and between them.  A
-    sample that is empty or holds a non-finite value is refused, as
-    SampleGroup refuses one.
+    quartile is a*(1-t) + b*t, which stays finite and between them.  An
+    empty sample is refused, and the values are checked and converted by
+    SampleGroup, as the group 'sample': a non-finite value or an int too
+    large for a float is refused.
     """
-    ordered = [float(v) for v in sorted(values)]
-    if not ordered or not all(map(math.isfinite, ordered)):
-        raise ValidationError("sample contains non-finite values" if ordered else "empty sample")
+    ordered = sorted(SampleGroup("sample", values).values)
+    if not ordered:
+        raise ValidationError("empty sample")
     quartiles = []
     for q in (0.25, 0.5, 0.75):
         idx = (len(ordered) - 1) * q
@@ -240,7 +243,8 @@ def vote_matrix(
     """n-row by m-column grid of one decision's vote counts (row 1 first).
 
     treatment None pools every group.  A decision with no value table is
-    refused, a pending one as pending.
+    refused, a pending one as pending, and so is a treatment that the
+    bundle does not list.
     """
     if bundle.manifest.domain != MNK:
         raise ValidationError(f"vote matrices need an mnk bundle, not {bundle.manifest.domain!r}")
@@ -248,6 +252,8 @@ def vote_matrix(
         raise ValidationError(f"decision {decision_id!r} is pending: it has no value table"
                               if decision_id in dict(bundle.pending_decisions)
                               else f"unknown decision {decision_id!r}")
+    if treatment is not None and treatment not in bundle.treatments:
+        raise ValidationError(f"treatment {treatment!r} is not listed")
     cfg = bundle.manifest.board
     grid = [[0] * cfg.m for _ in range(cfg.n)]
     for (t, d), votes in counts.items():

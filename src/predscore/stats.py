@@ -37,8 +37,11 @@ class SampleGroup(Validated, namedtuple("SampleGroup", "label values")):
     __slots__ = ()
 
     def __new__(cls, label: str, values: tuple[float, ...]):
-        if not all(map(math.isfinite, values)):
-            raise ValidationError(f"group {label!r} contains non-finite values")
+        try:
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"group {label!r} contains non-finite values")
+        except OverflowError:
+            raise ValidationError(f"group {label!r} holds an int too large for a float") from None
         return super().__new__(cls, label, tuple(map(float, values)))
 
 
@@ -399,8 +402,11 @@ def run_pipeline(groups, alpha: float = DEFAULT_ALPHA) -> PipelineResult:
     warning that names the group.  A group with fewer than 2 observations
     is left out of Levene's test and the comparison and listed in
     ``excluded``.  Kruskal-Wallis on a constant pooled sample still raises
-    :class:`DegenerateDataError`.
+    :class:`DegenerateDataError`.  An alpha outside (0, 1), NaN
+    included, is refused.
     """
+    if not 0 < alpha < 1:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     gs = _as_groups(groups)
     kept = [g for g in gs if len(g.values) >= 2]
     if len(kept) < 2:

@@ -10,6 +10,8 @@ import marshal
 import os
 import pwd
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -382,10 +384,12 @@ def test_loss_sums_from_other_scores_equal_an_uncached_read(tmp_path, cache, fie
                 == participant_loss_sums(uncached, scores, spaces))
 
 
-def test_an_overflowing_large_bundle_leaves_no_entry(tmp_path, cache):
-    """p2's value-space total overflows: the bundle gets no entry and no
-    attached totals, so each read refuses p2 with the uncached message,
-    naming the participant, and still sums the rank space."""
+def test_an_overflowing_large_bundle_gets_an_entry_and_a_hit_refuses_alike(
+        tmp_path, cache, parses):
+    """p2's value-space total overflows: the first read writes one entry
+    like any other bundle's, and the second read hits it.  Each read
+    refuses p2 with the uncached message, naming the participant, and still
+    sums the rank space."""
     values = DecisionValues("P1", {"a": 1e308, "b": 0.0}, "a")
     bundle = ExperimentBundle(
         ActionManifest("big", CUSTOM, (("a", "a"), ("b", "b"))),
@@ -396,14 +400,37 @@ def test_an_overflowing_large_bundle_leaves_no_entry(tmp_path, cache):
     message = "^the value-space loss sum of participant 'p2' in treatment 'T' overflows$"
     for _ in range(2):
         read = read_bundle(path)
-        assert _entries(cache) == []
-        assert read.predictions._totals is None
+        assert len(parses) == 1 and len(_entries(cache)) == 1
+        assert read.predictions._totals is not None
         scores = score_table(read.values_by_decision())
         with pytest.raises(ValidationError, match=message):
             participant_loss_sums(read, scores)
         with pytest.raises(ValidationError, match=message):
             participant_loss_sums(read, scores, ("value",))
         assert participant_loss_sums(read, scores, ("rank",))["rank"][0].values == (0.0, 2.0)
+
+
+def test_an_entry_does_not_depend_on_string_hashing(tmp_path):
+    """One bundle over the size threshold, with eight treatments, read in
+    two fresh interpreters whose string hashes differ: the two entries
+    are byte for byte the same, so no part of one follows a set's order."""
+    manifest = ActionManifest("e1", CUSTOM, (("a", "Alpha"), ("b", "Beta"), ("c", "Gamma")))
+    decisions = tuple(DecisionValues(d, {"a": 1.0, "b": 0.5, "c": -2.0}, "a") for d in ("d1", "d2"))
+    rows = [(f"participant-{i:06d}", "ABCDEFGH"[i % 8], d, "abc"[(i + j) % 3])
+            for i in range(30000) for j, d in enumerate(("d1", "d2"))]
+    bundle = ExperimentBundle(manifest, decisions, predictions_of(rows), tuple("ABCDEFGH"))
+    path = write_bundle(bundle, tmp_path / "b")
+    assert (path / "predictions.csv").stat().st_size >= dataset._CACHE_MIN_BYTES
+    src = str(Path(dataset.__file__).resolve().parents[1])
+    code = "import sys\nfrom predscore.dataset import read_bundle\nread_bundle(sys.argv[1])"
+    blobs = []
+    for seed in ("1", "2"):
+        home = tmp_path / f"cache-{seed}"
+        subprocess.run([sys.executable, "-c", code, str(path)], check=True, env={
+            **os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed, "XDG_CACHE_HOME": str(home)})
+        [entry] = _entries(home / "predscore")
+        blobs.append((entry.name, entry.read_bytes()))
+    assert blobs[0] == blobs[1]
 
 
 def test_commands_that_hit_an_entry_a_votes_miss_wrote_write_what_they_write_uncached(

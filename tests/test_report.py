@@ -310,7 +310,13 @@ class TestFiveNumber:
 
     @pytest.mark.parametrize("values", [[1.0, math.nan, 2.0], [-math.inf, 1.0], [1.0, math.inf]])
     def test_a_non_finite_value_is_refused(self, values):
-        with pytest.raises(ValidationError, match="^sample contains non-finite values$"):
+        with pytest.raises(ValidationError, match="^group 'sample' contains non-finite values$"):
+            five_number_summary(values)
+
+    @pytest.mark.parametrize("values", [[10**400, 1], [1.0, -(10**400)]])
+    def test_an_int_too_large_for_a_float_is_refused(self, values):
+        with pytest.raises(ValidationError,
+                           match="^group 'sample' holds an int too large for a float$"):
             five_number_summary(values)
 
     def test_quartiles_match_numpy_bit_for_bit(self):
@@ -362,6 +368,13 @@ class TestVotes:
     def test_unknown_decision_rejected(self, bundle):
         with pytest.raises(ValidationError):
             vote_matrix(bundle, bundle.vote_counts(), "P9")
+
+    def test_an_unlisted_treatment_is_refused(self, bundle):
+        """A listed treatment that no prediction names still gets an all-zero grid."""
+        with pytest.raises(ValidationError, match="^treatment 'NOPE' is not listed$"):
+            vote_matrix(bundle, bundle.vote_counts(), "P1", "NOPE")
+        listed = bundle._replace(treatments=(*bundle.treatments, "NOPE"))
+        assert vote_matrix(listed, listed.vote_counts(), "P1", "NOPE") == [[0] * 9] * 4
 
     def test_a_pending_decision_is_refused_as_pending(self, bundle):
         pending = ExperimentBundle(bundle.manifest, bundle.decisions, bundle.predictions,

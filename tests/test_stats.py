@@ -254,9 +254,15 @@ class TestPipeline:
         assert result.gate_results[-1].test == "levene_median"
 
     def test_alpha_is_configurable(self):
-        # With alpha = 0 every gate trivially passes, forcing ANOVA.
-        result = run_pipeline(GATE_FIXTURES["gate_skew"], alpha=0.0)
+        # gate_skew's smallest gate p is 2.9e-6: below it every gate passes, forcing ANOVA.
+        result = run_pipeline(GATE_FIXTURES["gate_skew"], alpha=1e-6)
         assert result.test_used == ANOVA
+
+    @pytest.mark.parametrize("alpha", [math.nan, 5.0, 1.0, 0.0, -1.0])
+    def test_an_alpha_outside_the_unit_interval_is_refused(self, alpha):
+        groups = [SampleGroup("a", (1.0, 2.0, 3.0, 5.0)), SampleGroup("b", (2.0, 4.0, 4.5, 9.0))]
+        with pytest.raises(ValidationError, match=r"^alpha must be in \(0, 1\), got "):
+            run_pipeline(groups, alpha=alpha)
 
 
 def assert_gate_rule(result, alpha=0.05):

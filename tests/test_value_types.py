@@ -389,6 +389,8 @@ INVALID = [
     (partial(ParticipantModel, (0.0, 0.0)), ValidationError, "rank_probs must have positive mass"),
     (partial(SampleGroup, "g", (1.0, math.inf)), ValidationError,
      "group 'g' contains non-finite values"),
+    (partial(SampleGroup, "g", (10**400, 1.0)), ValidationError,
+     "group 'g' holds an int too large for a float"),
     (partial(GateResult, ANOVA, 1.0, (), 1.5), ValidationError, "p-value out of [0, 1]: 1.5"),
 ]
 
