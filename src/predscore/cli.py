@@ -263,7 +263,7 @@ def cmd_votes(args) -> int:
              for stem, treatment, _ in stems.values()}
     texts = {}
     for stem, grid in grids.items():
-        texts[f"{stem}.csv"] = render_vote_matrix_csv(grid, bundle.manifest.board.m)
+        texts[f"{stem}.csv"] = render_vote_matrix_csv(grid)
         if "svg" in formats:
             chosen = bundle.values_by_decision()[args.decision].chosen  # vote_matrix refused any other
             texts[f"{stem}.svg"] = render_vote_svg(grid, SquareId.parse(chosen))

@@ -6,11 +6,11 @@ data, with their (participant, decision) order, their vote tally and each
 participant's loss totals in both spaces, in the user's cache directory,
 ``$XDG_CACHE_HOME/predscore`` or else ``~/.cache/predscore``, and a later
 read of the same bytes loads them instead of parsing, checking, sorting,
-counting and summing.  An entry's name is a BLAKE2b-256 hash (SHA-256 where
-the interpreter has no ``_blake2``) over a format tag, ``sys.version``, the
-name and bytes of every module of this package, sorted by name, and the
-bytes of manifest.json, values.csv and predictions.csv, each part
-length-prefixed.  An entry is written only once ExperimentBundle has
+counting and summing.  An entry's name is a BLAKE2b-256 hash over
+``sys.version``, the name and bytes of every module of this package, sorted
+by name, and the bytes of manifest.json, values.csv and predictions.csv,
+each part length-prefixed; the entry format is written in this module, so a
+change to it misses too.  An entry is written only once ExperimentBundle has
 accepted the bundle, so a hit shows that this code accepted these bytes,
 and the bundle is built from the entry without ExperimentBundle's rules, as
 Python trusts a hash-checked ``.pyc`` (PEP 552): every read of bytes that
@@ -35,12 +35,13 @@ with a hash of those records by the same function as its name, checked on
 every load; an entry that will not load is read in full again and
 rewritten.  Entries are read only from that directory, never from a bundle
 or beside one, and only while the directory is the effective user's and
-writable by no one else; any ``OSError`` there, no home directory, or no
-source file to hash (a zip or a sourceless install) means the bundle is
-read as it is below the threshold, with no message.  An entry is written
-after the file's bytes are released, through ``osutil.write_files``, and
-the newest ``_CACHE_ENTRIES`` entries by mtime are kept; a hit refreshes
-its entry's mtime.
+writable by no one else; any ``OSError`` there, no home directory, no
+source file to hash (a zip or a sourceless install), or an interpreter
+built without ``_blake2`` means the bundle is read as it is below the
+threshold, with no message.  An entry is written after the file's bytes
+are released, through ``osutil.write_files``, and the newest
+``_CACHE_ENTRIES`` entries by mtime are kept; a hit refreshes its entry's
+mtime.
 
 read_bundle calls :func:`entry`, :func:`load` and :func:`store`, and knows
 nothing of what an entry holds; ``_CACHE_MIN_BYTES`` and the choice of
@@ -60,29 +61,17 @@ from .metrics import (Predictions, by_participant_and_decision, participant_tota
 from .osutil import write_files
 
 _CACHE_ENTRIES = 8
-_CACHE_TAG = b"predscore accepted bundle 3"
 _CACHE_SUFFIX = ".columns"
 _DIGEST_BYTES = 32
 
 
 def _content_hash(data=b""):
-    """A hash object with a digest of _DIGEST_BYTES: BLAKE2b-256 from the
-    interpreter's own _blake2 module, which hashes a large predictions.csv
-    about three times as fast as the interpreter's SHA-256.  Where there is
-    no _blake2, SHA-256, the interpreter's own implementation first, as in
-    the random module: hashlib loads OpenSSL's libcrypto, which adds ~3.7 MB
-    to the peak RSS of a command that reads the bundle."""
-    try:
-        from _blake2 import blake2b
-    except ImportError:
-        try:
-            from _sha2 import sha256  # Python 3.12 and later
-        except ImportError:
-            try:
-                from _sha256 import sha256
-            except ImportError:
-                from hashlib import sha256
-        return sha256(data)
+    """A BLAKE2b-256 hash object from the interpreter's own _blake2 module,
+    which hashes a large predictions.csv about three times as fast as
+    SHA-256 and, unlike hashlib, loads no OpenSSL.  It raises ImportError
+    where the interpreter has no _blake2, and then entry returns None, so
+    load and store are never reached."""
+    from _blake2 import blake2b
     return blake2b(data, digest_size=_DIGEST_BYTES)
 
 
@@ -90,8 +79,10 @@ def entry(files) -> Path | None:
     """The path of the cache entry for a bundle whose manifest.json,
     values.csv and predictions.csv hold the bytes ``files``, or None where
     no cache directory can be used: there is no home directory, the
-    directory cannot be made, or it is not the effective user's alone."""
+    directory cannot be made, or it is not the effective user's alone, or
+    the interpreter has no _blake2."""
     try:
+        key = _content_hash()
         base = os.environ.get("XDG_CACHE_HOME")
         directory = (Path(base) if base and os.path.isabs(base)
                      else Path.home() / ".cache") / "predscore"
@@ -103,13 +94,12 @@ def entry(files) -> Path | None:
             return None
         sources = [part for module in modules
                    for part in (module.name.encode(), module.read_bytes())]
-    except (OSError, RuntimeError):  # Path.home() raises RuntimeError when there is no home
+    except (ImportError, OSError, RuntimeError):  # Path.home() raises RuntimeError with no home
         return None
     # anyone else who could write here could hand us marshal data
     if info.st_uid != os.geteuid() or info.st_mode & 0o022:
         return None
-    key = _content_hash()
-    for part in (_CACHE_TAG, sys.version.encode(), *sources, *files):
+    for part in (sys.version.encode(), *sources, *files):
         key.update(len(part).to_bytes(8, "little"))
         key.update(part)
     return directory / f"{key.hexdigest()}{_CACHE_SUFFIX}"

@@ -117,10 +117,16 @@ def grade_distribution(
     scale: GradeScale = DEFAULT_GRADE_SCALE,
 ) -> dict[str, dict[str, dict[str, int]]]:
     """decision -> treatment -> grade label -> count, for scores graded on
-    scale; a score whose grade is not on scale is refused."""
+    scale; a score whose grade is not on scale is refused, and so are
+    counts for a decision with no value table or a treatment that the
+    bundle does not list."""
     out = {dv.decision_id: {t: dict.fromkeys(scale.labels, 0) for t in sorted(bundle.treatments)}
            for dv in bundle.decisions}
     for (treatment, decision_id), votes in counts.items():
+        if decision_id not in out:
+            raise ValidationError(f"unknown decision {decision_id!r}")
+        if treatment not in out[decision_id]:
+            raise ValidationError(f"treatment {treatment!r} is not listed")
         grades, table = out[decision_id][treatment], scores[decision_id]
         for action, count in votes.items():
             if (grade := table[action][2]) not in grades:
@@ -263,9 +269,9 @@ def vote_matrix(
     return grid
 
 
-def render_vote_matrix_csv(grid: list[list[int]], m: int) -> str:
+def render_vote_matrix_csv(grid: list[list[int]]) -> str:
     rows = [(r + 1, *row) for r, row in enumerate(grid)]
-    return csv_text(["row", *map(column_label, range(m))], rows)
+    return csv_text(["row", *map(column_label, range(len(grid[0]) if grid else 0))], rows)
 
 
 # Fixed monotone blue ramp, light to dark, for vote heat maps.

@@ -32,16 +32,21 @@ DEFAULT_ALPHA = 0.05
 
 
 class SampleGroup(Validated, namedtuple("SampleGroup", "label values")):
-    """One treatment's per-participant aggregated losses."""
+    """One treatment's per-participant aggregated losses, as floats: a
+    value that is not a number, is not finite or is an int too large for a
+    float is refused.  Every sample the statistics take is checked here."""
 
     __slots__ = ()
 
     def __new__(cls, label: str, values: tuple[float, ...]):
+        values = tuple(values)  # read twice below, so an iterator is read into a tuple first
         try:
             if not all(map(math.isfinite, values)):
                 raise ValidationError(f"group {label!r} contains non-finite values")
         except OverflowError:
             raise ValidationError(f"group {label!r} holds an int too large for a float") from None
+        except TypeError:
+            raise ValidationError(f"group {label!r} holds a value that is not a number") from None
         return super().__new__(cls, label, tuple(map(float, values)))
 
 
@@ -210,8 +215,10 @@ def _finite_sum(values, test_name: str) -> float:
 
 
 def shapiro_wilk(sample) -> TestResult:
-    """W statistic and p-value for the null of normality, 3 <= n <= 5000."""
-    x = sorted(float(v) for v in sample)
+    """W statistic and p-value for the null of normality, 3 <= n <= 5000;
+    the sample is checked and converted by SampleGroup, as the group
+    'sample'."""
+    x = sorted(SampleGroup("sample", sample).values)
     n = len(x)
     if n < 3:
         raise ValidationError(f"shapiro_wilk needs at least 3 observations, got {n}")
@@ -384,7 +391,8 @@ def kruskal_wallis(groups) -> TestResult:
     correction = 1.0 - ties / float(total_n**3 - total_n)
     if correction <= 0.0:
         raise DegenerateDataError("all observations identical; H is undefined after tie correction")
-    h /= correction
+    # identically distributed groups give H = 0 in exact arithmetic, and rounding can take it below
+    h = max(h, 0.0) / correction
     df = float(g - 1)
     return TestResult(KRUSKAL_WALLIS, h, (df,), _chi2_sf(h, df))
 

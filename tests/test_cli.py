@@ -13,11 +13,13 @@ import pytest
 from prediction_rows import predictions_of
 from predscore import cli
 from predscore.cli import main
-from predscore.dataset import csv_text, read_bundle, write_bundle
+from predscore.dataset import (CUSTOM, ActionManifest, ExperimentBundle, csv_text, read_bundle,
+                               write_bundle)
 from predscore.errors import ValidationError
 from predscore.metrics import MetricSample, score_dataset, score_table
 from predscore.osutil import write_files
 from predscore.report import build_metrics_table, render_metrics_csv
+from predscore.values import DecisionValues
 from test_golden_outputs import make_bundles
 
 SIM_FLAGS = [
@@ -374,6 +376,23 @@ class TestStatsCmd:
             assert code == 1
             assert "identical" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_identically_distributed_treatments_give_h_zero_and_p_one(self, tmp_path, capsys):
+        """Eight treatments whose 21 participants predict alike: H is 0 in
+        exact arithmetic, and once rounded below it, df 7 took its root."""
+        actions = [f"a{i}" for i in range(9)]
+        manifest = ActionManifest("kw", CUSTOM, tuple((a, a) for a in actions))
+        values = DecisionValues("d1", {a: 9.0 - i for i, a in enumerate(actions)}, "a0")
+        picks = ["a0"] * 11 + ["a1"] * 4 + ["a2", "a3"] + ["a5"] * 3 + ["a8"]
+        treatments = tuple(f"T{t}" for t in range(8))
+        rows = [(f"{t}p{j}", t, "d1", a) for t in treatments for j, a in enumerate(picks)]
+        bundle_dir = write_bundle(
+            ExperimentBundle(manifest, (values,), predictions_of(rows), treatments),
+            tmp_path / "alike")
+        code = main(["stats", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
+                     "--space", "rank"])
+        assert code == 0
+        assert "kruskal_wallis: statistic=0 df=(7) p=1\n" in capsys.readouterr().out
 
     def test_one_treatment_exits_1_before_writing(self, tmp_path, capsys):
         bundle_dir = tmp_path / "one"

@@ -133,6 +133,15 @@ class TestGradeDistribution:
         assert len(rows) == len(bundle.decisions) * len(bundle.treatments)
         assert render_grade_distribution_csv({}).splitlines() == ["decision_id,treatment"]
 
+    @pytest.mark.parametrize("cell, message", [
+        (("Z", "P1"), "treatment 'Z' is not listed"),
+        (("NONE", "P9"), "unknown decision 'P9'"),
+    ], ids=["treatment", "decision"])
+    def test_counts_that_the_bundle_does_not_list_are_refused(self, bundle, cell, message):
+        counts = {**bundle.vote_counts(), cell: {"A1": 1}}
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            grade_distribution(bundle, counts, score(bundle))
+
 
 class TestLossSums:
     def test_group_sizes(self, bundle):
@@ -313,6 +322,9 @@ class TestFiveNumber:
         with pytest.raises(ValidationError, match="^group 'sample' contains non-finite values$"):
             five_number_summary(values)
 
+    def test_an_iterator_is_read_once(self):
+        assert five_number_summary(iter([3, 1, 2])) == (1.0, 1.5, 2.0, 2.5, 3.0)
+
     @pytest.mark.parametrize("values", [[10**400, 1], [1.0, -(10**400)]])
     def test_an_int_too_large_for_a_float_is_refused(self, values):
         with pytest.raises(ValidationError,
@@ -360,10 +372,13 @@ class TestVotes:
 
     def test_single_square_votes(self, bundle):
         grid = vote_matrix(bundle, bundle.vote_counts(), "P1", "NONE")
-        text = render_vote_matrix_csv(grid, 9)
+        text = render_vote_matrix_csv(grid)
         lines = text.strip().splitlines()
         assert lines[0] == "row,A,B,C,D,E,F,G,H,I"
         assert len(lines) == 5
+
+    def test_the_header_is_as_wide_as_the_grid(self):
+        assert render_vote_matrix_csv([[1, 2, 3]]).splitlines() == ["row,A,B,C", "1,1,2,3"]
 
     def test_unknown_decision_rejected(self, bundle):
         with pytest.raises(ValidationError):

@@ -39,6 +39,9 @@ TWO_VALUE_LOSS_GROUPS = [
     ("0x1.f49f49f49f49fp-1", "0x1.23f63f63f63f6p+0"),
 ]
 
+# one treatment's rank-space losses: eight copies give H = 0 in exact arithmetic
+IDENTICAL_LOSSES = [0.0] * 11 + [1.0] * 4 + [2.0, 3.0] + [5.0] * 3 + [8.0]
+
 W_TOL = 1e-4
 P_TOL = 1e-3
 STAT_REL_TOL = 1e-6
@@ -76,6 +79,20 @@ class TestShapiroWilk:
         shuffled = data[:]
         random.Random(0).shuffle(shuffled)
         assert shapiro_wilk(shuffled) == shapiro_wilk(data)
+
+    @pytest.mark.parametrize("sample, message", [
+        ([1.0, math.nan, 2.0, 3.0], "contains non-finite values"),
+        ([10**400, 1, 2], "holds an int too large for a float"),
+        (["a", "b", "c"], "holds a value that is not a number"),
+    ], ids=["nan", "huge-int", "strings"])
+    def test_a_sample_is_checked_as_a_sample_group(self, sample, message):
+        with pytest.raises(ValidationError, match=f"^group 'sample' {message}$"):
+            shapiro_wilk(sample)
+
+    def test_an_iterator_is_read_once(self):
+        data = SHAPIRO_FIXTURES["normal20"]["data"]
+        assert shapiro_wilk(iter(data)) == shapiro_wilk(data)
+        assert SampleGroup("g", iter([1, 2.5])).values == (1.0, 2.5)
 
 
 class TestLeveneMedian:
@@ -137,6 +154,11 @@ class TestAnova:
         result = anova_oneway([[0.1 + 0.2, 0.0], [0.3, 0.0]])
         assert (result.statistic, result.p_value) == (0.0, 1.0)
 
+    def test_a_value_that_is_not_a_number_is_refused(self):
+        with pytest.raises(ValidationError,
+                           match="^group 'group1' holds a value that is not a number$"):
+            anova_oneway([["a", "b"], [1, 2]])
+
     def test_df_for_eight_groups_of_86(self):
         rng = random.Random(1)
         sizes = [11, 11, 11, 11, 11, 11, 10, 10]  # 86 participants
@@ -192,6 +214,17 @@ class TestKruskalWallis:
     def test_all_identical_rejected(self):
         with pytest.raises(DegenerateDataError):
             kruskal_wallis([[1.0, 1.0], [1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("group, copies", [
+        (IDENTICAL_LOSSES, 8),  # df 7: the odd-df tail took the square root of H < 0
+        ([0.0] * 3 + [1.0] + [2.0] * 3 + [3.0] * 3 + [4.0, 5.0] + [6.0] * 4 + [7.0] * 4
+         + [8.0] * 2, 3),  # df 2: H < 0 was returned, with p > 1
+    ], ids=["eight-groups", "three-groups"])
+    def test_identically_distributed_groups_give_zero_and_p_one(self, group, copies):
+        pipeline = run_pipeline([group] * copies)
+        assert pipeline.test_used == KRUSKAL_WALLIS
+        for result in (kruskal_wallis([group] * copies), pipeline.comparison):
+            assert (result.statistic, result.df, result.p_value) == (0.0, (copies - 1.0,), 1.0)
 
     def test_monotone_transform_invariance(self):
         rng = random.Random(4)

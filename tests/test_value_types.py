@@ -391,6 +391,8 @@ INVALID = [
      "group 'g' contains non-finite values"),
     (partial(SampleGroup, "g", (10**400, 1.0)), ValidationError,
      "group 'g' holds an int too large for a float"),
+    (partial(SampleGroup, "g", (1.0, "2")), ValidationError,
+     "group 'g' holds a value that is not a number"),
     (partial(GateResult, ANOVA, 1.0, (), 1.5), ValidationError, "p-value out of [0, 1]: 1.5"),
 ]
 
