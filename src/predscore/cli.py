@@ -36,6 +36,7 @@ from .oracle import EXHAUSTIVE, EXHAUSTIVE_LIMIT, SAMPLED, AgentSpec, Mutation
 from .osutil import write_files
 from .rankoverlap import DEFAULT_PERSISTENCE
 from .report import (
+    boxplot_rows,
     build_metrics_table,
     grade_distribution,
     participant_loss_sums,
@@ -173,9 +174,10 @@ def cmd_metrics(args) -> int:
     distribution = grade_distribution(bundle, counts, scores)
     texts["grades.csv"] = render_grade_distribution_csv(distribution)
     for space, groups in participant_loss_sums(bundle, scores).items():
-        texts[f"boxplot_l{space[0]}.csv"] = render_boxplot_csv(groups)
+        rows = boxplot_rows(groups)
+        texts[f"boxplot_l{space[0]}.csv"] = render_boxplot_csv(rows)
         if "svg" in formats:
-            texts[f"boxplot_l{space[0]}.svg"] = render_boxplot_svg(groups)
+            texts[f"boxplot_l{space[0]}.svg"] = render_boxplot_svg(rows)
     _write(args.out_dir, texts)
     if min(len(g.values) for g in groups) <= 1:
         print("notice: at least one treatment has a single participant; "

@@ -14,15 +14,18 @@ backends:
 Both test for a win with the board module's k-window masks: a placed piece
 wins when its player owns every square of some k-window through it.
 
-The exhaustive memo maps (packed board, mover) to that board's own counts,
-from the mover's side: (mover wins, mover losses, draws), and nothing
-else, so every root of a shape can share it.  A board and its
-mirror images have the same counts, and the states reachable from a root
-are closed under the symmetries that map the root onto itself (its
-stabilizer).  So each computed state is stored under all of its images by
-that stabilizer, and a state whose image was computed earlier is a plain
-memo hit: the empty 4x3 board's 79,562 states cost 20,087 evaluations.
-An asymmetric root has only the identity and runs the same code.
+The exhaustive memo holds one table per mover, keyed by the packed board
+as a plain int.  An entry is that board's own counts, from the mover's
+side: (mover wins, mover losses, draws), and nothing else, so every root
+of a shape can share it.  A board and its mirror images have the same
+counts, and the states reachable from a root are closed under the
+symmetries that map the root onto itself (its stabilizer).  So each
+computed state is stored under all of its images by that stabilizer, and
+a state whose image was computed earlier is a plain memo hit: the empty
+4x3 board's 79,562 states cost 20,087 evaluations, and their memo takes
+about 6.6 MB on CPython 3.11.  Each child is looked up before it is
+recursed into, so a hit costs no call.  An asymmetric root has only the
+identity and runs the same code.
 
 A sampled rollout picks each ply's square among the n left with
 getrandbits(n.bit_length()), drawn again while the result is >= n: the bits
@@ -166,15 +169,16 @@ def _placements(perms: tuple[tuple[int, ...], ...]) -> dict:
     }
 
 
-# (board shape, continuation counts by state) for the last shape evaluated;
-# kept across oracle calls and replaced when the shape changes.
-_memo: tuple[tuple[int, int, int] | None, dict] = (None, {})
+# (board shape, {mover code: {packed state: continuation counts}}) for the
+# last shape evaluated; kept across oracle calls and replaced when the shape
+# changes.
+_memo: tuple[tuple[int, int, int] | None, dict[int, dict[int, tuple[int, int, int]]]] = (None, {})
 
 
-def _shape_memo(shape: tuple[int, int, int]) -> dict:
+def _shape_memo(shape: tuple[int, int, int]) -> dict[int, dict[int, tuple[int, int, int]]]:
     global _memo
     if _memo[0] != shape:
-        _memo = (shape, {})
+        _memo = (shape, {code: {} for code in CODE_CELL})
     return _memo[1]
 
 
@@ -195,13 +199,14 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
         )
     cfg = board.config
     windows = window_table(cfg.m, cfg.n, cfg.k)
-    memo = _shape_memo((cfg.m, cfg.n, cfg.k))
+    tables = _shape_memo((cfg.m, cfg.n, cfg.k))
     # The root's stabilizer; the root is its own image in every slot.
     perms = tuple(p for p in _symmetries(cfg.m, cfg.n) if _image(board.packed, p) == board.packed)
     place = _placements(perms)
     size = 2 * cfg.squares
     shifts = tuple(range(0, size * len(perms), size))
     slot_mask = (1 << size) - 1
+    factorials = tuple(math.factorial(e) for e in range(len(empties)))
 
     def continuation(multi: int, mover: int, squares: tuple[int, ...]) -> tuple[int, int, int]:
         """Counts of (mover win, mover loss, draw) over the e! orderings of
@@ -218,38 +223,44 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
         slot of slot_mask's width, starting at the bit offsets in shifts;
         slot 0 is the state itself.  A move ORs in place[mover][square],
         which sets the piece in every slot, and the window masks lie inside
-        slot 0, so the win test sees the state itself.  The memo is looked
-        up by the state and the result is stored under every image, since
-        each has the same counts.
+        slot 0, so the win test sees the state itself.  The caller has
+        missed this state in tables[mover]; its children are looked up in
+        the other mover's table before any call, and the result is stored
+        under every image, since each has the same counts.
         """
-        hit = memo.get((multi & slot_mask, mover))
-        if hit is not None:
-            return hit
         victories = losses = draws = 0
         last = len(squares) == 1
-        immediate = math.factorial(len(squares) - 1)
+        immediate = factorials[len(squares) - 1]
         other = mover ^ 3
-        placing, lines = place[mover], windows[mover]
+        placing, lines, known = place[mover], windows[mover], tables[other]
         for i, idx in enumerate(squares):
             child = multi | placing[idx]
-            if wins(child, lines[idx]):
-                victories += immediate
-            elif last:
-                draws += 1
+            for cells, pattern in lines[idx]:
+                if child & cells == pattern:
+                    victories += immediate
+                    break
             else:
-                won, lost, drawn = continuation(child, other, squares[:i] + squares[i + 1 :])
-                victories += lost
-                losses += won
-                draws += drawn
+                if last:
+                    draws += 1
+                else:
+                    counts = known.get(child & slot_mask)
+                    if counts is None:
+                        counts = continuation(child, other, squares[:i] + squares[i + 1 :])
+                    won, lost, drawn = counts
+                    victories += lost
+                    losses += won
+                    draws += drawn
         result = (victories, losses, draws)
+        table = tables[mover]
         for shift in shifts:
-            memo[(multi >> shift) & slot_mask, mover] = result
+            table[(multi >> shift) & slot_mask] = result
         return result
 
     multi = sum(board.packed << shift for shift in shifts)
     mover = CELL_CODE[board.to_move]
+    known = tables[mover ^ 3]
     empty_idx = tuple(cfg.index(sq) for sq in empties)
-    orderings = math.factorial(len(empties) - 1)
+    orderings = factorials[-1]
     out = {}
     for pos, sq in enumerate(empties):
         idx = empty_idx[pos]
@@ -259,7 +270,8 @@ def exact_outcome_triples(board: Board) -> dict[SquareId, tuple]:
         elif len(empties) == 1:
             counts = (0, 0, 1)
         else:
-            won, lost, drawn = continuation(child, mover ^ 3, empty_idx[:pos] + empty_idx[pos + 1 :])
+            won, lost, drawn = known.get(child & slot_mask) or continuation(
+                child, mover ^ 3, empty_idx[:pos] + empty_idx[pos + 1 :])
             counts = (lost, won, drawn)
         out[sq] = tuple(Fraction(c, orderings) for c in counts)
     return out

@@ -60,6 +60,16 @@ class MetricsTable(namedtuple("MetricsTable", "decision_ids columns rows lower_i
         return tuple(tuple(sorted(s)) for s in best)
 
 
+def _scored_votes(scores: ScoreTable, decision_id: str, votes: dict[str, int]) -> list[tuple]:
+    """((LV, LR, grade), votes) for each action of one decision's counts;
+    an action that the decision's score table does not hold is refused."""
+    table = scores[decision_id]
+    for action in votes:
+        if action not in table:
+            raise ValidationError(f"decision {decision_id!r} has no action {action!r}")
+    return [(table[action], n) for action, n in votes.items()]
+
+
 def build_metrics_table(
     bundle: ExperimentBundle, counts: VoteCounts, scores: ScoreTable, p: float = DEFAULT_PERSISTENCE
 ) -> MetricsTable:
@@ -76,10 +86,10 @@ def build_metrics_table(
     rows = []
     # every (treatment, decision) cell is filled: mrbo_table rejects an empty one
     for treatment in sorted({t for t, _ in counts}):
+        scored = [_scored_votes(scores, d, counts[(treatment, d)]) for d in decision_ids]
         cells = []
         for field in (0, 1):  # LV, then LR: (loss, votes) pairs per decision
-            pairs = [[(scores[d][a][field], n) for a, n in counts[(treatment, d)].items()]
-                     for d in decision_ids]
+            pairs = [[(fields[field], n) for fields, n in cell] for cell in scored]
             cells += [weighted_mean(chain.from_iterable(pairs)), *map(weighted_mean, pairs)]
         rows.append((treatment, tuple(cells + [overlap[(treatment, d)] for d in decision_ids])))
     return MetricsTable(decision_ids, columns, tuple(rows), lower)
@@ -118,7 +128,8 @@ def grade_distribution(
 ) -> dict[str, dict[str, dict[str, int]]]:
     """decision -> treatment -> grade label -> count, for scores graded on
     scale; a score whose grade is not on scale is refused, and so are
-    counts for a decision with no value table or a treatment that the
+    counts for a decision with no value table, for an action that the
+    decision's score table does not hold, or for a treatment that the
     bundle does not list."""
     out = {dv.decision_id: {t: dict.fromkeys(scale.labels, 0) for t in sorted(bundle.treatments)}
            for dv in bundle.decisions}
@@ -127,9 +138,9 @@ def grade_distribution(
             raise ValidationError(f"unknown decision {decision_id!r}")
         if treatment not in out[decision_id]:
             raise ValidationError(f"treatment {treatment!r} is not listed")
-        grades, table = out[decision_id][treatment], scores[decision_id]
-        for action, count in votes.items():
-            if (grade := table[action][2]) not in grades:
+        grades = out[decision_id][treatment]
+        for (_, _, grade), count in _scored_votes(scores, decision_id, votes):
+            if grade not in grades:
                 raise ValidationError(f"decision {decision_id!r}: grade {grade!r} is off the scale")
             grades[grade] += count
     return out
@@ -238,8 +249,14 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
     return (ordered[0], *quartiles, ordered[-1])
 
 
-def render_boxplot_csv(groups: list[SampleGroup]) -> str:
-    rows = [(g.label, len(g.values), *five_number_summary(g.values)) for g in groups]
+def boxplot_rows(groups: list[SampleGroup]) -> list[tuple]:
+    """One (treatment, n, min, q1, median, q3, max) row per group: the
+    five-number summaries that both boxplot renderings draw."""
+    return [(g.label, len(g.values), *five_number_summary(g.values)) for g in groups]
+
+
+def render_boxplot_csv(rows: list[tuple]) -> str:
+    """The boxplot_rows table as CSV."""
     return csv_text(["treatment", "n", "min", "q1", "median", "q3", "max"], rows)
 
 
@@ -343,20 +360,20 @@ def _xml_text(text: str) -> str:
     return _NOT_XML_CHAR.sub("\ufffd", text)
 
 
-def render_boxplot_svg(groups: list[SampleGroup]) -> str:
-    """Minimal box-and-whisker chart, one box per treatment."""
-    if not groups:
+def render_boxplot_svg(rows: list[tuple]) -> str:
+    """Minimal box-and-whisker chart of the boxplot_rows table, one box per
+    treatment."""
+    if not rows:
         raise ValidationError("no groups to plot")
-    summaries = [five_number_summary(g.values) for g in groups]
-    lo = min(s[0] for s in summaries)
-    hi = max(s[4] for s in summaries)
+    lo = min(row[2] for row in rows)
+    hi = max(row[6] for row in rows)
     # values further apart than the float range are placed by their halves,
     # which are exact; any other plot multiplies by 1.0, which changes nothing
     scale = 0.5 if math.isinf(hi - lo) else 1.0
     top = hi * scale
     span = top - lo * scale or 1.0
     box_w, gap, chart_h, margin = 60, 30, 240, 30
-    width = margin * 2 + len(groups) * (box_w + gap)
+    width = margin * 2 + len(rows) * (box_w + gap)
     height = chart_h + margin * 2 + 20
 
     def sy(v: float) -> float:
@@ -366,7 +383,7 @@ def render_boxplot_svg(groups: list[SampleGroup]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'
     ]
-    for i, (g, (mn, q1, med, q3, mx)) in enumerate(zip(groups, summaries)):
+    for i, (label, _, mn, q1, med, q3, mx) in enumerate(rows):
         x = margin + i * (box_w + gap)
         cx = x + box_w / 2
         parts.append(
@@ -383,7 +400,7 @@ def render_boxplot_svg(groups: list[SampleGroup]) -> str:
         )
         parts.append(
             f'<text x="{cx:.1f}" y="{chart_h + margin + 16:.1f}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{_xml_text(g.label)}</text>'
+            f'font-size="12" font-family="sans-serif">{_xml_text(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

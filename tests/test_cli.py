@@ -11,12 +11,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from prediction_rows import predictions_of
-from predscore import cli
+from predscore import cli, report
 from predscore.cli import main
 from predscore.dataset import (CUSTOM, ActionManifest, ExperimentBundle, csv_text, read_bundle,
                                write_bundle)
 from predscore.errors import ValidationError
-from predscore.metrics import MetricSample, score_dataset, score_table
+from predscore.metrics import SPACES, MetricSample, score_dataset, score_table
 from predscore.osutil import write_files
 from predscore.report import build_metrics_table, render_metrics_csv
 from predscore.values import DecisionValues
@@ -942,8 +942,8 @@ class TestReportWrites:
             (out / name).write_text(f"old {name}\n", encoding="utf-8")
         rendered = []
 
-        def render_boxplot_svg(groups):  # the last render: the rank space's plot
-            rendered.append(groups)
+        def render_boxplot_svg(rows):  # the last render: the rank space's plot
+            rendered.append(rows)
             if len(rendered) == 2:
                 raise ValidationError("cannot plot the rank space")
             return "<svg/>\n"
@@ -959,6 +959,17 @@ class TestReportWrites:
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         for name in names:
             assert (out / name).read_text(encoding="utf-8") == f"old {name}\n"
+
+    def test_metrics_summarizes_each_group_once(self, tmp_path, monkeypatch):
+        bundle_dir = simulate(tmp_path)
+        treatments = read_bundle(bundle_dir).treatments
+        summary, summarized = report.five_number_summary, []
+        monkeypatch.setattr(report, "five_number_summary",
+                            lambda values: summarized.append(values) or summary(values))
+        code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
+                     "--format", "csv,svg"])
+        assert code == 0
+        assert len(summarized) == len(SPACES) * len(treatments)
 
     def test_a_late_refusal_in_metrics_makes_no_out_dir(self, tmp_path, capsys, monkeypatch):
         bundle_dir = simulate(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from predscore import oracle
 from predscore.actions import SquareId
 from predscore.board import (
     AGENT,
+    CODE_CELL,
     ONGOING,
     OPPONENT,
     Board,
@@ -142,17 +144,18 @@ class TestExhaustiveOracle:
 
     def test_memo_holds_one_board_shape(self):
         exact_outcome_triples(play(TTT, ["B2"]))
-        ttt_table = oracle._memo[1]
+        ttt_tables = oracle._memo[1]
         board = play(BoardConfig(4, 3, 3), ["B2", "A1", "C2", "D2"])
         exact_outcome_triples(board)
-        shape, table = oracle._memo
+        shape, tables = oracle._memo
         assert shape == (4, 3, 3)
-        assert table is not ttt_table
-        states = len(table)
-        assert states > 0
+        assert tables is not ttt_tables
+        assert sorted(tables) == sorted(CODE_CELL)
+        states = memo_size()
+        assert all(tables.values())
         exact_outcome_triples(board)
-        assert oracle._memo[1] is table
-        assert len(table) == states
+        assert oracle._memo[1] is tables
+        assert memo_size() == states
 
     def test_too_many_empties_rejected(self):
         board = new_game(BoardConfig(9, 4, 4))
@@ -190,8 +193,13 @@ def brute_force_counts(m, n, k, packed, mover):
     return tuple(int(c) for c in counts)
 
 
+def memo_size():
+    """States stored in the memo, over both movers' tables."""
+    return sum(len(table) for table in oracle._memo[1].values())
+
+
 class CountingMemo(dict):
-    """A memo that counts lookups that miss, i.e. states evaluated."""
+    """A mover's table that counts lookups that miss, i.e. states evaluated."""
 
     misses = 0
 
@@ -239,34 +247,48 @@ class TestSymmetricMemo:
     def test_entries_hold_their_own_boards_counts(self, fresh_memo):
         exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
         entries = [
-            (key, counts)
-            for key, counts in oracle._memo[1].items()
-            if sum(not (key[0] >> (2 * i)) & 3 for i in range(12)) <= 8
+            (packed, mover, counts)
+            for mover, table in oracle._memo[1].items()
+            for packed, counts in table.items()
+            if sum(not (packed >> (2 * i)) & 3 for i in range(12)) <= 8
         ]
         entries.sort()
-        for (packed, mover), counts in random.Random(7).sample(entries, 200):
+        sample = random.Random(7).sample(entries, 200)
+        assert {mover for _, mover, _ in sample} == set(CODE_CELL)
+        for packed, mover, counts in sample:
             assert counts == brute_force_counts(4, 3, 3, packed, mover), (packed, mover)
 
     def test_memo_sizes_are_unchanged(self, fresh_memo):
         exact_outcome_triples(new_game(TTT))
-        assert len(oracle._memo[1]) == 4519
+        assert memo_size() == 4519
         exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
-        assert len(oracle._memo[1]) == 79562
+        assert memo_size() == 79562
 
     def test_empty_4x3_evaluates_each_symmetry_class_once(self, monkeypatch):
-        memo = CountingMemo()
-        monkeypatch.setattr(oracle, "_memo", ((4, 3, 3), memo))
+        tables = {code: CountingMemo() for code in CODE_CELL}
+        monkeypatch.setattr(oracle, "_memo", ((4, 3, 3), tables))
         exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
-        assert len(memo) == 79562
-        assert memo.misses == 20087
+        assert memo_size() == 79562
+        assert sum(table.misses for table in tables.values()) == 20087
+
+    def test_empty_4x3_memo_stays_small(self, fresh_memo):
+        # One int key per state in its mover's table: about 6.6 MB on CPython 3.11.
+        tracemalloc.start()
+        try:
+            exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 8_000_000
+        assert memo_size() == 79562
 
     def test_later_position_reuses_the_empty_boards_entries(self, monkeypatch, fresh_memo):
         exact_outcome_triples(new_game(BoardConfig(4, 3, 3)))
-        states = len(oracle._memo[1])
+        states = memo_size()
         board = play(BoardConfig(4, 3, 3), ["A1", "C2"])
         assert stabilizer_size(board) == 1
         warm = exact_outcome_triples(board)
-        assert len(oracle._memo[1]) == states
+        assert memo_size() == states
         monkeypatch.setattr(oracle, "_memo", (None, {}))
         assert exact_outcome_triples(board) == warm
 

@@ -23,6 +23,7 @@ from predscore.values import DecisionValues
 from predscore.report import (
     SAMPLES_HEADER,
     SPACES,
+    boxplot_rows,
     build_metrics_table,
     five_number_summary,
     grade_distribution,
@@ -141,6 +142,12 @@ class TestGradeDistribution:
         counts = {**bundle.vote_counts(), cell: {"A1": 1}}
         with pytest.raises(ValidationError, match=f"^{message}$"):
             grade_distribution(bundle, counts, score(bundle))
+
+    @pytest.mark.parametrize("report", [grade_distribution, build_metrics_table])
+    def test_counts_for_an_action_with_no_score_are_refused(self, bundle, report):
+        counts = {**bundle.vote_counts(), ("NONE", "P1"): {"A1": 1, "ZZ": 1}}
+        with pytest.raises(ValidationError, match="^decision 'P1' has no action 'ZZ'$"):
+            report(bundle, counts, score(bundle))
 
 
 class TestLossSums:
@@ -435,11 +442,11 @@ class TestSvg:
         assert "#d62728" in a  # chosen-square outline
 
     def test_boxplot_svg_of_values_further_apart_than_the_float_range(self):
-        svg = render_boxplot_svg([SampleGroup("A", (-1.78e308, 1.78e308)),
-                                  SampleGroup("B", (0.0, 0.0))])
+        svg = render_boxplot_svg(boxplot_rows([SampleGroup("A", (-1.78e308, 1.78e308)),
+                                               SampleGroup("B", (0.0, 0.0))]))
         assert "nan" not in svg and "inf" not in svg
 
     def test_boxplot_svg_renders(self, bundle):
-        svg = render_boxplot_svg(participant_loss_sums(bundle, score(bundle))["value"])
+        svg = render_boxplot_svg(boxplot_rows(participant_loss_sums(bundle, score(bundle))["value"]))
         assert svg.startswith("<svg")
         assert svg.count("<rect") == 4
