@@ -94,7 +94,7 @@ from pathlib import Path
 from . import parsecache
 from .actions import QUADRANTS, SquareId, canonical_key
 from .board import ONGOING, BoardConfig, game_status, new_game, apply_move
-from .errors import ParseError, Validated, ValidationError
+from .errors import ParseError, Validated, ValidationError, finite_floats
 from .metrics import Predictions, VoteCounts, vote_tally
 from .oracle import AgentSpec, value_oracle
 from .osutil import fan_out, write_files
@@ -488,10 +488,6 @@ def parse_predictions_csv(data) -> Predictions:
             chunk.clear()
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def csv_text(header: list[str], rows) -> str:
     """CSV text with "\n" line ends from rows that can be iterated twice:
     the package's one CSV encoding, used by the bundle files and every report
@@ -518,15 +514,12 @@ def serialize_values_csv(decisions) -> str:
             row = [
                 dv.decision_id,
                 action,
-                _fmt(dv.entries[action]),
+                repr(dv.entries[action]),  # a value type holds floats only
                 "1" if action == dv.chosen else "0",
             ]
             if with_outcomes:
                 triple = (dv.outcomes or {}).get(action)
-                if triple is None:
-                    row += ["", "", ""]
-                else:
-                    row += [_fmt(triple.win), _fmt(triple.loss), _fmt(triple.draw)]
+                row += ["", "", ""] if triple is None else map(repr, triple)
             rows.append(row)
     return csv_text(VALUES_HEADER + (OUTCOME_COLUMNS if with_outcomes else []), rows)
 
@@ -640,18 +633,23 @@ class ParticipantModel(Validated, namedtuple("ParticipantModel", "rank_probs")):
 
     rank_probs[i] is the probability of predicting the agent's rank-(i+1)
     action; the vector is renormalized over the ranks actually available.
-    None means uniform over all available actions.
+    None means uniform over all available actions.  The weights are floats,
+    read by :func:`predscore.errors.finite_floats`, and their sum is finite,
+    so that a draw can land on every rank.
     """
 
     __slots__ = ()
 
     def __new__(cls, rank_probs: tuple[float, ...] | None = None):
         if rank_probs is not None:
-            rank_probs = tuple(float(p) for p in rank_probs)
-            if not rank_probs or any(p < 0 or not math.isfinite(p) for p in rank_probs):
-                raise ValidationError("rank_probs must be non-negative finite numbers")
-            if sum(rank_probs) <= 0:
+            refusal = "rank_probs must be non-negative finite numbers"
+            rank_probs = finite_floats(rank_probs, "rank_probs", lambda _: refusal)
+            if not rank_probs or min(rank_probs) < 0:
+                raise ValidationError(refusal)
+            if (total := sum(rank_probs)) <= 0:
                 raise ValidationError("rank_probs must have positive mass")
+            if not math.isfinite(total):  # every draw would land past the last rank
+                raise ValidationError("rank_probs must have a finite sum")
         return super().__new__(cls, rank_probs)
 
     @classmethod

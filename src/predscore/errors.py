@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the mixin that keeps a
-validating value type's invariants on every construction path."""
+"""Exception types shared across the package, the mixin that keeps a
+validating value type's invariants on every construction path, and
+:func:`finite_floats`, the one rule by which every value type reads its
+numbers."""
+
+import math
 
 
 class PredscoreError(Exception):
@@ -41,3 +45,25 @@ class Validated:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def finite_floats(values, name: str, non_finite) -> tuple[float, ...]:
+    """The numbers in ``values`` as a tuple of floats.
+
+    A number is anything ``math.isfinite`` reads: a float, an int a float
+    can hold, a bool (1.0 or 0.0), a Fraction or a Decimal.  Three kinds of
+    value are refused with a ValidationError: a value that is not a number
+    and an int too large for a float, in messages that begin with ``name``,
+    and a value that is not finite, with the message ``non_finite(value)``,
+    so that each type keeps its own wording for it.  The check and the
+    conversion each run once over the values, at C speed.
+    """
+    values = tuple(values)  # read twice below, so an iterator is read into a tuple first
+    try:
+        if all(map(math.isfinite, values)):
+            return tuple(map(float, values))
+    except OverflowError:
+        raise ValidationError(f"{name} holds an int too large for a float") from None
+    except (TypeError, ValueError):  # a ValueError is a Decimal signaling NaN
+        raise ValidationError(f"{name} holds a value that is not a number") from None
+    raise ValidationError(non_finite(next(v for v in values if not math.isfinite(v))))

@@ -61,7 +61,7 @@ from .board import (
     window_table,
     wins,
 )
-from .errors import Validated, ValidationError
+from .errors import Validated, ValidationError, finite_floats
 from .osutil import fan_out
 from .values import DecisionValues, OutcomeTriple, ranked
 
@@ -76,13 +76,14 @@ _MAX_MAGNITUDE = sys.float_info.max / 2
 
 
 class Mutation(Validated, namedtuple("Mutation", "seed magnitude")):
-    """Seeded value-noise perturbation applied to flattened values."""
+    """Seeded value-noise perturbation applied to flattened values; the
+    magnitude is a float."""
 
     __slots__ = ()
 
     def __new__(cls, seed: int, magnitude: float):
-        if not math.isfinite(magnitude):
-            raise ValidationError(f"mutation magnitude must be finite, got {magnitude}")
+        (magnitude,) = finite_floats((magnitude,), "mutation magnitude",
+                                     "mutation magnitude must be finite, got {}".format)
         if magnitude < 0:
             raise ValidationError(f"mutation magnitude must be >= 0, got {magnitude}")
         if magnitude > _MAX_MAGNITUDE:  # uniform(-M, M) takes 2 * M, which must stay finite

@@ -230,10 +230,15 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
     lie further apart than the float range, so that b - a overflows, the
     quartile is a*(1-t) + b*t, which stays finite and between them.  An
     empty sample is refused, and the values are checked and converted by
-    SampleGroup, as the group 'sample': a non-finite value or an int too
-    large for a float is refused.
+    SampleGroup, as the group 'sample', which reads them with
+    :func:`predscore.errors.finite_floats`: a value that is not a number,
+    is not finite or is an int too large for a float is refused.
     """
-    ordered = sorted(SampleGroup("sample", values).values)
+    return _five_numbers(sorted(SampleGroup("sample", values).values))
+
+
+def _five_numbers(ordered: list[float]) -> tuple[float, float, float, float, float]:
+    """five_number_summary of sorted floats that a SampleGroup has checked."""
     if not ordered:
         raise ValidationError("empty sample")
     quartiles = []
@@ -251,8 +256,9 @@ def five_number_summary(values) -> tuple[float, float, float, float, float]:
 
 def boxplot_rows(groups: list[SampleGroup]) -> list[tuple]:
     """One (treatment, n, min, q1, median, q3, max) row per group: the
-    five-number summaries that both boxplot renderings draw."""
-    return [(g.label, len(g.values), *five_number_summary(g.values)) for g in groups]
+    five-number summaries that both boxplot renderings draw.  Each group's
+    values were checked when it was built, so they are not checked again."""
+    return [(g.label, len(g.values), *_five_numbers(sorted(g.values))) for g in groups]
 
 
 def render_boxplot_csv(rows: list[tuple]) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DegenerateDataError, Validated, ValidationError
+from .errors import DegenerateDataError, Validated, ValidationError, finite_floats
 
 SHAPIRO_WILK = "shapiro_wilk"
 LEVENE_MEDIAN = "levene_median"
@@ -32,22 +32,16 @@ DEFAULT_ALPHA = 0.05
 
 
 class SampleGroup(Validated, namedtuple("SampleGroup", "label values")):
-    """One treatment's per-participant aggregated losses, as floats: a
-    value that is not a number, is not finite or is an int too large for a
-    float is refused.  Every sample the statistics take is checked here."""
+    """One treatment's per-participant aggregated losses, as floats read by
+    :func:`predscore.errors.finite_floats`: a value that is not a number,
+    is not finite or is an int too large for a float is refused.  Every
+    sample the statistics take is checked here."""
 
     __slots__ = ()
 
     def __new__(cls, label: str, values: tuple[float, ...]):
-        values = tuple(values)  # read twice below, so an iterator is read into a tuple first
-        try:
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"group {label!r} contains non-finite values")
-        except OverflowError:
-            raise ValidationError(f"group {label!r} holds an int too large for a float") from None
-        except TypeError:
-            raise ValidationError(f"group {label!r} holds a value that is not a number") from None
-        return super().__new__(cls, label, tuple(map(float, values)))
+        return super().__new__(cls, label, finite_floats(
+            values, f"group {label!r}", lambda _: f"group {label!r} contains non-finite values"))
 
 
 class TestResult(Validated, namedtuple("TestResult", "test statistic df p_value reason")):
@@ -278,13 +272,8 @@ def shapiro_wilk(sample) -> TestResult:
 
 
 def _as_groups(groups) -> list[SampleGroup]:
-    out = []
-    for i, g in enumerate(groups):
-        if isinstance(g, SampleGroup):
-            out.append(g)
-        else:
-            out.append(SampleGroup(label=f"group{i + 1}", values=tuple(g)))
-    return out
+    return [g if isinstance(g, SampleGroup) else SampleGroup(f"group{i + 1}", g)
+            for i, g in enumerate(groups)]
 
 
 def _f_oneway(samples: list[list[float]], test_name: str) -> TestResult:

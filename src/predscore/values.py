@@ -19,24 +19,28 @@ from collections import namedtuple
 from functools import cached_property
 
 from .actions import canonical_key
-from .errors import UnknownActionError, Validated, ValidationError
+from .errors import UnknownActionError, Validated, ValidationError, finite_floats
 
 TRIPLE_SUM_TOLERANCE = 1e-9
 
 
 class OutcomeTriple(Validated, namedtuple("OutcomeTriple", "win loss draw")):
-    """(win, loss, draw) probability estimates for one action."""
+    """(win, loss, draw) probability estimates for one action, as floats."""
 
     __slots__ = ()
 
     def __new__(cls, win: float, loss: float, draw: float):
+        fractions = []
         for name, v in (("win", win), ("loss", loss), ("draw", draw)):
-            if not math.isfinite(v) or v < -TRIPLE_SUM_TOLERANCE or v > 1 + TRIPLE_SUM_TOLERANCE:
-                raise ValidationError(f"{name} fraction out of [0, 1]: {v!r}")
-        total = win + loss + draw
+            out_of_range = f"{name} fraction out of [0, 1]: {{!r}}".format
+            (v,) = finite_floats((v,), f"{name} fraction", out_of_range)
+            if not -TRIPLE_SUM_TOLERANCE <= v <= 1 + TRIPLE_SUM_TOLERANCE:
+                raise ValidationError(out_of_range(v))
+            fractions.append(v)
+        total = sum(fractions)
         if abs(total - 1.0) > TRIPLE_SUM_TOLERANCE:
             raise ValidationError(f"outcome fractions must sum to 1, got {total!r}")
-        return super().__new__(cls, win, loss, draw)
+        return super().__new__(cls, *fractions)
 
 
 class DecisionValues(
@@ -48,7 +52,8 @@ class DecisionValues(
     took; outcomes optionally maps action id -> the :class:`OutcomeTriple`
     its scalar was flattened from.  The decision id and every action id are
     non-empty, so that values.csv can hold the table.  The values are finite
-    and so is their spread, the largest minus the smallest, so no loss in
+    floats, read by :func:`predscore.errors.finite_floats`, and their
+    spread, the largest minus the smallest, is finite too, so no loss in
     value overflows.
 
     A named tuple of those four fields.  Unlike the other value types it
@@ -67,13 +72,11 @@ class DecisionValues(
             raise ValidationError(f"decision {decision_id!r} has an empty value table")
         if not decision_id or "" in entries:
             raise ValidationError("decision_id and action must be non-empty")
-        entries = dict(entries)
         outcomes = dict(outcomes or {}) or None  # an empty triple map is no triple map at all
-        for action, value in entries.items():
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"decision {decision_id!r}: value for {action!r} is not finite"
-                )
+        entries = {action: finite_floats(
+            (value,), f"decision {decision_id!r}: action {action!r}",
+            lambda _: f"decision {decision_id!r}: value for {action!r} is not finite")[0]
+            for action, value in entries.items()}
         lo, hi = min(entries.values()), max(entries.values())
         if not math.isfinite(hi - lo):  # every loss in value is a difference of two values
             raise ValidationError(f"decision {decision_id!r}: value spread from {lo!r} to {hi!r} "

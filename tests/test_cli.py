@@ -158,8 +158,16 @@ class TestSimulate:
         ("4", "A,B", ["--behavior", "1_0, \u0665"],  # float() reads both weights
          "behavior must be 'best', 'uniform' or comma-separated decimal weights, "
          "got '1_0, \u0665'"),
+        ("4", "A,B", ["--mutation", "nan"], "mutation magnitude must be finite, got nan"),
+        ("4", "A,B", ["--mutation", "inf"], "mutation magnitude must be finite, got inf"),
+        ("4", "A,B", ["--mutation=-inf"], "mutation magnitude must be finite, got -inf"),
+        # 1e999 is a decimal literal, and float() reads it as inf
+        ("4", "A,B", ["--behavior", "1e999,1"], "rank_probs must be non-negative finite numbers"),
+        # each weight is finite, but their sum is inf, which every draw would fall past
+        ("4", "A,B", ["--behavior", "1e308,1e308"], "rank_probs must have a finite sum"),
     ], ids=["repeated-treatment", "fewer-participants-than-treatments", "non-utf8-treatment",
-            "non-decimal-behavior-weight"])
+            "non-decimal-behavior-weight", "nan-mutation", "inf-mutation", "minus-inf-mutation",
+            "overflowing-behavior-weight", "behavior-weights-with-an-infinite-sum"])
     def test_bundle_metrics_would_refuse_exits_2_before_writing(
         self, tmp_path, capsys, participants, treatments, extra, error
     ):
@@ -963,8 +971,10 @@ class TestReportWrites:
     def test_metrics_summarizes_each_group_once(self, tmp_path, monkeypatch):
         bundle_dir = simulate(tmp_path)
         treatments = read_bundle(bundle_dir).treatments
-        summary, summarized = report.five_number_summary, []
-        monkeypatch.setattr(report, "five_number_summary",
+        # boxplot_rows summarizes a group's checked values with _five_numbers,
+        # which five_number_summary calls too
+        summary, summarized = report._five_numbers, []
+        monkeypatch.setattr(report, "_five_numbers",
                             lambda values: summarized.append(values) or summary(values))
         code = main(["metrics", "--bundle", str(bundle_dir), "--out-dir", str(tmp_path / "r"),
                      "--format", "csv,svg"])

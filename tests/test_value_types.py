@@ -9,6 +9,7 @@ import copy
 import inspect
 import math
 import pickle
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -171,6 +172,48 @@ def test_inputs_are_normalized():
     assert ParticipantModel([1, 2]).rank_probs == (1.0, 2.0)
     group = SampleGroup("g", [1, 2])
     assert group.values == (1.0, 2.0) and type(group.values[0]) is float
+
+
+# type -> (its fields with one number replaced by ``bad``, what the refusal names)
+NUMBER_FIELDS = {
+    SampleGroup: (lambda bad: ("g", (1.0, bad)), ("group 'g'",)),
+    OutcomeTriple: (lambda bad: (0.0, 0.0, bad), ("draw fraction",)),
+    DecisionValues: (lambda bad: ("d1", {"a": bad, "b": 1.0}, "b", None), ("decision 'd1'", "'a'")),
+    Mutation: (lambda bad: (3, bad), ("mutation magnitude",)),
+    ParticipantModel: (lambda bad: ((bad, 1.0),), ("rank_probs",)),
+}
+
+
+@pytest.mark.parametrize("via", ["constructor", "_replace", "_make"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, "x", "2"],
+                         ids=["nan", "inf", "-inf", "int-too-large", "text", "numeric-text"])
+@pytest.mark.parametrize("cls", list(NUMBER_FIELDS), ids=lambda cls: cls.__name__)
+def test_every_type_refuses_a_bad_number_by_one_rule(cls, bad, via):
+    """A value that is not a number, an int too large for a float and a
+    value that is not finite are each refused with a ValidationError that
+    names the field, on every construction path."""
+    fields, named = NUMBER_FIELDS[cls][0](bad), NUMBER_FIELDS[cls][1]
+    build = {"constructor": lambda: cls(*fields),
+             "_replace": lambda: TYPES[cls][1]()._replace(**dict(zip(TYPES[cls][0], fields))),
+             "_make": lambda: cls._make(fields)}[via]
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert all(name in str(info.value) for name in named), str(info.value)
+
+
+def test_every_type_stores_its_numbers_as_floats():
+    """An int, a bool (1.0 or 0.0) and a Fraction are each read as a float."""
+    dv = DecisionValues("d1", {"a": 1, "b": True}, "a", {"a": OutcomeTriple(Fraction(1, 2), False, 0.5)})
+    stored = {
+        "OutcomeTriple": dv.outcomes["a"],
+        "DecisionValues": dv.entries.values(),
+        "Mutation": (Mutation(3, 1).magnitude,),
+        "ParticipantModel": ParticipantModel([Fraction(1, 4), 2, True]).rank_probs,
+        "SampleGroup": SampleGroup("g", [1, Fraction(1, 4), False]).values,
+    }
+    assert {name: {type(x) for x in numbers} for name, numbers in stored.items()} == {
+        name: {float} for name in stored}
+    assert tuple(dv.outcomes["a"]) == (0.5, 0.0, 0.5) and list(dv.entries.values()) == [1.0, 1.0]
 
 
 def test_named_tuples_equal_plain_tuples_of_their_fields():
@@ -387,6 +430,9 @@ INVALID = [
     (partial(ParticipantModel, ()), ValidationError,
      "rank_probs must be non-negative finite numbers"),
     (partial(ParticipantModel, (0.0, 0.0)), ValidationError, "rank_probs must have positive mass"),
+    # each weight is finite, but a draw scaled to an infinite sum lands past every rank
+    (partial(ParticipantModel, (1e308, 1e308)), ValidationError,
+     "rank_probs must have a finite sum"),
     (partial(SampleGroup, "g", (1.0, math.inf)), ValidationError,
      "group 'g' contains non-finite values"),
     (partial(SampleGroup, "g", (10**400, 1.0)), ValidationError,
